@@ -37,12 +37,6 @@ from repro.core.placement import AppDemand
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.units import EPSILON
 
-#: Incomplete-job count below which the scalar reference paths beat the
-#: array kernels (numpy call overhead dominates tiny batches; measured
-#: crossover is around a hundred jobs on the benchmark ladder's 10-node
-#: rung).  Overridable per model via ``vectorize_min_jobs``.
-VECTORIZE_MIN_JOBS = 96
-
 
 class _JobTable:
     """Column-oriented snapshot of the incomplete-job set.
@@ -153,16 +147,10 @@ class BatchWorkloadModel:
         controller's candidate sweep re-evaluates many placements that
         grant the batch workload identical speeds.
     vectorize:
-        Run evaluate/specs/candidates on the dense job-table kernels.
-        Bitwise identical to the scalar reference (``False``), which is
-        kept as the pinned baseline implementation.
-    vectorize_min_jobs:
-        Minimum incomplete-job count for the array kernels to engage;
-        below it the table-building overhead outweighs the loops it
-        replaces and the scalar reference runs instead (identical
-        results either way).  ``None`` picks the tuned default
-        (:data:`VECTORIZE_MIN_JOBS`); pass 0 to force vectorization at
-        any size.
+        Run evaluate/specs/candidates/hypothetical on the dense
+        job-table kernels, at every job count.  Bitwise identical to the
+        scalar reference (``False``), which is kept only as the pinned
+        baseline implementation.
     """
 
     def __init__(
@@ -174,7 +162,6 @@ class BatchWorkloadModel:
         *,
         cache: bool = True,
         vectorize: bool = True,
-        vectorize_min_jobs: Optional[int] = None,
     ) -> None:
         self._queue = queue
         self._levels = tuple(levels)
@@ -182,9 +169,6 @@ class BatchWorkloadModel:
         self._prediction_method = PredictionMethod.coerce(prediction_method)
         self._cache_enabled = cache
         self._vectorize = vectorize
-        self._vectorize_min_jobs = (
-            VECTORIZE_MIN_JOBS if vectorize_min_jobs is None else vectorize_min_jobs
-        )
         #: evaluate() results keyed by per-job (id, progress, speed);
         #: valid for one (now, horizon) control instant at a time.
         self._eval_cache: Dict[Tuple, Dict[str, float]] = {}
@@ -252,16 +236,11 @@ class BatchWorkloadModel:
         self._demand_cache[job.job_id] = (stage, demand)
         return demand
 
-    def _vector_path(self, jobs: Sequence[Job]) -> bool:
-        """Whether the array kernels should serve this job set."""
-        return self._vectorize and len(jobs) >= self._vectorize_min_jobs
-
     def app_spec_arrays(self, now: float) -> Optional[SpecArrays]:
         """Column view of :meth:`app_specs` for the vectorized solver
-        (``None`` when vectorization is off, there are no jobs, or the
-        job set is below ``vectorize_min_jobs``)."""
+        (``None`` when vectorization is off or there are no jobs)."""
         jobs = self._queue.incomplete()
-        if not jobs or not self._vector_path(jobs):
+        if not jobs or not self._vectorize:
             return None
         table = self._table_for(jobs)
         cached = self._spec_arrays_cache
@@ -293,7 +272,7 @@ class BatchWorkloadModel:
     # ------------------------------------------------------------------
     def app_specs(self, now: float) -> Dict[str, AllocatableApp]:
         jobs = self._queue.incomplete()
-        if self._vector_path(jobs):
+        if self._vectorize:
             return self._app_specs_vectorized(jobs, now)
         specs: Dict[str, AllocatableApp] = {}
         for job in jobs:
@@ -348,9 +327,7 @@ class BatchWorkloadModel:
             # does — lowest relative performance first (§1's LRPF), not
             # submission order — or a deep backlog would degrade the
             # controller to FCFS for everything beyond the window.
-            if self._vectorize and (
-                len(candidates) + len(waiting) >= self._vectorize_min_jobs
-            ):
+            if self._vectorize:
                 table = self._table_for(self._queue.incomplete())
                 u_max = dict(zip(table.ids, table.u_max_array(now).tolist()))
                 waiting.sort(key=lambda job: u_max[job.job_id])
@@ -368,7 +345,7 @@ class BatchWorkloadModel:
         jobs = self._queue.incomplete()
         if not jobs:
             return {}
-        if self._vector_path(jobs):
+        if self._vectorize:
             return self._evaluate_vectorized(jobs, allocations, now, horizon)
 
         cache_key: Optional[Tuple] = None
@@ -530,7 +507,7 @@ class BatchWorkloadModel:
         (used for the "average hypothetical relative performance" series
         of Figures 2 and 6)."""
         jobs = self._queue.incomplete()
-        if jobs and self._vector_path(jobs):
+        if jobs and self._vectorize:
             table = self._table_for(jobs)
             return HypotheticalRPF.from_arrays(
                 list(table.ids),

@@ -284,6 +284,59 @@ def cmd_faults(args) -> int:
     return 0
 
 
+def exclusive_phase_times(bucket) -> dict:
+    """Seconds per span name in one ``SpanProfiler.breakdowns`` bucket,
+    each path's time minus that of its direct child paths.  A phase nested
+    in another (an evaluation inside admission) counts only under its own
+    name, so the values add up to the anchor's time."""
+    times: dict = {}
+    for path, stats in bucket.items():
+        parent, _, name = path.rpartition("/")
+        times[name] = times.get(name, 0.0) + stats.total
+        if parent:
+            # Parents are recorded before their children.
+            parent_name = parent.rpartition("/")[2]
+            times[parent_name] -= stats.total
+    return times
+
+
+def render_phase_table(profiler, cycles: int) -> str:
+    """The first ``cycles`` control cycles' APC phase times, in ms.
+
+    Every column is exclusive time, and ``self`` is ``apc.place``'s own,
+    so each row's columns add up to its ``total``.
+    """
+    from repro.core.apc import SPAN_PHASES
+
+    buckets = [
+        exclusive_phase_times(bucket)
+        for bucket in profiler.breakdowns("apc.place")
+    ]
+    shown = buckets[:cycles]
+    seen = {name for bucket in shown for name in bucket} | {
+        "apc.model_specs", "apc.admission", "apc.search",
+        "apc.loadbalance", "apc.predict", "apc.objective",
+    }
+    seen.discard("apc.place")
+    phases = [p for p in SPAN_PHASES if p in seen]
+    phases += sorted(seen - set(phases))
+    rows = []
+    for i, times in enumerate(shown):
+        rows.append(
+            [i, f"{sum(times.values()) * 1e3:.2f}"]
+            + [f"{times.get(p, 0.0) * 1e3:.2f}" for p in phases]
+            + [f"{times['apc.place'] * 1e3:.2f}"]
+        )
+    return (
+        f"per-cycle APC phase breakdown, exclusive times "
+        f"(first {len(shown)} of {len(buckets)} cycles, ms):\n"
+        + format_table(
+            ["cycle", "total"] + [p.split(".", 1)[1] for p in phases] + ["self"],
+            rows,
+        )
+    )
+
+
 def cmd_telemetry(args) -> int:
     """Run a scenario with the full telemetry layer attached and report
     the per-cycle APC phase breakdown, registry dump, and JSONL stream."""
@@ -373,30 +426,7 @@ def cmd_telemetry(args) -> int:
               + (" — " + ", ".join(f"{r}={n}" for r, n in sorted(per_rule.items()))
                  if per_rule else ""))
 
-    def leaf_totals(bucket):
-        """Total seconds per phase (leaf span name), summed over paths."""
-        totals = {}
-        for path, stats in bucket.items():
-            leaf = path.rsplit("/", 1)[-1]
-            totals[leaf] = totals.get(leaf, 0.0) + stats.total
-        return totals
-
-    breakdowns = profiler.breakdowns("apc.place")
-    phases = ["apc.model_specs", "apc.loadbalance", "apc.predict",
-              "apc.objective", "apc.admission", "apc.search"]
-    shown = min(len(breakdowns), args.cycles)
-    print(f"\nper-cycle APC phase breakdown "
-          f"(first {shown} of {len(breakdowns)} cycles, ms):")
-    rows = []
-    for i, bucket in enumerate(breakdowns[:shown]):
-        totals = leaf_totals(bucket)
-        rows.append(
-            [i, f"{totals.get('apc.place', 0.0) * 1e3:.2f}"]
-            + [f"{totals.get(p, 0.0) * 1e3:.2f}" for p in phases]
-        )
-    print(format_table(
-        ["cycle", "total"] + [p.split(".", 1)[1] for p in phases], rows
-    ))
+    print(f"\n{render_phase_table(profiler, args.cycles)}")
 
     print("\naggregate span profile:")
     print(render_profile(profiler))

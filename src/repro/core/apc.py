@@ -47,6 +47,7 @@ time" (§5.1).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -156,9 +157,11 @@ class APCConfig:
         vectorized kernels).  Below it the bookkeeping costs more than
         the scans it replaces — on a 10-node cluster the memo/index
         setup made ``incremental`` ~15% *slower* than the naive loops —
-        so small clusters run the plain reference path.  Decisions are
-        unaffected either way.  Set to 0 to force the fast path at any
-        size.
+        so small clusters run the plain reference path.  It also picks
+        the load distributor: below it ``distribute_load`` runs on rows
+        prepared once per call, at or above it on the merged
+        ``SpecArrays`` kernels.  Decisions are unaffected either way.
+        Set to 0 to force the fast path at any size.
     """
 
     cycle_length: float = 600.0
@@ -172,8 +175,19 @@ class APCConfig:
     fast_path_min_nodes: int = 16
 
     def __post_init__(self) -> None:
-        if self.cycle_length <= 0:
-            raise ConfigurationError(f"cycle length must be positive, got {self.cycle_length}")
+        # The chained comparisons are false for NaN, so NaN is rejected
+        # too: a NaN tolerance would make every candidate comparison
+        # false without a word.
+        if not 0 < self.cycle_length < math.inf:
+            raise ConfigurationError(
+                f"cycle_length must be positive and finite, got {self.cycle_length}"
+            )
+        for name in ("improvement_epsilon", "preemption_penalty"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be non-negative and finite, got {value}"
+                )
         if self.search_sweeps < 0:
             raise ConfigurationError(f"search sweeps must be >= 0, got {self.search_sweeps}")
         if self.max_removals_per_node is not None and self.max_removals_per_node < 0:

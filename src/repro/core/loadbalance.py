@@ -34,12 +34,25 @@ any number of divisible applications that do not compete with each other
 on shared nodes (the experimental configurations).  With several divisible
 applications overlapping on saturated nodes it is a heuristic, consistent
 with the paper's overall heuristic approach.
+
+The level search is the same construction as the yield search of
+virtual-cluster allocation (Stillwell et al., arXiv:1006.5376): bisect one
+common level and test feasibility at each probe.  The controller pays for
+50 probes per candidate placement it evaluates, so without spec tables
+each call prepares its per-app rows once (:func:`_prepare_rows`), each
+probe is a plain yes/no over them, and the per-node assignment is built
+once, at the final level, by the same routine (:func:`_fill`).  The
+straightforward loop that recomputes every target and a full assignment
+per probe is kept in ``tests/test_loadbalance_oracle.py`` as the oracle
+both paths here must match exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -48,7 +61,7 @@ from repro.core.rpf import (
     NEGATIVE_INFINITY_UTILITY,
     RelativePerformanceFunction,
 )
-from repro.units import EPSILON, clamp
+from repro.units import EPSILON
 
 #: Binary-search iterations for utility levels.  48 halvings of the
 #: [-50, 1] utility interval resolve levels to ~2e-13, far below any
@@ -58,6 +71,8 @@ _LEVEL_SEARCH_ITERATIONS = 48
 #: Maximum refinement sweeps.  Each sweep either raises at least one
 #: application or terminates, so this is a safety bound, not a tuning knob.
 _MAX_REFINEMENT_SWEEPS = 64
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -216,93 +231,131 @@ def _aggregate_bounds(
     return min_total, max_total
 
 
-def _target_at_level(
-    app: AllocatableApp, state: PlacementState, level: float
-) -> float:
+class _Row(NamedTuple):
+    """One placed application, prepared once per :func:`distribute_load`
+    call."""
+
+    app_id: str
+    #: The bound inverse RPF.
+    required_cpu: Callable[[float], float]
+    #: Demand at an unreachable level: the saturation allocation capped
+    #: by the speed ceiling.
+    saturation: float
+    #: Clamp range of the aggregate target; an unbounded per-instance
+    #: ceiling makes ``high`` the summed capacity of the app's nodes.
+    low: float
+    high: float
+    unbounded: bool
+    divisible: bool
+    #: ``(node, instance cap)`` pairs in placement order.
+    slots: List[Tuple[str, float]]
+
+
+def _prepare_row(
+    app_id: str,
+    app: AllocatableApp,
+    state: PlacementState,
+    capacity: Mapping[str, float],
+) -> _Row:
+    """Everything the level search reads about one placed app."""
+    demand = app.demand
+    min_total, max_total = _aggregate_bounds(app, state)
+    saturation = min(app.rpf.saturation_cpu, max_total)
+    items = state.instance_items(app_id)
+    unbounded = max_total == _INF
+    if unbounded:
+        # No speed ceiling: cap by what its nodes could ever provide.
+        max_total = sum(capacity[node] for node, count in items if count > 0)
+    max_pi = demand.max_cpu_per_instance_mhz
+    return _Row(
+        app_id,
+        app.rpf.required_cpu,
+        saturation,
+        min(min_total, max_total),
+        max_total,
+        unbounded,
+        demand.divisible,
+        [(node, max_pi * count) for node, count in items if count > 0],
+    )
+
+
+def _prepare_rows(
+    placed: Mapping[str, AllocatableApp],
+    state: PlacementState,
+    capacity: Mapping[str, float],
+) -> List[_Row]:
+    """Rows in fill order: singletons in placed order, then divisible
+    applications in placed order."""
+    rows = [
+        _prepare_row(app_id, app, state, capacity)
+        for app_id, app in placed.items()
+    ]
+    return [r for r in rows if not r.divisible] + [r for r in rows if r.divisible]
+
+
+def _target(row: _Row, level: float) -> float:
     """CPU the app demands at relative-performance level ``level``.
 
     The inverse RPF, clamped into the app's feasible speed range.  An
-    unreachable level (``required_cpu == inf``) clamps to the maximum
-    useful speed: the app saturates rather than blocking the level.
+    unreachable level (``required_cpu == inf``) clamps to the saturation
+    allocation: the app saturates rather than blocking the level.
     """
-    min_total, max_total = _aggregate_bounds(app, state)
-    required = app.rpf.required_cpu(level)
-    if required == float("inf"):
-        # The level is unreachable: the app demands its saturation
-        # allocation (beyond which more CPU cannot improve it), bounded
-        # by its speed ceiling.
-        required = min(app.rpf.saturation_cpu, max_total)
-    if max_total == float("inf"):
-        # No speed ceiling: cap by what its nodes could ever provide.
-        max_total = sum(
-            state.cluster.node(n).cpu_capacity for n in state.nodes_of(app.app_id)
-        )
-        required = min(required, max_total)
-    return clamp(required, min(min_total, max_total), max_total)
+    _, required_cpu, saturation, low, high, unbounded, _, _ = row
+    required = required_cpu(level)
+    if required == _INF:
+        required = saturation
+    if unbounded and high < required:
+        required = high
+    # clamp(required, low, high), inline: this runs once per app per
+    # probe.  low <= high by construction.
+    if required < low:
+        return low
+    if required > high:
+        return high
+    return required
 
 
-def _try_distribute(
-    targets: Mapping[str, float],
-    apps: Mapping[str, AllocatableApp],
-    state: PlacementState,
-) -> Optional[Dict[str, Dict[str, float]]]:
-    """Distribute aggregate targets over instances; ``None`` if infeasible.
+def _fill(
+    rows: Sequence[_Row],
+    level: float,
+    capacity: Mapping[str, float],
+    per_node: Optional[Dict[str, Dict[str, float]]] = None,
+) -> bool:
+    """Whether every app's target at ``level`` fits its nodes.
 
-    Singleton (non-divisible) applications are handled first — they have
-    no freedom — then divisible applications draw greedily from their
-    nodes in descending residual order.
+    The one copy of the feasibility rules, shared by the level probes and
+    the final assignment: singleton (non-divisible) applications take
+    their nodes in placement order — they have no freedom — then each
+    divisible application draws greedily from its nodes, most residual
+    capacity first.  Takes of at most ``EPSILON`` are dropped, and an app
+    whose target is at most ``EPSILON`` is skipped.  When ``per_node`` is
+    given, every take is recorded into it (``{app: {node: cpu}}``).
     """
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
-    per_node: Dict[str, Dict[str, float]] = {app_id: {} for app_id in targets}
-
-    singletons = [a for a in targets if not apps[a].demand.divisible]
-    divisible = [a for a in targets if apps[a].demand.divisible]
-
-    for app_id in singletons:
-        target = targets[app_id]
+    residual = dict(capacity)
+    for row in rows:
+        target = _target(row, level)
         if target <= EPSILON:
             continue
-        nodes = state.nodes_of(app_id)
+        app_id, _, _, _, _, _, divisible, slots = row
+        if divisible and len(slots) > 1:
+            # Most-residual-first keeps the greedy exact for a lone
+            # divisible application and balances the router's view of
+            # instance speeds.
+            slots = sorted(slots, key=lambda slot: -residual[slot[0]])
         remaining = target
-        # A non-divisible app normally has a single instance; if it has
-        # several (not used by the experiments), fill them in order.
-        for node in nodes:
-            count = state.instances(app_id).get(node, 0)
-            cap = apps[app_id].demand.max_cpu_per_instance_mhz * count
+        for node, cap in slots:
             take = min(remaining, residual[node], cap)
             if take > EPSILON:
-                per_node[app_id][node] = take
+                if per_node is not None:
+                    taken = per_node[app_id]
+                    taken[node] = taken.get(node, 0.0) + take
                 residual[node] -= take
                 remaining -= take
             if remaining <= EPSILON:
                 break
         if remaining > EPSILON:
-            return None
-
-    for app_id in divisible:
-        target = targets[app_id]
-        if target <= EPSILON:
-            continue
-        remaining = target
-        instance_nodes = state.instances(app_id)
-        # Most-residual-first keeps the greedy exact for a lone divisible
-        # application and balances the router's view of instance speeds.
-        for node in sorted(instance_nodes, key=lambda n: -residual[n]):
-            count = instance_nodes[node]
-            cap = apps[app_id].demand.max_cpu_per_instance_mhz * count
-            take = min(remaining, residual[node], cap)
-            if take > EPSILON:
-                per_node[app_id][node] = per_node[app_id].get(node, 0.0) + take
-                residual[node] -= take
-                remaining -= take
-            if remaining <= EPSILON:
-                break
-        if remaining > EPSILON:
-            return None
-
-    return per_node
+            return False
+    return True
 
 
 class _VectorContext:
@@ -317,7 +370,7 @@ class _VectorContext:
         "placed_ids", "caps", "min_total", "max_total", "saturation",
         "u_max", "vec_target", "scalar_rows", "remaining", "goal",
         "relative_goal", "now", "max_speed", "levels",
-        "divisible_rows", "scalar_verdict", "node_names", "is_job_row",
+        "divisible_rows", "fill_rows", "capacity", "node_names", "is_job_row",
     )
 
     @classmethod
@@ -327,6 +380,7 @@ class _VectorContext:
         placed: Mapping[str, AllocatableApp],
         placed_ids: List[str],
         tables: SpecArrays,
+        capacity: Mapping[str, float],
     ) -> Optional["_VectorContext"]:
         index = tables.index
         rows = []
@@ -359,27 +413,29 @@ class _VectorContext:
         )
         # Rows whose targets the array kernel can produce: parametric
         # batch RPFs with a finite speed ceiling.  Everything else gets
-        # the scalar _target_at_level.
+        # the scalar _target over its prepared row.
         ctx.vec_target = is_job & np.isfinite(max_pi)
         ctx.scalar_rows = [
-            (pos, placed_ids[pos])
+            (pos, _prepare_row(placed_ids[pos], placed[placed_ids[pos]],
+                               state, capacity))
             for pos in np.flatnonzero(~ctx.vec_target).tolist()
         ]
         node_index = state.node_index
         ctx.node_names = list(node_index)
         ctx.caps = state.capacity_arrays()[0]
+        ctx.capacity = capacity
 
         # Bucket single-node non-divisible apps into "levels": the j-th
-        # singleton on each node.  The scalar reference walks singletons
-        # in placed order and nodes never interact across apps, so
+        # singleton on each node.  _fill walks singletons in placed
+        # order and nodes never interact across apps, so
         # draining level-by-level reproduces each node's sequential
         # residual chain bit for bit.  A multi-node singleton would break
-        # the bucketing; fall back to the scalar verdict for the whole
-        # call (vectorized targets are still used).
+        # the bucketing; fall back to the scalar _fill for the whole
+        # call.
         per_node_seq: Dict[int, List[int]] = {}
         divisible_rows: List[Tuple[int, str, List[Tuple[str, int, float]]]] = []
         max_pi_list = max_pi.tolist()
-        ctx.scalar_verdict = False
+        scalar_verdict = False
         for pos, app_id in enumerate(placed_ids):
             items = list(state.instance_items(app_id))
             if placed[app_id].demand.divisible:
@@ -394,11 +450,14 @@ class _VectorContext:
                 continue
             nodes = [(node, count) for node, count in items if count > 0]
             if len(nodes) != 1:
-                ctx.scalar_verdict = True
+                scalar_verdict = True
                 continue
             node, count = nodes[0]
             per_node_seq.setdefault(node_index[node], []).append(pos)
         ctx.divisible_rows = divisible_rows
+        ctx.fill_rows = (
+            _prepare_rows(placed, state, capacity) if scalar_verdict else None
+        )
         # level j: (positions, node columns, per-app instance caps)
         levels = []
         depth = max((len(s) for s in per_node_seq.values()), default=0)
@@ -418,12 +477,7 @@ class _VectorContext:
         return ctx
 
     # ------------------------------------------------------------------
-    def targets_at(
-        self,
-        level: float,
-        placed: Mapping[str, AllocatableApp],
-        state: PlacementState,
-    ) -> np.ndarray:
+    def targets_at(self, level: float) -> np.ndarray:
         """Per-app aggregate CPU demand at ``level`` (placed order)."""
         remaining, now = self.remaining, self.now
         # JobAllocationRPF.required_cpu, elementwise, in its exact
@@ -438,30 +492,25 @@ class _VectorContext:
         )
         req = np.where(level > self.u_max + EPSILON, np.inf, req)
         req = np.where(remaining <= EPSILON, 0.0, req)
-        # _target_at_level continuation: unreachable -> saturation cap,
-        # then clamp into [min(min_total, max_total), max_total].
+        # _target continuation: unreachable -> saturation cap, then
+        # clamp into [min(min_total, max_total), max_total].
         req = np.where(
             np.isinf(req), np.minimum(self.saturation, self.max_total), req
         )
         low = np.minimum(self.min_total, self.max_total)
         t = np.where(req < low, low, req)
         t = np.where(t > self.max_total, self.max_total, t)
-        for pos, app_id in self.scalar_rows:
-            t[pos] = _target_at_level(placed[app_id], state, level)
+        for pos, row in self.scalar_rows:
+            t[pos] = _target(row, level)
         return t
 
-    def verdict(
-        self,
-        targets: np.ndarray,
-        placed: Mapping[str, AllocatableApp],
-        state: PlacementState,
-    ):
-        """Vectorized :func:`_try_distribute`: ``None`` if infeasible,
+    def verdict(self, level: float):
+        """Vectorized :func:`_fill` at ``level``: ``None`` if infeasible,
         else the recorded takes for :meth:`materialize`."""
-        if self.scalar_verdict:
-            target_map = dict(zip(self.placed_ids, targets.tolist()))
-            per_node = _try_distribute(target_map, placed, state)
-            return None if per_node is None else ("scalar", per_node)
+        if self.fill_rows is not None:
+            feasible = _fill(self.fill_rows, level, self.capacity)
+            return ("scalar", level) if feasible else None
+        targets = self.targets_at(level)
         residual = self.caps.copy()
         level_takes = []
         for pos_arr, col_arr, cap_arr in self.levels:
@@ -497,12 +546,13 @@ class _VectorContext:
     def materialize(self, verdict) -> Dict[str, Dict[str, float]]:
         """Expand a successful verdict into the scalar path's per-app
         ``{node: cpu}`` dict, matching its insertion order exactly."""
-        if verdict[0] == "scalar":
-            return verdict[1]
-        _, level_takes, div_entries = verdict
         per_node: Dict[str, Dict[str, float]] = {
             app_id: {} for app_id in self.placed_ids
         }
+        if verdict[0] == "scalar":
+            _fill(self.fill_rows, verdict[1], self.capacity, per_node)
+            return per_node
+        _, level_takes, div_entries = verdict
         names = self.node_names
         for (pos_arr, col_arr, _), eff in zip(self.levels, level_takes):
             takes = eff.tolist()
@@ -564,8 +614,9 @@ def distribute_load(
     tables:
         Optional :class:`SpecArrays` covering (at least) the placed
         applications.  When provided, the level search and refinement
-        run on array kernels — bitwise identical to the scalar path,
-        which remains the reference implementation (``tables=None``).
+        run on array kernels; without them, on rows prepared once per
+        call.  Both are bitwise identical to the per-probe reference
+        loop kept in ``tests/test_loadbalance_oracle.py``.
     """
     placed_ids = [a for a in apps if state.is_placed(a)]
     result = LoadDistributionResult()
@@ -575,45 +626,29 @@ def distribute_load(
         return result
 
     placed = {a: apps[a] for a in placed_ids}
+    capacity = {node.name: node.cpu_capacity for node in state.cluster}
 
     if tables is not None:
-        ctx = _VectorContext.build(state, placed, placed_ids, tables)
+        ctx = _VectorContext.build(state, placed, placed_ids, tables, capacity)
         if ctx is not None:
             return _distribute_load_vec(
-                state, placed, placed_ids, ctx, result, write_load_matrix
+                state, placed, placed_ids, ctx, capacity, result,
+                write_load_matrix,
             )
 
-    def targets_at(level: float) -> Dict[str, float]:
-        return {a: _target_at_level(placed[a], state, level) for a in placed_ids}
-
-    def feasible(level: float) -> Optional[Dict[str, Dict[str, float]]]:
-        return _try_distribute(targets_at(level), placed, state)
-
     # ------------------------------------------------------------------
-    # Phase 1+2: binary search the highest feasible common level.
+    # Phase 1+2: binary search the highest feasible common level, then
+    # build the assignment once, at that level.
     # ------------------------------------------------------------------
-    lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
-    best_assignment = feasible(lo)
-    if best_assignment is None:
-        # Even the floor level (≈ minimum speeds) does not fit: best
-        # effort — hand every app what its nodes can give, worst first.
+    rows = _prepare_rows(placed, state, capacity)
+    level = _highest_feasible_level(lambda u: _fill(rows, u, capacity))
+    if level is None:
         result.feasible = False
-        best_assignment = _best_effort(placed, state)
-        result.common_level = NEGATIVE_INFINITY_UTILITY
+        best_assignment = _best_effort(placed, state, capacity)
     else:
-        if feasible(hi) is not None:
-            lo = hi
-            best_assignment = feasible(hi)
-        else:
-            for _ in range(_LEVEL_SEARCH_ITERATIONS):
-                mid = 0.5 * (lo + hi)
-                assignment = feasible(mid)
-                if assignment is not None:
-                    lo = mid
-                    best_assignment = assignment
-                else:
-                    hi = mid
-        result.common_level = lo
+        result.common_level = level
+        best_assignment = {a: {} for a in placed_ids}
+        _fill(rows, level, capacity, best_assignment)
 
     allocations = {
         a: sum(best_assignment.get(a, {}).values()) for a in placed_ids
@@ -622,13 +657,7 @@ def distribute_load(
     # ------------------------------------------------------------------
     # Phase 3: lexicographic refinement with leftover capacity.
     # ------------------------------------------------------------------
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
-    for app_id, nodes in best_assignment.items():
-        for node, cpu in nodes.items():
-            residual[node] -= cpu
-
+    residual = _residual(capacity, best_assignment)
     for _ in range(_MAX_REFINEMENT_SWEEPS):
         raised_any = False
         order = sorted(
@@ -652,12 +681,50 @@ def distribute_load(
     }
 
     if write_load_matrix:
-        state.clear_load()
-        for app_id, nodes in best_assignment.items():
-            for node, cpu in nodes.items():
-                if cpu > EPSILON:
-                    state.set_cpu(app_id, node, cpu)
+        _write_load(state, best_assignment)
     return result
+
+
+def _highest_feasible_level(
+    feasible: Callable[[float], bool]
+) -> Optional[float]:
+    """Bisect the highest common level in ``[NEGATIVE_INFINITY_UTILITY,
+    1]`` that ``feasible`` accepts; ``None`` when even the floor (about
+    the minimum speeds) does not fit."""
+    lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
+    if not feasible(lo):
+        return None
+    if feasible(hi):
+        return hi
+    for _ in range(_LEVEL_SEARCH_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _residual(
+    capacity: Mapping[str, float],
+    assignment: Mapping[str, Mapping[str, float]],
+) -> Dict[str, float]:
+    """Node capacity left after ``assignment``, subtracted app by app."""
+    residual = dict(capacity)
+    for nodes in assignment.values():
+        for node, cpu in nodes.items():
+            residual[node] -= cpu
+    return residual
+
+
+def _write_load(
+    state: PlacementState, assignment: Mapping[str, Mapping[str, float]]
+) -> None:
+    state.clear_load()
+    for app_id, nodes in assignment.items():
+        for node, cpu in nodes.items():
+            if cpu > EPSILON:
+                state.set_cpu(app_id, node, cpu)
 
 
 def _distribute_load_vec(
@@ -665,6 +732,7 @@ def _distribute_load_vec(
     placed: Mapping[str, AllocatableApp],
     placed_ids: List[str],
     ctx: _VectorContext,
+    capacity: Mapping[str, float],
     result: LoadDistributionResult,
     write_load_matrix: bool,
 ) -> LoadDistributionResult:
@@ -673,44 +741,30 @@ def _distribute_load_vec(
     Mirrors the scalar control flow decision for decision and float for
     float; only the per-app inner loops are replaced by vector ops.
     """
+    last_verdict = None
 
-    def feasible(level: float):
-        return ctx.verdict(ctx.targets_at(level, placed, state), placed, state)
+    def feasible(level: float) -> bool:
+        nonlocal last_verdict
+        verdict = ctx.verdict(level)
+        if verdict is None:
+            return False
+        last_verdict = verdict
+        return True
 
-    lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
-    verdict = feasible(lo)
-    if verdict is None:
+    level = _highest_feasible_level(feasible)
+    if level is None:
         result.feasible = False
-        best_assignment = _best_effort(placed, state)
-        result.common_level = NEGATIVE_INFINITY_UTILITY
+        best_assignment = _best_effort(placed, state, capacity)
     else:
-        probe = feasible(hi)
-        if probe is not None:
-            lo = hi
-            verdict = probe
-        else:
-            for _ in range(_LEVEL_SEARCH_ITERATIONS):
-                mid = 0.5 * (lo + hi)
-                attempt = feasible(mid)
-                if attempt is not None:
-                    lo = mid
-                    verdict = attempt
-                else:
-                    hi = mid
-        result.common_level = lo
-        best_assignment = ctx.materialize(verdict)
+        result.common_level = level
+        # The last accepted probe is the one at the final level.
+        best_assignment = ctx.materialize(last_verdict)
 
     allocations = {
         a: sum(best_assignment.get(a, {}).values()) for a in placed_ids
     }
 
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
-    for app_id, nodes in best_assignment.items():
-        for node, cpu in nodes.items():
-            residual[node] -= cpu
-
+    residual = _residual(capacity, best_assignment)
     vec_skip = ctx.is_job_row
     for _ in range(_MAX_REFINEMENT_SWEEPS):
         raised_any = False
@@ -750,11 +804,7 @@ def _distribute_load_vec(
     )
 
     if write_load_matrix:
-        state.clear_load()
-        for app_id, nodes in best_assignment.items():
-            for node, cpu in nodes.items():
-                if cpu > EPSILON:
-                    state.set_cpu(app_id, node, cpu)
+        _write_load(state, best_assignment)
     return result
 
 
@@ -795,13 +845,13 @@ def _raise_app(
 
 
 def _best_effort(
-    placed: Mapping[str, AllocatableApp], state: PlacementState
+    placed: Mapping[str, AllocatableApp],
+    state: PlacementState,
+    capacity: Mapping[str, float],
 ) -> Dict[str, Dict[str, float]]:
     """Fallback when minimum speeds do not fit: give minima where
     possible, clipping on saturated nodes, singletons first."""
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
+    residual = dict(capacity)
     per_node: Dict[str, Dict[str, float]] = {a: {} for a in placed}
     ordered = sorted(placed, key=lambda a: placed[a].demand.divisible)
     for app_id in ordered:

@@ -271,14 +271,10 @@ class Simulation:
             queue,
             queue_window=scenario.queue_window,
             prediction_method=scenario.prediction_method,
-            # The model's array kernels follow the controller's
-            # vectorize switch; fast_path_min_nodes=0 ("force the fast
-            # path at any size") also lifts the model's job-count floor
-            # so small identity-test scenarios exercise the kernels.
+            # The model's array kernels follow the controller's vectorize
+            # switch and run at every job count; vectorize=False selects
+            # the scalar reference on both sides.
             vectorize=scenario.apc.vectorize,
-            vectorize_min_jobs=(
-                0 if scenario.apc.fast_path_min_nodes == 0 else None
-            ),
         )
         if registry is not None:
             batch_model.bind_registry(registry)

@@ -37,6 +37,32 @@ class TestAPCConfig:
         with pytest.raises(ConfigurationError):
             APCConfig(max_removals_per_node=-1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cycle_length", float("nan")),
+            ("cycle_length", float("inf")),
+            ("cycle_length", -600.0),
+            ("improvement_epsilon", float("nan")),
+            ("improvement_epsilon", float("inf")),
+            ("improvement_epsilon", -0.02),
+            ("preemption_penalty", float("nan")),
+            ("preemption_penalty", float("inf")),
+            ("preemption_penalty", -0.05),
+        ],
+    )
+    def test_rejects_non_finite_and_negative_tolerances(self, field, value):
+        """A NaN tolerance would make every candidate comparison false;
+        the error names the field, from the constructor and from_dict."""
+        with pytest.raises(ConfigurationError, match=field):
+            APCConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            APCConfig.from_dict({**APCConfig().to_dict(), field: value})
+
+    def test_zero_tolerances_are_valid(self):
+        config = APCConfig(improvement_epsilon=0.0, preemption_penalty=0.0)
+        assert APCConfig.from_dict(config.to_dict()) == config
+
     def test_defaults(self):
         config = APCConfig()
         assert config.cycle_length == 600.0

@@ -1,0 +1,331 @@
+"""The prepared-probe load distributor against the plain probe loop.
+
+:func:`~repro.core.loadbalance.distribute_load` answers each level
+probe with a yes/no over rows prepared once per call and builds the
+per-node assignment once, at the final level.  The reference below is
+the loop it replaced, kept as the oracle: every probe recomputes each
+app's aggregate target (:func:`target_at_level`) and a full per-node
+assignment (:func:`try_distribute`), and the last feasible probe's
+assignment is the one refined.  A hypothesis property draws small
+clusters and app mixes and requires the production distributor — with
+and without :class:`~repro.core.loadbalance.SpecArrays` tables — to
+match the oracle exactly: same floats, same dict insertion order.
+"""
+
+from typing import Dict, Mapping, Optional
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.batch.job import Job, JobProfile
+from repro.batch.rpf import JobAllocationRPF
+from repro.cluster import Cluster
+from repro.cluster.node import Node, NodeSpec
+from repro.core.loadbalance import (
+    AllocatableApp,
+    LoadDistributionResult,
+    SpecArrays,
+    _best_effort,
+    _raise_app,
+    distribute_load,
+)
+from repro.core.placement import AppDemand, PlacementState
+from repro.core.rpf import NEGATIVE_INFINITY_UTILITY, PiecewiseLinearRPF
+from repro.txn.queuing import ProcessorSharingModel
+from repro.txn.rpf import TransactionalRPF
+from repro.units import EPSILON, clamp
+
+LEVEL_SEARCH_ITERATIONS = 48
+MAX_REFINEMENT_SWEEPS = 64
+
+
+# ----------------------------------------------------------------------
+# The reference: one full target and assignment computation per probe
+# ----------------------------------------------------------------------
+def target_at_level(
+    app: AllocatableApp, state: PlacementState, level: float
+) -> float:
+    """The inverse RPF at ``level``, clamped into the app's speed range;
+    an unreachable level demands the saturation allocation."""
+    count = state.instance_count(app.app_id)
+    min_total = app.demand.min_cpu_mhz * count
+    max_per_instance = app.demand.max_cpu_per_instance_mhz
+    if max_per_instance == float("inf"):
+        max_total = float("inf")
+    else:
+        max_total = max_per_instance * count
+    required = app.rpf.required_cpu(level)
+    if required == float("inf"):
+        required = min(app.rpf.saturation_cpu, max_total)
+    if max_total == float("inf"):
+        max_total = sum(
+            state.cluster.node(n).cpu_capacity for n in state.nodes_of(app.app_id)
+        )
+        required = min(required, max_total)
+    return clamp(required, min(min_total, max_total), max_total)
+
+
+def try_distribute(
+    targets: Mapping[str, float],
+    apps: Mapping[str, AllocatableApp],
+    state: PlacementState,
+) -> Optional[Dict[str, Dict[str, float]]]:
+    """Per-node assignment of the targets, or ``None`` if infeasible:
+    singletons first in placed order, then divisible apps drawing from
+    their nodes most-residual-first."""
+    residual = {node.name: node.cpu_capacity for node in state.cluster}
+    per_node: Dict[str, Dict[str, float]] = {app_id: {} for app_id in targets}
+    singletons = [a for a in targets if not apps[a].demand.divisible]
+    divisible = [a for a in targets if apps[a].demand.divisible]
+    for app_id in singletons:
+        target = targets[app_id]
+        if target <= EPSILON:
+            continue
+        remaining = target
+        for node in state.nodes_of(app_id):
+            count = state.instances(app_id).get(node, 0)
+            cap = apps[app_id].demand.max_cpu_per_instance_mhz * count
+            take = min(remaining, residual[node], cap)
+            if take > EPSILON:
+                per_node[app_id][node] = take
+                residual[node] -= take
+                remaining -= take
+            if remaining <= EPSILON:
+                break
+        if remaining > EPSILON:
+            return None
+    for app_id in divisible:
+        target = targets[app_id]
+        if target <= EPSILON:
+            continue
+        remaining = target
+        instance_nodes = state.instances(app_id)
+        for node in sorted(instance_nodes, key=lambda n: -residual[n]):
+            cap = apps[app_id].demand.max_cpu_per_instance_mhz * instance_nodes[node]
+            take = min(remaining, residual[node], cap)
+            if take > EPSILON:
+                per_node[app_id][node] = per_node[app_id].get(node, 0.0) + take
+                residual[node] -= take
+                remaining -= take
+            if remaining <= EPSILON:
+                break
+        if remaining > EPSILON:
+            return None
+    return per_node
+
+
+def reference_distribute_load(
+    state: PlacementState, apps: Mapping[str, AllocatableApp]
+) -> LoadDistributionResult:
+    placed_ids = [a for a in apps if state.is_placed(a)]
+    result = LoadDistributionResult()
+    if not placed_ids:
+        state.clear_load()
+        return result
+    placed = {a: apps[a] for a in placed_ids}
+    capacity = {node.name: node.cpu_capacity for node in state.cluster}
+
+    def feasible(level):
+        targets = {a: target_at_level(placed[a], state, level) for a in placed_ids}
+        return try_distribute(targets, placed, state)
+
+    lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
+    best = feasible(lo)
+    if best is None:
+        result.feasible = False
+        best = _best_effort(placed, state, capacity)
+    else:
+        if feasible(hi) is not None:
+            lo = hi
+            best = feasible(hi)
+        else:
+            for _ in range(LEVEL_SEARCH_ITERATIONS):
+                mid = 0.5 * (lo + hi)
+                assignment = feasible(mid)
+                if assignment is not None:
+                    lo = mid
+                    best = assignment
+                else:
+                    hi = mid
+        result.common_level = lo
+
+    allocations = {a: sum(best.get(a, {}).values()) for a in placed_ids}
+    residual = dict(capacity)
+    for nodes in best.values():
+        for node, cpu in nodes.items():
+            residual[node] -= cpu
+    for _ in range(MAX_REFINEMENT_SWEEPS):
+        raised_any = False
+        order = sorted(
+            placed_ids, key=lambda a: placed[a].rpf.utility(allocations[a])
+        )
+        for app_id in order:
+            gain = _raise_app(
+                placed[app_id], state, best.setdefault(app_id, {}),
+                allocations[app_id], residual,
+            )
+            if gain > EPSILON:
+                allocations[app_id] += gain
+                raised_any = True
+        if not raised_any:
+            break
+    result.allocations = allocations
+    result.utilities = {a: placed[a].rpf.utility(allocations[a]) for a in placed_ids}
+    state.clear_load()
+    for app_id, nodes in best.items():
+        for node, cpu in nodes.items():
+            if cpu > EPSILON:
+                state.set_cpu(app_id, node, cpu)
+    return result
+
+
+# ----------------------------------------------------------------------
+# Small clusters and app mixes
+# ----------------------------------------------------------------------
+_capacity = st.sampled_from([600.0, 1000.0, 2500.0, 4000.0])
+_min_cpu = st.sampled_from([0.0, 0.0, 50.0, 300.0, 900.0])
+
+
+@st.composite
+def job_app(draw, app_id):
+    """A batch job singleton: sometimes finished, sometimes already past
+    its goal, sometimes with several non-divisible instances."""
+    max_speed = draw(st.sampled_from([100.0, 500.0, 1000.0, 2000.0]))
+    work = draw(st.sampled_from([500.0, 4000.0, 20000.0]))
+    job = Job.with_goal_factor(
+        job_id=app_id,
+        profile=JobProfile.single_stage(
+            work_mcycles=work, max_speed_mhz=max_speed, memory_mb=1.0
+        ),
+        submit_time=0.0,
+        goal_factor=draw(st.sampled_from([1.0, 1.5, 3.0, 8.0])),
+    )
+    job.advance(work * draw(st.sampled_from([0.0, 0.3, 0.9, 1.0])))
+    # Past the goal when now exceeds goal_factor * best time.
+    now = draw(st.sampled_from([0.0, 1.0, 30.0, 200.0]))
+    instances = draw(st.sampled_from([1, 1, 2]))
+    demand = AppDemand(
+        app_id=app_id,
+        memory_mb=1.0,
+        min_cpu_mhz=min(draw(_min_cpu), max_speed),
+        max_cpu_per_instance_mhz=max_speed,
+        max_instances=instances,
+        divisible=False,
+    )
+    return AllocatableApp(demand=demand, rpf=JobAllocationRPF(job, now)), instances
+
+
+@st.composite
+def divisible_app(draw, app_id):
+    """A divisible app with no per-instance ceiling: a piecewise-linear
+    RPF or a processor-sharing transactional RPF."""
+    if draw(st.booleans()):
+        knee = draw(st.sampled_from([200.0, 1500.0, 6000.0]))
+        rpf = PiecewiseLinearRPF(
+            [(0.0, -2.0), (knee, draw(st.sampled_from([0.2, 0.6]))), (2 * knee, 0.9)]
+        )
+    else:
+        model = ProcessorSharingModel(
+            arrival_rate=draw(st.sampled_from([0.0, 0.5, 2.0])),
+            demand_mcycles=draw(st.sampled_from([100.0, 800.0])),
+            single_thread_speed_mhz=1000.0,
+        )
+        rpf = TransactionalRPF(model, response_time_goal=draw(
+            st.sampled_from([0.5, 2.0])
+        ))
+    demand = AppDemand(
+        app_id=app_id,
+        memory_mb=1.0,
+        min_cpu_mhz=draw(_min_cpu),
+        max_instances=None,
+        divisible=True,
+    )
+    return AllocatableApp(demand=demand, rpf=rpf)
+
+
+@st.composite
+def problems(draw):
+    names = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    cluster = Cluster(
+        Node(name, NodeSpec(cpu_capacity=draw(_capacity), memory_capacity=1e6))
+        for name in names
+    )
+    state = PlacementState(cluster)
+    apps: Dict[str, AllocatableApp] = {}
+    for i in range(draw(st.integers(1, 8))):
+        app_id = f"a{i}"
+        if draw(st.integers(0, 3)) == 0:
+            app = draw(divisible_app(app_id))
+            spread = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+            for node in spread:
+                state.place(app_id, node, app.demand.memory_mb)
+        else:
+            app, instances = draw(job_app(app_id))
+            node = draw(st.sampled_from(names))
+            state.place(app_id, node, 1.0)
+            if instances > 1:
+                # The second instance shares the node or takes another.
+                if draw(st.booleans()):
+                    node = draw(st.sampled_from(names))
+                state.place(app_id, node, 1.0)
+        apps[app_id] = app
+    # Some known apps are not placed at all.
+    if draw(st.booleans()):
+        apps["idle"] = draw(divisible_app("idle"))
+    if len(names) > 1 and draw(st.booleans()):
+        # A node that failed after placement: it keeps its instances but
+        # contributes no capacity.
+        cluster.node(draw(st.sampled_from(names))).available = False
+    return state, apps
+
+
+def _exact(result: LoadDistributionResult, state: PlacementState) -> str:
+    """Every observable output, with exact floats and insertion order."""
+    return repr((
+        list(result.allocations.items()),
+        list(result.utilities.items()),
+        result.common_level,
+        result.feasible,
+        [(a, list(nodes.items())) for a, nodes in state.load_matrix().items()],
+    ))
+
+
+def infeasible_minimums():
+    """Two singletons whose minimum speeds overflow their shared node:
+    the best-effort branch, pinned as an explicit example."""
+    cluster = Cluster([Node("n0", NodeSpec(cpu_capacity=1000.0, memory_capacity=1e6))])
+    state = PlacementState(cluster)
+    apps = {}
+    for app_id in ("a0", "a1"):
+        job = Job.with_goal_factor(
+            job_id=app_id,
+            profile=JobProfile.single_stage(
+                work_mcycles=4000.0, max_speed_mhz=1000.0, memory_mb=1.0
+            ),
+            submit_time=0.0,
+            goal_factor=3.0,
+        )
+        apps[app_id] = AllocatableApp(
+            demand=AppDemand(
+                app_id=app_id, memory_mb=1.0, min_cpu_mhz=600.0,
+                max_cpu_per_instance_mhz=1000.0,
+            ),
+            rpf=JobAllocationRPF(job, 0.0),
+        )
+        state.place(app_id, "n0", 1.0)
+    return state, apps
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+@example(infeasible_minimums())
+def test_distributor_matches_probe_loop_oracle(problem):
+    state, apps = problem
+    ref_state = state.copy()
+    expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
+    scalar_state = state.copy()
+    assert _exact(distribute_load(scalar_state, apps), scalar_state) == expected
+    vector_state = state.copy()
+    tables = SpecArrays.from_specs(apps)
+    got = distribute_load(vector_state, apps, tables=tables)
+    assert _exact(got, vector_state) == expected

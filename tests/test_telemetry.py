@@ -278,6 +278,43 @@ class TestTelemetryCli:
         types = {r["type"] for r in records}
         assert types == {"meta", "event", "span", "metric"}
 
+    def test_phase_columns_add_up_to_total(self):
+        """Exclusive times: an evaluation nested in admission counts in
+        its own columns only, and ``self`` holds apc.place's own time."""
+        from repro.cli import render_phase_table
+
+        ticks = iter(range(10_000))
+        profiler = SpanProfiler(clock=lambda: next(ticks) * 1e-3)
+        for _ in range(2):
+            with profiler.span("sim.decide"):
+                with profiler.span("apc.place"):
+                    with profiler.span("apc.model_specs"):
+                        pass
+                    with profiler.span("apc.admission"):
+                        with profiler.span("apc.evaluate"):
+                            with profiler.span("apc.loadbalance"):
+                                pass
+                            with profiler.span("apc.predict"):
+                                pass
+                    with profiler.span("apc.search"):
+                        with profiler.span("apc.evaluate"):
+                            with profiler.span("apc.loadbalance"):
+                                pass
+        lines = render_phase_table(profiler, 5).splitlines()
+        header = lines[1].split()
+        rows = [dict(zip(header, line.split())) for line in lines[3:]]
+        assert len(rows) == 2
+        for row in rows:
+            columns = [float(v) for k, v in row.items() if k not in ("cycle", "total")]
+            assert sum(columns) == pytest.approx(float(row["total"]))
+            # A leaf lasts 1 ms; a parent's own time is 1 ms before,
+            # between and after its children.
+            assert row["loadbalance"] == "2.00"
+            assert row["admission"] == "2.00"
+            assert row["evaluate"] == "5.00"
+            assert row["self"] == "4.00"
+            assert row["total"] == "17.00"
+
     def test_telemetry_audit_flag_streams_audit_records(self, capsys, tmp_path):
         path = tmp_path / "audited.jsonl"
         assert main([

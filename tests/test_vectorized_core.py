@@ -12,9 +12,9 @@ Three layers of pinning:
 * scalar/vector parity of :func:`~repro.core.objective.lex_explain` and
   the :class:`~repro.core.objective.UtilityVector` stable sort.
 
-``fast_path_min_nodes=0`` forces the fast path (and, via
-:class:`~repro.scenario.Simulation`, the model's vectorized paths) on
-the deliberately tiny test clusters.
+``fast_path_min_nodes=0`` forces the controller's fast path on the
+deliberately tiny test clusters; the batch model's vectorized paths run
+at every job count.
 """
 
 import json
@@ -35,11 +35,16 @@ from repro.core.apc import (
 from repro.core.objective import UtilityVector, lex_explain
 from repro.core.placement import PlacementState
 from repro.errors import CapacityError, PlacementError
+from repro.experiments.common import Scale
+from repro.experiments.experiment3 import make_txn_app
 from repro.obs.spans import SpanProfiler
+from repro.policies import APCPolicy
 from repro.scenario import Scenario, Simulation
-from repro.sim.simulator import SimulationConfig
+from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.sim.trace import SimulationTrace
+from repro.txn.model import TransactionalWorkloadModel
 from repro.virt.faults import ActionFaultModel, RetryPolicy
+from repro.workloads.generators import experiment_one_jobs
 
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 
@@ -49,10 +54,9 @@ CYCLE = 600.0
 def vec_scenario(*, incremental, vectorize, faults=True, seed=0):
     """test_snapshot's fault-injected scenario, plus the vectorize knobs.
 
-    ``fast_path_min_nodes=0`` both engages the controller fast path on
-    the 3-node cluster and (propagated by ``Simulation.build``) lifts
-    the batch model's job-count floor, so the numpy kernels actually run
-    when ``vectorize=True``.
+    ``fast_path_min_nodes=0`` engages the controller fast path on the
+    3-node cluster, so the controller's numpy kernels run alongside the
+    batch model's when ``vectorize=True``.
     """
     fault_model = (
         ActionFaultModel.uniform(
@@ -95,17 +99,21 @@ def _scrub_vectorize(obj):
     return obj
 
 
+def metrics_and_trace(simulator):
+    """A finished simulator's metrics and text trace, as plain data."""
+    return {
+        "metrics": simulator.metrics.state_dict(),
+        "trace": None
+        if simulator.trace is None
+        else simulator.trace.state_dict(),
+    }
+
+
 def final_state_json(sim):
     """Everything observable about a finished run, as one JSON string."""
     return json.dumps(
         _scrub_vectorize(
-            {
-                "metrics": sim.simulator.metrics.state_dict(),
-                "trace": None
-                if sim.simulator.trace is None
-                else sim.simulator.trace.state_dict(),
-                "final": sim.snapshot(),
-            }
+            {**metrics_and_trace(sim.simulator), "final": sim.snapshot()}
         ),
         sort_keys=True,
     )
@@ -158,6 +166,61 @@ def test_vectorized_snapshot_restore_matches_scalar_uninterrupted():
 
 
 # ----------------------------------------------------------------------
+# The dynamic-sharing configuration (§5.3) on every solver path
+# ----------------------------------------------------------------------
+SHARING_SCALE = Scale("sharing-identity", nodes=3, job_count=16, queue_window=8)
+
+
+def run_sharing(apc, *, vectorize_model=True):
+    """Experiment Three's APC configuration in small: the transactional
+    app beside 16 Experiment One jobs on 3 nodes, run to drain."""
+    scale = SHARING_SCALE
+    cluster = scale.cluster()
+    txn_app = make_txn_app(scale)
+    queue = JobQueue()
+    batch = BatchWorkloadModel(
+        queue, queue_window=scale.queue_window, vectorize=vectorize_model
+    )
+    profiler = SpanProfiler()
+    controller = ApplicationPlacementController(cluster, apc, profiler=profiler)
+    policy = APCPolicy(controller, [TransactionalWorkloadModel([txn_app]), batch])
+    simulator = MixedWorkloadSimulator(
+        cluster,
+        policy,
+        queue,
+        arrivals=experiment_one_jobs(
+            count=scale.job_count,
+            mean_interarrival=scale.interarrival(150.0),
+            seed=3,
+        ),
+        txn_apps=[txn_app],
+        batch_model=batch,
+        config=SimulationConfig(cycle_length=CYCLE, decision_clock=ZERO_CLOCK),
+        trace=SimulationTrace(),
+    )
+    simulator.run()
+    return simulator, profiler
+
+
+def test_sharing_run_is_identical_on_every_solver_path():
+    """The small-cluster path the §5.3 sharing benchmark measures — the
+    tables-free load distributor plus the batch model's table kernels —
+    decides exactly as the scalar reference, the naive search and the
+    forced fast path do."""
+    reference, profiler = run_sharing(APCConfig(cycle_length=CYCLE))
+    assert len(reference.metrics.completions) == SHARING_SCALE.job_count
+    assert any(r.name == "apc.search" for r in profiler.records)
+    expected = json.dumps(metrics_and_trace(reference), sort_keys=True)
+    for apc, vectorize_model in (
+        (APCConfig(cycle_length=CYCLE, vectorize=False), False),
+        (APCConfig(cycle_length=CYCLE, incremental=False), True),
+        (APCConfig(cycle_length=CYCLE, fast_path_min_nodes=0), True),
+    ):
+        simulator, _ = run_sharing(apc, vectorize_model=vectorize_model)
+        assert json.dumps(metrics_and_trace(simulator), sort_keys=True) == expected
+
+
+# ----------------------------------------------------------------------
 # Audit-stream identity, vectorized vs scalar
 # ----------------------------------------------------------------------
 def _run_audited_vectorize(vectorize, cycles=6):
@@ -180,7 +243,6 @@ def _run_audited_vectorize(vectorize, cycles=6):
         queue,
         queue_window=scenario.queue_window,
         vectorize=vectorize,
-        vectorize_min_jobs=0,
     )
     audit = DecisionAudit()
     controller = ApplicationPlacementController(
@@ -250,9 +312,7 @@ def test_profiled_vectorized_run_emits_only_known_phases():
     )
     cluster = scenario.build_cluster()
     queue = JobQueue()
-    model = BatchWorkloadModel(
-        queue, queue_window=scenario.queue_window, vectorize_min_jobs=0
-    )
+    model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
     profiler = SpanProfiler()
     controller = ApplicationPlacementController(
         cluster, scenario.apc, profiler=profiler
