@@ -26,18 +26,6 @@ def reset_deprecation_warnings() -> None:
     _WARNED.clear()
 
 
-def warn_once(key: object, message: str, *, stacklevel: int = 3) -> None:
-    """Emit ``message`` as a :class:`DeprecationWarning` once per ``key``.
-
-    Shares the one-shot registry used by :func:`keyword_only`, so
-    :func:`reset_deprecation_warnings` re-arms these warnings too.
-    """
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
 def keyword_only(cls: Type[T]) -> Type[T]:
     """Make a dataclass's ``__init__`` keyword-only, tolerating
     positional calls for one deprecation cycle.

@@ -31,11 +31,22 @@ from repro.batch.hypothetical import (
 )
 from repro.batch.job import Job, JobStatus
 from repro.batch.queue import JobQueue
-from repro.batch.rpf import JobAllocationRPF, job_relative_performance
+from repro.batch.rpf import JobAllocationRPF
 from repro.core.loadbalance import AllocatableApp, SpecArrays
 from repro.core.placement import AppDemand
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
-from repro.units import EPSILON
+from repro.errors import ConfigurationError
+from repro.units import EPSILON, is_count
+
+
+def check_queue_window(value: object) -> None:
+    """Reject a queue window that is neither ``None`` nor an integer
+    >= 0.  A negative window would silently drop the last waiting jobs
+    from every cycle's candidates, and a float would fail mid-cycle."""
+    if value is not None and not is_count(value):
+        raise ConfigurationError(
+            f"queue_window must be None or an integer >= 0, got {value!r}"
+        )
 
 
 class _JobTable:
@@ -45,8 +56,9 @@ class _JobTable:
     :meth:`matches`); within one control cycle the controller freezes
     job state, so a single table serves every evaluate/specs/candidates
     call of the cycle.  All derived columns hold exactly the python
-    floats the job properties return — the vectorized paths built on
-    top are bitwise equal to the scalar reference.
+    floats the job properties return, so the array kernels built on top
+    are bitwise equal to the per-job scalar computation (the reference
+    in ``tests/reference_apc.py``).
     """
 
     __slots__ = (
@@ -135,22 +147,20 @@ class BatchWorkloadModel:
         offered as placement candidates each cycle.  All incomplete jobs
         still participate in prediction — the window only bounds the
         search space, mirroring the real system's need to keep the online
-        algorithm's cycle time low.  ``None`` = no limit.
+        algorithm's cycle time low.  ``None`` = no limit; otherwise an
+        integer >= 0.
     prediction_method:
         A :class:`~repro.batch.hypothetical.PredictionMethod` (or its
         string value): the exact equalized-level solve or the paper's
         interpolation.
-    cache:
-        Memoize :meth:`evaluate` per control instant.  The prediction is
-        a pure function of (time, horizon, per-job progress, per-job
-        effective speed), so the memo is exact; it exists because the
-        controller's candidate sweep re-evaluates many placements that
-        grant the batch workload identical speeds.
-    vectorize:
-        Run evaluate/specs/candidates/hypothetical on the dense
-        job-table kernels, at every job count.  Bitwise identical to the
-        scalar reference (``False``), which is kept only as the pinned
-        baseline implementation.
+
+    Specs, candidates, predictions and the hypothetical RPF all run on
+    a column snapshot of the incomplete jobs (:class:`_JobTable`).
+    :meth:`evaluate` is memoized per control instant: the prediction is
+    a pure function of (time, horizon, per-job progress, per-job
+    effective speed), so the memo is exact, and the controller's
+    candidate sweep re-evaluates many placements that grant the batch
+    workload identical speeds.
     """
 
     def __init__(
@@ -159,16 +169,12 @@ class BatchWorkloadModel:
         levels: Sequence[float] = DEFAULT_UTILITY_LEVELS,
         queue_window: Optional[int] = None,
         prediction_method: MethodLike = PredictionMethod.EXACT,
-        *,
-        cache: bool = True,
-        vectorize: bool = True,
     ) -> None:
+        check_queue_window(queue_window)
         self._queue = queue
         self._levels = tuple(levels)
         self._queue_window = queue_window
         self._prediction_method = PredictionMethod.coerce(prediction_method)
-        self._cache_enabled = cache
-        self._vectorize = vectorize
         #: evaluate() results keyed by per-job (id, progress, speed);
         #: valid for one (now, horizon) control instant at a time.
         self._eval_cache: Dict[Tuple, Dict[str, float]] = {}
@@ -204,7 +210,7 @@ class BatchWorkloadModel:
         )
 
     # ------------------------------------------------------------------
-    # Vectorized backing
+    # Job-table backing
     # ------------------------------------------------------------------
     def _table_for(self, jobs: Sequence[Job]) -> _JobTable:
         table = self._table
@@ -237,10 +243,10 @@ class BatchWorkloadModel:
         return demand
 
     def app_spec_arrays(self, now: float) -> Optional[SpecArrays]:
-        """Column view of :meth:`app_specs` for the vectorized solver
-        (``None`` when vectorization is off or there are no jobs)."""
+        """Column view of :meth:`app_specs` for the controller's spec
+        tables (``None`` when there are no jobs)."""
         jobs = self._queue.incomplete()
-        if not jobs or not self._vectorize:
+        if not jobs:
             return None
         table = self._table_for(jobs)
         cached = self._spec_arrays_cache
@@ -271,31 +277,11 @@ class BatchWorkloadModel:
     # WorkloadModel protocol
     # ------------------------------------------------------------------
     def app_specs(self, now: float) -> Dict[str, AllocatableApp]:
+        """One application per incomplete job: demand from its current
+        stage, allocation RPF from its hypothetical function.  Moldable
+        parallel jobs (the paper's future-work extension) may spread over
+        up to ``parallelism`` instances; sequential jobs are singletons."""
         jobs = self._queue.incomplete()
-        if self._vectorize:
-            return self._app_specs_vectorized(jobs, now)
-        specs: Dict[str, AllocatableApp] = {}
-        for job in jobs:
-            stage = job.current_stage
-            demand = AppDemand(
-                app_id=job.job_id,
-                memory_mb=stage.memory_mb,
-                min_cpu_mhz=stage.min_speed_mhz,
-                max_cpu_per_instance_mhz=stage.max_speed_mhz,
-                # Moldable parallel jobs (the paper's future-work
-                # extension) may spread over up to `parallelism`
-                # instances; sequential jobs are singletons.
-                max_instances=job.parallelism,
-                divisible=job.parallelism > 1,
-            )
-            specs[job.job_id] = AllocatableApp(
-                demand=demand, rpf=JobAllocationRPF(job, now)
-            )
-        return specs
-
-    def _app_specs_vectorized(
-        self, jobs: Sequence[Job], now: float
-    ) -> Dict[str, AllocatableApp]:
         if not jobs:
             return {}
         table = self._table_for(jobs)
@@ -327,14 +313,9 @@ class BatchWorkloadModel:
             # does — lowest relative performance first (§1's LRPF), not
             # submission order — or a deep backlog would degrade the
             # controller to FCFS for everything beyond the window.
-            if self._vectorize:
-                table = self._table_for(self._queue.incomplete())
-                u_max = dict(zip(table.ids, table.u_max_array(now).tolist()))
-                waiting.sort(key=lambda job: u_max[job.job_id])
-            else:
-                waiting.sort(
-                    key=lambda job: JobAllocationRPF(job, now).max_utility
-                )
+            table = self._table_for(self._queue.incomplete())
+            u_max = dict(zip(table.ids, table.u_max_array(now).tolist()))
+            waiting.sort(key=lambda job: u_max[job.job_id])
             waiting = waiting[: self._queue_window]
         candidates.extend(job.job_id for job in waiting)
         return candidates
@@ -342,84 +323,18 @@ class BatchWorkloadModel:
     def evaluate(
         self, allocations: Mapping[str, float], now: float, horizon: float
     ) -> Dict[str, float]:
+        """Predicted relative performance of every incomplete job if the
+        batch workload receives ``allocations`` for the next cycle (§4.2).
+
+        Jobs that finish within the cycle are predicted from their actual
+        completion time (equation (2) directly); the rest from the
+        hypothetical RPF rebuilt at ``now + horizon`` with the aggregate
+        allocation persisting.  Output order: finishing jobs in job
+        order, then the hypothetical block in job order.
+        """
         jobs = self._queue.incomplete()
         if not jobs:
             return {}
-        if self._vectorize:
-            return self._evaluate_vectorized(jobs, allocations, now, horizon)
-
-        cache_key: Optional[Tuple] = None
-        if self._cache_enabled:
-            # The prediction depends on each job only through its
-            # progress and effective (max-speed-capped) allocation, and
-            # on the control instant; anything else is frozen per job id.
-            cache_key = tuple(
-                (
-                    job.job_id,
-                    job.cpu_consumed,
-                    min(allocations.get(job.job_id, 0.0), job.max_speed),
-                )
-                for job in jobs
-            )
-            instant = (now, horizon)
-            if instant != self._eval_cache_instant:
-                self._eval_cache_instant = instant
-                self._eval_cache.clear()
-            hit = self._eval_cache.get(cache_key)
-            if hit is not None:
-                if self._c_eval_cache is not None:
-                    self._c_eval_cache.inc(outcome="hit")
-                return dict(hit)
-            if self._c_eval_cache is not None:
-                self._c_eval_cache.inc(outcome="miss")
-
-        utilities: Dict[str, float] = {}
-        future_rpfs: List[JobAllocationRPF] = []
-        aggregate = 0.0
-
-        for job in jobs:
-            speed = min(allocations.get(job.job_id, 0.0), job.max_speed)
-            aggregate += speed
-            remaining = job.remaining_work
-            if speed * horizon >= remaining - EPSILON and speed > EPSILON:
-                # The job finishes within the next cycle: predict from its
-                # actual completion time (equation (2) directly).
-                completion = now + remaining / speed
-                utilities[job.job_id] = max(
-                    NEGATIVE_INFINITY_UTILITY,
-                    job_relative_performance(job, completion),
-                )
-            else:
-                future_rpfs.append(
-                    JobAllocationRPF(
-                        job,
-                        now + horizon,
-                        remaining_work=remaining - speed * horizon,
-                    )
-                )
-
-        if future_rpfs:
-            hypothetical = HypotheticalRPF(future_rpfs, levels=self._levels)
-            utilities.update(
-                hypothetical.job_utilities(aggregate, method=self._prediction_method)
-            )
-        if cache_key is not None:
-            self._eval_cache[cache_key] = dict(utilities)
-        return utilities
-
-    def _evaluate_vectorized(
-        self,
-        jobs: Sequence[Job],
-        allocations: Mapping[str, float],
-        now: float,
-        horizon: float,
-    ) -> Dict[str, float]:
-        """Array-kernel twin of the scalar :meth:`evaluate` body.
-
-        Same branch structure, same float expressions per element, same
-        output-dict insertion order (finishing jobs in job order, then
-        the hypothetical block in job order) — bitwise identical.
-        """
         table = self._table_for(jobs)
         ids = table.ids
         alloc = np.array(
@@ -427,23 +342,23 @@ class BatchWorkloadModel:
         )
         speeds = np.minimum(alloc, table.max_speed)
 
-        cache_key: Optional[Tuple] = None
-        if self._cache_enabled:
-            cache_key = (table.ids_tuple, table.consumed_bytes, speeds.tobytes())
-            instant = (now, horizon)
-            if instant != self._eval_cache_instant:
-                self._eval_cache_instant = instant
-                self._eval_cache.clear()
-            hit = self._eval_cache.get(cache_key)
-            if hit is not None:
-                if self._c_eval_cache is not None:
-                    self._c_eval_cache.inc(outcome="hit")
-                return dict(hit)
+        # The prediction depends on each job only through its progress
+        # and effective (max-speed-capped) allocation, and on the control
+        # instant; anything else is frozen per job id.
+        cache_key = (table.ids_tuple, table.consumed_bytes, speeds.tobytes())
+        instant = (now, horizon)
+        if instant != self._eval_cache_instant:
+            self._eval_cache_instant = instant
+            self._eval_cache.clear()
+        hit = self._eval_cache.get(cache_key)
+        if hit is not None:
             if self._c_eval_cache is not None:
-                self._c_eval_cache.inc(outcome="miss")
+                self._c_eval_cache.inc(outcome="hit")
+            return dict(hit)
+        if self._c_eval_cache is not None:
+            self._c_eval_cache.inc(outcome="miss")
 
-        # The scalar loop accumulates `aggregate += speed` job by job;
-        # sum() performs the same left-to-right float additions.
+        # sum() adds left to right, as a per-job running total would.
         aggregate = sum(speeds.tolist())
         remaining = table.remaining
         finishing = (speeds * horizon >= remaining - EPSILON) & (
@@ -495,8 +410,7 @@ class BatchWorkloadModel:
                     aggregate, method=self._prediction_method
                 )
             )
-        if cache_key is not None:
-            self._eval_cache[cache_key] = dict(utilities)
+        self._eval_cache[cache_key] = dict(utilities)
         return utilities
 
     # ------------------------------------------------------------------
@@ -507,20 +421,19 @@ class BatchWorkloadModel:
         (used for the "average hypothetical relative performance" series
         of Figures 2 and 6)."""
         jobs = self._queue.incomplete()
-        if jobs and self._vectorize:
-            table = self._table_for(jobs)
-            return HypotheticalRPF.from_arrays(
-                list(table.ids),
-                remaining=table.remaining,
-                goal=table.goal,
-                relative_goal=table.relative_goal,
-                max_speed=table.max_speed,
-                now=np.full(len(table.ids), now),
-                u_max=table.u_max_array(now),
-                levels=self._levels,
-            )
-        rpfs = [JobAllocationRPF(job, now) for job in jobs]
-        return HypotheticalRPF(rpfs, levels=self._levels)
+        if not jobs:
+            return HypotheticalRPF([], levels=self._levels)
+        table = self._table_for(jobs)
+        return HypotheticalRPF.from_arrays(
+            list(table.ids),
+            remaining=table.remaining,
+            goal=table.goal,
+            relative_goal=table.relative_goal,
+            max_speed=table.max_speed,
+            now=np.full(len(table.ids), now),
+            u_max=table.u_max_array(now),
+            levels=self._levels,
+        )
 
     def average_hypothetical_utility(
         self, now: float, aggregate_mhz: float

@@ -525,7 +525,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Benchmark APC ``place()`` scaling: naive vs incremental search."""
+    """Benchmark APC ``place()`` latency up a ladder of cluster sizes."""
     from repro.experiments.benchmark import (
         bench_apc_scale,
         format_bench_report,
@@ -899,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="benchmark APC place() scaling (naive vs incremental search)",
+        help="benchmark APC place() latency up a ladder of cluster sizes",
     )
     p.add_argument("--quick", action="store_true",
                    help="CI-smoke ladder (small sizes, few cycles)")
@@ -916,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the JSON report here (e.g. BENCH_apc.json)")
     p.add_argument("--baseline", metavar="PATH", default=None,
                    help="compare against a stored report "
-                        "(per-size median incremental place() latency)")
+                        "(per-size median place() latency)")
     p.add_argument("--check", action="store_true",
                    help="exit nonzero when the baseline comparison finds "
                         "a regression (perf gate)")

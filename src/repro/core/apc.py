@@ -42,6 +42,14 @@ entirely.  This is the "internal shortcut" the paper observes: "when all
 submitted jobs can be placed concurrently, the algorithm is able to take
 internal shortcuts, resulting in a significant reduction in execution
 time" (§5.1).
+
+The implementation adds bookkeeping that changes no decision: a
+per-cycle evaluation memo keyed on the placement matrix, an upper bound
+that ends the search once no candidate can beat the incumbent, a
+frontier index that skips zero-removal trials the fill pass cannot
+change, and array scans in admission.  ``tests/reference_apc.py`` keeps
+the paper-literal solver without any of it, and the identity tests pin
+every decision against it.
 """
 
 from __future__ import annotations
@@ -75,7 +83,7 @@ from repro.errors import ConfigurationError, PlacementError
 from repro.obs.audit import DecisionAudit
 from repro.obs.registry import MetricRegistry
 from repro.obs.spans import NULL_SPAN, SpanProfiler
-from repro.units import EPSILON
+from repro.units import EPSILON, is_count
 from repro.virt.actions import diff_placements
 
 #: Every profiler span phase the controller can emit, in nesting order.
@@ -93,6 +101,19 @@ SPAN_PHASES: Tuple[str, ...] = (
     "apc.predict",
     "apc.objective",
 )
+
+#: Clusters of at least this many nodes get the cycle's merged spec
+#: tables (``apc.spec_tables``) and with them the array load
+#: distributor; smaller ones run the distributor on rows prepared once
+#: per call.  Each distributor is the faster one on its side of the
+#: line and both decide identically, so this is a fixed size rule, not
+#: a setting.
+SPEC_TABLES_MIN_NODES = 16
+
+#: Solver switches that :meth:`APCConfig.from_dict` drops on load.  They
+#: chose between implementations of the same decisions, so documents
+#: that still carry them load to the same controller.
+_RETIRED_KEYS = frozenset({"incremental", "vectorize", "fast_path_min_nodes"})
 
 
 @keyword_only
@@ -135,33 +156,6 @@ class APCConfig:
     enable_search:
         When False only the greedy admission pass runs (useful for
         ablations; the full paper algorithm keeps it True).
-    incremental:
-        Enable the fast-path machinery: the per-cycle candidate
-        evaluation memo, the O(1) per-node min-CPU admission index, the
-        no-op-node skip and the utility upper-bound short-circuit.  Every
-        one of these preserves the naive solver's decisions byte for
-        byte (pinned by test); the flag exists so benchmarks and
-        regression hunts can fall back to the reference three-loop
-        implementation.
-    vectorize:
-        Use the dense array kernels: merged per-application
-        :class:`~repro.core.loadbalance.SpecArrays` feeding the
-        vectorized load distributor, the array-scan admission pass and
-        the frontier index behind the no-op-node skip.  Decisions are
-        byte-identical with the scalar paths (pinned by test); the flag
-        exists so benchmarks can measure scalar vs. vectorized and
-        regression hunts can bisect.  Only active together with
-        ``incremental`` on clusters of at least ``fast_path_min_nodes``.
-    fast_path_min_nodes:
-        Minimum cluster size for the fast-path machinery (memo, indexes,
-        vectorized kernels).  Below it the bookkeeping costs more than
-        the scans it replaces — on a 10-node cluster the memo/index
-        setup made ``incremental`` ~15% *slower* than the naive loops —
-        so small clusters run the plain reference path.  It also picks
-        the load distributor: below it ``distribute_load`` runs on rows
-        prepared once per call, at or above it on the merged
-        ``SpecArrays`` kernels.  Decisions are unaffected either way.
-        Set to 0 to force the fast path at any size.
     """
 
     cycle_length: float = 600.0
@@ -170,9 +164,6 @@ class APCConfig:
     improvement_epsilon: float = 0.02
     preemption_penalty: float = 0.05
     enable_search: bool = True
-    incremental: bool = True
-    vectorize: bool = True
-    fast_path_min_nodes: int = 16
 
     def __post_init__(self) -> None:
         # The chained comparisons are false for NaN, so NaN is rejected
@@ -188,13 +179,22 @@ class APCConfig:
                 raise ConfigurationError(
                     f"{name} must be non-negative and finite, got {value}"
                 )
-        if self.search_sweeps < 0:
-            raise ConfigurationError(f"search sweeps must be >= 0, got {self.search_sweeps}")
-        if self.max_removals_per_node is not None and self.max_removals_per_node < 0:
-            raise ConfigurationError("max removals per node must be >= 0 or None")
-        if self.fast_path_min_nodes < 0:
+        # Both counts drive range() and list slicing mid-search, so a
+        # float or a bool must fail here, not inside a control cycle.
+        if not is_count(self.search_sweeps):
             raise ConfigurationError(
-                f"fast path min nodes must be >= 0, got {self.fast_path_min_nodes}"
+                f"search_sweeps must be an integer >= 0, got {self.search_sweeps!r}"
+            )
+        if self.max_removals_per_node is not None and not is_count(
+            self.max_removals_per_node
+        ):
+            raise ConfigurationError(
+                "max_removals_per_node must be None or an integer >= 0, got "
+                f"{self.max_removals_per_node!r}"
+            )
+        if not isinstance(self.enable_search, bool):
+            raise ConfigurationError(
+                f"enable_search must be a bool, got {self.enable_search!r}"
             )
 
     def to_dict(self) -> Dict[str, object]:
@@ -207,22 +207,23 @@ class APCConfig:
             "improvement_epsilon": self.improvement_epsilon,
             "preemption_penalty": self.preemption_penalty,
             "enable_search": self.enable_search,
-            "incremental": self.incremental,
-            "vectorize": self.vectorize,
-            "fast_path_min_nodes": self.fast_path_min_nodes,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "APCConfig":
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
-        keys are rejected to surface config typos."""
+        keys are rejected to surface config typos.  The retired solver
+        switches ``incremental``, ``vectorize`` and ``fast_path_min_nodes``
+        are dropped, so scenario JSON, snapshots and sweep manifests that
+        carry them still load."""
+        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown APCConfig keys: {sorted(unknown)}"
             )
-        return cls(**dict(data))
+        return cls(**data)
 
 
 @dataclass
@@ -241,8 +242,7 @@ class APCResult:
     evaluations: int = 0
     #: Whether the chosen placement differs from the starting one.
     changed: bool = False
-    #: Candidate evaluations answered from the per-cycle memo (always 0
-    #: with ``incremental=False`` or below ``fast_path_min_nodes``).
+    #: Candidate evaluations answered from the per-cycle memo.
     cache_hits: int = 0
 
     @property
@@ -253,21 +253,23 @@ class APCResult:
 class _FrontierIndex:
     """Per-base-state candidate frontier for the no-op-node check.
 
-    :meth:`ApplicationPlacementController._fill_possible` asks, per
-    node, whether *any* candidate could be placed on the unmodified
-    base state.  The candidate-intrinsic parts of that answer — spec
-    existence, non-divisible-and-already-placed, the max-instances cap —
-    depend only on the base state, so they are filtered once here; the
-    per-node remainder (memory fit, min-CPU reservation, no instance
-    already on the node) becomes two array comparisons and a mask.
+    The sweep asks, per node, whether the fill pass could place *any*
+    candidate on the unmodified base state; when not, the zero-removal
+    trial is the incumbent itself and is skipped.  The
+    candidate-intrinsic parts of that answer — spec existence,
+    non-divisible-and-already-placed, the max-instances cap — depend
+    only on the base state, so they are filtered once here; the per-node
+    remainder (memory fit, min-CPU reservation, no instance already on
+    the node) becomes two array comparisons and a mask.  Placement
+    constraints, a per-(app, node) policy check, then run only over the
+    rows that survive the mask.
 
-    Only built without placement constraints (whose per-(app, node)
-    policy check stays scalar).  Answers are byte-identical to the
-    scalar scan: same float comparisons per surviving candidate, and
-    ``any`` over the same boolean set.
+    The answer is the fill pass's first-placement test applied to every
+    candidate: same float comparisons, same constraint calls on the same
+    state, and ``any`` over the same boolean set.
     """
 
-    __slots__ = ("ids", "mem", "min_cpu", "on_node")
+    __slots__ = ("ids", "mem", "min_cpu", "on_node", "state", "constraints")
 
     @classmethod
     def build(
@@ -275,8 +277,11 @@ class _FrontierIndex:
         state: PlacementState,
         specs: Mapping[str, AllocatableApp],
         candidates: Sequence[str],
+        constraints: Optional[ConstraintSet],
     ) -> "_FrontierIndex":
         index = cls.__new__(cls)
+        index.state = state
+        index.constraints = constraints
         ids: List[str] = []
         mem: List[float] = []
         min_cpu: List[float] = []
@@ -324,7 +329,12 @@ class _FrontierIndex:
         hosted = self.on_node.get(node)
         if hosted is not None:
             ok[hosted] = False
-        return bool(ok.any())
+        if self.constraints is None:
+            return bool(ok.any())
+        return any(
+            self.constraints.allows(self.state, self.ids[row], node)
+            for row in np.flatnonzero(ok).tolist()
+        )
 
 
 class ApplicationPlacementController:
@@ -356,26 +366,15 @@ class ApplicationPlacementController:
         self._objective = resolve_objective(objective)
         #: Greedy-pass ordering; ``None`` resolves to the paper's LRPF.
         self._admission = resolve_admission(admission)
-        #: Node name -> position, replacing O(N) ``node_names.index``
-        #: lookups in the admission pass's host tie-break.
-        self._node_pos: Dict[str, int] = {
-            n: i for i, n in enumerate(cluster.node_names)
-        }
-        #: Whether the fast-path machinery (memo, indexes, vector
-        #: kernels) is engaged: requires ``incremental`` and a cluster
-        #: big enough for the bookkeeping to pay for itself.  Both the
-        #: fast and the reference paths make identical decisions.
-        self._fast = (
-            self._config.incremental
-            and len(cluster) >= self._config.fast_path_min_nodes
-        )
+        #: See :data:`SPEC_TABLES_MIN_NODES`.
+        self._use_tables = len(cluster) >= SPEC_TABLES_MIN_NODES
         self._c_cache = None
         self._c_shortcut = None
         if registry is not None:
             self.bind_registry(registry)
 
     def bind_registry(self, registry: MetricRegistry) -> None:
-        """Publish fast-path telemetry into a
+        """Publish search telemetry into a
         :class:`~repro.obs.registry.MetricRegistry`: evaluation-memo
         lookups (``repro_apc_cache_total``) and search short-circuits
         (``repro_apc_shortcircuit_total``)."""
@@ -386,7 +385,7 @@ class ApplicationPlacementController:
         )
         self._c_shortcut = registry.counter(
             "repro_apc_shortcircuit_total",
-            "APC search work skipped by fast-path checks",
+            "APC search work skipped by short-circuit checks",
             ("kind",),
         )
 
@@ -452,7 +451,8 @@ class ApplicationPlacementController:
         computation is one ``apc.place`` root span whose children break
         the cycle's decision time into phases: model spec merging
         (``apc.model_specs``), spec-array table assembly
-        (``apc.spec_tables``, vectorized path only), candidate
+        (``apc.spec_tables``, on clusters of at least
+        :data:`SPEC_TABLES_MIN_NODES` nodes), candidate
         evaluation (``apc.evaluate``, itself split into the
         load-balancing solve ``apc.loadbalance``, the workload models'
         hypothetical/RPF prediction ``apc.predict``, and objective
@@ -480,7 +480,7 @@ class ApplicationPlacementController:
             specs = self._merge_specs(models, now)
             candidates = self._merge_candidates(models, now)
         tables: Optional[SpecArrays] = None
-        if self._fast and self._config.vectorize and specs:
+        if self._use_tables and specs:
             with self._span("apc.spec_tables"):
                 tables = self._merge_spec_arrays(models, specs, now)
 
@@ -492,7 +492,6 @@ class ApplicationPlacementController:
 
         evaluations = 0
         cache_hits = 0
-        use_memo = self._fast
         #: Whether the most recent evaluate() call was memo-served; read
         #: by the audit so memo hits are recorded identically to misses
         #: (just flagged).  A plain dict write, so decisions are
@@ -512,25 +511,24 @@ class ApplicationPlacementController:
                 if tolerance is None
                 else tolerance
             )
-            key = trial.matrix_key() if use_memo else None
-            if key is not None:
-                hit = eval_memo.get(key)
-                if hit is not None:
-                    cache_hits += 1
-                    eval_info["cached"] = True
-                    if self._c_cache is not None:
-                        self._c_cache.inc(outcome="hit")
-                    utilities, allocations, churn, load_entries = hit
-                    # Replay the load matrix in its original write order
-                    # so the trial state is indistinguishable from a
-                    # freshly evaluated one.
-                    trial.clear_load()
-                    for app_id, node, cpu in load_entries:
-                        trial.set_cpu(app_id, node, cpu)
-                    score = self._objective.score(utilities, churn, tol)
-                    return score, dict(utilities), dict(allocations)
+            key = trial.matrix_key()
+            hit = eval_memo.get(key)
+            if hit is not None:
+                cache_hits += 1
+                eval_info["cached"] = True
                 if self._c_cache is not None:
-                    self._c_cache.inc(outcome="miss")
+                    self._c_cache.inc(outcome="hit")
+                utilities, allocations, churn, load_entries = hit
+                # Replay the load matrix in its original write order so
+                # the trial state is indistinguishable from a freshly
+                # evaluated one.
+                trial.clear_load()
+                for app_id, node, cpu in load_entries:
+                    trial.set_cpu(app_id, node, cpu)
+                score = self._objective.score(utilities, churn, tol)
+                return score, dict(utilities), dict(allocations)
+            if self._c_cache is not None:
+                self._c_cache.inc(outcome="miss")
             eval_info["cached"] = False
             evaluations += 1
             with self._span("apc.evaluate"):
@@ -552,15 +550,14 @@ class ApplicationPlacementController:
                         c for _, _, c in additions
                     )
                     score = self._objective.score(utilities, churn, tol)
-            if key is not None:
-                load_entries = tuple(
-                    (a, n, c)
-                    for a, nodes in trial.load_matrix().items()
-                    for n, c in nodes.items()
-                )
-                eval_memo[key] = (
-                    dict(utilities), dict(result.allocations), churn, load_entries
-                )
+            load_entries = tuple(
+                (a, n, c)
+                for a, nodes in trial.load_matrix().items()
+                for n, c in nodes.items()
+            )
+            eval_memo[key] = (
+                dict(utilities), dict(result.allocations), churn, load_entries
+            )
             return score, utilities, result.allocations
 
         best_state = state
@@ -622,7 +619,7 @@ class ApplicationPlacementController:
         if run_search:
             bound_reached = (
                 self._make_bound_checker(specs)
-                if self._fast and self._objective.supports_upper_bound
+                if self._objective.supports_upper_bound
                 else None
             )
             with self._span("apc.search"):
@@ -705,8 +702,8 @@ class ApplicationPlacementController:
     ) -> Optional[SpecArrays]:
         """Assemble the cycle's column-oriented spec table.
 
-        Models that can export their specs as arrays directly (the
-        vectorized batch model's ``app_spec_arrays``) do so without
+        Models that can export their specs as arrays directly (the batch
+        model's ``app_spec_arrays``) do so without
         touching per-app spec objects; the rest are converted through
         the scalar :meth:`SpecArrays.from_specs` fallback.  Returns
         ``None`` when there is nothing to tabulate.
@@ -794,41 +791,25 @@ class ApplicationPlacementController:
         spec: AllocatableApp,
         node: str,
     ) -> bool:
-        """Memory + min-CPU + policy check for one more instance."""
+        """Memory, instance-cap and policy check for one more instance;
+        the caller checks the minimum-speed reservation against its
+        running per-node sum."""
         demand = spec.demand
         if state.memory_available(node) + EPSILON < demand.memory_mb:
             return False
         if demand.max_instances is not None:
             if state.instance_count(demand.app_id) >= demand.max_instances:
                 return False
-        # Reserve minimum speeds: the sum of min speeds of instances on
-        # the node (including the newcomer) must fit in CPU capacity.
         return self._constraints.allows(state, demand.app_id, node)
-
-    def _min_cpu_fits(
-        self,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        node: str,
-        extra_min: float,
-    ) -> bool:
-        committed = extra_min
-        for app_id in state.apps_on(node):
-            spec = specs.get(app_id)
-            if spec is None:
-                continue
-            committed += spec.demand.min_cpu_mhz * state.instances_on(app_id, node)
-        return committed <= self._cluster.node(node).cpu_capacity + EPSILON
 
     def _committed_min_cpu(
         self, state: PlacementState, specs: Mapping[str, AllocatableApp]
     ) -> Dict[str, float]:
         """Per-node sum of placed instances' minimum speeds.
 
-        The incremental admission index: computed once per pass, updated
-        in O(1) per placement, making the min-CPU reservation check
-        constant-time instead of a scan over every application on the
-        node for every (candidate, node) pair.
+        The admission pass's index: computed once per pass and updated
+        per placement, so the min-CPU reservation check does not rescan
+        every application on the node for every (candidate, node) pair.
         """
         committed = {n: 0.0 for n in self._cluster.node_names}
         for app_id in state.app_ids:
@@ -877,53 +858,70 @@ class ApplicationPlacementController:
         """Place unplaced candidates into free capacity, LRPF first.
 
         Singleton applications (jobs) get one instance on the node with
-        the most free CPU among those with room; divisible applications
+        the most free CPU among those with room, which spreads jobs and
+        leaves each room to reach its maximum speed; divisible applications
         (web clusters) get an instance on *every* node that can host one —
         growing the cluster costs nothing at this stage and lets the load
         distributor use all available capacity.
+
+        Per-node free memory, committed minimum CPU and free CPU are
+        computed once and updated per placement, so each candidate's
+        memory and min-CPU host scan is one array comparison over all
+        node columns; placement constraints then run on the surviving
+        columns against the live state.  The host tie-break — most free
+        CPU, then lowest node position — maps onto ``argmax`` because
+        numpy returns the *first* maximum.
         """
         unplaced = [c for c in candidates if not state.is_placed(c) and c in specs]
         unplaced = self._admission.order(unplaced, specs, utilities)
         if not unplaced:
             return False
-        if self._fast:
-            if self._config.vectorize and not len(self._constraints):
-                return self._greedy_admit_vec(state, specs, unplaced, utilities)
-            return self._greedy_admit_fast(state, specs, unplaced, utilities)
+        names = list(state.node_index)
+        cpu_caps, mem_caps = state.capacity_arrays()
+        mem_avail = mem_caps - state.memory_used_array()
+        # The admission pass never touches the load matrix, so free CPU
+        # (the host tie-break key) is constant throughout.
+        cpu_avail = cpu_caps - state.cpu_used_array()
+        committed_by_name = self._committed_min_cpu(state, specs)
+        committed = np.array([committed_by_name[n] for n in names])
+        constraints = self._constraints if len(self._constraints) else None
         observe = self._audit is not None or self._tracer is not None
         placed_any = False
         for rank, app_id in enumerate(unplaced):
-            spec = specs[app_id]
-            min_cpu = spec.demand.min_cpu_mhz
+            demand = specs[app_id].demand
+            memory_mb = demand.memory_mb
+            min_cpu = demand.min_cpu_mhz
+            max_inst = demand.max_instances
+            count = state.instance_count(app_id)
             placed_nodes: List[str] = []
-            if spec.demand.divisible:
-                for node in self._cluster.node_names:
-                    if self._can_host(state, spec, node) and self._min_cpu_fits(
-                        state, specs, node, min_cpu
+            mask = (mem_avail + EPSILON >= memory_mb) & (
+                committed + min_cpu <= cpu_caps + EPSILON
+            )
+            if demand.divisible:
+                for col in np.flatnonzero(mask).tolist():
+                    if max_inst is not None and count >= max_inst:
+                        break
+                    node = names[col]
+                    if constraints is not None and not constraints.allows(
+                        state, app_id, node
                     ):
-                        state.place(app_id, node, spec.demand.memory_mb)
-                        placed_any = True
-                        placed_nodes.append(node)
-            else:
-                hosts = [
-                    n
-                    for n in self._cluster.node_names
-                    if self._can_host(state, spec, n)
-                    and self._min_cpu_fits(state, specs, n, min_cpu)
-                ]
-                if hosts:
-                    # Most free CPU first: spreads jobs and leaves room
-                    # for each to reach its maximum speed.
-                    target = max(
-                        hosts,
-                        key=lambda n: (
-                            state.cpu_available(n),
-                            -self._cluster.node_names.index(n),
-                        ),
-                    )
-                    state.place(app_id, target, spec.demand.memory_mb)
-                    placed_any = True
-                    placed_nodes.append(target)
+                        continue
+                    state.place(app_id, node, memory_mb)
+                    committed[col] += min_cpu
+                    mem_avail[col] -= memory_mb
+                    count += 1
+                    placed_nodes.append(node)
+            elif max_inst is None or count < max_inst:
+                if constraints is not None:
+                    for col in np.flatnonzero(mask).tolist():
+                        mask[col] = constraints.allows(state, app_id, names[col])
+                if mask.any():
+                    target = int(np.argmax(np.where(mask, cpu_avail, -np.inf)))
+                    state.place(app_id, names[target], memory_mb)
+                    committed[target] += min_cpu
+                    mem_avail[target] -= memory_mb
+                    placed_nodes.append(names[target])
+            placed_any = placed_any or bool(placed_nodes)
             if observe:
                 self._note_admission(
                     state, specs, app_id, rank, utilities, placed_nodes
@@ -976,9 +974,8 @@ class ApplicationPlacementController:
         """Why the admission pass placed nothing for ``app_id``.
 
         Checks are ordered by specificity and computed from the state
-        alone, so both search paths report identical reasons.  Only
-        called with an audit or tracer attached — never on the decision
-        path.
+        alone.  Only called with an audit or tracer attached — never on
+        the decision path.
         """
         demand = specs[app_id].demand
         if (
@@ -996,7 +993,8 @@ class ApplicationPlacementController:
         cpu_ok = [
             n
             for n in mem_ok
-            if self._min_cpu_fits(state, specs, n, demand.min_cpu_mhz)
+            if self._node_committed_min(state, specs, n) + demand.min_cpu_mhz
+            <= self._cluster.node(n).cpu_capacity + EPSILON
         ]
         if not cpu_ok:
             return "min_cpu"
@@ -1005,141 +1003,6 @@ class ApplicationPlacementController:
         ):
             return "constraint"
         return "no_host"
-
-    def _greedy_admit_fast(
-        self,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        unplaced: Sequence[str],
-        utilities: Mapping[str, float],
-    ) -> bool:
-        """Indexed admission pass: same decisions as the naive loop, but
-        per-node memory/min-CPU/free-CPU figures are computed once and
-        updated in O(1) per placement instead of re-derived from the
-        state for every (candidate, node) pair."""
-        node_names = self._cluster.node_names
-        committed = self._committed_min_cpu(state, specs)
-        capacity = {n: self._cluster.node(n).cpu_capacity for n in node_names}
-        mem_avail = {n: state.memory_available(n) for n in node_names}
-        # The admission pass never touches the load matrix, so free CPU
-        # (the host tie-break key) is constant throughout.
-        cpu_avail = {n: state.cpu_available(n) for n in node_names}
-        node_pos = self._node_pos
-        constraints = self._constraints if len(self._constraints) else None
-        observe = self._audit is not None or self._tracer is not None
-        placed_any = False
-        for rank, app_id in enumerate(unplaced):
-            demand = specs[app_id].demand
-            memory_mb = demand.memory_mb
-            min_cpu = demand.min_cpu_mhz
-            max_inst = demand.max_instances
-            count = state.instance_count(app_id)
-            placed_nodes: List[str] = []
-            if demand.divisible:
-                for node in node_names:
-                    if max_inst is not None and count >= max_inst:
-                        break
-                    if mem_avail[node] + EPSILON < memory_mb:
-                        continue
-                    if committed[node] + min_cpu > capacity[node] + EPSILON:
-                        continue
-                    if constraints is not None and not constraints.allows(
-                        state, app_id, node
-                    ):
-                        continue
-                    state.place(app_id, node, memory_mb)
-                    committed[node] += min_cpu
-                    mem_avail[node] -= memory_mb
-                    count += 1
-                    placed_any = True
-                    placed_nodes.append(node)
-            elif max_inst is None or count < max_inst:
-                hosts = [
-                    n
-                    for n in node_names
-                    if mem_avail[n] + EPSILON >= memory_mb
-                    and committed[n] + min_cpu <= capacity[n] + EPSILON
-                    and (
-                        constraints is None
-                        or constraints.allows(state, app_id, n)
-                    )
-                ]
-                if hosts:
-                    target = max(
-                        hosts, key=lambda n: (cpu_avail[n], -node_pos[n])
-                    )
-                    state.place(app_id, target, memory_mb)
-                    committed[target] += min_cpu
-                    mem_avail[target] -= memory_mb
-                    placed_any = True
-                    placed_nodes.append(target)
-            if observe:
-                self._note_admission(
-                    state, specs, app_id, rank, utilities, placed_nodes
-                )
-        return placed_any
-
-    def _greedy_admit_vec(
-        self,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        unplaced: Sequence[str],
-        utilities: Mapping[str, float],
-    ) -> bool:
-        """Array-scan admission pass: the decisions of
-        :meth:`_greedy_admit_fast`, with the per-candidate host scan as
-        one numpy comparison over all node columns.
-
-        Only used without placement constraints (the policy check is
-        per-(app, node) and stays scalar); byte-identity with the scalar
-        pass is pinned by test.  The host tie-break — most free CPU,
-        then lowest node position — maps onto ``argmax`` because numpy
-        returns the *first* maximum.
-        """
-        node_index = state.node_index
-        names = list(node_index)
-        cpu_caps, mem_caps = state.capacity_arrays()
-        mem_avail = mem_caps - state.memory_used_array()
-        # The admission pass never touches the load matrix, so free CPU
-        # (the host tie-break key) is constant throughout.
-        cpu_avail = cpu_caps - state.cpu_used_array()
-        committed_by_name = self._committed_min_cpu(state, specs)
-        committed = np.array([committed_by_name[n] for n in names])
-        observe = self._audit is not None or self._tracer is not None
-        placed_any = False
-        for rank, app_id in enumerate(unplaced):
-            demand = specs[app_id].demand
-            memory_mb = demand.memory_mb
-            min_cpu = demand.min_cpu_mhz
-            max_inst = demand.max_instances
-            count = state.instance_count(app_id)
-            placed_nodes: List[str] = []
-            mask = (mem_avail + EPSILON >= memory_mb) & (
-                committed + min_cpu <= cpu_caps + EPSILON
-            )
-            if demand.divisible:
-                cols = np.flatnonzero(mask)
-                if max_inst is not None:
-                    cols = cols[: max(0, max_inst - count)]
-                if cols.size:
-                    for col in cols.tolist():
-                        state.place(app_id, names[col], memory_mb)
-                        placed_nodes.append(names[col])
-                    committed[cols] += min_cpu
-                    mem_avail[cols] -= memory_mb
-                    placed_any = True
-            elif (max_inst is None or count < max_inst) and bool(mask.any()):
-                target = int(np.argmax(np.where(mask, cpu_avail, -np.inf)))
-                state.place(app_id, names[target], memory_mb)
-                committed[target] += min_cpu
-                mem_avail[target] -= memory_mb
-                placed_any = True
-                placed_nodes.append(names[target])
-            if observe:
-                self._note_admission(
-                    state, specs, app_id, rank, utilities, placed_nodes
-                )
-        return placed_any
 
     def _search_is_worthwhile(
         self,
@@ -1185,15 +1048,12 @@ class ApplicationPlacementController:
                 not state.is_placed(c) for c in candidates if c in specs
             )
         best_placed = max(placed_utilities.values())
-        free_names: Optional[List[str]] = None
-        if self._fast:
-            # One array scan for the nodes with free CPU, instead of an
-            # O(nodes) availability probe per starved application.  Same
-            # comparison per node, so the same answer.
-            cpu_caps, _ = state.capacity_arrays()
-            names = list(state.node_index)
-            free_mask = (cpu_caps - state.cpu_used_array()) > EPSILON
-            free_names = [names[i] for i in np.flatnonzero(free_mask).tolist()]
+        # One array scan for the nodes with free CPU, instead of an
+        # O(nodes) availability probe per starved application.
+        cpu_caps, _ = state.capacity_arrays()
+        names = list(state.node_index)
+        free_mask = (cpu_caps - state.cpu_used_array()) > EPSILON
+        free_names = [names[i] for i in np.flatnonzero(free_mask).tolist()]
         for app_id, utility in placed_utilities.items():
             if utility >= best_placed - gate:
                 continue
@@ -1204,14 +1064,7 @@ class ApplicationPlacementController:
             if allocated + EPSILON >= spec.rpf.saturation_cpu:
                 continue
             own_nodes = set(state.nodes_of(app_id))
-            if free_names is not None:
-                if any(n not in own_nodes for n in free_names):
-                    return True
-            elif any(
-                state.cpu_available(n) > EPSILON
-                for n in self._cluster.node_names
-                if n not in own_nodes
-            ):
+            if any(n not in own_nodes for n in free_names):
                 return True
         return False
 
@@ -1224,44 +1077,31 @@ class ApplicationPlacementController:
         specs: Mapping[str, AllocatableApp],
         candidates: Sequence[str],
         evaluate,
-        bound_reached: Optional[Callable[[PlacementScore], bool]] = None,
-        eval_info: Optional[Dict[str, bool]] = None,
+        bound_reached: Optional[Callable[[PlacementScore], bool]],
+        eval_info: Dict[str, bool],
     ):
         """One outer-loop pass over all nodes.  Returns
         ``(improved, state, score, utilities, allocations)``."""
         improved = False
-        fast = self._fast
-        use_frontier = (
-            fast and self._config.vectorize and not len(self._constraints)
-        )
+        constraints = self._constraints if len(self._constraints) else None
         frontier: Optional[_FrontierIndex] = None
         frontier_base: Optional[PlacementState] = None
         audit = self._audit
 
         # Outer loop: visit nodes hosting the highest-utility instances
-        # first — they are the most promising donors of capacity.
-        if fast:
-            # One pass over placements instead of an O(apps) scan per
-            # node: per-node max of hosted apps' utilities, same key.
-            node_best: Dict[str, float] = {}
-            for app_id in best_state.app_ids:
-                utility = best_utilities.get(app_id, float("-inf"))
-                for node_name, count in best_state.instance_items(app_id):
-                    if count > 0 and utility > node_best.get(
-                        node_name, float("-inf")
-                    ):
-                        node_best[node_name] = utility
+        # first — they are the most promising donors of capacity.  One
+        # pass over placements gives every node's max hosted utility.
+        node_best: Dict[str, float] = {}
+        for app_id in best_state.app_ids:
+            utility = best_utilities.get(app_id, float("-inf"))
+            for node_name, count in best_state.instance_items(app_id):
+                if count > 0 and utility > node_best.get(
+                    node_name, float("-inf")
+                ):
+                    node_best[node_name] = utility
 
-            def node_key(node: str) -> float:
-                return node_best.get(node, float("-inf"))
-
-        else:
-
-            def node_key(node: str) -> float:
-                apps = best_state.apps_on(node)
-                if not apps:
-                    return float("-inf")
-                return max(best_utilities.get(a, float("-inf")) for a in apps)
+        def node_key(node: str) -> float:
+            return node_best.get(node, float("-inf"))
 
         for node in sorted(self._cluster.node_names, key=node_key, reverse=True):
             # All of this node's candidate configurations are built from
@@ -1280,30 +1120,25 @@ class ApplicationPlacementController:
                 removable = removable[: self._config.max_removals_per_node]
 
             for removals in range(len(removable) + 1):
-                if removals == 0 and fast:
+                if removals == 0:
                     # The zero-removal trial is the incumbent plus
                     # whatever the fill pass can add.  The fill's first
                     # placement decision depends only on the unmodified
                     # base, so when nothing can be placed there, the
                     # trial is the incumbent itself — skip it without
                     # paying for the state copy.
-                    if use_frontier:
-                        if frontier_base is not node_base:
-                            with self._span("apc.frontier"):
-                                frontier = _FrontierIndex.build(
-                                    node_base, specs, candidates
-                                )
-                            frontier_base = node_base
-                        fillable = frontier.fill_possible(
-                            node_base.memory_available(node),
-                            self._node_committed_min(node_base, specs, node),
-                            self._cluster.node(node).cpu_capacity,
-                            node,
-                        )
-                    else:
-                        fillable = self._fill_possible(
-                            node_base, specs, candidates, best_utilities, node
-                        )
+                    if frontier_base is not node_base:
+                        with self._span("apc.frontier"):
+                            frontier = _FrontierIndex.build(
+                                node_base, specs, candidates, constraints
+                            )
+                        frontier_base = node_base
+                    fillable = frontier.fill_possible(
+                        node_base.memory_available(node),
+                        self._node_committed_min(node_base, specs, node),
+                        self._cluster.node(node).cpu_capacity,
+                        node,
+                    )
                     if not fillable:
                         if self._c_shortcut is not None:
                             self._c_shortcut.inc(kind="node_noop")
@@ -1342,9 +1177,7 @@ class ApplicationPlacementController:
                         node=node,
                         removals=removals,
                         churn=score.num_changes,
-                        cached=(
-                            eval_info["cached"] if eval_info is not None else None
-                        ),
+                        cached=eval_info["cached"],
                         tolerance=score.utilities.tolerance,
                     )
                 if adopted:
@@ -1380,35 +1213,6 @@ class ApplicationPlacementController:
             committed += spec.demand.min_cpu_mhz * state.instances_on(app_id, node)
         return committed
 
-    def _fill_possible(
-        self,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        candidates: Sequence[str],
-        utilities: Mapping[str, float],
-        node: str,
-    ) -> bool:
-        """Would :meth:`_fill_node` place anything on an *unmodified*
-        ``state``?  Equivalent because the fill's first placement
-        decision sees exactly this state; used to recognize no-op
-        zero-removal trials before paying for the state copy."""
-        committed = self._node_committed_min(state, specs, node)
-        capacity = self._cluster.node(node).cpu_capacity
-        for c in candidates:
-            spec = specs.get(c)
-            if spec is None:
-                continue
-            if not spec.demand.divisible and state.is_placed(c):
-                continue
-            if state.instances_on(c, node) != 0:
-                continue
-            if (
-                self._can_host(state, spec, node)
-                and committed + spec.demand.min_cpu_mhz <= capacity + EPSILON
-            ):
-                return True
-        return False
-
     def _fill_node(
         self,
         state: PlacementState,
@@ -1431,27 +1235,18 @@ class ApplicationPlacementController:
         eligible = self._admission.order(eligible, specs, utilities)
         if self._audit is not None and eligible:
             self._audit.note_fill(node, eligible)
-        if self._fast:
-            # Maintain the node's committed-min sum across placements
-            # instead of rescanning every hosted application per check.
-            committed = self._node_committed_min(state, specs, node)
-            capacity = self._cluster.node(node).cpu_capacity
-            for app_id in eligible:
-                spec = specs[app_id]
-                min_cpu = spec.demand.min_cpu_mhz
-                if (
-                    self._can_host(state, spec, node)
-                    and committed + min_cpu <= capacity + EPSILON
-                ):
-                    state.place(app_id, node, spec.demand.memory_mb)
-                    committed += min_cpu
-                    placed_any = True
-            return placed_any
+        # Maintain the node's committed-min sum across placements instead
+        # of rescanning every hosted application per check.
+        committed = self._node_committed_min(state, specs, node)
+        capacity = self._cluster.node(node).cpu_capacity
         for app_id in eligible:
             spec = specs[app_id]
-            if self._can_host(state, spec, node) and self._min_cpu_fits(
-                state, specs, node, spec.demand.min_cpu_mhz
+            min_cpu = spec.demand.min_cpu_mhz
+            if (
+                self._can_host(state, spec, node)
+                and committed + min_cpu <= capacity + EPSILON
             ):
                 state.place(app_id, node, spec.demand.memory_mb)
+                committed += min_cpu
                 placed_any = True
         return placed_any

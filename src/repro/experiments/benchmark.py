@@ -1,33 +1,21 @@
-"""APC scaling benchmark: naive versus incremental search.
+"""APC scaling benchmark: ``place()`` latency up a ladder of cluster sizes.
 
 Drives the placement controller directly (no discrete-event simulator —
 the cost under measurement is :meth:`place` itself) over rolling control
 cycles of a saturated mixed-class workload, at a ladder of cluster
-sizes.  Each size is timed twice from identical initial conditions:
+sizes, and reduces the per-cycle ``place()`` timings to medians.
 
-* **naive** — ``APCConfig(incremental=False, vectorize=False)`` and an
-  uncached, unvectorized batch model: the reference three-nested-loop
-  scalar solver;
-* **incremental** — the defaults: per-cycle evaluation memo, O(1)
-  admission indexes, no-op-node skip, utility upper-bound short-circuit
-  and the dense numpy kernels (spec tables, vectorized load
-  distribution, array-scan admission and frontier checks) on clusters
-  big enough for them to pay off.
+Decisions are not checked here: the identity tests compare the same
+rolling-cycle loop (:func:`_roll_cycles`) against the paper-literal
+reference solver in ``tests/reference_apc.py``.
 
-The two runs' per-cycle placement matrices are compared for equality —
-the fast path must be *byte-identical* in its decisions, not just
-faster — so every ladder rung doubles as a scalar-vs-vectorized
-identity pin.  The per-cycle ``place()`` timings are reduced to
-medians.
-
-Output is a JSON document (schema ``repro.bench.apc/v1``)::
+Output is a JSON document (schema ``repro.bench.apc/v2``)::
 
     {
-      "schema": "repro.bench.apc/v1",
+      "schema": "repro.bench.apc/v2",
       "quick": false, "seed": 7, "cycles": 12,
       "results": [
-        {"nodes": 100, "jobs": 800, "naive_ms": ..., "incremental_ms": ...,
-         "speedup_median": ..., "identical": true},
+        {"nodes": 100, "jobs": 800, "place_ms": ...},
         ...
       ]
     }
@@ -35,36 +23,36 @@ Output is a JSON document (schema ``repro.bench.apc/v1``)::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import statistics
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.batch.job import JobStatus
+from repro.batch.job import Job, JobStatus
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
+from repro.cluster import Cluster
 from repro.core.apc import ApplicationPlacementController
 from repro.core.placement import PlacementState
+from repro.core.workload import WorkloadModel
 from repro.obs.spans import SpanProfiler, render_profile
 from repro.scenario import Scenario
 
 #: Current benchmark output schema identifier.
-BENCH_SCHEMA = "repro.bench.apc/v1"
+BENCH_SCHEMA = "repro.bench.apc/v2"
 
 #: Cluster sizes of the full ladder (node counts).  The 500/1000/2000
-#: rungs exist to pin the vectorized core's scaling (§5.1 plots decision
-#: time against cluster size); the naive reference leg dominates the
-#: ladder's wall-clock there.
+#: rungs pin the array kernels' scaling (§5.1 plots decision time
+#: against cluster size).
 DEFAULT_SIZES = (10, 25, 50, 100, 200, 500, 1000, 2000)
 
 #: Sizes used by ``--quick`` (CI smoke).  Includes one big rung so the
-#: vectorized kernels' scaling — the part most likely to regress — is
+#: array kernels' scaling — the part most likely to regress — is
 #: smoke-checked on every run, not only in full ladder runs.
 QUICK_SIZES = (10, 25, 500)
 
 #: Paper-term mean inter-arrival that keeps the queue saturated — the
-#: regime where the search actually runs and fast paths matter.  At
+#: regime where the search bookkeeping matters.  At
 #: ~0.5 job arrivals per node-cycle against multi-cycle job durations,
 #: demand outstrips capacity severalfold within a few cycles.
 _SATURATED_INTERARRIVAL = 50.0
@@ -88,37 +76,43 @@ def _bench_scenario(nodes: int, seed: int) -> Scenario:
 def _run_cycles(
     scenario: Scenario,
     cycles: int,
-    incremental: bool,
     profiler: Optional[SpanProfiler] = None,
 ) -> Dict[str, object]:
-    """Roll the controller over ``cycles`` control cycles, timing each
-    ``place()`` call; jobs advance at their granted speeds between
+    """Build the scenario's cluster, queue, batch model and controller,
+    then roll them over ``cycles`` control cycles (see
+    :func:`_roll_cycles`)."""
+    cluster = scenario.build_cluster()
+    queue = JobQueue()
+    model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
+    controller = ApplicationPlacementController(
+        cluster, scenario.apc, profiler=profiler
+    )
+    return _roll_cycles(
+        controller, cluster, [model], queue, scenario.build_jobs(), cycles
+    )
+
+
+def _roll_cycles(
+    controller,
+    cluster: Cluster,
+    models: Sequence[WorkloadModel],
+    queue: JobQueue,
+    jobs: Sequence[Job],
+    cycles: int,
+) -> Dict[str, object]:
+    """Roll ``controller`` over ``cycles`` control cycles from an empty
+    placement, timing each ``place()`` call; jobs are submitted at
+    their submit times and advance at their granted speeds between
     cycles (the simulator's execution rule, minus event-queue overhead
     that would pollute the measurement).
 
-    The naive leg (``incremental=False``) also disables vectorization —
-    model and controller — so it stays the pinned scalar reference the
-    fast path is compared against.
+    Returns the per-cycle timings and placement matrices.  Any object
+    with the controller's ``place()`` and ``config`` will do, which is
+    how the identity tests run a reference solver through the same loop.
     """
-    cluster = scenario.build_cluster()
-    jobs = scenario.build_jobs()
-    queue = JobQueue()
-    model = BatchWorkloadModel(
-        queue,
-        queue_window=scenario.queue_window,
-        cache=incremental,
-        vectorize=incremental,
-    )
-    config = dataclasses.replace(
-        scenario.apc, incremental=incremental, vectorize=incremental
-    )
-    controller = ApplicationPlacementController(
-        cluster, config, profiler=profiler
-    )
     state = PlacementState(cluster)
-    horizon = config.cycle_length
-
-    pending = list(jobs)
+    horizon = controller.config.cycle_length
+    pending = sorted(jobs, key=lambda job: job.submit_time)
     now = 0.0
     timings: List[float] = []
     matrices: List[dict] = []
@@ -126,7 +120,7 @@ def _run_cycles(
         while pending and pending[0].submit_time <= now:
             queue.submit(pending.pop(0))
         start = time.perf_counter()
-        result = controller.place([model], state, now)
+        result = controller.place(models, state, now)
         timings.append(time.perf_counter() - start)
         state = result.state
         matrices.append(state.as_matrix())
@@ -162,18 +156,12 @@ def bench_apc_scale(
     results: List[Dict[str, object]] = []
     for nodes in sizes:
         scenario = _bench_scenario(nodes, seed)
-        naive = _run_cycles(scenario, cycles, incremental=False)
-        fast = _run_cycles(scenario, cycles, incremental=True)
-        naive_ms = statistics.median(naive["timings"]) * 1000.0
-        fast_ms = statistics.median(fast["timings"]) * 1000.0
+        run = _run_cycles(scenario, cycles)
         results.append(
             {
                 "nodes": nodes,
                 "jobs": scenario.job_count,
-                "naive_ms": naive_ms,
-                "incremental_ms": fast_ms,
-                "speedup_median": naive_ms / fast_ms if fast_ms > 0 else float("inf"),
-                "identical": naive["matrices"] == fast["matrices"],
+                "place_ms": statistics.median(run["timings"]) * 1000.0,
             }
         )
     return {
@@ -188,7 +176,7 @@ def bench_apc_scale(
 def profile_bench(
     nodes: Optional[int] = None, cycles: int = 12, seed: int = 7
 ) -> str:
-    """Per-phase span breakdown of the incremental solver at one rung.
+    """Per-phase span breakdown of ``place()`` at one rung.
 
     Runs the benchmark workload at ``nodes`` (default: the largest
     ladder rung) with a :class:`~repro.obs.spans.SpanProfiler` attached
@@ -200,10 +188,10 @@ def profile_bench(
         nodes = max(DEFAULT_SIZES)
     profiler = SpanProfiler()
     scenario = _bench_scenario(nodes, seed)
-    _run_cycles(scenario, cycles, incremental=True, profiler=profiler)
+    _run_cycles(scenario, cycles, profiler=profiler)
     header = (
         f"APC phase profile: {nodes} nodes, {scenario.job_count} jobs, "
-        f"{cycles} cycles (incremental solver)"
+        f"{cycles} cycles"
     )
     return header + "\n" + render_profile(profiler)
 
@@ -225,15 +213,10 @@ def validate_bench_report(report: Dict[str, object]) -> List[str]:
         for key, kind in (
             ("nodes", int),
             ("jobs", int),
-            ("naive_ms", (int, float)),
-            ("incremental_ms", (int, float)),
-            ("speedup_median", (int, float)),
-            ("identical", bool),
+            ("place_ms", (int, float)),
         ):
             if not isinstance(row.get(key), kind):
                 problems.append(f"results[{i}].{key} missing or wrong type")
-        if row.get("identical") is False:
-            problems.append(f"results[{i}]: fast path diverged from naive solver")
     return problems
 
 
@@ -253,16 +236,22 @@ def compare_bench_reports(
 ) -> List[str]:
     """Regression check: current vs stored baseline report.
 
-    Compares the median incremental ``place()`` latency per cluster
+    Compares the median ``place()`` latency (``place_ms``) per cluster
     size; a size regresses when the current median exceeds the baseline
     median by more than ``tolerance_pct`` percent.  Sizes present in
     only one report are reported as coverage notes, not regressions
     (the ladder may legitimately change between runs); a *quick*
     current run is a deliberate subset of the full ladder, so baseline
-    sizes it never attempts are not flagged at all.  Returns
-    human-readable regression lines (empty = pass) — the CI perf gate
-    exits nonzero on any.
+    sizes it never attempts are not flagged at all.  A baseline written
+    under another schema is one failing line that names both schemas.
+    Returns human-readable regression lines (empty = pass) — the CI
+    perf gate exits nonzero on any.
     """
+    if baseline.get("schema") != BENCH_SCHEMA:
+        return [
+            f"baseline schema is {baseline.get('schema')!r}, want "
+            f"{BENCH_SCHEMA!r}; regenerate it with repro bench --out"
+        ]
     factor = 1.0 + tolerance_pct / 100.0
     base_by_nodes = {
         row["nodes"]: row for row in baseline.get("results", [])
@@ -276,11 +265,11 @@ def compare_bench_reports(
         base = base_by_nodes.get(nodes)
         if base is None:
             continue  # new ladder rung; nothing to compare against
-        cur_ms = float(row["incremental_ms"])
-        base_ms = float(base["incremental_ms"])
+        cur_ms = float(row["place_ms"])
+        base_ms = float(base["place_ms"])
         if base_ms > 0 and cur_ms > base_ms * factor:
             regressions.append(
-                f"{nodes} nodes: incremental place() median "
+                f"{nodes} nodes: place() median "
                 f"{cur_ms:.1f}ms vs baseline {base_ms:.1f}ms "
                 f"(+{(cur_ms / base_ms - 1.0) * 100.0:.0f}%, "
                 f"tolerance {tolerance_pct:g}%)"
@@ -296,13 +285,10 @@ def compare_bench_reports(
 
 def format_bench_report(report: Dict[str, object]) -> str:
     lines = [f"APC place() scaling (median over {report['cycles']} cycles)"]
-    lines.append(f"{'nodes':>6} {'jobs':>6} {'naive':>10} {'incr.':>10} {'speedup':>8}")
+    lines.append(f"{'nodes':>6} {'jobs':>6} {'place()':>10}")
     for row in report["results"]:
         lines.append(
-            f"{row['nodes']:>6} {row['jobs']:>6} "
-            f"{row['naive_ms']:>8.1f}ms {row['incremental_ms']:>8.1f}ms "
-            f"{row['speedup_median']:>7.2f}x"
-            + ("" if row["identical"] else "  !! DIVERGED")
+            f"{row['nodes']:>6} {row['jobs']:>6} {row['place_ms']:>8.1f}ms"
         )
     return "\n".join(lines)
 

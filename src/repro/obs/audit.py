@@ -13,8 +13,8 @@ optional audit through ``place()`` and reports, per control cycle:
 * the incumbent utility vector before the search and the final vector
   after it (``audit_cycle``);
 * every candidate placement it scored — admission trials and search
-  sweep trials alike, including memo-served re-evaluations on the
-  incremental fast path (flagged ``cached``) and structural
+  sweep trials alike, including memo-served re-evaluations (flagged
+  ``cached``) and structural
   short-circuits that skipped evaluation entirely — with the
   element-wise lexicographic comparison that decided acceptance
   (``audit_candidate``);
@@ -53,7 +53,7 @@ ADMISSION_REASONS = (
 
 SHORTCIRCUIT_REASONS = (
     "upper_bound",       # sorted-utility upper bound reached, sweep cut
-    "node_noop",         # structural no-op node skipped (fast path)
+    "node_noop",         # structural no-op node skipped (frontier index)
     "search_skipped",    # _search_is_worthwhile said no
     "search_disabled",   # APCConfig(enable_search=False)
 )
@@ -192,8 +192,7 @@ class DecisionAudit:
 
         ``comparison`` is the :func:`repro.core.objective.lex_explain`
         dict for candidate-vs-incumbent; ``stage`` is ``"admission"`` or
-        ``"search"``; ``cached`` marks memo-served evaluations on the
-        incremental fast path.
+        ``"search"``; ``cached`` marks memo-served evaluations.
         """
         record: Dict[str, object] = {
             "type": "audit_candidate",

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 from repro._compat import keyword_only
 from repro.batch.hypothetical import MethodLike, PredictionMethod
 from repro.batch.job import Job
-from repro.batch.model import BatchWorkloadModel
+from repro.batch.model import BatchWorkloadModel, check_queue_window
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
@@ -76,7 +76,7 @@ class Scenario:
         ``25 / nodes`` so per-node load is scale-invariant.
     queue_window:
         Bound on not-started jobs offered to the controller per cycle
-        (``None`` = unlimited).
+        (``None`` = unlimited; otherwise an integer >= 0).
     prediction_method:
         :class:`~repro.batch.hypothetical.PredictionMethod` (or its
         string value) for the batch model's predictions.
@@ -116,6 +116,7 @@ class Scenario:
             raise ConfigurationError(
                 f"interarrival must be positive, got {self.interarrival}"
             )
+        check_queue_window(self.queue_window)
         if self.workload not in WORKLOADS:
             raise ConfigurationError(
                 f"unknown workload {self.workload!r}; expected one of {WORKLOADS}"
@@ -271,10 +272,6 @@ class Simulation:
             queue,
             queue_window=scenario.queue_window,
             prediction_method=scenario.prediction_method,
-            # The model's array kernels follow the controller's vectorize
-            # switch and run at every job count; vectorize=False selects
-            # the scalar reference on both sides.
-            vectorize=scenario.apc.vectorize,
         )
         if registry is not None:
             batch_model.bind_registry(registry)

@@ -1,6 +1,6 @@
 """The mixed-workload cluster simulator.
 
-Drives a :class:`~repro.sim.policies.PlacementPolicy` over a virtualized
+Drives a :class:`~repro.policies.PlacementPolicy` over a virtualized
 cluster on a fixed control cycle ``T`` (§3.1), exactly as the paper's
 evaluation does:
 

@@ -17,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterable, List, Optional
 
-from repro._compat import warn_once
-
 
 class TraceEventKind(enum.Enum):
     ARRIVAL = "arrival"
@@ -97,15 +95,6 @@ class SimulationTrace:
         Non-zero means the in-memory view is incomplete; attach a sink
         to keep full history on disk.
         """
-        return self._dropped
-
-    @property
-    def dropped(self) -> int:
-        """Deprecated alias of :attr:`dropped_events` (original name)."""
-        warn_once(
-            "SimulationTrace.dropped",
-            "SimulationTrace.dropped is deprecated; use dropped_events",
-        )
         return self._dropped
 
     def __len__(self) -> int:

@@ -20,6 +20,8 @@ naturally and conversions are greppable.
 
 from __future__ import annotations
 
+import numbers
+
 #: Tolerance used for floating-point resource comparisons throughout the
 #: library.  Resource quantities are physical (MHz, MB, seconds), so an
 #: absolute epsilon is appropriate.
@@ -102,3 +104,13 @@ def clamp(value: float, low: float, high: float) -> float:
     if value > high:
         return high
     return value
+
+
+def is_count(value: object) -> bool:
+    """Whether ``value`` is an integer >= 0 that is not a bool (a count
+    of cycles, sweeps or jobs; ``True`` would silently mean 1)."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and value >= 0
+    )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core.apc import APCConfig
+from repro.core.apc import SPEC_TABLES_MIN_NODES, APCConfig
 from repro.errors import ConfigurationError
 from repro.obs.alerts import (
     RULE_BATCH_STARVATION,
@@ -319,15 +319,20 @@ class TestHealth:
 # ----------------------------------------------------------------------
 # Simulator integration
 # ----------------------------------------------------------------------
-def _run_scenario_metrics(alerts=None, incremental=True):
+def _run_scenario_metrics(alerts=None, spec_tables=False):
     from repro.scenario import Scenario, Simulation
     from repro.sim.export import metrics_to_json
     from repro.sim.simulator import SimulationConfig
 
+    # At SPEC_TABLES_MIN_NODES the controller builds spec tables and runs
+    # the array load distributor; the load is enough for it to search.
+    size = (
+        dict(nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0)
+        if spec_tables
+        else dict(nodes=2, job_count=6, interarrival=80.0)
+    )
     scenario = Scenario(
-        name="ident", nodes=2, job_count=6, interarrival=80.0, seed=4,
-        apc=APCConfig(incremental=incremental),
-        sim=SimulationConfig(alerts=alerts),
+        name="ident", seed=4, sim=SimulationConfig(alerts=alerts), **size
     )
     simulation = Simulation.from_scenario(scenario)
     metrics = simulation.run()
@@ -341,10 +346,10 @@ def _run_scenario_metrics(alerts=None, incremental=True):
 
 
 class TestSimulatorIntegration:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_alerting_does_not_change_results(self, incremental):
-        sim_off, doc_off = _run_scenario_metrics(None, incremental)
-        sim_on, doc_on = _run_scenario_metrics(AlertConfig(), incremental)
+    @pytest.mark.parametrize("spec_tables", [True, False])
+    def test_alerting_does_not_change_results(self, spec_tables):
+        sim_off, doc_off = _run_scenario_metrics(None, spec_tables)
+        sim_on, doc_on = _run_scenario_metrics(AlertConfig(), spec_tables)
         assert sim_off.simulator.alert_engine is None
         assert sim_on.simulator.alert_engine is not None
         assert doc_on == doc_off

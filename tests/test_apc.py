@@ -59,6 +59,28 @@ class TestAPCConfig:
         with pytest.raises(ConfigurationError, match=field):
             APCConfig.from_dict({**APCConfig().to_dict(), field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("search_sweeps", 1.5),
+            ("search_sweeps", True),
+            ("search_sweeps", "2"),
+            ("max_removals_per_node", 1.5),
+            ("max_removals_per_node", False),
+            ("max_removals_per_node", -1),
+            ("enable_search", "no"),
+            ("enable_search", 1),
+            ("enable_search", None),
+        ],
+    )
+    def test_rejects_non_integer_counts_and_non_bool_switch(self, field, value):
+        """These once failed mid-search (a float in range() or a slice)
+        or silently ran the search (a truthy string)."""
+        with pytest.raises(ConfigurationError, match=field):
+            APCConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            APCConfig.from_dict({**APCConfig().to_dict(), field: value})
+
     def test_zero_tolerances_are_valid(self):
         config = APCConfig(improvement_epsilon=0.0, preemption_penalty=0.0)
         assert APCConfig.from_dict(config.to_dict()) == config

@@ -158,10 +158,32 @@ def _through_json(data):
 
 def test_apcconfig_round_trip():
     config = APCConfig(
-        cycle_length=450.0, search_sweeps=3, incremental=False
+        cycle_length=450.0, search_sweeps=3, max_removals_per_node=2
     )
-    clone = APCConfig.from_dict(_through_json(config.to_dict()))
-    assert clone == config
+    data = _through_json(config.to_dict())
+    assert set(data) == {
+        "cycle_length",
+        "max_removals_per_node",
+        "search_sweeps",
+        "improvement_epsilon",
+        "preemption_penalty",
+        "enable_search",
+    }
+    assert APCConfig.from_dict(data) == config
+
+
+def test_apcconfig_from_dict_drops_retired_solver_switches():
+    """Scenario JSON, snapshots and sweep manifests written while the
+    solver had switches still load, to the same controller."""
+    legacy = {
+        "cycle_length": 450.0,
+        "incremental": False,
+        "vectorize": False,
+        "fast_path_min_nodes": 0,
+    }
+    assert APCConfig.from_dict(legacy) == APCConfig(cycle_length=450.0)
+    scenario = Scenario.from_dict({"name": "legacy", "apc": legacy})
+    assert scenario.apc == APCConfig(cycle_length=450.0)
 
 
 def test_apcconfig_rejects_unknown_keys():

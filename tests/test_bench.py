@@ -1,4 +1,4 @@
-"""The APC scaling benchmark: schema, identity flags, report I/O.
+"""The APC scaling benchmark: schema, perf gate, report I/O.
 
 Runs the ``--quick`` ladder (the CI smoke configuration) — a few
 seconds — not the full 200-node ladder.
@@ -27,8 +27,7 @@ def _report(rows, quick=False):
     return {
         "schema": BENCH_SCHEMA, "quick": quick, "seed": 7, "cycles": 2,
         "results": [
-            {"nodes": nodes, "jobs": nodes * 8, "naive_ms": ms * 10,
-             "incremental_ms": ms, "speedup_median": 10.0, "identical": True}
+            {"nodes": nodes, "jobs": nodes * 8, "place_ms": ms}
             for nodes, ms in rows
         ],
     }
@@ -46,11 +45,6 @@ def test_quick_report_schema(quick_report):
     assert [row["nodes"] for row in quick_report["results"]] == list(QUICK_SIZES)
 
 
-def test_quick_report_identity(quick_report):
-    """The hard gate: the fast path never changes a placement."""
-    assert all(row["identical"] for row in quick_report["results"])
-
-
 def test_report_round_trips_through_file(quick_report, tmp_path):
     path = write_bench_report(quick_report, str(tmp_path / "BENCH_apc.json"))
     loaded = json.loads(open(path, encoding="utf-8").read())
@@ -62,7 +56,6 @@ def test_format_report_mentions_every_size(quick_report):
     text = format_bench_report(quick_report)
     for row in quick_report["results"]:
         assert str(row["nodes"]) in text
-    assert "DIVERGED" not in text
 
 
 def test_validate_flags_problems():
@@ -73,18 +66,12 @@ def test_validate_flags_problems():
         "seed": 1,
         "cycles": 2,
         "results": [
-            {
-                "nodes": 10,
-                "jobs": 80,
-                "naive_ms": 1.0,
-                "incremental_ms": 1.0,
-                "speedup_median": 1.0,
-                "identical": False,
-            }
+            # A row in the retired v1 shape: no place_ms.
+            {"nodes": 10, "jobs": 80, "naive_ms": 1.0, "incremental_ms": 1.0}
         ],
     }
     problems = validate_bench_report(bad)
-    assert any("diverged" in p for p in problems)
+    assert problems == ["results[0].place_ms missing or wrong type"]
 
 
 class TestCompareBenchReports:
@@ -130,6 +117,21 @@ class TestCompareBenchReports:
         baseline = _report([(10, 1.0)])
         assert compare_bench_reports(current, baseline) == []
 
+    def test_v1_baseline_fails_naming_the_schema(self):
+        # A v1 report has naive_ms/incremental_ms rows and no place_ms:
+        # the gate must say why it cannot compare, not raise KeyError.
+        baseline = {
+            "schema": "repro.bench.apc/v1", "quick": False, "seed": 7,
+            "cycles": 2,
+            "results": [{"nodes": 10, "jobs": 80, "naive_ms": 2.0,
+                         "incremental_ms": 1.0, "speedup_median": 2.0,
+                         "identical": True}],
+        }
+        lines = compare_bench_reports(_report([(10, 1.0)]), baseline)
+        assert len(lines) == 1
+        assert "repro.bench.apc/v1" in lines[0]
+        assert BENCH_SCHEMA in lines[0]
+
 
 class TestCliPerfGate:
     def _run(self, argv):
@@ -142,7 +144,7 @@ class TestCliPerfGate:
     ):
         baseline = dict(quick_report)
         baseline["results"] = [
-            {**row, "incremental_ms": row["incremental_ms"] * 100}
+            {**row, "place_ms": row["place_ms"] * 100}
             for row in quick_report["results"]
         ]
         path = tmp_path / "baseline.json"
@@ -159,7 +161,7 @@ class TestCliPerfGate:
     ):
         baseline = dict(quick_report)
         baseline["results"] = [
-            {**row, "incremental_ms": row["incremental_ms"] / 1e6}
+            {**row, "place_ms": row["place_ms"] / 1e6}
             for row in quick_report["results"]
         ]
         path = tmp_path / "baseline.json"
@@ -177,7 +179,7 @@ class TestCliPerfGate:
     ):
         baseline = dict(quick_report)
         baseline["results"] = [
-            {**row, "incremental_ms": row["incremental_ms"] / 1e6}
+            {**row, "place_ms": row["place_ms"] / 1e6}
             for row in quick_report["results"]
         ]
         path = tmp_path / "baseline.json"
@@ -213,23 +215,8 @@ class TestCommittedArtifact:
         sizes = [r["nodes"] for r in artifact["results"]]
         assert 500 in sizes and 1000 in sizes and 2000 in sizes
 
-    def test_no_rung_is_a_slowdown(self, artifact):
-        # The 10-node regression fix: below APCConfig.fast_path_min_nodes
-        # the fast-path machinery is skipped, so small clusters must not
-        # pay for the vectorized core they don't use.
-        slow = [
-            (r["nodes"], r["speedup_median"])
-            for r in artifact["results"]
-            if r["speedup_median"] < 1.0
-        ]
-        assert not slow, f"rungs slower than the naive solver: {slow}"
-
     def test_large_rungs_meet_the_target_speedup(self, artifact):
-        by_nodes = {r["nodes"]: r for r in artifact["results"]}
-        assert by_nodes[1000]["speedup_median"] >= 3.0
         # The headline acceptance number: place() at 1000 nodes in well
         # under the old ~172ms scalar-incremental median.
-        assert by_nodes[1000]["incremental_ms"] <= 57.0
-
-    def test_every_rung_is_identical(self, artifact):
-        assert all(r["identical"] for r in artifact["results"])
+        by_nodes = {r["nodes"]: r for r in artifact["results"]}
+        assert by_nodes[1000]["place_ms"] <= 57.0

@@ -16,9 +16,11 @@ from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.loadbalance import AllocatableApp, distribute_load
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
+from repro.errors import ConfigurationError
+from repro.scenario import Scenario
 from repro.sim.export import completions_to_csv, cycles_to_csv, metrics_to_json
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.policies import APCPolicy, FCFSPolicy
+from repro.policies import APCPolicy, FCFSPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.txn.router import RequestRouter
 from repro.virt.costs import FREE_COST_MODEL
@@ -101,6 +103,17 @@ class TestQueueWindowEdges:
         )
         result = apc.place([model], PlacementState(single_node_cluster), 0.0)
         assert result.state.app_ids == []
+
+    @pytest.mark.parametrize("window", [-1, 2.5, True, "3"])
+    def test_rejects_window_that_is_not_a_count(self, window):
+        """A negative window once dropped the last waiting job every
+        cycle; a float failed as soon as the queue outgrew it."""
+        with pytest.raises(ConfigurationError, match="queue_window"):
+            Scenario(queue_window=window)
+        with pytest.raises(ConfigurationError, match="queue_window"):
+            Scenario.from_dict({"name": "bad-window", "queue_window": window})
+        with pytest.raises(ConfigurationError, match="queue_window"):
+            BatchWorkloadModel(JobQueue(), queue_window=window)
 
     def test_window_prioritizes_urgency_not_submission(self):
         queue = JobQueue()

@@ -8,7 +8,7 @@ from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.errors import ConfigurationError, SimulationError
-from repro.sim.policies import APCPolicy, EDFPolicy, FCFSPolicy, PartitionedPolicy
+from repro.policies import APCPolicy, EDFPolicy, FCFSPolicy, PartitionedPolicy
 from repro.sim.simulator import (
     MixedWorkloadSimulator,
     NodeFailure,

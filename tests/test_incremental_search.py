@@ -1,27 +1,46 @@
-"""The incremental APC fast path must be *byte-identical* to the naive
-three-nested-loop solver — same placements, every cycle — while doing
-less work (eval-memo hits, short-circuits).
+"""The production controller must decide exactly as the paper-literal
+reference solver in :mod:`tests.reference_apc` — same placements, every
+cycle — while doing less work (eval-memo hits, short-circuits).
 
-The rolling-cycle driver comes from :mod:`repro.experiments.benchmark`
-(the same loop ``repro bench`` times); identity is asserted on the full
-per-cycle placement matrices.
+Both sides run through the rolling-cycle loop ``repro bench`` times
+(:func:`tests.reference_apc.run_cycles`); identity is asserted on the
+full per-cycle placement matrices.
 """
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import (
+    SPEC_TABLES_MIN_NODES,
+    APCConfig,
+    ApplicationPlacementController,
+)
+from repro.core.constraints import (
+    AntiCollocation,
+    Collocation,
+    ConstraintSet,
+    MaxInstancesPerNode,
+    PinToNodes,
+)
 from repro.core.placement import PlacementState
-from repro.experiments.benchmark import _bench_scenario, _run_cycles
+from repro.experiments.benchmark import _bench_scenario
+from repro.experiments.common import Scale
+from repro.experiments.experiment3 import make_txn_app
 from repro.obs.registry import MetricRegistry
 from repro.scenario import Scenario
 
+from tests.reference_apc import run_cycles
 
-def _identity_case(scenario, cycles):
-    naive = _run_cycles(scenario, cycles, incremental=False)
-    fast = _run_cycles(scenario, cycles, incremental=True)
-    assert naive["matrices"] == fast["matrices"]
+
+def _identity_case(scenario, cycles, **kwargs):
+    reference = run_cycles(scenario, cycles, reference=True, **kwargs)
+    production = run_cycles(scenario, cycles, reference=False, **kwargs)
+    assert production == reference
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -29,6 +48,15 @@ def test_identity_saturated_mixed_50_nodes(seed):
     """The benchmark's own regime: saturated mixed-class workload where
     the full search actually runs."""
     _identity_case(_bench_scenario(50, seed), cycles=8)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("nodes", [10, 25])
+def test_identity_saturated_mixed_small_rungs(nodes, seed):
+    """The ladder's two smallest rungs: one below the spec-table size
+    rule (rows-based load distributor), one above it (array
+    distributor)."""
+    _identity_case(_bench_scenario(nodes, seed), cycles=8)
 
 
 def test_identity_identical_jobs_50_nodes():
@@ -46,21 +74,40 @@ def test_identity_identical_jobs_50_nodes():
     _identity_case(scenario, cycles=8)
 
 
+def _counter_total(registry, name, **labels):
+    total = 0.0
+    for sample in registry.collect():
+        if sample["name"] != name or sample.get("kind") != "counter":
+            continue
+        sample_labels = sample.get("labels") or {}
+        if all(sample_labels.get(k) == v for k, v in labels.items()):
+            total += sample["value"]
+    return total
+
+
+#: A deeply saturated small cluster with several sweeps: distinct search
+#: trials converge to placements an earlier sweep already scored, so the
+#: evaluation memo is hit.
+MEMO_SCENARIO = Scenario(
+    name="memo-regime",
+    nodes=5,
+    workload="experiment2",
+    job_count=40,
+    interarrival=10.0,
+    seed=7,
+    queue_window=16,
+    apc=APCConfig(search_sweeps=3),
+)
+
+
 def test_identity_memo_hit_regime():
     """Identity must survive eval-memo *hits* (replayed load matrices),
-    not just misses: multi-sweep search on a deeply saturated small
-    cluster revisits placements an earlier sweep already scored."""
-    scenario = Scenario(
-        name="ident-memo",
-        nodes=5,
-        workload="experiment2",
-        job_count=40,
-        interarrival=30.0,
-        seed=7,
-        queue_window=16,
-        apc=APCConfig(search_sweeps=3),
-    )
-    _identity_case(scenario, cycles=8)
+    not just misses."""
+    registry = MetricRegistry()
+    reference = run_cycles(MEMO_SCENARIO, 8, reference=True)
+    production = run_cycles(MEMO_SCENARIO, 8, reference=False, registry=registry)
+    assert production == reference
+    assert _counter_total(registry, "repro_apc_cache_total", outcome="hit") > 0
 
 
 def test_identity_underloaded_small_cluster():
@@ -76,44 +123,16 @@ def test_identity_underloaded_small_cluster():
     _identity_case(scenario, cycles=6)
 
 
-def _counter_total(registry, name, **labels):
-    total = 0.0
-    for sample in registry.collect():
-        if sample["name"] != name or sample.get("kind") != "counter":
-            continue
-        sample_labels = sample.get("labels") or {}
-        if all(sample_labels.get(k) == v for k, v in labels.items()):
-            total += sample["value"]
-    return total
-
-
 def test_fast_path_actually_engages():
     """Cache hits and short-circuits are observable: the speedup is not
-    an accident of the workload.
-
-    The eval memo pays off when distinct search trials converge to the
-    same placement matrix (remove-then-refill recreating a layout an
-    earlier sweep already scored) — a deeply saturated small cluster
-    with several sweeps is such a regime."""
-    scenario = Scenario(
-        name="memo-regime",
-        nodes=5,
-        workload="experiment2",
-        job_count=40,
-        interarrival=30.0,
-        seed=7,
-        queue_window=16,
-    )
+    an accident of the workload."""
+    scenario = MEMO_SCENARIO
     cluster = scenario.build_cluster()
     queue = JobQueue()
     model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
     registry = MetricRegistry()
     controller = ApplicationPlacementController(
-        cluster,
-        # fast_path_min_nodes=0: engage the fast path despite the small
-        # (5-node) memo-regime cluster.
-        APCConfig(incremental=True, search_sweeps=3, fast_path_min_nodes=0),
-        registry=registry,
+        cluster, scenario.apc, registry=registry
     )
     state = PlacementState(cluster)
     pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
@@ -135,106 +154,144 @@ def test_fast_path_actually_engages():
     assert shortcuts > 0
 
 
-def test_naive_solver_reports_no_cache_hits():
-    scenario = _bench_scenario(10, seed=7)
-    run = _run_cycles(scenario, cycles=4, incremental=False)
-    assert len(run["timings"]) == 4  # naive path still times every cycle
-
-
 # ----------------------------------------------------------------------
-# Decision flight recorder vs the fast path
+# Decision flight recorder
 # ----------------------------------------------------------------------
-MEMO_SCENARIO = Scenario(
-    name="audit-memo",
-    nodes=5,
-    workload="experiment2",
-    job_count=40,
-    interarrival=30.0,
-    seed=7,
-    queue_window=16,
+#: :data:`MEMO_SCENARIO`'s saturation at the spec-table size rule: the
+#: search runs on spec tables and the array load distributor.
+SPEC_TABLES_SCENARIO = replace(
+    MEMO_SCENARIO,
+    name="spec-tables-regime",
+    nodes=SPEC_TABLES_MIN_NODES,
+    job_count=160,
+    interarrival=2.0,
+    queue_window=48,
 )
 
 
-def _run_audited(scenario, cycles, *, incremental, audit=None, sweeps=3):
-    """Drive the controller loop directly (as ``repro bench`` does) with
-    an optional audit attached; returns the per-cycle matrices."""
-    cluster = scenario.build_cluster()
-    queue = JobQueue()
-    model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
-    controller = ApplicationPlacementController(
-        cluster,
-        # fast_path_min_nodes=0: the audit-vs-fast-path comparisons run
-        # on a 5-node cluster, below the default engagement threshold.
-        APCConfig(
-            incremental=incremental, search_sweeps=sweeps, fast_path_min_nodes=0
-        ),
-        audit=audit,
-    )
-    state = PlacementState(cluster)
-    pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
-    now, horizon = 0.0, 600.0
-    matrices = []
-    for _ in range(cycles):
-        while pending and pending[0].submit_time <= now:
-            queue.submit(pending.pop(0))
-        result = controller.place([model], state, now)
-        state = result.state
-        matrices.append(state.as_matrix())
-        now += horizon
-    return matrices
-
-
-def _scrub(record):
-    """Strip the fields that legitimately differ between the naive and
-    incremental paths: memo-hit flags, the refill-order stash (the naive
-    path refills zero-removal trials the fast path proves no-ops without
-    running), and the per-cycle work accounting (fewer evaluations is
-    exactly what the fast path buys)."""
-    skip = ("cached", "fill_order", "evaluations", "cache_hits")
-    return {k: v for k, v in record.items() if k not in skip}
-
-
-@pytest.mark.parametrize("incremental", [False, True])
-def test_audit_attachment_never_changes_placements(incremental):
+@pytest.mark.parametrize("spec_tables", [False, True])
+def test_audit_attachment_never_changes_placements(spec_tables):
     from repro.obs.audit import DecisionAudit
 
-    plain = _run_audited(MEMO_SCENARIO, 6, incremental=incremental)
+    scenario = SPEC_TABLES_SCENARIO if spec_tables else MEMO_SCENARIO
+    plain = run_cycles(scenario, 6, reference=False)
     audit = DecisionAudit()
-    audited = _run_audited(MEMO_SCENARIO, 6, incremental=incremental,
-                           audit=audit)
+    audited = run_cycles(scenario, 6, reference=False, audit=audit)
     assert plain == audited
     assert len(audit) > 0
-
-
-def test_audit_decision_records_identical_across_paths():
-    """The decision *content* the recorder captures — accepted
-    candidates, admission verdicts, RPF inputs — must agree between the
-    naive and incremental solvers; only bookkeeping-only fields and
-    short-circuit markers may differ."""
-    from repro.obs.audit import DecisionAudit
-
-    naive, fast = DecisionAudit(), DecisionAudit()
-    m0 = _run_audited(MEMO_SCENARIO, 6, incremental=False, audit=naive)
-    m1 = _run_audited(MEMO_SCENARIO, 6, incremental=True, audit=fast)
-    assert m0 == m1
-
-    def decisions(audit):
-        keep = []
-        for r in audit.records:
-            if r["type"] in ("audit_cycle", "audit_admission", "audit_rpf"):
-                keep.append(_scrub(r))
-            elif r["type"] == "audit_candidate" and r["accepted"]:
-                keep.append(_scrub(r))
-        return keep
-
-    assert decisions(naive) == decisions(fast)
 
 
 def test_audit_marks_memo_hits_in_memo_regime():
     from repro.obs.audit import DecisionAudit
 
     audit = DecisionAudit()
-    _run_audited(MEMO_SCENARIO, 6, incremental=True, audit=audit)
+    run_cycles(MEMO_SCENARIO, 6, reference=False, audit=audit)
     candidates = [r for r in audit.records if r["type"] == "audit_candidate"]
     assert any(r.get("cached") for r in candidates)
     assert any(r.get("cached") is False for r in candidates)
+
+
+# ----------------------------------------------------------------------
+# Placement constraints
+# ----------------------------------------------------------------------
+def _constraint(draw, app_ids, node_names):
+    kind = draw(st.sampled_from(["pin", "anti", "colo", "cap"]))
+    app = draw(st.sampled_from(app_ids))
+    if kind == "pin":
+        nodes = draw(st.lists(st.sampled_from(node_names), max_size=3))
+        return PinToNodes(app, nodes)
+    if kind == "cap":
+        return MaxInstancesPerNode(app, draw(st.sampled_from([0, 1])))
+    other = draw(st.sampled_from([a for a in app_ids if a != app]))
+    return AntiCollocation(app, other) if kind == "anti" else Collocation(app, other)
+
+
+@st.composite
+def constrained_cases(draw):
+    nodes = draw(st.integers(min_value=2, max_value=6))
+    job_count = draw(st.integers(min_value=3, max_value=10))
+    scenario = Scenario(
+        name="constrained",
+        nodes=nodes,
+        workload=draw(st.sampled_from(["experiment1", "experiment2"])),
+        job_count=job_count,
+        interarrival=draw(st.sampled_from([30.0, 90.0, 300.0])),
+        seed=draw(st.integers(min_value=0, max_value=99)),
+        queue_window=draw(st.sampled_from([None, 4])),
+        apc=APCConfig(
+            search_sweeps=draw(st.integers(min_value=1, max_value=3)),
+            max_removals_per_node=draw(st.sampled_from([None, 1, 2])),
+        ),
+    )
+    txn_apps = []
+    if draw(st.booleans()):
+        txn_apps.append(make_txn_app(Scale("constrained", nodes, job_count)))
+    app_ids = [job.job_id for job in scenario.build_jobs()]
+    app_ids += [app.app_id for app in txn_apps]
+    names = list(scenario.build_cluster().node_names)
+    constraints = [
+        _constraint(draw, app_ids, names)
+        for _ in range(draw(st.integers(min_value=1, max_value=4)))
+    ]
+    cycles = draw(st.integers(min_value=4, max_value=6))
+    return scenario, txn_apps, ConstraintSet(constraints), cycles
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=constrained_cases())
+def test_identity_under_random_placement_constraints(case):
+    """Admission and the no-op-node frontier check constraints on the
+    live state exactly as the reference's per-pair rescans do."""
+    scenario, txn_apps, constraints, cycles = case
+    _identity_case(scenario, cycles, constraints=constraints, txn_apps=txn_apps)
+
+
+def test_identity_under_constraints_with_spec_tables():
+    """A constrained cluster above the spec-table size rule, beside a
+    divisible transactional app, so the array distributor runs too."""
+    scenario = _bench_scenario(20, seed=7)
+    jobs = [job.job_id for job in scenario.build_jobs()]
+    nodes = list(scenario.build_cluster().node_names)
+    constraints = ConstraintSet(
+        [
+            PinToNodes("TX", nodes[:12]),
+            MaxInstancesPerNode("TX", 1),
+            AntiCollocation("TX", jobs[0]),
+            AntiCollocation(jobs[1], jobs[2]),
+            Collocation(jobs[3], jobs[4]),
+            PinToNodes(jobs[5], nodes[-2:]),
+            MaxInstancesPerNode(jobs[6], 0),
+        ]
+    )
+    txn_app = make_txn_app(Scale("constrained-20", 20, len(jobs)))
+    _identity_case(
+        scenario, cycles=8, constraints=constraints, txn_apps=[txn_app]
+    )
+
+
+def test_frontier_skips_nodes_closed_by_constraints():
+    """Every job is pinned to the first two nodes, so the fill pass can
+    add nothing to the other two however free they are.  The frontier's
+    constraint pass proves that without copying the state: those nodes'
+    zero-removal trials are recorded as ``node_noop`` short-circuits."""
+    from repro.obs.audit import DecisionAudit
+
+    scenario = MEMO_SCENARIO
+    jobs = [job.job_id for job in scenario.build_jobs()]
+    constraints = ConstraintSet(PinToNodes(j, ["node0", "node1"]) for j in jobs)
+    audit = DecisionAudit()
+    production = run_cycles(
+        scenario, 6, reference=False, constraints=constraints, audit=audit
+    )
+    assert production == run_cycles(
+        scenario, 6, reference=True, constraints=constraints
+    )
+    skipped = {
+        r.get("node") for r in audit.records if r.get("reason") == "node_noop"
+    }
+    assert {"node2", "node3"} <= skipped
+

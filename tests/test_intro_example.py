@@ -21,7 +21,7 @@ from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
-from repro.sim.policies import APCPolicy
+from repro.policies import APCPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.txn.application import TransactionalApp
 from repro.txn.model import TransactionalWorkloadModel

@@ -1,25 +1,24 @@
-"""The policy-API redesign: registries, plugs, and the compat shim.
+"""The policy-API redesign: registries and plugs.
 
 Covers the three extension points the redesign introduced — the
 string-keyed :class:`~repro.policies.PolicyRegistry`, the APC's
 pluggable :class:`~repro.core.objective.Objective`, and its pluggable
 :class:`~repro.core.admission.AdmissionStrategy` — plus the pinned
 guarantee that plugging the defaults in explicitly changes nothing:
-the default-config APC is byte-identical on both solver paths.
+the default-config APC is byte-identical on both load distributors.
 """
 
-import importlib
 import json
 
 import pytest
 
-from repro._compat import reset_deprecation_warnings
 from repro.core.admission import (
     AdmissionStrategy,
     FCFSAdmission,
     LRPFAdmission,
     resolve_admission,
 )
+from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.core.objective import (
     LexMaxMinObjective,
     Objective,
@@ -224,23 +223,20 @@ class TestPolicyRegistry:
 class TestDefaultPlugByteIdentity:
     """The redesign's core safety property: the default-config APC with
     ``LexMaxMinObjective``/``LRPFAdmission`` plugged explicitly produces
-    byte-for-byte the run of the unplugged controller, on the scalar and
-    vectorized solver paths alike."""
+    byte-for-byte the run of the unplugged controller, for two seeds, on
+    clusters below and at ``SPEC_TABLES_MIN_NODES`` (so both load
+    distributors run)."""
 
     @staticmethod
-    def run_json(policy_params, vectorize, fast_path_min_nodes):
+    def run_json(policy_params, seed, nodes):
         scenario = Scenario(
             name="identity",
-            nodes=4,
-            job_count=16,
+            nodes=nodes,
+            job_count=4 * nodes,
             interarrival=40.0,
-            seed=7,
+            seed=seed,
             policy="apc",
             policy_params=policy_params,
-            apc={
-                "vectorize": vectorize,
-                "fast_path_min_nodes": fast_path_min_nodes,
-            },
         )
         sim = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
         sim.run()
@@ -254,46 +250,18 @@ class TestDefaultPlugByteIdentity:
             sort_keys=True,
         )
 
-    @pytest.mark.parametrize("vectorize", [True, False])
-    @pytest.mark.parametrize("fast_path_min_nodes", [0, 1000])
-    def test_identical(self, vectorize, fast_path_min_nodes):
-        default = self.run_json({}, vectorize, fast_path_min_nodes)
+    @pytest.mark.parametrize("spec_tables", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1000])
+    def test_identical(self, seed, spec_tables):
+        nodes = SPEC_TABLES_MIN_NODES if spec_tables else 4
+        default = self.run_json({}, seed, nodes)
         plugged = self.run_json(
             {
                 "objective": {"name": "lex_maxmin"},
                 "admission": {"name": "lrpf"},
             },
-            vectorize,
-            fast_path_min_nodes,
+            seed,
+            nodes,
         )
         assert default == plugged
 
-
-# ----------------------------------------------------------------------
-# The repro.sim.policies compatibility shim
-# ----------------------------------------------------------------------
-class TestCompatShim:
-    def test_import_warns_once(self):
-        import repro.sim.policies as shim
-
-        reset_deprecation_warnings()
-        with pytest.deprecated_call():
-            importlib.reload(shim)
-
-    def test_old_names_are_the_new_objects(self):
-        import repro.policies as policies
-        import repro.sim.policies as shim
-
-        for name in (
-            "PlacementPolicy",
-            "ScriptedPolicy",
-            "FCFSPolicy",
-            "EDFPolicy",
-            "LRPFPolicy",
-            "APCPolicy",
-            "PartitionedPolicy",
-        ):
-            assert getattr(shim, name) is getattr(policies, name)
-        # Pre-move private helpers stay reachable for old callers.
-        assert shim._current_assignment is policies.current_assignment
-        assert shim._build_batch_state is policies.build_batch_state

@@ -9,7 +9,7 @@ from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.placement import PlacementState
 from repro.errors import ConfigurationError
-from repro.sim.policies import (
+from repro.policies import (
     APCPolicy,
     EDFPolicy,
     FCFSPolicy,

@@ -10,7 +10,7 @@ from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.errors import ConfigurationError
-from repro.sim.policies import APCPolicy, EDFPolicy, FCFSPolicy, PartitionedPolicy
+from repro.policies import APCPolicy, EDFPolicy, FCFSPolicy, PartitionedPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.txn.application import TransactionalApp
 from repro.txn.model import TransactionalWorkloadModel

@@ -16,7 +16,7 @@ from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
-from repro.sim.policies import APCPolicy, EDFPolicy, FCFSPolicy
+from repro.policies import APCPolicy, EDFPolicy, FCFSPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.virt.costs import FREE_COST_MODEL, PAPER_COST_MODEL
 

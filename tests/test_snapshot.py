@@ -3,8 +3,9 @@
 The contract under test (the state-serialization contract in
 ``docs/architecture.md``): for any snapshot point,
 ``restore(snapshot).run()`` produces byte-for-byte the trace, metrics,
-and final state of an uninterrupted run — on both solver paths, with
-fault injection and node outages active, including snapshots taken
+and final state of an uninterrupted run — on clusters below and at the
+spec-table size rule (so both load distributors run), with fault
+injection and node outages active, including snapshots taken
 mid-reconciliation while retries and stall timers are in flight.
 
 "Byte-identical" is checked by comparing ``json.dumps`` of the full
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.apc import APCConfig
+from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.errors import CheckpointError
 from repro.scenario import Scenario, Simulation
 from repro.sim.metrics import CycleSample, JobCompletionRecord
@@ -37,11 +38,11 @@ CYCLE = 600.0
 
 def faulty_scenario(
     seed=0,
-    incremental=True,
     faults=True,
     failures=(),
     job_count=14,
     nodes=3,
+    interarrival=100.0,
 ):
     fault_model = (
         ActionFaultModel.uniform(
@@ -64,11 +65,17 @@ def faulty_scenario(
         name="snapshot-test",
         nodes=nodes,
         job_count=job_count,
-        interarrival=100.0,
+        interarrival=interarrival,
         seed=seed,
         sim=sim_cfg,
-        apc=APCConfig(incremental=incremental),
     )
+
+
+#: A loaded cluster at :data:`SPEC_TABLES_MIN_NODES`: the controller
+#: builds spec tables, runs the array load distributor, and searches.
+SPEC_TABLES_SIZE = dict(
+    nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0
+)
 
 
 def final_state_json(sim):
@@ -104,12 +111,13 @@ def run_interrupted(scenario, snapshot_time, trace=False):
 
 
 # ----------------------------------------------------------------------
-# Byte-identity across solver paths, faults on and off
+# Byte-identity, faults on and off, below and at the spec-table size
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("incremental", [True, False])
+@pytest.mark.parametrize("spec_tables", [True, False])
 @pytest.mark.parametrize("faults", [True, False])
-def test_restore_equals_uninterrupted(incremental, faults):
-    scenario = faulty_scenario(seed=3, incremental=incremental, faults=faults)
+def test_restore_equals_uninterrupted(faults, spec_tables):
+    size = SPEC_TABLES_SIZE if spec_tables else {}
+    scenario = faulty_scenario(seed=3, faults=faults, **size)
     reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
     reference.run()
     resumed = run_interrupted(scenario, snapshot_time=2 * CYCLE + 300.0)
@@ -183,13 +191,10 @@ def test_run_until_then_continue_in_process():
     seed=st.integers(min_value=0, max_value=40),
     cycles=st.integers(min_value=0, max_value=6),
     offset=st.sampled_from([10.0, 170.0, 300.0, 599.0]),
-    incremental=st.booleans(),
 )
-def test_snapshot_restore_property(seed, cycles, offset, incremental):
-    """Any snapshot point, any seed, both solvers: restore is lossless."""
-    scenario = faulty_scenario(
-        seed=seed, incremental=incremental, job_count=10
-    )
+def test_snapshot_restore_property(seed, cycles, offset):
+    """Any snapshot point, any seed: restore is lossless."""
+    scenario = faulty_scenario(seed=seed, job_count=10)
     reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
     reference.run()
     resumed = run_interrupted(scenario, snapshot_time=cycles * CYCLE + offset)

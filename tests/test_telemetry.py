@@ -189,13 +189,6 @@ class TestTraceSinkAndDropCounter:
             trace.emit(float(t), TraceEventKind.CYCLE, "controller", n=t)
         assert len(trace) == 3
         assert trace.dropped_events == 7
-        # Original name kept as a (deprecated) alias.
-        from repro._compat import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        with pytest.deprecated_call(match="dropped_events"):
-            assert trace.dropped == 7
-        reset_deprecation_warnings()
         summary = trace.summary()
         assert summary["dropped_events"] == 7
         assert summary["retained_events"] == 3

@@ -4,7 +4,7 @@ The contracts under test:
 
 * **zero overhead off** — with no tracer attached, simulation results
   are byte-identical to a tracer-attached run (modulo the trace-only
-  fields), on both solver paths, with faults on;
+  fields), below and at the spec-table size rule, with faults on;
 * **unbroken chains** — every completed job's trace reconstructs an
   arrival -> completion chain of parent-linked spans, even under fault
   injection and retries;
@@ -22,7 +22,7 @@ import math
 
 import pytest
 
-from repro.core.apc import APCConfig
+from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricRegistry, render_prometheus
 from repro.obs.sink import (
@@ -51,7 +51,9 @@ ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 CYCLE = 600.0
 
 
-def faulty_scenario(seed=3, incremental=True, faults=True, job_count=14):
+def faulty_scenario(
+    seed=3, faults=True, job_count=14, nodes=3, interarrival=100.0
+):
     fault_model = (
         ActionFaultModel.uniform(
             failure_probability=0.45,
@@ -64,9 +66,9 @@ def faulty_scenario(seed=3, incremental=True, faults=True, job_count=14):
     )
     return Scenario(
         name="tracing-test",
-        nodes=3,
+        nodes=nodes,
         job_count=job_count,
-        interarrival=100.0,
+        interarrival=interarrival,
         seed=seed,
         sim=SimulationConfig(
             cycle_length=CYCLE,
@@ -74,8 +76,14 @@ def faulty_scenario(seed=3, incremental=True, faults=True, job_count=14):
             retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
             action_timeout=150.0,
         ),
-        apc=APCConfig(incremental=incremental),
     )
+
+
+#: A loaded cluster at :data:`SPEC_TABLES_MIN_NODES`: the controller
+#: builds spec tables, runs the array load distributor, and searches.
+SPEC_TABLES_SIZE = dict(
+    nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0
+)
 
 
 def traced_run(scenario, tracer=None):
@@ -113,12 +121,12 @@ def stripped_state(sim):
 
 
 # ----------------------------------------------------------------------
-# Zero overhead with tracing off (both solver paths, faults on)
+# Zero overhead with tracing off (faults on, both load distributors)
 # ----------------------------------------------------------------------
 class TestTracingOffByteIdentity:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_results_identical_with_and_without_tracer(self, incremental):
-        scenario = faulty_scenario(incremental=incremental)
+    @pytest.mark.parametrize("spec_tables", [True, False])
+    def test_results_identical_with_and_without_tracer(self, spec_tables):
+        scenario = faulty_scenario(**(SPEC_TABLES_SIZE if spec_tables else {}))
         plain = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
         plain.run()
         traced, tracer = traced_run(scenario)

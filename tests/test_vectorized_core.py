@@ -1,20 +1,15 @@
-"""The vectorized numpy core must be *byte-identical* to the scalar
-paths it replaces — same placements, same audit stream, same snapshots —
-on both solver regimes, with faults and checkpoint/restore active.
+"""The production controller and batch model — array kernels, memo,
+short-circuits — must be *byte-identical* to the paper-literal reference
+solver (:mod:`tests.reference_apc`) in full simulations: same metrics,
+same trace, same final snapshot, with faults and checkpoint/restore
+active and on the §5.3 sharing configuration.
 
-Three layers of pinning:
+Also pinned here:
 
-* full-simulation byte-identity (``json.dumps`` of metrics, trace and
-  final snapshot) between ``vectorize=True`` and ``vectorize=False``
-  runs, including a checkpoint taken mid-run on the vectorized path;
 * a hypothesis property: random placement edit sequences keep the dense
   array mirrors in bitwise lockstep with the authoritative dicts;
 * scalar/vector parity of :func:`~repro.core.objective.lex_explain` and
   the :class:`~repro.core.objective.UtilityVector` stable sort.
-
-``fast_path_min_nodes=0`` forces the controller's fast path on the
-deliberately tiny test clusters; the batch model's vectorized paths run
-at every job count.
 """
 
 import json
@@ -28,9 +23,10 @@ from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import (
+    SPAN_PHASES,
+    SPEC_TABLES_MIN_NODES,
     APCConfig,
     ApplicationPlacementController,
-    SPAN_PHASES,
 )
 from repro.core.objective import UtilityVector, lex_explain
 from repro.core.placement import PlacementState
@@ -46,18 +42,21 @@ from repro.txn.model import TransactionalWorkloadModel
 from repro.virt.faults import ActionFaultModel, RetryPolicy
 from repro.workloads.generators import experiment_one_jobs
 
+from tests.reference_apc import (
+    ReferenceBatchModel,
+    ReferenceController,
+    reference_simulation,
+)
+
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 
 CYCLE = 600.0
 
 
-def vec_scenario(*, incremental, vectorize, faults=True, seed=0):
-    """test_snapshot's fault-injected scenario, plus the vectorize knobs.
-
-    ``fast_path_min_nodes=0`` engages the controller fast path on the
-    3-node cluster, so the controller's numpy kernels run alongside the
-    batch model's when ``vectorize=True``.
-    """
+def fault_scenario(
+    *, faults=True, seed=0, nodes=3, job_count=14, interarrival=100.0
+):
+    """test_snapshot's fault-injected scenario, on 3 nodes by default."""
     fault_model = (
         ActionFaultModel.uniform(
             failure_probability=0.45,
@@ -70,9 +69,9 @@ def vec_scenario(*, incremental, vectorize, faults=True, seed=0):
     )
     return Scenario(
         name="vec-core-test",
-        nodes=3,
-        job_count=14,
-        interarrival=100.0,
+        nodes=nodes,
+        job_count=job_count,
+        interarrival=interarrival,
         seed=seed,
         sim=SimulationConfig(
             cycle_length=CYCLE,
@@ -80,23 +79,14 @@ def vec_scenario(*, incremental, vectorize, faults=True, seed=0):
             retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
             action_timeout=150.0,
         ),
-        apc=APCConfig(
-            incremental=incremental, vectorize=vectorize, fast_path_min_nodes=0
-        ),
     )
 
 
-def _scrub_vectorize(obj):
-    """Drop ``vectorize`` config keys: the snapshot embeds the scenario's
-    APCConfig, so the knob *setting* is the single legitimate difference
-    between the two runs — everything downstream of it must be equal."""
-    if isinstance(obj, dict):
-        return {
-            k: _scrub_vectorize(v) for k, v in obj.items() if k != "vectorize"
-        }
-    if isinstance(obj, list):
-        return [_scrub_vectorize(v) for v in obj]
-    return obj
+#: A loaded cluster at :data:`SPEC_TABLES_MIN_NODES`: the controller
+#: builds spec tables, runs the array load distributor, and searches.
+SPEC_TABLES_SIZE = dict(
+    nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0
+)
 
 
 def metrics_and_trace(simulator):
@@ -112,46 +102,47 @@ def metrics_and_trace(simulator):
 def final_state_json(sim):
     """Everything observable about a finished run, as one JSON string."""
     return json.dumps(
-        _scrub_vectorize(
-            {**metrics_and_trace(sim.simulator), "final": sim.snapshot()}
-        ),
+        {**metrics_and_trace(sim.simulator), "final": sim.snapshot()},
         sort_keys=True,
     )
 
 
-def run_full(scenario):
-    sim = Simulation.from_scenario(
-        scenario, decision_clock=ZERO_CLOCK, trace=SimulationTrace()
-    )
+def run_full(scenario, *, reference=False):
+    if reference:
+        sim = reference_simulation(
+            scenario, decision_clock=ZERO_CLOCK, trace=SimulationTrace()
+        )
+    else:
+        sim = Simulation.from_scenario(
+            scenario, decision_clock=ZERO_CLOCK, trace=SimulationTrace()
+        )
     sim.run()
     return sim
 
 
 # ----------------------------------------------------------------------
-# Full-simulation byte-identity, vectorized vs scalar
+# Full-simulation byte-identity, production vs reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("incremental", [True, False])
+@pytest.mark.parametrize("spec_tables", [True, False])
 @pytest.mark.parametrize("faults", [True, False])
-def test_vectorized_run_is_byte_identical_to_scalar(incremental, faults):
-    """The tentpole contract: flipping ``vectorize`` changes nothing
-    observable — metrics, trace, queue, placement matrices, RNG stream —
-    on either solver path, with fault injection active."""
-    vec = run_full(
-        vec_scenario(incremental=incremental, vectorize=True, faults=faults)
-    )
-    scalar = run_full(
-        vec_scenario(incremental=incremental, vectorize=False, faults=faults)
-    )
-    assert final_state_json(vec) == final_state_json(scalar)
+def test_vectorized_run_is_byte_identical_to_scalar(faults, spec_tables):
+    """Metrics, trace, queue, placement matrices and RNG stream of a
+    whole production run (array kernels, memo, short-circuits) equal the
+    scalar reference solver's, with fault injection on and off, below
+    and at the spec-table size rule."""
+    size = SPEC_TABLES_SIZE if spec_tables else {}
+    production = run_full(fault_scenario(faults=faults, **size))
+    reference = run_full(fault_scenario(faults=faults, **size), reference=True)
+    assert final_state_json(production) == final_state_json(reference)
 
 
 def test_vectorized_snapshot_restore_matches_scalar_uninterrupted():
-    """Checkpoint the vectorized path mid-run (while retries and stall
+    """Checkpoint the production run mid-way (while retries and stall
     timers are in flight), resume it, and compare against an
-    *uninterrupted scalar* run: identity must hold through the snapshot
-    format too."""
+    *uninterrupted reference* run: identity must hold through the
+    snapshot format too."""
     partial = Simulation.from_scenario(
-        vec_scenario(incremental=True, vectorize=True),
+        fault_scenario(),
         decision_clock=ZERO_CLOCK,
         trace=SimulationTrace(),
     )
@@ -161,28 +152,33 @@ def test_vectorized_snapshot_restore_matches_scalar_uninterrupted():
         snapshot, decision_clock=ZERO_CLOCK, trace=SimulationTrace()
     )
     resumed.run()
-    scalar = run_full(vec_scenario(incremental=True, vectorize=False))
-    assert final_state_json(resumed) == final_state_json(scalar)
+    reference = run_full(fault_scenario(), reference=True)
+    assert final_state_json(resumed) == final_state_json(reference)
 
 
 # ----------------------------------------------------------------------
-# The dynamic-sharing configuration (§5.3) on every solver path
+# The dynamic-sharing configuration (§5.3)
 # ----------------------------------------------------------------------
 SHARING_SCALE = Scale("sharing-identity", nodes=3, job_count=16, queue_window=8)
 
 
-def run_sharing(apc, *, vectorize_model=True):
+def run_sharing(*, reference):
     """Experiment Three's APC configuration in small: the transactional
     app beside 16 Experiment One jobs on 3 nodes, run to drain."""
     scale = SHARING_SCALE
     cluster = scale.cluster()
     txn_app = make_txn_app(scale)
     queue = JobQueue()
-    batch = BatchWorkloadModel(
-        queue, queue_window=scale.queue_window, vectorize=vectorize_model
-    )
+    apc = APCConfig(cycle_length=CYCLE)
     profiler = SpanProfiler()
-    controller = ApplicationPlacementController(cluster, apc, profiler=profiler)
+    if reference:
+        batch = ReferenceBatchModel(queue, queue_window=scale.queue_window)
+        controller = ReferenceController(cluster, apc)
+    else:
+        batch = BatchWorkloadModel(queue, queue_window=scale.queue_window)
+        controller = ApplicationPlacementController(
+            cluster, apc, profiler=profiler
+        )
     policy = APCPolicy(controller, [TransactionalWorkloadModel([txn_app]), batch])
     simulator = MixedWorkloadSimulator(
         cluster,
@@ -204,80 +200,15 @@ def run_sharing(apc, *, vectorize_model=True):
 
 def test_sharing_run_is_identical_on_every_solver_path():
     """The small-cluster path the §5.3 sharing benchmark measures — the
-    tables-free load distributor plus the batch model's table kernels —
-    decides exactly as the scalar reference, the naive search and the
-    forced fast path do."""
-    reference, profiler = run_sharing(APCConfig(cycle_length=CYCLE))
-    assert len(reference.metrics.completions) == SHARING_SCALE.job_count
+    tables-free load distributor, the array admission and frontier, the
+    batch model's table kernels — decides exactly as the reference."""
+    production, profiler = run_sharing(reference=False)
+    assert len(production.metrics.completions) == SHARING_SCALE.job_count
     assert any(r.name == "apc.search" for r in profiler.records)
-    expected = json.dumps(metrics_and_trace(reference), sort_keys=True)
-    for apc, vectorize_model in (
-        (APCConfig(cycle_length=CYCLE, vectorize=False), False),
-        (APCConfig(cycle_length=CYCLE, incremental=False), True),
-        (APCConfig(cycle_length=CYCLE, fast_path_min_nodes=0), True),
-    ):
-        simulator, _ = run_sharing(apc, vectorize_model=vectorize_model)
-        assert json.dumps(metrics_and_trace(simulator), sort_keys=True) == expected
-
-
-# ----------------------------------------------------------------------
-# Audit-stream identity, vectorized vs scalar
-# ----------------------------------------------------------------------
-def _run_audited_vectorize(vectorize, cycles=6):
-    """The controller-loop harness from test_incremental_search, with
-    the vectorize knob threaded through controller *and* model."""
-    from repro.obs.audit import DecisionAudit
-
-    scenario = Scenario(
-        name="audit-vec",
-        nodes=5,
-        workload="experiment2",
-        job_count=40,
-        interarrival=30.0,
-        seed=7,
-        queue_window=16,
+    reference, _ = run_sharing(reference=True)
+    assert json.dumps(metrics_and_trace(production), sort_keys=True) == (
+        json.dumps(metrics_and_trace(reference), sort_keys=True)
     )
-    cluster = scenario.build_cluster()
-    queue = JobQueue()
-    model = BatchWorkloadModel(
-        queue,
-        queue_window=scenario.queue_window,
-        vectorize=vectorize,
-    )
-    audit = DecisionAudit()
-    controller = ApplicationPlacementController(
-        cluster,
-        APCConfig(
-            incremental=True,
-            vectorize=vectorize,
-            search_sweeps=3,
-            fast_path_min_nodes=0,
-        ),
-        audit=audit,
-    )
-    state = PlacementState(cluster)
-    pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
-    now, horizon = 0.0, 600.0
-    matrices = []
-    for _ in range(cycles):
-        while pending and pending[0].submit_time <= now:
-            queue.submit(pending.pop(0))
-        result = controller.place([model], state, now)
-        state = result.state
-        matrices.append(state.as_matrix())
-        now += horizon
-    return matrices, audit
-
-
-def test_audit_stream_identical_across_vectorize():
-    """The flight recorder sees the same decisions — candidates,
-    admission verdicts, RPF inputs — whether the kernels are numpy or
-    scalar.  Both runs are on the same (incremental) solver path, so
-    even the work-accounting fields must agree; nothing is scrubbed."""
-    m_vec, a_vec = _run_audited_vectorize(True)
-    m_scalar, a_scalar = _run_audited_vectorize(False)
-    assert m_vec == m_scalar
-    assert a_vec.records == a_scalar.records
 
 
 # ----------------------------------------------------------------------
@@ -302,13 +233,12 @@ def test_span_phase_names_are_stable():
 def test_profiled_vectorized_run_emits_only_known_phases():
     scenario = Scenario(
         name="span-vec",
-        nodes=5,
+        nodes=SPEC_TABLES_MIN_NODES,
         workload="experiment2",
-        job_count=40,
+        job_count=8 * SPEC_TABLES_MIN_NODES,
         interarrival=30.0,
         seed=7,
         queue_window=16,
-        apc=APCConfig(fast_path_min_nodes=0),
     )
     cluster = scenario.build_cluster()
     queue = JobQueue()
@@ -327,7 +257,7 @@ def test_profiled_vectorized_run_emits_only_known_phases():
         now += 600.0
     names = {r.name for r in profiler.records}
     assert names <= set(SPAN_PHASES)
-    # The vectorized-core phases actually fire in this regime.
+    # The spec tables are built at this size.
     assert "apc.spec_tables" in names
     assert "apc.place" in names
 
