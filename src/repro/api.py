@@ -191,7 +191,6 @@ from repro.obs import (
 
 # --- misc --------------------------------------------------------------
 from repro import __version__
-from repro._compat import reset_deprecation_warnings
 from repro.errors import (
     CheckpointError,
     ConfigurationError,
@@ -348,7 +347,6 @@ __all__ = [
     "PlacementError",
     "ReproError",
     "SimulationError",
-    "reset_deprecation_warnings",
     "HOUR",
     "MINUTE",
     "__version__",

@@ -120,7 +120,7 @@ _RETIRED_KEYS = frozenset({"incremental", "vectorize", "fast_path_min_nodes"})
 @dataclass
 class APCConfig:
     """Tunables of the placement controller.  Construct with keyword
-    arguments (positional construction is deprecated).
+    arguments.
 
     Attributes
     ----------
@@ -357,9 +357,10 @@ class ApplicationPlacementController:
         self._constraints = constraints or ConstraintSet()
         self._profiler = profiler
         self._audit = audit
-        #: Optional causal job tracer (``repro.obs.tracing.JobTracer``);
-        #: receives the same admission verdicts as the audit.
-        self._tracer = tracer
+        #: Observers of every cycle start and admission verdict: the
+        #: audit and the causal job tracer
+        #: (``repro.obs.tracing.JobTracer``), whichever are attached.
+        self._observers = tuple(o for o in (audit, tracer) if o is not None)
         #: Candidate-ranking strategy; ``None`` resolves to the paper's
         #: lexicographic maxmin, byte-identical to the historical
         #: hardwired scoring.
@@ -398,34 +399,12 @@ class ApplicationPlacementController:
         return self._constraints
 
     @property
-    def profiler(self) -> Optional[SpanProfiler]:
-        return self._profiler
-
-    @property
-    def audit(self) -> Optional[DecisionAudit]:
-        return self._audit
-
-    @property
     def objective(self) -> Objective:
         return self._objective
 
     @property
     def admission(self) -> AdmissionStrategy:
         return self._admission
-
-    def attach_audit(self, audit: Optional[DecisionAudit]) -> None:
-        """Attach (or detach, with ``None``) the decision flight
-        recorder.  Placement decisions are unaffected either way."""
-        self._audit = audit
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    def attach_tracer(self, tracer) -> None:
-        """Attach (or detach, with ``None``) the causal job tracer.
-        Placement decisions are unaffected either way."""
-        self._tracer = tracer
 
     def _span(self, name: str, **attrs: object):
         """A profiler span, or the shared no-op when un-instrumented."""
@@ -472,10 +451,8 @@ class ApplicationPlacementController:
         now: float,
     ) -> APCResult:
         audit = self._audit
-        if audit is not None:
-            audit.begin_cycle(now)
-        if self._tracer is not None:
-            self._tracer.begin_cycle(now)
+        for observer in self._observers:
+            observer.begin_cycle(now)
         with self._span("apc.model_specs"):
             specs = self._merge_specs(models, now)
             candidates = self._merge_candidates(models, now)
@@ -885,7 +862,7 @@ class ApplicationPlacementController:
         committed_by_name = self._committed_min_cpu(state, specs)
         committed = np.array([committed_by_name[n] for n in names])
         constraints = self._constraints if len(self._constraints) else None
-        observe = self._audit is not None or self._tracer is not None
+        observe = bool(self._observers)
         placed_any = False
         for rank, app_id in enumerate(unplaced):
             demand = specs[app_id].demand
@@ -937,28 +914,18 @@ class ApplicationPlacementController:
         utilities: Mapping[str, float],
         placed_nodes: Sequence[str],
     ) -> None:
-        """Emit one greedy-admission verdict to the attached observers
+        """Hand one greedy-admission verdict to the attached observers
         (audit and/or tracer); only called when at least one is on."""
-        accepted = bool(placed_nodes)
         reason = (
             "placed"
             if placed_nodes
             else self._admission_reject_reason(state, specs, app_id)
         )
         utility = utilities.get(app_id, specs[app_id].rpf.max_utility)
-        if self._audit is not None:
-            self._audit.admission(
+        for observer in self._observers:
+            observer.admission(
                 app_id,
-                accepted=accepted,
-                reason=reason,
-                lrpf_rank=rank,
-                utility=utility,
-                nodes=placed_nodes,
-            )
-        if self._tracer is not None:
-            self._tracer.admission(
-                app_id,
-                accepted=accepted,
+                accepted=bool(placed_nodes),
                 reason=reason,
                 lrpf_rank=rank,
                 utility=utility,

@@ -110,8 +110,7 @@ def known_kinds() -> Tuple[str, ...]:
 @keyword_only
 @dataclass
 class RunSpec:
-    """One runnable unit of a sweep.  Construct with keyword arguments
-    (positional construction is deprecated).
+    """One runnable unit of a sweep.  Construct with keyword arguments.
 
     Attributes
     ----------

@@ -24,8 +24,9 @@ On top of the raw trace this module ships the analysis surfaces:
   (the ``repro trace`` subcommand).
 
 Like every obs layer the tracer is strictly opt-in: nothing constructs
-one by default, every hook site is ``None``-guarded, and simulations
-with tracing off are byte-identical to pre-tracer output.
+one by default, the simulator and the controller hand events only to
+the observers attached to them, and simulations with tracing off are
+byte-identical to pre-tracer output.
 """
 
 from __future__ import annotations
@@ -57,6 +58,20 @@ SEGMENTS: Tuple[str, ...] = (
 #: Reconcile outcomes that park a trace in the ``reconcile`` segment.
 _FAULT_OUTCOMES = frozenset({"fail", "retry", "stall", "abandon"})
 
+#: The simulator events (``TraceEventKind`` values) the tracer records,
+#: and what each does to the subject's trace: ``open`` starts a fresh
+#: trace, ``extend`` adds a span to it, ``close`` adds the last span and
+#: ends it.  Other kinds (cycle summaries, action faults, audit
+#: decisions) belong to the text trace alone.
+LIFECYCLE: Dict[str, str] = {
+    "arrival": "open",
+    "boot": "extend",
+    "suspend": "extend",
+    "resume": "extend",
+    "migrate": "extend",
+    "completion": "close",
+}
+
 
 class JobTracer:
     """Assigns trace/span IDs and records causally linked trace events.
@@ -80,6 +95,9 @@ class JobTracer:
         #: Optional streaming sink (``repro.obs.sink.JsonlSink``).
         self.sink = sink
         self._records: Deque[Dict[str, object]] = deque(maxlen=capacity)
+        #: subject -> its retained records, oldest first (the
+        #: :meth:`history_of` index, trimmed as the ring evicts).
+        self._by_subject: Dict[str, List[Dict[str, object]]] = {}
         self._dropped = 0
         self._next_trace = 0
         self._next_span = 0
@@ -117,9 +135,9 @@ class JobTracer:
         self._active[subject] = state
         return state
 
-    def _emit(
+    def _record(
         self, time: float, subject: str, name: str, detail: Dict[str, object]
-    ) -> Dict[str, object]:
+    ) -> None:
         state = self._active.get(subject)
         if state is None:
             # Transactional apps have no arrival event; their epoch
@@ -141,19 +159,43 @@ class JobTracer:
             self.sink.write({"type": "trace_event", **record})
         if len(self._records) == self._records.maxlen:
             self._dropped += 1
+            evicted = self._records[0]["subject"]
+            history = self._by_subject[evicted]
+            del history[0]
+            if not history:
+                del self._by_subject[evicted]
         self._records.append(record)
-        return record
+        self._by_subject.setdefault(subject, []).append(record)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks (called by simulator / APC / reconciler)
     # ------------------------------------------------------------------
+    def emit(self, time: float, kind, subject: str, **detail: object) -> None:
+        """Record one simulator event (a
+        :class:`~repro.sim.trace.TraceEventKind`) as :data:`LIFECYCLE`
+        says; kinds it does not list are ignored.  The simulator hands
+        every event to each of its observers through this method."""
+        step = LIFECYCLE.get(kind.value)
+        if step is not None:
+            self._step(time, subject, kind.value, step, detail)
+
+    def _step(
+        self, time: float, subject: str, name: str, step: str,
+        detail: Dict[str, object],
+    ) -> None:
+        """Record one job lifecycle event; ``step`` is its
+        :data:`LIFECYCLE` entry."""
+        if step == "open":
+            self._active.pop(subject, None)
+            self._start(subject, "job")
+        self._record(time, subject, name, detail)
+        if step == "close":
+            self._active.pop(subject, None)
+
     def job_arrival(self, time: float, job_id: str, **detail: object) -> str:
-        """Start a job's trace at arrival; returns the trace ID (the
-        simulator stamps it onto ``Job.trace_id``)."""
-        self._active.pop(job_id, None)
-        state = self._start(job_id, "job")
-        self._emit(time, job_id, "arrival", detail)
-        return str(state["trace"])
+        """Start a job's trace at arrival; returns the trace ID."""
+        self._step(time, job_id, "arrival", "open", detail)
+        return str(self._active[job_id]["trace"])
 
     def admission(
         self,
@@ -182,7 +224,7 @@ class JobTracer:
             detail["lrpf_rank"] = lrpf_rank
         if utility is not None:
             detail["utility"] = round(utility, 4)
-        self._emit(self._time, app, "admission", detail)
+        self._record(self._time, app, "admission", detail)
         state = self._active[app]
         if state["kind"] == "app" and state["placed"] and not accepted:
             del self._active[app]
@@ -192,19 +234,13 @@ class JobTracer:
     def directive(self, time: float, subject: str, action: str, **detail: object) -> None:
         """A committed placement directive: ``boot`` / ``suspend`` /
         ``resume`` / ``migrate``."""
-        self._emit(time, subject, action, detail)
+        self._record(time, subject, action, detail)
 
     def reconcile(self, time: float, subject: str, outcome: str, **detail: object) -> None:
         """A reconciler outcome for an in-flight action: ``attempt`` /
         ``commit`` / ``fail`` / ``retry`` / ``stall`` / ``abandon`` /
         ``supersede``."""
-        self._emit(time, subject, f"reconcile-{outcome}", detail)
-
-    def completion(self, time: float, job_id: str, **detail: object) -> None:
-        """A job completed (``met``/``distance`` in detail); closes the
-        trace."""
-        self._emit(time, job_id, "completion", detail)
-        self._active.pop(job_id, None)
+        self._record(time, subject, f"reconcile-{outcome}", detail)
 
     # ------------------------------------------------------------------
     # Queries
@@ -228,7 +264,7 @@ class JobTracer:
 
     def history_of(self, subject: str) -> List[Dict[str, object]]:
         """Every retained record naming one job/app, oldest first."""
-        return [r for r in self._records if r["subject"] == subject]
+        return list(self._by_subject.get(subject, ()))
 
     # ------------------------------------------------------------------
     # Snapshot / restore (crash-safe simulations)
@@ -262,6 +298,9 @@ class JobTracer:
         self._records = deque(
             (dict(r) for r in data["records"]), maxlen=int(data["capacity"])
         )
+        self._by_subject = {}
+        for record in self._records:
+            self._by_subject.setdefault(record["subject"], []).append(record)
         self._dropped = int(data["dropped"])
         self._next_trace = int(data["next_trace"])
         self._next_span = int(data["next_span"])
@@ -543,6 +582,7 @@ def render_trace(
 
 __all__ = [
     "JobTracer",
+    "LIFECYCLE",
     "SEGMENTS",
     "critical_path",
     "group_traces",

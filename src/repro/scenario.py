@@ -56,8 +56,7 @@ WORKLOADS = ("experiment1", "experiment2")
 @dataclass
 class Scenario:
     """A complete, serializable description of one simulation run.
-    Construct with keyword arguments (positional construction is
-    deprecated).
+    Construct with keyword arguments.
 
     Attributes
     ----------

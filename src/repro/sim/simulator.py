@@ -28,7 +28,17 @@ from __future__ import annotations
 import dataclasses
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro._compat import keyword_only
 
@@ -70,8 +80,7 @@ from repro.virt.faults import ActionFaultModel, RetryPolicy
 @keyword_only
 @dataclass
 class SimulationConfig:
-    """Simulator parameters.  Construct with keyword arguments
-    (positional construction is deprecated).
+    """Simulator parameters.  Construct with keyword arguments.
 
     Attributes
     ----------
@@ -255,6 +264,9 @@ class NodeFailure:
             )
 
 
+#: The outcome of every action when no fault model is configured.
+_COMMIT_NOW = Directive(Decision.COMMIT)
+
 # Event payloads --------------------------------------------------------
 _ARRIVAL = "arrival"
 _CYCLE = "cycle"
@@ -300,8 +312,11 @@ class MixedWorkloadSimulator:
         #: Optional causal job tracer (``repro.obs.tracing.JobTracer``):
         #: every job lifecycle event — arrival, directives, reconcile
         #: outcomes, suspend/resume, completion — lands on the job's
-        #: trace.  ``None`` keeps the simulation byte-identical.
+        #: trace.
         self.tracer = tracer
+        #: Every event observer, fixed at construction, in fan-out
+        #: order (see :meth:`_emit`).
+        self._observers = tuple(o for o in (trace, tracer) if o is not None)
         self._state = PlacementState(cluster)
         #: Per running job: (allocated speed MHz, execution start time).
         self._speeds: Dict[str, float] = {}
@@ -375,16 +390,12 @@ class MixedWorkloadSimulator:
                 break
             if kind == _ARRIVAL:
                 self._queue.submit(payload)
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.ARRIVAL, payload.job_id,
-                        goal=round(payload.completion_goal, 1),
-                    )
+                self._emit(
+                    now, TraceEventKind.ARRIVAL, payload.job_id,
+                    goal=round(payload.completion_goal, 1),
+                )
                 if self.tracer is not None:
-                    payload.trace_id = self.tracer.job_arrival(
-                        now, payload.job_id,
-                        goal=round(payload.completion_goal, 1),
-                    )
+                    payload.trace_id = self.tracer.trace_id(payload.job_id)
                 self._schedule_next_arrival(events, now)
             elif kind == _COMPLETION:
                 self._complete_job(payload, now)
@@ -715,18 +726,12 @@ class MixedWorkloadSimulator:
         self._speeds.pop(job_id, None)
         self._run_since.pop(job_id, None)
         self.metrics.record_completion(job)
-        if self.trace is not None:
-            self.trace.emit(
-                now, TraceEventKind.COMPLETION, job_id,
-                met=job.met_deadline(),
-                distance=round(job.deadline_distance(), 1),
-            )
+        self._emit(
+            now, TraceEventKind.COMPLETION, job_id,
+            met=job.met_deadline(),
+            distance=round(job.deadline_distance(), 1),
+        )
         if self.tracer is not None:
-            self.tracer.completion(
-                now, job_id,
-                met=job.met_deadline(),
-                distance=round(job.deadline_distance(), 1),
-            )
             self._record_wait_profile(job_id)
 
     def _record_wait_profile(self, job_id: str) -> None:
@@ -893,6 +898,15 @@ class MixedWorkloadSimulator:
             return NULL_SPAN
         return self.profiler.span(name, **attrs)
 
+    def _emit(
+        self, now: float, kind: TraceEventKind, subject: str, **detail: object
+    ) -> None:
+        """Hand one event to every attached observer, text trace first.
+        Each observer keeps the kinds it records; with none attached
+        this does nothing."""
+        for observer in self._observers:
+            observer.emit(now, kind, subject, **detail)
+
     def _control_cycle(self, now: float, events: EventQueue) -> None:
         with self._span("sim.cycle", t=now):
             self._control_cycle_impl(now, events)
@@ -917,13 +931,7 @@ class MixedWorkloadSimulator:
         #    fault model active, each action may fail or stall; the
         #    *effective* state patches failures out of the desired one.
         prev_matrix = self._state.as_matrix()
-        if self._reconciler is not None:
-            changes, delays, moved_mb, effective = self._apply_placement_fallible(
-                new_state, now, events
-            )
-        else:
-            changes, delays, moved_mb = self._apply_placement(new_state, now)
-            effective = new_state
+        changes, delays, moved_mb, effective = self._actuate(new_state, now, events)
         changes += self._deferred_changes
         self._deferred_changes = 0
         moved_mb += self._deferred_moved_mb
@@ -952,13 +960,12 @@ class MixedWorkloadSimulator:
 
         # 5. Record the cycle sample.
         self._record_cycle(effective, now, changes, decision_seconds, churn, moved_mb)
-        if self.trace is not None:
-            self.trace.emit(
-                now, TraceEventKind.CYCLE, "controller",
-                changes=changes,
-                running=len(self._speeds),
-                decision_ms=round(decision_seconds * 1e3, 2),
-            )
+        self._emit(
+            now, TraceEventKind.CYCLE, "controller",
+            changes=changes,
+            running=len(self._speeds),
+            decision_ms=round(decision_seconds * 1e3, 2),
+        )
         if self.alert_engine is not None:
             self.alert_engine.observe(self._observe_cycle(effective, now))
 
@@ -977,129 +984,6 @@ class MixedWorkloadSimulator:
     # ------------------------------------------------------------------
     # Placement application
     # ------------------------------------------------------------------
-    def _apply_placement(
-        self, new_state: PlacementState, now: float
-    ) -> Tuple[int, Dict[str, float], float]:
-        """Classify per-job placement changes and update job state.
-
-        Returns ``(change_count, per-job execution delays, migrated
-        memory MB)``.  Change semantics (and Figure 4's counting):
-
-        * queued job placed            -> BOOT (not a "change")
-        * running job unplaced         -> SUSPEND (1 change)
-        * suspended job, same node     -> RESUME (1 change)
-        * suspended job, other node    -> migrate + resume (1 change)
-        * running job, other node      -> live MIGRATE (1 change)
-        """
-        costs = self._config.cost_model
-        changes = 0
-        moved_mb = 0.0
-        delays: Dict[str, float] = {}
-        for job in self._queue.incomplete():
-            old_set = set(self._state.nodes_of(job.job_id))
-            new_set = set(new_state.nodes_of(job.job_id))
-
-            if not new_set:
-                if job.status is JobStatus.RUNNING:
-                    job.status = JobStatus.SUSPENDED
-                    job.suspend_count += 1
-                    changes += 1
-                    self._speeds.pop(job.job_id, None)
-                    self._run_since.pop(job.job_id, None)
-                    # job.node keeps the suspension node for resume/migrate
-                    # classification next time it is placed.
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.SUSPEND, job.job_id,
-                            node=job.node,
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "suspend", node=job.node
-                        )
-                continue
-
-            primary = sorted(new_set)[0]
-            if job.status is JobStatus.NOT_STARTED:
-                job.status = JobStatus.RUNNING
-                job.start_time = now
-                job.node = primary
-                delays[job.job_id] = costs.boot_cost(job.memory_mb)
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.BOOT, job.job_id, node=primary,
-                        delay=round(delays[job.job_id], 2),
-                    )
-                if self.tracer is not None:
-                    self.tracer.directive(
-                        now, job.job_id, "boot", node=primary,
-                        delay=round(delays[job.job_id], 2),
-                    )
-            elif job.status is JobStatus.SUSPENDED:
-                if job.node in new_set:
-                    job.resume_count += 1
-                    delays[job.job_id] = costs.resume_cost(job.memory_mb)
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.RESUME, job.job_id,
-                            node=job.node,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "resume", node=job.node,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                else:
-                    job.migration_count += 1
-                    moved_mb += job.memory_mb
-                    delays[job.job_id] = costs.migrate_cost(
-                        job.memory_mb
-                    ) + costs.resume_cost(job.memory_mb)
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.MIGRATE, job.job_id,
-                            source=job.node, node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "migrate",
-                            source=job.node, node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                job.status = JobStatus.RUNNING
-                job.node = primary if job.node not in new_set else job.node
-                changes += 1
-            elif job.status is JobStatus.RUNNING:
-                if old_set and old_set - new_set:
-                    # Losing nodes means (at least part of) the job moved:
-                    # a live migration.  Pure growth (new instances of a
-                    # parallel job booting on extra nodes) is dispatch,
-                    # not reconfiguration churn.
-                    job.migration_count += 1
-                    moved_mb += job.memory_mb
-                    delays[job.job_id] = costs.migrate_cost(job.memory_mb)
-                    changes += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.MIGRATE, job.job_id,
-                            source=sorted(old_set)[0], node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "migrate",
-                            source=sorted(old_set)[0], node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                if job.node not in new_set:
-                    job.node = primary
-        return changes, delays, moved_mb
-
-    # ------------------------------------------------------------------
-    # Fallible placement application (fault-injection extension)
-    # ------------------------------------------------------------------
     def _frozen_apps(self) -> set:
         """Apps frozen mid-action by a stalled attempt (no execution)."""
         if self._reconciler is None:
@@ -1110,29 +994,40 @@ class MixedWorkloadSimulator:
             if pending.holding
         }
 
-    def _apply_placement_fallible(
+    def _actuate(
         self, new_state: PlacementState, now: float, events: EventQueue
     ) -> Tuple[int, Dict[str, float], float, PlacementState]:
-        """Like :meth:`_apply_placement`, but every action attempt is
-        sampled against the fault model.
+        """Classify per-job placement changes as VM control actions and
+        carry them out.
 
-        Returns ``(change_count, per-job delays, migrated memory MB,
-        effective state)``.  The
-        effective state starts as a copy of the desired one and is
-        patched for every failed action: the instance goes back exactly
-        where it was, so capacity is never double-counted and the next
-        cycle's policy plans from what the cluster actually looks like.
+        Returns ``(change_count, per-job execution delays, migrated
+        memory MB, effective state)``.  Change semantics (and Figure 4's
+        counting):
+
+        * queued job placed            -> BOOT (not a "change")
+        * running job unplaced         -> SUSPEND (1 change)
+        * suspended job, same node     -> RESUME (1 change)
+        * suspended job, other node    -> migrate + resume (1 change)
+        * running job, other node      -> live MIGRATE (1 change)
+
+        With no fault model every action commits at once and the
+        effective state is the desired one.  With a fault model every
+        attempt is sampled by the reconciler; the effective state starts
+        as a copy of the desired one and is patched for every failed
+        action: the instance goes back exactly where it was, so capacity
+        is never double-counted and the next cycle's policy plans from
+        what the cluster actually looks like.
         """
         costs = self._config.cost_model
+        rec = self._reconciler
         changes = 0
         moved_mb = 0.0
         delays: Dict[str, float] = {}
-        actual = new_state.copy()
+        actual = new_state if rec is None else new_state.copy()
         for job in self._queue.incomplete():
             old_set = set(self._state.nodes_of(job.job_id))
             new_set = set(new_state.nodes_of(job.job_id))
 
-            # Classification mirrors _apply_placement exactly.
             if not new_set:
                 if job.status is not JobStatus.RUNNING:
                     continue
@@ -1150,42 +1045,49 @@ class MixedWorkloadSimulator:
                     base = costs.migrate_cost(job.memory_mb) + costs.resume_cost(
                         job.memory_mb
                     )
-            elif job.status is JobStatus.RUNNING and old_set and old_set - new_set:
+            elif job.status is JobStatus.RUNNING and old_set - new_set:
+                # Losing nodes means (at least part of) the job moved: a
+                # live migration.
                 action = ActionType.MIGRATE
                 base = costs.migrate_cost(job.memory_mb)
             else:
-                # Pure growth (or no-op): dispatch, never a fallible action.
-                if new_set and job.node not in new_set:
-                    job.node = sorted(new_set)[0]
+                # Pure growth (new instances of a parallel job booting on
+                # extra nodes) or no-op: dispatch, not reconfiguration
+                # churn, and never a fallible action.
+                if job.node not in new_set:
+                    job.node = min(new_set)
                 continue
 
-            pending = PendingAction(
-                action=action,
-                app_id=job.job_id,
-                dest_nodes={
-                    n: new_state.instances(job.job_id).get(n, 0) for n in new_set
-                },
-                dest_cpu={n: new_state.cpu_on(job.job_id, n) for n in new_set},
-                prior_nodes={
-                    n: self._state.instances(job.job_id).get(n, 0) for n in old_set
-                },
-                prior_cpu={n: self._state.cpu_on(job.job_id, n) for n in old_set},
-                prior_status=job.status,
-                prior_node_attr=job.node,
-                memory_mb=job.memory_mb,
-                base_delay=base,
-                issued_at=now,
-            )
-            directive = self._reconciler.attempt(pending, now)
-            if directive.decision is Decision.COMMIT:
-                self._commit_transition(
-                    job, pending, now, pending.base_delay + directive.extra_delay,
-                    delays,
+            if rec is None:
+                directive = _COMMIT_NOW
+            else:
+                pending = PendingAction(
+                    action=action,
+                    app_id=job.job_id,
+                    dest_nodes={
+                        n: new_state.instances(job.job_id).get(n, 0)
+                        for n in new_set
+                    },
+                    dest_cpu={n: new_state.cpu_on(job.job_id, n) for n in new_set},
+                    prior_nodes={
+                        n: self._state.instances(job.job_id).get(n, 0)
+                        for n in old_set
+                    },
+                    prior_cpu={n: self._state.cpu_on(job.job_id, n) for n in old_set},
+                    prior_status=job.status,
+                    prior_node_attr=job.node,
+                    memory_mb=job.memory_mb,
+                    base_delay=base,
+                    issued_at=now,
                 )
-                if action in CHANGE_ACTIONS:
-                    changes += 1
-                if action is ActionType.MIGRATE:
-                    moved_mb += job.memory_mb
+                directive = rec.attempt(pending, now)
+            if directive.decision is Decision.COMMIT:
+                change, moved = self._commit_transition(
+                    job, action, old_set, new_set, job.memory_mb, now,
+                    base + directive.extra_delay, delays,
+                )
+                changes += change
+                moved_mb += moved
             elif directive.decision is Decision.STALL:
                 self._begin_stall(pending, job, directive, now, events)
             else:
@@ -1201,91 +1103,69 @@ class MixedWorkloadSimulator:
     def _commit_transition(
         self,
         job: Job,
-        pending: PendingAction,
+        action: ActionType,
+        prior_nodes: Collection[str],
+        dest_nodes: Collection[str],
+        memory_mb: float,
         now: float,
         delay: float,
         delays: Dict[str, float],
-    ) -> None:
-        """Apply the job-state effects of a successfully committed action
-        (the placement itself is already in the target state)."""
-        action = pending.action
+    ) -> Tuple[int, float]:
+        """Apply the job-state effects of a committed action (the
+        placement itself is already in the target state) and report it.
+
+        Returns the action's ``(placement changes, migrated memory MB)``;
+        a job that runs again starts after ``delay`` (set in ``delays``).
+        """
+        change = 1 if action in CHANGE_ACTIONS else 0
         if action is ActionType.SUSPEND:
             job.status = JobStatus.SUSPENDED
             job.suspend_count += 1
             self._speeds.pop(job.job_id, None)
             self._run_since.pop(job.job_id, None)
             self._cancel_progress(job.job_id)
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.SUSPEND, job.job_id, node=job.node
-                )
-            if self.tracer is not None:
-                self.tracer.directive(now, job.job_id, "suspend", node=job.node)
-            return
-        primary = pending.primary_node
+            # job.node keeps the suspension node for resume/migrate
+            # classification next time it is placed.
+            self._emit(now, TraceEventKind.SUSPEND, job.job_id, node=job.node)
+            return change, 0.0
+        primary = min(dest_nodes)
         delays[job.job_id] = delay
         if action is ActionType.BOOT:
             job.status = JobStatus.RUNNING
             job.start_time = now
             job.node = primary
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.BOOT, job.job_id, node=primary,
-                    delay=round(delay, 2),
-                )
-            if self.tracer is not None:
-                self.tracer.directive(
-                    now, job.job_id, "boot", node=primary, delay=round(delay, 2)
-                )
-        elif action is ActionType.RESUME:
+            self._emit(
+                now, TraceEventKind.BOOT, job.job_id, node=primary,
+                delay=round(delay, 2),
+            )
+            return change, 0.0
+        if action is ActionType.RESUME:
             job.resume_count += 1
             job.status = JobStatus.RUNNING
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.RESUME, job.job_id, node=job.node,
-                    delay=round(delay, 2),
-                )
-            if self.tracer is not None:
-                self.tracer.directive(
-                    now, job.job_id, "resume", node=job.node,
-                    delay=round(delay, 2),
-                )
-        elif pending.prior_status is JobStatus.SUSPENDED:
+            self._emit(
+                now, TraceEventKind.RESUME, job.job_id, node=job.node,
+                delay=round(delay, 2),
+            )
+            return change, 0.0
+        job.migration_count += 1
+        if job.status is JobStatus.SUSPENDED:
             # Migrate + resume of a suspended instance.
-            job.migration_count += 1
+            source = job.node
             job.status = JobStatus.RUNNING
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.MIGRATE, job.job_id,
-                    source=job.node, node=primary, delay=round(delay, 2),
-                )
-            if self.tracer is not None:
-                self.tracer.directive(
-                    now, job.job_id, "migrate",
-                    source=job.node, node=primary, delay=round(delay, 2),
-                )
-            job.node = primary
         else:
             # Live migration of a running instance.
-            job.migration_count += 1
-            if self.trace is not None or self.tracer is not None:
-                source = (
-                    sorted(pending.prior_nodes)[0]
-                    if pending.prior_nodes else job.node
-                )
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.MIGRATE, job.job_id,
-                        source=source, node=primary, delay=round(delay, 2),
-                    )
-                if self.tracer is not None:
-                    self.tracer.directive(
-                        now, job.job_id, "migrate",
-                        source=source, node=primary, delay=round(delay, 2),
-                    )
-            if job.node not in pending.dest_nodes:
-                job.node = primary
+            source = min(prior_nodes)
+        if job.node not in dest_nodes:
+            job.node = primary
+        self._emit(
+            now, TraceEventKind.MIGRATE, job.job_id,
+            source=source, node=primary, delay=round(delay, 2),
+        )
+        return change, memory_mb
 
+    # ------------------------------------------------------------------
+    # Action faults (fault-injection extension)
+    # ------------------------------------------------------------------
     def _revert_in(
         self,
         state: PlacementState,
@@ -1325,16 +1205,10 @@ class MixedWorkloadSimulator:
                 self._speeds.pop(app_id, None)
                 self._run_since.pop(app_id, None)
                 self._cancel_progress(app_id)
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.SUSPEND, app_id,
-                        node=pending.prior_node_attr, reason="fallback-lost",
-                    )
-                if self.tracer is not None:
-                    self.tracer.directive(
-                        now, app_id, "suspend",
-                        node=pending.prior_node_attr, reason="fallback-lost",
-                    )
+                self._emit(
+                    now, TraceEventKind.SUSPEND, app_id,
+                    node=pending.prior_node_attr, reason="fallback-lost",
+                )
             return False
         for node in sorted(pending.prior_cpu):
             cpu = pending.prior_cpu[node]
@@ -1436,13 +1310,12 @@ class MixedWorkloadSimulator:
             return
         self._advance_job(job, now)  # credit progress made on the fallback
         delays: Dict[str, float] = {}
-        self._commit_transition(
-            job, pending, now, pending.base_delay + extra_delay, delays
+        change, moved = self._commit_transition(
+            job, pending.action, pending.prior_nodes, pending.dest_nodes,
+            pending.memory_mb, now, pending.base_delay + extra_delay, delays,
         )
-        if pending.action in CHANGE_ACTIONS:
-            self._deferred_changes += 1
-        if pending.action is ActionType.MIGRATE:
-            self._deferred_moved_mb += pending.memory_mb
+        self._deferred_changes += change
+        self._deferred_moved_mb += moved
         if job.status is not JobStatus.RUNNING:
             return  # committed suspend: nothing left to schedule
         speed = min(self._state.cpu_of(job.job_id), job.max_speed)
@@ -1582,9 +1455,7 @@ class MixedWorkloadSimulator:
         now: float,
         **detail: object,
     ) -> None:
-        if self.trace is None:
-            return
-        self.trace.emit(
+        self._emit(
             now, kind, pending.app_id,
             action=pending.action_name,
             attempt=pending.attempts,

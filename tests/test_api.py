@@ -1,4 +1,4 @@
-"""The stable facade: exports, keyword-only shims, config round-trips.
+"""The stable facade: exports, keyword-only constructors, config round-trips.
 
 This file deliberately imports only from :mod:`repro.api` (enforced by
 ``tools/check_api_imports.py``) — it exercises the same surface the
@@ -11,14 +11,23 @@ import warnings
 import pytest
 
 from repro.api import (
+    AlertConfig,
     APCConfig,
+    ArenaEntrant,
+    ArenaResult,
     ConfigurationError,
+    DFRSConfig,
+    FCFSAdmission,
     JobQueue,
+    LexMaxMinObjective,
+    LRPFAdmission,
     PredictionMethod,
+    ProportionalFairnessConfig,
+    RunSpec,
     Scenario,
     Simulation,
     SimulationConfig,
-    reset_deprecation_warnings,
+    UtilitarianObjective,
 )
 
 
@@ -88,31 +97,33 @@ def test_facade_covers_example_imports():
 
 
 # ----------------------------------------------------------------------
-# Keyword-only constructors and the deprecation shim
+# Keyword-only constructors
 # ----------------------------------------------------------------------
-def test_positional_apcconfig_warns_once():
-    reset_deprecation_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = APCConfig(600.0)
-        second = APCConfig(300.0)
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1  # once per class, not per call
-    assert "APCConfig" in str(deprecations[0].message)
-    assert first.cycle_length == 600.0 and second.cycle_length == 300.0
+#: Every facade config built by ``repro._compat.keyword_only``.
+KEYWORD_ONLY = (
+    APCConfig,
+    AlertConfig,
+    ArenaEntrant,
+    ArenaResult,
+    DFRSConfig,
+    FCFSAdmission,
+    LRPFAdmission,
+    LexMaxMinObjective,
+    ProportionalFairnessConfig,
+    RunSpec,
+    Scenario,
+    SimulationConfig,
+    UtilitarianObjective,
+)
 
 
-def test_positional_simulationconfig_warns_and_maps_fields():
-    reset_deprecation_warnings()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        config = SimulationConfig(450.0)
-    assert any(w.category is DeprecationWarning for w in caught)
-    assert config.cycle_length == 450.0
+@pytest.mark.parametrize("cls", KEYWORD_ONLY, ids=lambda cls: cls.__name__)
+def test_positional_construction_raises(cls):
+    with pytest.raises(TypeError, match=f"{cls.__name__}\\(\\) takes keyword"):
+        cls(600.0)
 
 
 def test_keyword_construction_does_not_warn():
-    reset_deprecation_warnings()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         APCConfig(cycle_length=600.0)
@@ -127,11 +138,8 @@ def test_jobqueue_jobs_is_keyword_only():
 
 
 def test_positional_overflow_raises():
-    reset_deprecation_warnings()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            APCConfig(*range(20))
+    with pytest.raises(TypeError, match="APCConfig"):
+        APCConfig(*range(20))
 
 
 # ----------------------------------------------------------------------

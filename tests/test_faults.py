@@ -1,6 +1,7 @@
 """Tests for the fallible-actuator extension: fault injection, the
 retry/backoff reconciliation loop, and failure accounting."""
 
+import json
 import random
 
 import pytest
@@ -15,8 +16,13 @@ from repro.errors import ConfigurationError
 from repro.sim.metrics import ActionFaultStats
 from repro.sim.monitoring import ActuatorHealthMonitor
 from repro.policies import APCPolicy, ScriptedPolicy
+from repro.scenario import Scenario, Simulation
 from repro.sim.reconcile import Decision, PendingAction, Reconciler
-from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
+from repro.sim.simulator import (
+    MixedWorkloadSimulator,
+    NodeFailure,
+    SimulationConfig,
+)
 from repro.sim.trace import SimulationTrace, TraceEventKind
 from repro.virt.actions import ActionType
 from repro.virt.faults import (
@@ -501,6 +507,59 @@ class TestFaultModelStrictlyOptIn:
             assert a.placement_changes == b.placement_changes
         assert m_none.faults.total_attempts == 0
         assert m_zero.faults.total_attempts == 0
+
+    @pytest.mark.parametrize("outage", [False, True], ids=["steady", "outage"])
+    @pytest.mark.parametrize(
+        "workload,nodes,job_count,interarrival",
+        [
+            ("experiment1", 3, 20, 260.0),
+            ("experiment1", 8, 30, 260.0),
+            ("experiment2", 3, 30, 100.0),
+            ("experiment2", 8, 60, 20.0),
+        ],
+        ids=["exp1-3", "exp1-8", "exp2-3", "exp2-8"],
+    )
+    def test_never_firing_model_matches_no_fault_model(
+        self, workload, nodes, job_count, interarrival, outage
+    ):
+        """An enabled fault model whose faults never fire runs every
+        action through the reconciler, which commits it: the outcome
+        must equal the run with no fault model at all."""
+
+        def run(fault_model):
+            failures = (
+                (NodeFailure(node="node1", fail_time=12_005.0, duration=3600.0),)
+                if outage else ()
+            )
+            scenario = Scenario(
+                name="actuation-oracle", workload=workload, nodes=nodes,
+                job_count=job_count, interarrival=interarrival, seed=5,
+                sim=SimulationConfig(fault_model=fault_model, failures=failures),
+            )
+            trace = SimulationTrace()
+            sim = Simulation.from_scenario(
+                scenario, trace=trace, decision_clock=lambda: 0.0
+            )
+            metrics = sim.run()
+            return {
+                "trace": [
+                    (e.time, e.kind, e.subject, e.detail) for e in trace.events()
+                ],
+                # JSON text: a cycle with no batch work records NaN.
+                "cycles": json.dumps([c.to_dict() for c in metrics.cycles]),
+                "completions": [c.to_dict() for c in metrics.completions],
+                "engine": sim.simulator._events.stats(),
+            }, metrics.faults
+
+        plain, no_faults = run(None)
+        supervised, faults = run(
+            ActionFaultModel.uniform(failure_probability=1e-15)
+        )
+        assert no_faults.total_attempts == 0
+        assert faults.total_attempts > 0
+        assert faults.total_failures == 0
+        assert faults.total(faults.stalls) == 0
+        assert supervised == plain
 
     def test_off_path_emits_no_fault_events(self):
         _, trace = self.run_apc_scenario(None)

@@ -10,12 +10,15 @@ The contracts under test:
   injection and retries;
 * **exact decomposition** — the critical-path segments partition the
   job's lifetime: their sum equals the end-to-end latency;
+* **one fan-out** — in a stream, each job event the text trace writes
+  is immediately followed by the tracer's record of the same event;
 * **crash-safe** — a run interrupted by snapshot/restore yields the
   same trace records as an uninterrupted one;
 * **valid exports** — the Chrome trace-event document round-trips
   through JSON, and ``read_trace_records`` negotiates schema versions.
 """
 
+import collections
 import io
 import json
 import math
@@ -24,11 +27,14 @@ import pytest
 
 from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.errors import ConfigurationError
+from repro.obs.alerts import AlertConfig
+from repro.obs.audit import DecisionAudit
 from repro.obs.registry import MetricRegistry, render_prometheus
 from repro.obs.sink import (
     MIN_TRACE_SCHEMA_VERSION,
     SCHEMA_VERSION,
     JsonlSink,
+    read_jsonl,
     read_trace_records,
 )
 from repro.obs.tracing import (
@@ -43,7 +49,8 @@ from repro.obs.tracing import (
     write_chrome_trace,
 )
 from repro.scenario import Scenario, Simulation
-from repro.sim.simulator import SimulationConfig
+from repro.sim.simulator import NodeFailure, SimulationConfig
+from repro.sim.trace import SimulationTrace
 from repro.virt.faults import ActionFaultModel, RetryPolicy
 
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
@@ -149,6 +156,76 @@ class TestTracingOffByteIdentity:
         )
         sim.run(until=2 * CYCLE)
         assert '"trace_id"' in json.dumps(sim.snapshot())
+
+
+# ----------------------------------------------------------------------
+# One fan-out feeds the text trace and the tracer
+# ----------------------------------------------------------------------
+#: Job lifecycle events both the text trace and the tracer record.
+SHARED_KINDS = ("arrival", "boot", "suspend", "resume", "migrate", "completion")
+
+
+class TestObserverFanOut:
+    def test_each_shared_event_is_followed_by_its_trace_event(self):
+        """In one stream, each job event the text trace writes is
+        immediately followed by the tracer's record of the same event:
+        the fan-out neither drops nor reorders one side."""
+        buffer = io.StringIO()
+        sink = JsonlSink(buffer)
+        trace = SimulationTrace(sink=sink)
+        # Experiment Two's mixed goals preempt and migrate; with faults
+        # some reverted actions also lose their fallback slot.
+        scenario = Scenario(
+            name="fan-out", workload="experiment2", nodes=3, job_count=30,
+            interarrival=100.0, seed=5,
+            sim=SimulationConfig(
+                cycle_length=CYCLE,
+                fault_model=ActionFaultModel.uniform(
+                    failure_probability=0.2, stall_probability=0.3,
+                    stall_duration_mean=400.0, seed=5,
+                ),
+                retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
+                action_timeout=150.0,
+                failures=(
+                    NodeFailure(node="node1", fail_time=4 * CYCLE + 5.0,
+                                duration=3 * CYCLE),
+                ),
+                alerts=AlertConfig(),
+            ),
+        )
+        sim = Simulation.from_scenario(
+            scenario,
+            decision_clock=ZERO_CLOCK,
+            registry=MetricRegistry(),
+            trace=trace,
+            audit=DecisionAudit(sink=sink, trace=trace),
+            tracer=JobTracer(sink=sink),
+        )
+        sim.run()
+        sink.close()
+        records = read_jsonl(io.StringIO(buffer.getvalue()))
+        jobs = {job.job_id for job in sim.jobs}
+        kinds, reasons = collections.Counter(), collections.Counter()
+        for record, following in zip(records, records[1:]):
+            if not (
+                record["type"] == "event"
+                and record["kind"] in SHARED_KINDS
+                and record["subject"] in jobs
+            ):
+                continue
+            assert following["type"] == "trace_event", (record, following)
+            assert (
+                following["time"], following["subject"], following["name"],
+                following["detail"],
+            ) == (
+                record["time"], record["subject"], record["kind"],
+                record["detail"],
+            )
+            kinds[record["kind"]] += 1
+            reasons[record["detail"].get("reason")] += 1
+        assert set(kinds) == set(SHARED_KINDS), kinds
+        assert kinds["arrival"] == kinds["completion"] == len(jobs)
+        assert reasons["fallback-lost"] > 0, reasons
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +343,25 @@ class TestSnapshotRestore:
         fresh = MetricsRecorder()
         fresh.restore_state(state)
         assert fresh.wait_profiles == sim.simulator.metrics.wait_profiles
+
+
+class TestHistoryIndex:
+    def test_history_matches_a_scan_of_the_retained_ring(self):
+        """``history_of`` reads a per-subject index: it must return what
+        a scan of the retained records returns, also after the capacity
+        bound evicted records and after a restore."""
+        tracer = JobTracer(capacity=40)
+        Simulation.from_scenario(
+            faulty_scenario(), decision_clock=ZERO_CLOCK, tracer=tracer
+        ).run()
+        assert tracer.dropped_records > 0
+        restored = JobTracer(capacity=40)
+        restored.restore_state(tracer.state_dict())
+        subjects = {r["subject"] for r in tracer.records()} | {"nope"}
+        for subject in subjects:
+            scan = [r for r in tracer.records() if r["subject"] == subject]
+            assert tracer.history_of(subject) == scan
+            assert restored.history_of(subject) == scan
 
 
 # ----------------------------------------------------------------------
