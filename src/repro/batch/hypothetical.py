@@ -137,11 +137,6 @@ class HypotheticalRPF:
         self._w: Optional[np.ndarray] = None
         self._v: Optional[np.ndarray] = None
         self._w_sums: Optional[np.ndarray] = None
-        #: Equalized-level solutions keyed by exact aggregate allocation.
-        #: The instance is frozen at construction time, so the bisection
-        #: is a pure function of the aggregate — repeated solves during a
-        #: control cycle's candidate sweep are shared.
-        self._level_cache: Dict[float, float] = {}
 
     @classmethod
     def from_arrays(
@@ -176,7 +171,6 @@ class HypotheticalRPF:
         obj._w = None
         obj._v = None
         obj._w_sums = None
-        obj._level_cache = {}
         return obj
 
     def _ensure_matrices(self) -> None:
@@ -281,28 +275,43 @@ class HypotheticalRPF:
         This is the exact solution of the fair-share system the paper
         approximates by the ``W``/``V`` interpolation (it notes the exact
         solve was "too costly to perform in an on-line placement
-        algorithm" on 2008 hardware; vectorized it is not).
+        algorithm" on 2008 hardware; vectorized it is not).  The probes
+        share buffers, but each runs :meth:`demand_at`'s operations in
+        its order over full-length arrays, so each equals
+        :meth:`aggregate_demand_at` bit for bit.
         """
         if len(self._job_ids) == 0:
             return 1.0
         aggregate = max(0.0, float(aggregate_mhz))
-        cached = self._level_cache.get(aggregate)
-        if cached is not None:
-            return cached
+        remaining = self._remaining
+        done = remaining <= EPSILON
+        horizon = np.empty_like(remaining)
+        open_horizon = np.empty(remaining.shape, dtype=bool)
+        speed = np.empty_like(remaining)
+
+        def demand(level: float) -> float:
+            np.multiply(level, self._relative_goal, out=horizon)
+            np.subtract(self._goal, horizon, out=horizon)
+            np.subtract(horizon, self._now, out=horizon)
+            np.greater(horizon, EPSILON, out=open_horizon)
+            speed.fill(np.inf)
+            np.divide(remaining, horizon, out=speed, where=open_horizon)
+            np.minimum(speed, self._max_speed, out=speed)
+            speed[done] = 0.0
+            return float(speed.sum())
+
         lo, hi = float(self._levels[0]), 1.0
-        if self.aggregate_demand_at(hi) <= aggregate + EPSILON:
-            self._level_cache[aggregate] = hi
-            return hi
-        if self.aggregate_demand_at(lo) > aggregate:
-            self._level_cache[aggregate] = lo
-            return lo
-        for _ in range(_LEVEL_SOLVE_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            if self.aggregate_demand_at(mid) <= aggregate:
-                lo = mid
-            else:
-                hi = mid
-        self._level_cache[aggregate] = lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if demand(hi) <= aggregate + EPSILON:
+                return hi
+            if demand(lo) > aggregate:
+                return lo
+            for _ in range(_LEVEL_SOLVE_ITERATIONS):
+                mid = 0.5 * (lo + hi)
+                if demand(mid) <= aggregate:
+                    lo = mid
+                else:
+                    hi = mid
         return lo
 
     def job_speeds_exact(self, aggregate_mhz: float) -> np.ndarray:

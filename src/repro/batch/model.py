@@ -54,15 +54,16 @@ class _JobTable:
 
     Rebuilt whenever the job list or any job's progress changes (see
     :meth:`matches`); within one control cycle the controller freezes
-    job state, so a single table serves every evaluate/specs/candidates
-    call of the cycle.  All derived columns hold exactly the python
-    floats the job properties return, so the array kernels built on top
-    are bitwise equal to the per-job scalar computation (the reference
-    in ``tests/reference_apc.py``).
+    job state, so a single table, taken at
+    :meth:`BatchWorkloadModel.begin_cycle`, serves every
+    evaluate/specs/candidates call of the cycle.  All derived columns
+    hold exactly the python floats the job properties return, so the
+    array kernels built on top are bitwise equal to the per-job scalar
+    computation (the reference in ``tests/reference_apc.py``).
     """
 
     __slots__ = (
-        "jobs", "ids", "ids_tuple", "index", "consumed", "consumed_bytes",
+        "jobs", "ids", "index", "consumed",
         "rem_list", "goal_list", "rel_list", "ms_list", "rb_list",
         "mem_list", "min_speed_list", "maxpi_list", "par_list", "stage_list",
         "remaining", "goal", "relative_goal", "max_speed", "remaining_best",
@@ -72,7 +73,6 @@ class _JobTable:
     def __init__(self, jobs: Sequence[Job]) -> None:
         self.jobs = list(jobs)
         self.ids = [job.job_id for job in jobs]
-        self.ids_tuple = tuple(self.ids)
         self.index = {job_id: i for i, job_id in enumerate(self.ids)}
         self.consumed = [job.cpu_consumed for job in jobs]
         rem, goal, rel, ms, rb = [], [], [], [], []
@@ -105,7 +105,6 @@ class _JobTable:
         self.relative_goal = np.array(rel)
         self.max_speed = np.array(ms)
         self.remaining_best = np.array(rb)
-        self.consumed_bytes = np.array(self.consumed).tobytes()
         self._umax_now: Optional[float] = None
         self._umax: Optional[np.ndarray] = None
 
@@ -156,11 +155,9 @@ class BatchWorkloadModel:
 
     Specs, candidates, predictions and the hypothetical RPF all run on
     a column snapshot of the incomplete jobs (:class:`_JobTable`).
-    :meth:`evaluate` is memoized per control instant: the prediction is
-    a pure function of (time, horizon, per-job progress, per-job
-    effective speed), so the memo is exact, and the controller's
-    candidate sweep re-evaluates many placements that grant the batch
-    workload identical speeds.
+    Between :meth:`begin_cycle` and :meth:`end_cycle` that snapshot is
+    the one taken at ``begin_cycle``, so the queue is scanned once per
+    control cycle; outside them every call scans the queue.
     """
 
     def __init__(
@@ -175,13 +172,12 @@ class BatchWorkloadModel:
         self._levels = tuple(levels)
         self._queue_window = queue_window
         self._prediction_method = PredictionMethod.coerce(prediction_method)
-        #: evaluate() results keyed by per-job (id, progress, speed);
-        #: valid for one (now, horizon) control instant at a time.
-        self._eval_cache: Dict[Tuple, Dict[str, float]] = {}
-        self._eval_cache_instant: Optional[Tuple[float, float]] = None
-        self._c_eval_cache = None
         #: Job-table snapshot reused across calls until a job advances.
         self._table: Optional[_JobTable] = None
+        #: The cycle's view (``None``: no incomplete jobs), valid while
+        #: ``_in_cycle`` is set.
+        self._in_cycle = False
+        self._cycle_table: Optional[_JobTable] = None
         #: AppDemand objects keyed by job id, reused while the job stays
         #: in the same stage (AppDemand is frozen, so sharing is safe).
         self._demand_cache: Dict[str, Tuple[object, AppDemand]] = {}
@@ -201,18 +197,23 @@ class BatchWorkloadModel:
         return self._prediction_method
 
     def bind_registry(self, registry) -> None:
-        """Publish prediction-cache telemetry into a
-        :class:`~repro.obs.registry.MetricRegistry`."""
-        self._c_eval_cache = registry.counter(
-            "repro_batch_eval_cache_total",
-            "Batch-model evaluate() memo lookups by outcome",
-            ("outcome",),
-        )
+        """Does nothing: the model publishes no metrics.  Kept so callers
+        that bind every component to a registry still work."""
+        del registry
 
     # ------------------------------------------------------------------
     # Job-table backing
     # ------------------------------------------------------------------
-    def _table_for(self, jobs: Sequence[Job]) -> _JobTable:
+    def _jobs(self) -> Optional[_JobTable]:
+        """The cycle's view inside a control cycle, a scan outside."""
+        return self._cycle_table if self._in_cycle else self._scan()
+
+    def _scan(self) -> Optional[_JobTable]:
+        """The incomplete jobs as a table (``None`` when there are none),
+        reused until a job arrives, finishes or advances."""
+        jobs = self._queue.incomplete()
+        if not jobs:
+            return None
         table = self._table
         if table is not None and table.matches(jobs):
             return table
@@ -245,10 +246,9 @@ class BatchWorkloadModel:
     def app_spec_arrays(self, now: float) -> Optional[SpecArrays]:
         """Column view of :meth:`app_specs` for the controller's spec
         tables (``None`` when there are no jobs)."""
-        jobs = self._queue.incomplete()
-        if not jobs:
+        table = self._jobs()
+        if table is None:
             return None
-        table = self._table_for(jobs)
         cached = self._spec_arrays_cache
         if cached is not None and cached[0] is table and cached[1] == now:
             return cached[2]
@@ -276,15 +276,26 @@ class BatchWorkloadModel:
     # ------------------------------------------------------------------
     # WorkloadModel protocol
     # ------------------------------------------------------------------
+    def begin_cycle(self, now: float) -> None:
+        """Scan the queue once and answer every call until
+        :meth:`end_cycle` from that job table."""
+        del now
+        self._cycle_table = self._scan()
+        self._in_cycle = True
+
+    def end_cycle(self) -> None:
+        """Drop the cycle's view: later calls scan the queue again."""
+        self._in_cycle = False
+        self._cycle_table = None
+
     def app_specs(self, now: float) -> Dict[str, AllocatableApp]:
         """One application per incomplete job: demand from its current
         stage, allocation RPF from its hypothetical function.  Moldable
         parallel jobs (the paper's future-work extension) may spread over
         up to ``parallelism`` instances; sequential jobs are singletons."""
-        jobs = self._queue.incomplete()
-        if not jobs:
+        table = self._jobs()
+        if table is None:
             return {}
-        table = self._table_for(jobs)
         cached = self._specs_cache
         if cached is not None and cached[0] is table and cached[1] == now:
             return dict(cached[2])
@@ -301,9 +312,12 @@ class BatchWorkloadModel:
         return dict(specs)
 
     def placement_candidates(self, now: float) -> List[str]:
+        table = self._jobs()
+        if table is None:
+            return []
         candidates: List[str] = []
         waiting: List[Job] = []
-        for job in self._queue.incomplete():
+        for job in table.jobs:
             if job.status is JobStatus.NOT_STARTED:
                 waiting.append(job)
             else:
@@ -313,7 +327,6 @@ class BatchWorkloadModel:
             # does — lowest relative performance first (§1's LRPF), not
             # submission order — or a deep backlog would degrade the
             # controller to FCFS for everything beyond the window.
-            table = self._table_for(self._queue.incomplete())
             u_max = dict(zip(table.ids, table.u_max_array(now).tolist()))
             waiting.sort(key=lambda job: u_max[job.job_id])
             waiting = waiting[: self._queue_window]
@@ -332,31 +345,14 @@ class BatchWorkloadModel:
         allocation persisting.  Output order: finishing jobs in job
         order, then the hypothetical block in job order.
         """
-        jobs = self._queue.incomplete()
-        if not jobs:
+        table = self._jobs()
+        if table is None:
             return {}
-        table = self._table_for(jobs)
         ids = table.ids
         alloc = np.array(
             [allocations.get(job_id, 0.0) for job_id in ids], dtype=float
         )
         speeds = np.minimum(alloc, table.max_speed)
-
-        # The prediction depends on each job only through its progress
-        # and effective (max-speed-capped) allocation, and on the control
-        # instant; anything else is frozen per job id.
-        cache_key = (table.ids_tuple, table.consumed_bytes, speeds.tobytes())
-        instant = (now, horizon)
-        if instant != self._eval_cache_instant:
-            self._eval_cache_instant = instant
-            self._eval_cache.clear()
-        hit = self._eval_cache.get(cache_key)
-        if hit is not None:
-            if self._c_eval_cache is not None:
-                self._c_eval_cache.inc(outcome="hit")
-            return dict(hit)
-        if self._c_eval_cache is not None:
-            self._c_eval_cache.inc(outcome="miss")
 
         # sum() adds left to right, as a per-job running total would.
         aggregate = sum(speeds.tolist())
@@ -410,7 +406,6 @@ class BatchWorkloadModel:
                     aggregate, method=self._prediction_method
                 )
             )
-        self._eval_cache[cache_key] = dict(utilities)
         return utilities
 
     # ------------------------------------------------------------------
@@ -420,10 +415,9 @@ class BatchWorkloadModel:
         """The current hypothetical RPF over all incomplete jobs
         (used for the "average hypothetical relative performance" series
         of Figures 2 and 6)."""
-        jobs = self._queue.incomplete()
-        if not jobs:
+        table = self._jobs()
+        if table is None:
             return HypotheticalRPF([], levels=self._levels)
-        table = self._table_for(jobs)
         return HypotheticalRPF.from_arrays(
             list(table.ids),
             remaining=table.remaining,

@@ -43,13 +43,15 @@ submitted jobs can be placed concurrently, the algorithm is able to take
 internal shortcuts, resulting in a significant reduction in execution
 time" (§5.1).
 
-The implementation adds bookkeeping that changes no decision: a
-per-cycle evaluation memo keyed on the placement matrix, an upper bound
-that ends the search once no candidate can beat the incumbent, a
+The implementation adds bookkeeping that changes no decision: an upper
+bound that ends the search once no candidate can beat the incumbent, a
 frontier index that skips zero-removal trials the fill pass cannot
-change, and array scans in admission.  ``tests/reference_apc.py`` keeps
-the paper-literal solver without any of it, and the identity tests pin
-every decision against it.
+change, and array scans in admission.  A scored candidate costs one load
+distribution, one prediction per model and one objective score: its load
+is written into its state only on adoption (nothing reads a trial's load
+before), and its churn is its base's plus its change on its one node.
+``tests/reference_apc.py`` keeps the paper-literal solver without any of
+it, and the identity tests pin every decision against it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -69,7 +73,9 @@ from repro.core.admission import (
     resolve_admission,
 )
 from repro.core.constraints import ConstraintSet
-from repro.core.loadbalance import AllocatableApp, SpecArrays, distribute_load
+from repro.core.loadbalance import (
+    AllocatableApp, LoadDistributionResult, SpecArrays, distribute_load,
+)
 from repro.core.objective import (
     Objective,
     ObjectiveLike,
@@ -84,7 +90,6 @@ from repro.obs.audit import DecisionAudit
 from repro.obs.registry import MetricRegistry
 from repro.obs.spans import NULL_SPAN, SpanProfiler
 from repro.units import EPSILON, is_count
-from repro.virt.actions import diff_placements
 
 #: Every profiler span phase the controller can emit, in nesting order.
 #: Pinned by test: dashboards and ``repro bench --profile`` key off these
@@ -242,12 +247,27 @@ class APCResult:
     evaluations: int = 0
     #: Whether the chosen placement differs from the starting one.
     changed: bool = False
-    #: Candidate evaluations answered from the per-cycle memo.
-    cache_hits: int = 0
 
     @property
     def utility_vector(self) -> UtilityVector:
         return UtilityVector(self.utilities.values())
+
+
+class _Scored(NamedTuple):
+    """One evaluated placement: the incumbent or a trial."""
+
+    state: PlacementState
+    score: PlacementScore
+    utilities: Dict[str, float]
+    load: LoadDistributionResult
+    #: Instances that differ from the cycle's baseline placement.
+    churn: int
+
+    def adopt(self) -> "_Scored":
+        """Write the load into the state, which only the incumbent
+        needs."""
+        self.load.write_load(self.state)
+        return self
 
 
 class _FrontierIndex:
@@ -369,21 +389,14 @@ class ApplicationPlacementController:
         self._admission = resolve_admission(admission)
         #: See :data:`SPEC_TABLES_MIN_NODES`.
         self._use_tables = len(cluster) >= SPEC_TABLES_MIN_NODES
-        self._c_cache = None
         self._c_shortcut = None
         if registry is not None:
             self.bind_registry(registry)
 
     def bind_registry(self, registry: MetricRegistry) -> None:
         """Publish search telemetry into a
-        :class:`~repro.obs.registry.MetricRegistry`: evaluation-memo
-        lookups (``repro_apc_cache_total``) and search short-circuits
-        (``repro_apc_shortcircuit_total``)."""
-        self._c_cache = registry.counter(
-            "repro_apc_cache_total",
-            "APC candidate-evaluation memo lookups by outcome",
-            ("outcome",),
-        )
+        :class:`~repro.obs.registry.MetricRegistry`: search
+        short-circuits (``repro_apc_shortcircuit_total``)."""
         self._c_shortcut = registry.counter(
             "repro_apc_shortcircuit_total",
             "APC search work skipped by short-circuit checks",
@@ -442,7 +455,15 @@ class ApplicationPlacementController:
         the spans are no-ops and the computation is unchanged.
         """
         with self._span("apc.place"):
-            return self._place_profiled(models, current, now)
+            for observer in self._observers:
+                observer.begin_cycle(now)
+            for model in models:
+                model.begin_cycle(now)
+            try:
+                return self._place_profiled(models, current, now)
+            finally:
+                for model in models:
+                    model.end_cycle()
 
     def _place_profiled(
         self,
@@ -451,8 +472,6 @@ class ApplicationPlacementController:
         now: float,
     ) -> APCResult:
         audit = self._audit
-        for observer in self._observers:
-            observer.begin_cycle(now)
         with self._span("apc.model_specs"):
             specs = self._merge_specs(models, now)
             candidates = self._merge_candidates(models, now)
@@ -468,80 +487,39 @@ class ApplicationPlacementController:
         baseline = state.as_matrix()
 
         evaluations = 0
-        cache_hits = 0
-        #: Whether the most recent evaluate() call was memo-served; read
-        #: by the audit so memo hits are recorded identically to misses
-        #: (just flagged).  A plain dict write, so decisions are
-        #: unaffected when no audit is attached.
-        eval_info = {"cached": False}
-        #: matrix_key -> (utilities, allocations, churn, load entries in
-        #: write order).  Valid for this cycle only: specs and `now` are
-        #: fixed, so evaluation is a pure function of the placement.
-        eval_memo: Dict[Tuple, Tuple] = {}
 
         def evaluate(
-            trial: PlacementState, tolerance: Optional[float] = None
-        ) -> Tuple[PlacementScore, Dict[str, float], Dict[str, float]]:
-            nonlocal evaluations, cache_hits
+            trial: PlacementState, churn: int, tolerance: Optional[float] = None
+        ) -> _Scored:
+            """Score ``trial``; its load is written only on adoption."""
+            nonlocal evaluations
+            evaluations += 1
             tol = (
                 self._config.improvement_epsilon
                 if tolerance is None
                 else tolerance
             )
-            key = trial.matrix_key()
-            hit = eval_memo.get(key)
-            if hit is not None:
-                cache_hits += 1
-                eval_info["cached"] = True
-                if self._c_cache is not None:
-                    self._c_cache.inc(outcome="hit")
-                utilities, allocations, churn, load_entries = hit
-                # Replay the load matrix in its original write order so
-                # the trial state is indistinguishable from a freshly
-                # evaluated one.
-                trial.clear_load()
-                for app_id, node, cpu in load_entries:
-                    trial.set_cpu(app_id, node, cpu)
-                score = self._objective.score(utilities, churn, tol)
-                return score, dict(utilities), dict(allocations)
-            if self._c_cache is not None:
-                self._c_cache.inc(outcome="miss")
-            eval_info["cached"] = False
-            evaluations += 1
             with self._span("apc.evaluate"):
                 with self._span("apc.loadbalance"):
-                    result = distribute_load(trial, specs, tables=tables)
+                    load = distribute_load(
+                        trial, specs, write_load_matrix=False, tables=tables
+                    )
                 utilities: Dict[str, float] = {}
                 with self._span("apc.predict"):
                     for model in models:
                         utilities.update(
                             model.evaluate(
-                                result.allocations, now, self._config.cycle_length
+                                load.allocations, now, self._config.cycle_length
                             )
                         )
                 with self._span("apc.objective"):
-                    removals, additions = diff_placements(
-                        baseline, trial.as_matrix()
-                    )
-                    churn = sum(c for _, _, c in removals) + sum(
-                        c for _, _, c in additions
-                    )
                     score = self._objective.score(utilities, churn, tol)
-            load_entries = tuple(
-                (a, n, c)
-                for a, nodes in trial.load_matrix().items()
-                for n, c in nodes.items()
-            )
-            eval_memo[key] = (
-                dict(utilities), dict(result.allocations), churn, load_entries
-            )
-            return score, utilities, result.allocations
+            return _Scored(trial, score, utilities, load, churn)
 
-        best_state = state
-        best_score, best_utilities, best_allocations = evaluate(best_state)
+        best = evaluate(state, 0).adopt()
 
         if audit is not None:
-            audit.incumbent(best_utilities)
+            audit.incumbent(best.utilities)
             seen_rpf = set()
             for c in candidates:
                 spec = specs.get(c)
@@ -563,29 +541,31 @@ class ApplicationPlacementController:
         # example's Scenario 1 — the equal-utility alternative that
         # starts J2 is rejected because it requires a change).
         with self._span("apc.admission"):
-            trial = best_state.copy()
-            placed_any = self._greedy_admit(trial, specs, candidates, best_utilities)
-            if placed_any:
-                score, utilities, allocations = evaluate(trial)
-                adopted = self._objective.better(score, best_score)
+            trial = best.state.copy()
+            # Admission only adds instances of unplaced applications, so
+            # its churn is the number it placed.
+            placed = self._greedy_admit(trial, specs, candidates, best.utilities)
+            if placed:
+                scored = evaluate(trial, placed)
+                adopted = self._objective.better(scored.score, best.score)
                 if audit is not None:
                     audit.candidate(
                         stage="admission",
                         accepted=adopted,
                         reason="improved" if adopted else "no_improvement",
-                        utilities=utilities,
-                        comparison=self._objective.explain(score, best_score),
-                        churn=score.num_changes,
-                        cached=eval_info["cached"],
-                        tolerance=score.utilities.tolerance,
+                        utilities=scored.utilities,
+                        comparison=self._objective.explain(
+                            scored.score, best.score
+                        ),
+                        churn=scored.score.num_changes,
+                        tolerance=scored.score.utilities.tolerance,
                     )
                 if adopted:
-                    best_state, best_score = trial, score
-                    best_utilities, best_allocations = utilities, allocations
+                    best = scored.adopt()
 
         # ---- full nested-loop search ------------------------------------
         run_search = self._config.enable_search and self._search_is_worthwhile(
-            best_state, specs, candidates, best_utilities, best_allocations
+            best.state, specs, candidates, best.utilities, best.load.allocations
         )
         if audit is not None and not run_search:
             audit.shortcircuit(
@@ -601,7 +581,7 @@ class ApplicationPlacementController:
             )
             with self._span("apc.search"):
                 for _ in range(self._config.search_sweeps):
-                    if bound_reached is not None and bound_reached(best_score):
+                    if bound_reached is not None and bound_reached(best.score):
                         # No candidate vector can clear the incumbent by
                         # more than the noise threshold anywhere.
                         if self._c_shortcut is not None:
@@ -609,42 +589,28 @@ class ApplicationPlacementController:
                         if audit is not None:
                             audit.shortcircuit("upper_bound")
                         break
-                    (
-                        improved,
-                        best_state,
-                        best_score,
-                        best_utilities,
-                        best_allocations,
-                    ) = self._sweep(
-                        best_state,
-                        best_score,
-                        best_utilities,
-                        best_allocations,
-                        specs,
-                        candidates,
-                        evaluate,
+                    improved, best = self._sweep(
+                        best, specs, candidates, baseline, evaluate,
                         bound_reached,
-                        eval_info,
                     )
                     if not improved:
                         break
 
-        changed = best_state.as_matrix() != baseline
+        # Churn counts every instance that differs from the baseline.
+        changed = best.churn > 0
         if audit is not None:
             audit.end_cycle(
-                utilities_after=best_utilities,
+                utilities_after=best.utilities,
                 changed=changed,
                 evaluations=evaluations,
-                cache_hits=cache_hits,
             )
         return APCResult(
-            state=best_state,
-            allocations=best_allocations,
-            utilities=best_utilities,
-            score=best_score,
+            state=best.state,
+            allocations=best.load.allocations,
+            utilities=best.utilities,
+            score=best.score,
             evaluations=evaluations,
             changed=changed,
-            cache_hits=cache_hits,
         )
 
     # ------------------------------------------------------------------
@@ -831,8 +797,9 @@ class ApplicationPlacementController:
         specs: Mapping[str, AllocatableApp],
         candidates: Sequence[str],
         utilities: Mapping[str, float],
-    ) -> bool:
+    ) -> int:
         """Place unplaced candidates into free capacity, LRPF first.
+        Returns the number of instances placed.
 
         Singleton applications (jobs) get one instance on the node with
         the most free CPU among those with room, which spreads jobs and
@@ -852,7 +819,7 @@ class ApplicationPlacementController:
         unplaced = [c for c in candidates if not state.is_placed(c) and c in specs]
         unplaced = self._admission.order(unplaced, specs, utilities)
         if not unplaced:
-            return False
+            return 0
         names = list(state.node_index)
         cpu_caps, mem_caps = state.capacity_arrays()
         mem_avail = mem_caps - state.memory_used_array()
@@ -863,7 +830,7 @@ class ApplicationPlacementController:
         committed = np.array([committed_by_name[n] for n in names])
         constraints = self._constraints if len(self._constraints) else None
         observe = bool(self._observers)
-        placed_any = False
+        placed = 0
         for rank, app_id in enumerate(unplaced):
             demand = specs[app_id].demand
             memory_mb = demand.memory_mb
@@ -898,12 +865,12 @@ class ApplicationPlacementController:
                     committed[target] += min_cpu
                     mem_avail[target] -= memory_mb
                     placed_nodes.append(names[target])
-            placed_any = placed_any or bool(placed_nodes)
+            placed += len(placed_nodes)
             if observe:
                 self._note_admission(
                     state, specs, app_id, rank, utilities, placed_nodes
                 )
-        return placed_any
+        return placed
 
     def _note_admission(
         self,
@@ -1037,18 +1004,15 @@ class ApplicationPlacementController:
 
     def _sweep(
         self,
-        best_state: PlacementState,
-        best_score: PlacementScore,
-        best_utilities: Dict[str, float],
-        best_allocations: Dict[str, float],
+        best: "_Scored",
         specs: Mapping[str, AllocatableApp],
         candidates: Sequence[str],
-        evaluate,
+        baseline: Mapping[str, Mapping[str, int]],
+        evaluate: Callable[..., "_Scored"],
         bound_reached: Optional[Callable[[PlacementScore], bool]],
-        eval_info: Dict[str, bool],
-    ):
+    ) -> Tuple[bool, "_Scored"]:
         """One outer-loop pass over all nodes.  Returns
-        ``(improved, state, score, utilities, allocations)``."""
+        ``(improved, best)``."""
         improved = False
         constraints = self._constraints if len(self._constraints) else None
         frontier: Optional[_FrontierIndex] = None
@@ -1059,9 +1023,9 @@ class ApplicationPlacementController:
         # first — they are the most promising donors of capacity.  One
         # pass over placements gives every node's max hosted utility.
         node_best: Dict[str, float] = {}
-        for app_id in best_state.app_ids:
-            utility = best_utilities.get(app_id, float("-inf"))
-            for node_name, count in best_state.instance_items(app_id):
+        for app_id in best.state.app_ids:
+            utility = best.utilities.get(app_id, float("-inf"))
+            for node_name, count in best.state.instance_items(app_id):
                 if count > 0 and utility > node_best.get(
                     node_name, float("-inf")
                 ):
@@ -1074,12 +1038,13 @@ class ApplicationPlacementController:
             # All of this node's candidate configurations are built from
             # the same base (competing alternatives for the node); an
             # adopted candidate becomes the base for *subsequent* nodes.
-            node_base = best_state
+            base = best
+            node_base = base.state
             # Intermediate loop: cumulative removals, highest utility first.
             removable: List[str] = []
             for app_id in sorted(
                 node_base.apps_on(node),
-                key=lambda a: best_utilities.get(a, float("-inf")),
+                key=lambda a: best.utilities.get(a, float("-inf")),
                 reverse=True,
             ):
                 removable.extend([app_id] * node_base.instances_on(app_id, node))
@@ -1113,14 +1078,23 @@ class ApplicationPlacementController:
                             audit.shortcircuit("node_noop", node=node)
                         continue
                 trial = node_base.copy()
+                removed = set(removable[:removals])
                 for app_id in removable[:removals]:
                     trial.remove(app_id, node)
                 filled = self._fill_node(
-                    trial, specs, candidates, best_utilities, node,
-                    forbidden=set(removable[:removals]),
+                    trial, specs, candidates, best.utilities, node,
+                    forbidden=removed,
                 )
                 if removals == 0 and not filled:
                     continue  # identical to the incumbent placement
+                # The trial differs from its base on this node only, for
+                # the removed and the filled applications.
+                churn = base.churn
+                for app_id in (*removed, *filled):
+                    was = baseline.get(app_id, {}).get(node, 0)
+                    churn += abs(trial.instances_on(app_id, node) - was) - abs(
+                        node_base.instances_on(app_id, node) - was
+                    )
                 # Preemptive configs (those that suspend/relocate running
                 # instances) must clear the preemption penalty; pure
                 # additions only the noise threshold.
@@ -1132,38 +1106,32 @@ class ApplicationPlacementController:
                     if removals > 0
                     else None
                 )
-                score, utilities, allocations = evaluate(trial, tolerance=tolerance)
-                adopted = self._objective.better(score, best_score)
+                scored = evaluate(trial, churn, tolerance=tolerance)
+                adopted = self._objective.better(scored.score, best.score)
                 if audit is not None:
                     audit.candidate(
                         stage="search",
                         accepted=adopted,
                         reason="improved" if adopted else "no_improvement",
-                        utilities=utilities,
-                        comparison=self._objective.explain(score, best_score),
+                        utilities=scored.utilities,
+                        comparison=self._objective.explain(
+                            scored.score, best.score
+                        ),
                         node=node,
                         removals=removals,
-                        churn=score.num_changes,
-                        cached=eval_info["cached"],
-                        tolerance=score.utilities.tolerance,
+                        churn=scored.score.num_changes,
+                        tolerance=scored.score.utilities.tolerance,
                     )
                 if adopted:
-                    best_state, best_score = trial, score
-                    best_utilities, best_allocations = utilities, allocations
+                    best = scored.adopt()
                     improved = True
-                    if bound_reached is not None and bound_reached(best_score):
+                    if bound_reached is not None and bound_reached(best.score):
                         if self._c_shortcut is not None:
                             self._c_shortcut.inc(kind="upper_bound")
                         if audit is not None:
                             audit.shortcircuit("upper_bound", node=node)
-                        return (
-                            improved,
-                            best_state,
-                            best_score,
-                            best_utilities,
-                            best_allocations,
-                        )
-        return improved, best_state, best_score, best_utilities, best_allocations
+                        return improved, best
+        return improved, best
 
     def _node_committed_min(
         self,
@@ -1188,9 +1156,10 @@ class ApplicationPlacementController:
         utilities: Mapping[str, float],
         node: str,
         forbidden: set,
-    ) -> bool:
-        """Inner loop: place new instances on ``node``, LRPF order."""
-        placed_any = False
+    ) -> List[str]:
+        """Inner loop: place new instances on ``node``, LRPF order.
+        Returns the applications placed, one instance each."""
+        placed: List[str] = []
         eligible = [
             c
             for c in candidates
@@ -1215,5 +1184,5 @@ class ApplicationPlacementController:
             ):
                 state.place(app_id, node, spec.demand.memory_mb)
                 committed += min_cpu
-                placed_any = True
-        return placed_any
+                placed.append(app_id)
+        return placed

@@ -209,12 +209,25 @@ class LoadDistributionResult:
     feasible:
         False when even the minimum speeds could not be satisfied;
         allocations are then best-effort.
+    assignment:
+        The load matrix, ``{app: {node: cpu}}``, in the order
+        :meth:`write_load` writes it.
     """
 
     allocations: Dict[str, float] = field(default_factory=dict)
     utilities: Dict[str, float] = field(default_factory=dict)
     common_level: float = NEGATIVE_INFINITY_UTILITY
     feasible: bool = True
+    assignment: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def write_load(self, state: PlacementState) -> None:
+        """Replace ``state``'s load matrix with :attr:`assignment`: clear
+        it, then set every entry above ``EPSILON`` in order."""
+        state.clear_load()
+        for app_id, nodes in self.assignment.items():
+            for node, cpu in nodes.items():
+                if cpu > EPSILON:
+                    state.set_cpu(app_id, node, cpu)
 
 
 def _aggregate_bounds(
@@ -610,7 +623,8 @@ def distribute_load(
         All applications known to the controller, keyed by id.
     write_load_matrix:
         When True (default) the resulting per-instance allocations are
-        written back into ``state``.
+        written back into ``state`` (else see
+        :meth:`LoadDistributionResult.write_load`).
     tables:
         Optional :class:`SpecArrays` covering (at least) the placed
         applications.  When provided, the level search and refinement
@@ -622,7 +636,7 @@ def distribute_load(
     result = LoadDistributionResult()
     if not placed_ids:
         if write_load_matrix:
-            state.clear_load()
+            result.write_load(state)
         return result
 
     placed = {a: apps[a] for a in placed_ids}
@@ -679,9 +693,9 @@ def distribute_load(
     result.utilities = {
         a: placed[a].rpf.utility(allocations[a]) for a in placed_ids
     }
-
+    result.assignment = best_assignment
     if write_load_matrix:
-        _write_load(state, best_assignment)
+        result.write_load(state)
     return result
 
 
@@ -715,16 +729,6 @@ def _residual(
         for node, cpu in nodes.items():
             residual[node] -= cpu
     return residual
-
-
-def _write_load(
-    state: PlacementState, assignment: Mapping[str, Mapping[str, float]]
-) -> None:
-    state.clear_load()
-    for app_id, nodes in assignment.items():
-        for node, cpu in nodes.items():
-            if cpu > EPSILON:
-                state.set_cpu(app_id, node, cpu)
 
 
 def _distribute_load_vec(
@@ -802,9 +806,9 @@ def _distribute_load_vec(
     result.utilities = dict(
         zip(placed_ids, ctx.utilities(allocations, placed))
     )
-
+    result.assignment = best_assignment
     if write_load_matrix:
-        _write_load(state, best_assignment)
+        result.write_load(state)
     return result
 
 

@@ -210,7 +210,7 @@ class UtilityVector:
     def __hash__(self) -> int:
         # Consistent with __eq__ only up to epsilon; UtilityVector is not
         # intended as a dict key, but hashability keeps it usable in sets
-        # of exact duplicates (e.g. memoized candidate scores).
+        # of exact duplicates.
         return hash(tuple(round(v, 6) for v in self._values))
 
     def __repr__(self) -> str:

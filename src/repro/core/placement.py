@@ -16,7 +16,7 @@ solver paths (:mod:`repro.core.loadbalance`, :mod:`repro.core.apc`) read
 the arrays while the dict API remains the order-preserving view the
 scalar reference solver and the snapshot format rely on.  The sparse
 ``P``/``L`` dicts stay authoritative for structure because dict insertion
-order is semantically significant (see :meth:`PlacementState.matrix_key`);
+order is semantically significant (see :meth:`PlacementState.to_dict`);
 :meth:`PlacementState.dense_view` materializes them as ``(apps x nodes)``
 matrices on demand.
 """
@@ -281,23 +281,6 @@ class PlacementState:
         """A deep copy of the placement matrix ``P``."""
         return {a: dict(nodes) for a, nodes in self._instances.items() if nodes}
 
-    def matrix_key(self) -> Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...]:
-        """A hashable fingerprint of the placement matrix ``P``.
-
-        Preserves dict *insertion order* (both the application order and
-        each application's node order), not just contents: downstream
-        consumers — the load distributor's tie-breaking, action diffing —
-        iterate these dicts, so two states may only share a fingerprint
-        when every order-sensitive iteration over them behaves
-        identically.  This is what makes the controller's per-cycle
-        evaluation memo byte-exact.
-        """
-        return tuple(
-            (a, tuple(nodes.items()))
-            for a, nodes in self._instances.items()
-            if nodes
-        )
-
     def load_matrix(self) -> Dict[str, Dict[str, float]]:
         """A deep copy of the load matrix ``L``."""
         return {
@@ -419,9 +402,10 @@ class PlacementState:
         """Verbatim JSON form of the full state, caches included.
 
         Two things are preserved deliberately: dict *insertion order*
-        (see :meth:`matrix_key` — iteration order is semantically
-        significant for tie-breaking and diffing, and JSON objects keep
-        key order through a dump/load round trip), and the accumulated
+        (both the application order and each application's node order:
+        the load distributor's tie-breaking and action diffing iterate
+        these dicts, and JSON objects keep key order through a dump/load
+        round trip), and the accumulated
         per-node usage caches (re-summing them fresh could differ in the
         last float ulp from the values the original run accumulated,
         breaking byte-identical resume).  Empty per-app entries are kept

@@ -28,6 +28,16 @@ from repro.core.loadbalance import AllocatableApp
 class WorkloadModel(Protocol):
     """One workload type under integrated management."""
 
+    def begin_cycle(self, now: float) -> None:
+        """A ``place()`` call at ``now`` starts.  Until :meth:`end_cycle`
+        the model's applications stay as they are, so it may answer every
+        call from one view of its state taken here."""
+        ...
+
+    def end_cycle(self) -> None:
+        """The ``place()`` call that :meth:`begin_cycle` opened is over."""
+        ...
+
     def app_specs(self, now: float) -> Mapping[str, AllocatableApp]:
         """Demands + allocation RPFs for the model's active applications.
 

@@ -485,7 +485,7 @@ class SweepResult:
     def merged_metrics(self) -> Dict[str, float]:
         """Counter samples summed across all runs, keyed
         ``name{label=value,...}`` — one aggregate view of a sweep's
-        telemetry (cache hits, shortcuts, submissions, ...)."""
+        telemetry (search shortcuts, submissions, ...)."""
         merged: Dict[str, float] = {}
         for summary in self.summaries:
             for sample in summary.get("metrics", ()):

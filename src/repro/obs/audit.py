@@ -13,11 +13,9 @@ optional audit through ``place()`` and reports, per control cycle:
 * the incumbent utility vector before the search and the final vector
   after it (``audit_cycle``);
 * every candidate placement it scored — admission trials and search
-  sweep trials alike, including memo-served re-evaluations (flagged
-  ``cached``) and structural
-  short-circuits that skipped evaluation entirely — with the
-  element-wise lexicographic comparison that decided acceptance
-  (``audit_candidate``);
+  sweep trials alike, and the structural short-circuits that skipped
+  evaluation entirely — with the element-wise lexicographic comparison
+  that decided acceptance (``audit_candidate``);
 * every greedy-admission verdict with its accept/reject reason and the
   app's rank in the LRPF ordering (``audit_admission``);
 * the hypothetical-RPF inputs for each queued candidate
@@ -185,14 +183,13 @@ class DecisionAudit:
         node: Optional[str] = None,
         removals: Optional[int] = None,
         churn: Optional[int] = None,
-        cached: Optional[bool] = None,
         tolerance: Optional[float] = None,
     ) -> None:
         """Record one scored candidate placement.
 
         ``comparison`` is the :func:`repro.core.objective.lex_explain`
         dict for candidate-vs-incumbent; ``stage`` is ``"admission"`` or
-        ``"search"``; ``cached`` marks memo-served evaluations.
+        ``"search"``.
         """
         record: Dict[str, object] = {
             "type": "audit_candidate",
@@ -209,8 +206,6 @@ class DecisionAudit:
             record["removals"] = removals
         if churn is not None:
             record["churn"] = churn
-        if cached is not None:
-            record["cached"] = cached
         if tolerance is not None:
             record["tolerance"] = tolerance
         if self._pending_fill is not None and self._pending_fill[0] == node:
@@ -238,7 +233,6 @@ class DecisionAudit:
         utilities_after: Dict[str, float],
         changed: bool,
         evaluations: int,
-        cache_hits: int,
     ) -> None:
         """Close the audit window: final vector and search effort."""
         after = sorted(utilities_after.values())
@@ -249,7 +243,6 @@ class DecisionAudit:
                 "utilities_after": after,
                 "changed": changed,
                 "evaluations": evaluations,
-                "cache_hits": cache_hits,
             }
         )
         if self._trace is not None:

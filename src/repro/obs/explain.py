@@ -67,8 +67,6 @@ def _describe_candidate(record: Dict[str, object]) -> List[str]:
     head = f"{record['stage']} trial" + (f" ({', '.join(where)})" if where else "")
     verdict = "ACCEPTED" if record["accepted"] else f"rejected: {record['reason']}"
     lines = [f"{head} -> {verdict}"]
-    if record.get("cached"):
-        lines.append("  (evaluation served from the per-cycle memo)")
     comparison = record.get("comparison")
     if isinstance(comparison, dict):
         lines.append("  " + _describe_comparison(comparison))
@@ -146,10 +144,9 @@ def explain_cycle(
             delta = summary["utilities_after"][0] - summary["utilities_before"][0]
             lines.append(f"worst-app delta:       {delta:+.3f}")
         lines.append(
-            "placement {} ({} candidate evaluation(s), {} memo hit(s))".format(
+            "placement {} ({} candidate evaluation(s))".format(
                 "CHANGED" if summary["changed"] else "unchanged",
                 summary["evaluations"],
-                summary.get("cache_hits", 0),
             )
         )
 

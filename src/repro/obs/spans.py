@@ -224,14 +224,26 @@ def render_profile(profiler: SpanProfiler, unit: str = "ms") -> str:
     aggregate = profiler.aggregate()
     if not aggregate:
         return "(no spans recorded)"
-    # Tree order: first occurrence order of each path.
-    seen: List[str] = []
+    # Tree order: parents before children, siblings in first-open
+    # order, so a child first seen in a later cycle still prints under
+    # its own parent.
+    children: Dict[Optional[str], List[str]] = {}
     for record in profiler.records:
-        if record.path not in seen:
-            seen.append(record.path)
+        parent = record.parent
+        siblings = children.setdefault(
+            None if parent is None else profiler.records[parent].path, []
+        )
+        if record.path not in siblings:
+            siblings.append(record.path)
+
+    def tree(parent: Optional[str]):
+        for path in children.get(parent, ()):
+            yield path
+            yield from tree(path)
+
     header = f"{'span':<44} {'calls':>6} {'total':>12} {'mean':>12}"
     lines = [header, "-" * len(header)]
-    for path in seen:
+    for path in tree(None):
         stats = aggregate[path]
         depth = path.count(SEP)
         label = "  " * depth + path.rsplit(SEP, 1)[-1]

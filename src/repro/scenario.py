@@ -16,6 +16,8 @@ worker processes and merge the results deterministically.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -46,6 +48,7 @@ from repro.sim.metrics import MetricsRecorder
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.sim.snapshot import SNAPSHOT_SCHEMA_VERSION, check_version, require
 from repro.sim.trace import SimulationTrace
+from repro.units import is_count
 from repro.workloads.generators import experiment_one_jobs, experiment_two_jobs
 
 #: Workload kinds a scenario can name (the seeded generators).
@@ -64,13 +67,15 @@ class Scenario:
         Free-form label (propagated into runner summaries and traces).
     nodes / cpu_per_processor / processors_per_node / memory_per_node:
         Homogeneous cluster shape; the defaults are the paper's
-        25-node blade cluster.
+        25-node blade cluster.  ``nodes`` and ``processors_per_node``
+        are integers >= 1, the other two positive and finite.
     workload:
         Which seeded job stream to generate: ``"experiment1"``
         (identical jobs, §5.1) or ``"experiment2"`` (mixed classes and
         goal factors, §5.2).
     job_count / interarrival / seed:
-        Stream parameters.  ``interarrival`` is in *paper* terms (mean
+        Stream parameters (``job_count`` an integer >= 0,
+        ``interarrival`` positive and finite).  ``interarrival`` is in *paper* terms (mean
         seconds between submissions at 25 nodes) and is stretched by
         ``25 / nodes`` so per-node load is scale-invariant.
     queue_window:
@@ -107,14 +112,23 @@ class Scenario:
     sim: SimulationConfig = field(default_factory=SimulationConfig)
 
     def __post_init__(self) -> None:
-        if self.nodes < 1:
-            raise ConfigurationError(f"need >= 1 node, got {self.nodes}")
-        if self.job_count < 0:
-            raise ConfigurationError(f"job count must be >= 0, got {self.job_count}")
-        if self.interarrival <= 0:
-            raise ConfigurationError(
-                f"interarrival must be positive, got {self.interarrival}"
-            )
+        # A float count or a NaN capacity fails here, not mid-cycle.
+        for name, least in (
+            ("nodes", 1), ("processors_per_node", 1), ("job_count", 0)
+        ):
+            value = getattr(self, name)
+            if not is_count(value) or value < least:
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
+        for name in ("cpu_per_processor", "memory_per_node", "interarrival"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and 0 < value < math.inf
+            ):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
         check_queue_window(self.queue_window)
         if self.workload not in WORKLOADS:
             raise ConfigurationError(
@@ -272,8 +286,6 @@ class Simulation:
             queue_window=scenario.queue_window,
             prediction_method=scenario.prediction_method,
         )
-        if registry is not None:
-            batch_model.bind_registry(registry)
         context = PolicyContext(
             cluster=cluster,
             queue=queue,

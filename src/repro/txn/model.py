@@ -64,6 +64,12 @@ class TransactionalWorkloadModel:
     # ------------------------------------------------------------------
     # WorkloadModel protocol
     # ------------------------------------------------------------------
+    def begin_cycle(self, now: float) -> None:
+        """Nothing to freeze: every answer is a function of ``now``."""
+
+    def end_cycle(self) -> None:
+        pass
+
     def app_specs(self, now: float) -> Dict[str, AllocatableApp]:
         specs: Dict[str, AllocatableApp] = {}
         for app in self._apps.values():

@@ -13,11 +13,13 @@ docstring describes it, with none of the production bookkeeping:
 * adoption only on strict improvement, with the preemption penalty for
   candidates that remove instances.
 
-There is no evaluation memo, no upper bound, no no-op-node skip and no
-spec tables.  :class:`ReferenceBatchModel` is the §4.2 batch prediction
-computed job by job — one :class:`~repro.batch.rpf.JobAllocationRPF` per
-job, :class:`~repro.batch.hypothetical.HypotheticalRPF` over them — with
-no memo.
+There is no upper bound, no no-op-node skip, no spec tables, and every
+trial gets its load matrix written and its churn diffed against the
+baseline in full.  :class:`ReferenceBatchModel` is the §4.2 batch
+prediction computed job by job — one
+:class:`~repro.batch.rpf.JobAllocationRPF` per job,
+:class:`~repro.batch.hypothetical.HypotheticalRPF` over them — from a
+fresh queue scan on every call.
 
 Both reuse what is pinned elsewhere: ``distribute_load`` without tables
 (``tests/test_loadbalance_oracle.py``), ``diff_placements``, the
@@ -358,6 +360,33 @@ class ReferenceBatchModel:
 # ----------------------------------------------------------------------
 # Runners: one per comparison shape, each building either side
 # ----------------------------------------------------------------------
+class _Recorder:
+    """Stands in for a controller in :func:`_roll_cycles` and keeps what
+    each cycle decided: the placement, the load matrix in insertion
+    order, the result's allocations and utilities in their order, and
+    its churn and change flag."""
+
+    def __init__(self, controller) -> None:
+        self.controller = controller
+        self.config = controller.config
+        self.cycles: List[dict] = []
+
+    def place(self, models, current: PlacementState, now: float) -> APCResult:
+        result = self.controller.place(models, current, now)
+        self.cycles.append({
+            "placement": result.state.as_matrix(),
+            "load": [
+                (app_id, list(nodes.items()))
+                for app_id, nodes in result.state.load_matrix().items()
+            ],
+            "allocations": list(result.allocations.items()),
+            "utilities": list(result.utilities.items()),
+            "churn": result.score.num_changes,
+            "changed": result.changed,
+        })
+        return result
+
+
 def run_cycles(
     scenario,
     cycles: int,
@@ -367,11 +396,13 @@ def run_cycles(
     txn_apps: Sequence = (),
     **controller_kwargs,
 ) -> List[dict]:
-    """Per-cycle placement matrices of ``cycles`` rolling control cycles
-    on ``scenario`` (plus, optionally, static transactional apps), from
-    the reference solver or the production controller.  Extra keyword
-    arguments (``audit``, ``registry``, ...) go to the production
-    controller."""
+    """Per-cycle decisions of ``cycles`` rolling control cycles on
+    ``scenario`` (plus, optionally, static transactional apps), from the
+    reference solver or the production controller: one dict per cycle
+    with the placement matrix, the load matrix in insertion order, and
+    the allocations and utilities in their order (see
+    :class:`_Recorder`).  Extra keyword arguments (``audit``,
+    ``registry``, ...) go to the production controller."""
     cluster = scenario.build_cluster()
     queue = JobQueue()
     if reference:
@@ -394,7 +425,9 @@ def run_cycles(
     if txn_apps:
         models.insert(0, TransactionalWorkloadModel(list(txn_apps)))
     jobs = scenario.build_jobs()
-    return _roll_cycles(controller, cluster, models, queue, jobs, cycles)["matrices"]
+    recorder = _Recorder(controller)
+    _roll_cycles(recorder, cluster, models, queue, jobs, cycles)
+    return recorder.cycles
 
 
 def reference_simulation(scenario, *, decision_clock, trace=None) -> Simulation:

@@ -80,10 +80,10 @@ class TestDecisionAuditUnit:
         audit = DecisionAudit()
         audit.begin_cycle(600.0)
         audit.end_cycle(utilities_after={"a": 0.5}, changed=False,
-                        evaluations=1, cache_hits=0)
+                        evaluations=1)
         audit.begin_cycle(1200.0)
         audit.end_cycle(utilities_after={"a": 0.6}, changed=True,
-                        evaluations=2, cache_hits=1)
+                        evaluations=2)
         assert audit.cycles() == [0, 1]
         first, second = audit.records
         assert first["time"] == 600.0 and first["cycle"] == 0
@@ -96,7 +96,7 @@ class TestDecisionAuditUnit:
         audit.begin_cycle(0.0)
         audit.incumbent({"b": 0.9, "a": 0.1})
         audit.end_cycle(utilities_after={}, changed=False,
-                        evaluations=0, cache_hits=0)
+                        evaluations=0)
         assert audit.records[0]["utilities_before"] == [0.1, 0.9]
 
     def test_fill_order_attaches_to_matching_node_only(self):
@@ -133,7 +133,7 @@ class TestDecisionAuditUnit:
         audit.begin_cycle(42.0)
         audit.incumbent({"a": -0.2})
         audit.end_cycle(utilities_after={"a": 0.3}, changed=True,
-                        evaluations=4, cache_hits=1)
+                        evaluations=4)
         events = trace.events(kinds=[TraceEventKind.DECISION])
         assert len(events) == 1
         detail = events[0].detail

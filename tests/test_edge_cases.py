@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch.hypothetical import HypotheticalRPF
 from repro.batch.job import Job, JobProfile, JobStatus
@@ -121,6 +123,71 @@ class TestQueueWindowEdges:
         queue.submit(make_job("late-tight", submit=1.0, goal_factor=1.1))
         model = BatchWorkloadModel(queue, queue_window=1)
         assert model.placement_candidates(2.0) == ["late-tight"]
+
+
+class TestScenarioBoundary:
+    """A malformed cluster or stream shape fails when the scenario is
+    built, naming the field, not deep inside a control cycle."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", 2.5),
+            ("nodes", True),
+            ("nodes", 0),
+            ("processors_per_node", 0),
+            ("processors_per_node", 1.5),
+            ("job_count", 2.5),
+            ("job_count", -1),
+            ("cpu_per_processor", math.inf),
+            ("cpu_per_processor", -1.0),
+            ("cpu_per_processor", True),
+            ("memory_per_node", -1.0),
+            ("memory_per_node", math.nan),
+            ("memory_per_node", 0.0),
+            ("interarrival", math.nan),
+            ("interarrival", "260"),
+        ],
+    )
+    def test_rejects_bad_shape(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            Scenario(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            Scenario.from_dict({"name": "bad-shape", field: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        field=st.sampled_from(
+            ["nodes", "processors_per_node", "job_count",
+             "cpu_per_processor", "memory_per_node", "interarrival"]
+        ),
+        value=st.one_of(
+            st.integers(min_value=-5, max_value=5),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+        ),
+    )
+    def test_fuzzed_shape_is_accepted_only_when_valid(self, field, value):
+        if field in ("nodes", "processors_per_node", "job_count"):
+            least = 0 if field == "job_count" else 1
+            valid = (
+                isinstance(value, int)
+                and not isinstance(value, bool)
+                and value >= least
+            )
+        else:
+            valid = (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and 0 < value < math.inf
+            )
+        if valid:
+            assert getattr(Scenario.from_dict({field: value}), field) == value
+        else:
+            with pytest.raises(ConfigurationError, match=field):
+                Scenario.from_dict({field: value})
 
 
 class TestRouterEdges:

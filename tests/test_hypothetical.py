@@ -5,10 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.hypothetical import DEFAULT_UTILITY_LEVELS, HypotheticalRPF
+from repro.batch.hypothetical import (
+    _LEVEL_SOLVE_ITERATIONS,
+    DEFAULT_UTILITY_LEVELS,
+    HypotheticalRPF,
+)
 from repro.batch.rpf import JobAllocationRPF
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
+from repro.units import EPSILON
 
 from tests.conftest import make_job
 
@@ -134,6 +139,105 @@ class TestEqualizedLevel:
         u_max = JobAllocationRPF(jobs[0], 0.0).max_utility
         assert (u >= NEGATIVE_INFINITY_UTILITY - 1e-9).all()
         assert (u <= u_max + 1e-9).all()
+
+
+def reference_equalized_level(h, aggregate_mhz):
+    """The straightforward bisection over :meth:`aggregate_demand_at`:
+    the oracle that ``equalized_level``'s prepared probes must equal."""
+    if len(h) == 0:
+        return 1.0
+    aggregate = max(0.0, float(aggregate_mhz))
+    lo, hi = float(h.levels[0]), 1.0
+    if h.aggregate_demand_at(hi) <= aggregate + EPSILON:
+        return hi
+    if h.aggregate_demand_at(lo) > aggregate:
+        return lo
+    for _ in range(_LEVEL_SOLVE_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if h.aggregate_demand_at(mid) <= aggregate:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def job_arrays(draw):
+    """Per-job fields for :meth:`HypotheticalRPF.from_arrays`: completed
+    jobs (remaining at most EPSILON) and jobs whose goal lies before
+    ``now`` (past the horizon at every level) mixed with ordinary ones."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    remaining = draw(st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=EPSILON, **_finite),
+            st.floats(min_value=1.0, max_value=1e8, **_finite),
+        ),
+        min_size=n, max_size=n,
+    ))
+    now = draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e5, **_finite),
+        min_size=n, max_size=n,
+    ))
+    goal = [
+        t + draw(st.floats(min_value=-1e4, max_value=1e5, **_finite))
+        for t in now
+    ]
+    rel = draw(st.lists(
+        st.floats(min_value=1.0, max_value=1e4, **_finite),
+        min_size=n, max_size=n,
+    ))
+    speed = draw(st.lists(
+        st.floats(min_value=1.0, max_value=4000.0, **_finite),
+        min_size=n, max_size=n,
+    ))
+    return HypotheticalRPF.from_arrays(
+        [f"j{i}" for i in range(n)],
+        remaining=np.array(remaining),
+        goal=np.array(goal),
+        relative_goal=np.array(rel),
+        max_speed=np.array(speed),
+        now=np.array(now),
+        u_max=np.ones(n),
+    )
+
+
+class TestPreparedLevelProbes:
+    """``equalized_level`` shares buffers across its probes; every level
+    must still equal the plain bisection over ``aggregate_demand_at``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=job_arrays(), frac=st.floats(min_value=0.0, max_value=1.0))
+    def test_equals_reference_bisection(self, h, frac):
+        low = h.aggregate_demand_at(float(h.levels[0]))
+        high = h.aggregate_demand_at(1.0)
+        aggregates = [
+            0.0, low * 0.5, low, np.nextafter(low, -np.inf),
+            low + frac * (high - low),
+            high - EPSILON, high, high + EPSILON, high * 2.0 + 1.0,
+        ]
+        for aggregate in aggregates:
+            assert h.equalized_level(aggregate) == reference_equalized_level(
+                h, aggregate
+            )
+
+    def test_completed_and_past_horizon_jobs(self):
+        h = HypotheticalRPF.from_arrays(
+            ["done", "late", "open"],
+            remaining=np.array([0.0, 5_000.0, 8_000.0]),
+            goal=np.array([100.0, 50.0, 400.0]),
+            relative_goal=np.array([100.0, 100.0, 100.0]),
+            max_speed=np.array([100.0, 100.0, 100.0]),
+            now=np.array([0.0, 100.0, 0.0]),
+            u_max=np.ones(3),
+        )
+        for aggregate in np.linspace(0.0, 300.0, 61):
+            assert h.equalized_level(aggregate) == reference_equalized_level(
+                h, aggregate
+            )
 
 
 class TestInterpolationApproximation:

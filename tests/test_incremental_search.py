@@ -1,10 +1,12 @@
 """The production controller must decide exactly as the paper-literal
 reference solver in :mod:`tests.reference_apc` — same placements, every
-cycle — while doing less work (eval-memo hits, short-circuits).
+cycle — while doing less work (short-circuits, churn by delta, the load
+written only for adopted placements).
 
 Both sides run through the rolling-cycle loop ``repro bench`` times
 (:func:`tests.reference_apc.run_cycles`); identity is asserted on the
-full per-cycle placement matrices.
+full per-cycle placement matrices, load matrices, allocations and
+utilities.
 """
 
 from dataclasses import replace
@@ -86,10 +88,10 @@ def _counter_total(registry, name, **labels):
 
 
 #: A deeply saturated small cluster with several sweeps: distinct search
-#: trials converge to placements an earlier sweep already scored, so the
-#: evaluation memo is hit.
-MEMO_SCENARIO = Scenario(
-    name="memo-regime",
+#: trials converge to placements an earlier sweep already scored, and
+#: adopted trials carry their churn from one sweep into the next.
+MULTI_SWEEP_SCENARIO = Scenario(
+    name="multi-sweep-regime",
     nodes=5,
     workload="experiment2",
     job_count=40,
@@ -100,14 +102,60 @@ MEMO_SCENARIO = Scenario(
 )
 
 
-def test_identity_memo_hit_regime():
-    """Identity must survive eval-memo *hits* (replayed load matrices),
-    not just misses."""
-    registry = MetricRegistry()
-    reference = run_cycles(MEMO_SCENARIO, 8, reference=True)
-    production = run_cycles(MEMO_SCENARIO, 8, reference=False, registry=registry)
+def test_identity_multi_sweep_regime():
+    """Identity must survive several sweeps per cycle, where trials
+    re-reach placements an earlier sweep scored and churn accumulates
+    over adoptions."""
+    reference = run_cycles(MULTI_SWEEP_SCENARIO, 8, reference=True)
+    production = run_cycles(MULTI_SWEEP_SCENARIO, 8, reference=False)
     assert production == reference
-    assert _counter_total(registry, "repro_apc_cache_total", outcome="hit") > 0
+
+
+def test_delta_churn_equals_full_diff(monkeypatch):
+    """Every scored candidate's churn (its base's churn plus its change
+    on one node) equals the full diff of its placement against the
+    cycle's baseline, the placement the incumbent is scored on."""
+    import repro.core.apc as apc_module
+    from repro.virt.actions import diff_placements
+
+    scenario = MULTI_SWEEP_SCENARIO
+    cluster = scenario.build_cluster()
+    queue = JobQueue()
+    model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
+    controller = ApplicationPlacementController(cluster, scenario.apc)
+    scored = []
+    distribute = apc_module.distribute_load
+    score = controller.objective.score
+
+    def recording_distribute(state, *args, **kwargs):
+        scored.append([state.as_matrix()])
+        return distribute(state, *args, **kwargs)
+
+    def recording_score(utilities, churn, tolerance):
+        scored[-1].append(churn)
+        return score(utilities, churn, tolerance)
+
+    monkeypatch.setattr(apc_module, "distribute_load", recording_distribute)
+    monkeypatch.setattr(controller.objective, "score", recording_score)
+    state = PlacementState(cluster)
+    pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
+    now, checked = 0.0, 0
+    for _ in range(6):
+        while pending and pending[0].submit_time <= now:
+            queue.submit(pending.pop(0))
+        scored.clear()
+        result = controller.place([model], state, now)
+        baseline = scored[0][0]
+        for matrix, churn in scored:
+            removals, additions = diff_placements(baseline, matrix)
+            assert churn == sum(c for *_, c in removals + additions)
+            checked += churn > 0
+        removals, additions = diff_placements(baseline, result.state.as_matrix())
+        assert result.score.num_changes == sum(c for *_, c in removals + additions)
+        assert result.changed == (result.state.as_matrix() != baseline)
+        state = result.state
+        now += 600.0
+    assert checked > 0
 
 
 def test_identity_underloaded_small_cluster():
@@ -124,9 +172,9 @@ def test_identity_underloaded_small_cluster():
 
 
 def test_fast_path_actually_engages():
-    """Cache hits and short-circuits are observable: the speedup is not
-    an accident of the workload."""
-    scenario = MEMO_SCENARIO
+    """Short-circuits are observable: the speedup is not an accident of
+    the workload."""
+    scenario = MULTI_SWEEP_SCENARIO
     cluster = scenario.build_cluster()
     queue = JobQueue()
     model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
@@ -137,19 +185,12 @@ def test_fast_path_actually_engages():
     state = PlacementState(cluster)
     pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
     now, horizon = 0.0, 600.0
-    cache_hits = 0
     for _ in range(6):
         while pending and pending[0].submit_time <= now:
             queue.submit(pending.pop(0))
         result = controller.place([model], state, now)
         state = result.state
-        cache_hits += result.cache_hits
         now += horizon
-    assert cache_hits > 0
-    assert _counter_total(registry, "repro_apc_cache_total", outcome="hit") > 0
-    assert (
-        _counter_total(registry, "repro_apc_cache_total", outcome="miss") > 0
-    )
     shortcuts = _counter_total(registry, "repro_apc_shortcircuit_total")
     assert shortcuts > 0
 
@@ -157,10 +198,10 @@ def test_fast_path_actually_engages():
 # ----------------------------------------------------------------------
 # Decision flight recorder
 # ----------------------------------------------------------------------
-#: :data:`MEMO_SCENARIO`'s saturation at the spec-table size rule: the
-#: search runs on spec tables and the array load distributor.
+#: :data:`MULTI_SWEEP_SCENARIO`'s saturation at the spec-table size
+#: rule: the search runs on spec tables and the array load distributor.
 SPEC_TABLES_SCENARIO = replace(
-    MEMO_SCENARIO,
+    MULTI_SWEEP_SCENARIO,
     name="spec-tables-regime",
     nodes=SPEC_TABLES_MIN_NODES,
     job_count=160,
@@ -173,7 +214,7 @@ SPEC_TABLES_SCENARIO = replace(
 def test_audit_attachment_never_changes_placements(spec_tables):
     from repro.obs.audit import DecisionAudit
 
-    scenario = SPEC_TABLES_SCENARIO if spec_tables else MEMO_SCENARIO
+    scenario = SPEC_TABLES_SCENARIO if spec_tables else MULTI_SWEEP_SCENARIO
     plain = run_cycles(scenario, 6, reference=False)
     audit = DecisionAudit()
     audited = run_cycles(scenario, 6, reference=False, audit=audit)
@@ -181,14 +222,25 @@ def test_audit_attachment_never_changes_placements(spec_tables):
     assert len(audit) > 0
 
 
-def test_audit_marks_memo_hits_in_memo_regime():
+def test_audit_counts_every_scored_candidate():
+    """With no evaluation memo, every scored candidate is one evaluation:
+    the cycle summary counts exactly the candidates the audit recorded,
+    and none carries the retired ``cached`` flag."""
     from repro.obs.audit import DecisionAudit
 
     audit = DecisionAudit()
-    run_cycles(MEMO_SCENARIO, 6, reference=False, audit=audit)
-    candidates = [r for r in audit.records if r["type"] == "audit_candidate"]
-    assert any(r.get("cached") for r in candidates)
-    assert any(r.get("cached") is False for r in candidates)
+    run_cycles(MULTI_SWEEP_SCENARIO, 6, reference=False, audit=audit)
+    for cycle in audit.cycles():
+        records = audit.records_for(cycle)
+        scored = [
+            r for r in records
+            if r["type"] == "audit_candidate" and r["utilities"]
+        ]
+        (summary,) = [r for r in records if r["type"] == "audit_cycle"]
+        assert "cache_hits" not in summary
+        assert all("cached" not in r for r in scored)
+        # The incumbent's own evaluation is the one not recorded.
+        assert summary["evaluations"] == len(scored) + 1
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +332,7 @@ def test_frontier_skips_nodes_closed_by_constraints():
     zero-removal trials are recorded as ``node_noop`` short-circuits."""
     from repro.obs.audit import DecisionAudit
 
-    scenario = MEMO_SCENARIO
+    scenario = MULTI_SWEEP_SCENARIO
     jobs = [job.job_id for job in scenario.build_jobs()]
     constraints = ConstraintSet(PinToNodes(j, ["node0", "node1"]) for j in jobs)
     audit = DecisionAudit()

@@ -144,6 +144,29 @@ class TestSpanProfiler:
         assert "phase" in text
         assert render_profile(SpanProfiler()) == "(no spans recorded)"
 
+    def test_render_profile_nests_late_children_under_their_parent(self):
+        """A child first opened in a later cycle prints under its own
+        parent, not under the sibling that opened in between."""
+        prof = SpanProfiler(clock=ticker())
+        with prof.span("place"):
+            with prof.span("specs"):
+                pass
+            with prof.span("admission"):
+                pass
+        with prof.span("place"):
+            with prof.span("specs"):
+                with prof.span("tables"):
+                    pass
+            with prof.span("admission"):
+                pass
+        rows = render_profile(prof, unit="raw").splitlines()[2:]
+        labels = [row[:44].rstrip() for row in rows]
+        assert labels == ["place", "  specs", "    tables", "  admission"]
+        # One tick per clock read, two reads per span: place 5 + 7,
+        # specs 1 + 3, tables 1, admission 1 + 1.
+        totals = [float(row.split()[2]) for row in rows]
+        assert totals == [12.0, 4.0, 1.0, 2.0]
+
 
 class TestRegistry:
     def test_counter_accumulates_per_label_set(self):

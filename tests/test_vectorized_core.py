@@ -1,5 +1,5 @@
-"""The production controller and batch model — array kernels, memo,
-short-circuits — must be *byte-identical* to the paper-literal reference
+"""The production controller and batch model — array kernels,
+short-circuits, deferred load writes — must be *byte-identical* to the paper-literal reference
 solver (:mod:`tests.reference_apc`) in full simulations: same metrics,
 same trace, same final snapshot, with faults and checkpoint/restore
 active and on the §5.3 sharing configuration.
@@ -127,7 +127,7 @@ def run_full(scenario, *, reference=False):
 @pytest.mark.parametrize("faults", [True, False])
 def test_vectorized_run_is_byte_identical_to_scalar(faults, spec_tables):
     """Metrics, trace, queue, placement matrices and RNG stream of a
-    whole production run (array kernels, memo, short-circuits) equal the
+    whole production run (array kernels, short-circuits) equal the
     scalar reference solver's, with fault injection on and off, below
     and at the spec-table size rule."""
     size = SPEC_TABLES_SIZE if spec_tables else {}

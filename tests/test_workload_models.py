@@ -5,6 +5,9 @@ import pytest
 from repro.batch.job import JobStatus
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
+from repro.cluster import Cluster
+from repro.core.apc import ApplicationPlacementController
+from repro.core.placement import PlacementState
 from repro.core.workload import WorkloadModel
 from repro.errors import ConfigurationError
 from repro.txn.application import TransactionalApp
@@ -89,6 +92,44 @@ class TestBatchWorkloadModel:
     def test_invalid_prediction_method(self):
         with pytest.raises(ValueError):
             BatchWorkloadModel(JobQueue(), prediction_method="magic")
+
+    def test_one_place_call_scans_the_queue_once(self, monkeypatch):
+        """begin_cycle takes the cycle's one scan of the queue; specs,
+        spec arrays, candidates and every candidate evaluation of the
+        cycle read that view."""
+        cluster = Cluster.homogeneous(
+            2, cpu_capacity=1000, memory_capacity=2000
+        )
+        queue = JobQueue()
+        for i in range(6):
+            queue.submit(make_job(f"j{i}", work=40_000, max_speed=500,
+                                  memory=750))
+        model = BatchWorkloadModel(queue, queue_window=2)
+        scans = []
+        original = JobQueue.incomplete
+
+        def counting(self):
+            scans.append(1)
+            return original(self)
+
+        monkeypatch.setattr(JobQueue, "incomplete", counting)
+        controller = ApplicationPlacementController(cluster)
+        result = controller.place([model], PlacementState(cluster), 0.0)
+        assert result.evaluations > 1
+        assert len(scans) == 1
+
+    def test_cycle_view_ends_with_the_cycle(self):
+        """Outside begin_cycle/end_cycle every call sees the live queue."""
+        queue = JobQueue()
+        queue.submit(make_job("a", work=1000))
+        model = BatchWorkloadModel(queue)
+        model.begin_cycle(0.0)
+        queue.submit(make_job("b", work=1000))
+        assert list(model.app_specs(0.0)) == ["a"]
+        model.end_cycle()
+        assert list(model.app_specs(0.0)) == ["a", "b"]
+        assert model.placement_candidates(0.0) == ["a", "b"]
+        assert len(model.hypothetical(0.0)) == 2
 
     def test_average_hypothetical_utility(self):
         queue = JobQueue()
