@@ -19,14 +19,16 @@ workload.  The paper's construction:
 
 The interpolation avoids solving a system of linear equations online
 (which the paper notes is too costly for an on-line placement algorithm).
-Everything is vectorized with numpy: the matrices are rebuilt at every
-candidate-placement evaluation, so this is the hottest code in the
-controller.
+The controller's default prediction solves the fair-share level exactly
+instead (:meth:`HypotheticalRPF.equalized_level`), once per scored
+candidate placement, and never builds the matrices: they are built on
+first use, by the interpolation path and the matrix accessors.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -94,13 +96,31 @@ DEFAULT_UTILITY_LEVELS: Tuple[float, ...] = (
 #: of the [-50, 1] interval resolve the level far below model noise.
 _LEVEL_SOLVE_ITERATIONS = 48
 
+#: Safeguarded Newton probes the exact solve spends shrinking its
+#: bracket before it replays the bisection.
+_LEVEL_NEWTON_STEPS = 8
 
-def _validated_levels(levels: Sequence[float]) -> np.ndarray:
+#: A Newton step shorter than this is replaced by one probe this far
+#: across the level, to close the bracket from the other side.  It is
+#: below the bisection's final spacing of 51 * 2**-48 (about 1.8e-13),
+#: so a bracket this narrow holds at most one bisection midpoint.
+_LEVEL_PINCH = 1e-13
+
+
+def validated_levels(levels: Sequence[float]) -> np.ndarray:
     """Validate the sampling points ``u_1 … u_R`` and return them as an
-    array (shared by both constructors)."""
-    if len(levels) < 2:
+    array: at least two finite levels, strictly increasing, the last
+    one 1.0."""
+    try:
+        lv = [float(level) for level in levels]
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"sampling levels must be numbers, got {levels!r}"
+        ) from None
+    if len(lv) < 2:
         raise ConfigurationError("need at least two sampling levels")
-    lv = list(levels)
+    if not all(map(math.isfinite, lv)):
+        raise ConfigurationError(f"sampling levels must be finite, got {lv}")
     if any(b <= a for a, b in zip(lv, lv[1:])):
         raise ConfigurationError("sampling levels must be strictly increasing")
     if abs(lv[-1] - 1.0) > EPSILON:
@@ -121,7 +141,7 @@ class HypotheticalRPF:
         job_rpfs: Sequence[JobAllocationRPF],
         levels: Sequence[float] = DEFAULT_UTILITY_LEVELS,
     ) -> None:
-        self._levels = _validated_levels(levels)
+        self._levels = validated_levels(levels)
         self._job_ids: List[str] = [r.job_id for r in job_rpfs]
 
         self._remaining = np.array([r.remaining_work for r in job_rpfs], dtype=float)
@@ -160,7 +180,7 @@ class HypotheticalRPF:
         without copying — callers must not mutate them afterwards.
         """
         obj = cls.__new__(cls)
-        obj._levels = _validated_levels(levels)
+        obj._levels = validated_levels(levels)
         obj._job_ids = list(job_ids)
         obj._remaining = np.asarray(remaining, dtype=float)
         obj._goal = np.asarray(goal, dtype=float)
@@ -185,18 +205,11 @@ class HypotheticalRPF:
             return
 
         u = lv[:, None]                                     # (R, 1)
-        target_completion = self._goal[None, :] - u * self._relative_goal[None, :]
-        horizon = target_completion - self._now[None, :]    # (R, M)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            speed = np.where(
-                horizon > EPSILON, self._remaining[None, :] / horizon, np.inf
-            )
-        # Equation (4): clamp at the job's max speed once u_i >= u^max_m
-        # (the division above already exceeds max speed exactly there, so
-        # a single minimum implements both branches).
-        w = np.minimum(speed, self._max_speed[None, :])
-        # Completed jobs need no speed at any level.
-        w[:, self._remaining <= EPSILON] = 0.0
+        # Equations (3) and (4): the required speed, clamped at the
+        # job's max speed once u_i >= u^max_m (the division already
+        # exceeds max speed exactly there, so the pass's single minimum
+        # implements both branches); completed jobs need no speed.
+        w = _DemandProbe(self, len(lv)).speeds(u)
         # Equation (5).
         v = np.minimum(u, self._u_max[None, :])
         v = np.broadcast_to(v, w.shape).copy()
@@ -254,13 +267,7 @@ class HypotheticalRPF:
         """Exact per-job demand ``min(ω_m(u), ω^max_m)`` at ``level``."""
         if len(self._job_ids) == 0:
             return np.zeros(0)
-        target_completion = self._goal - level * self._relative_goal
-        horizon = target_completion - self._now
-        with np.errstate(divide="ignore", invalid="ignore"):
-            speed = np.where(horizon > EPSILON, self._remaining / horizon, np.inf)
-        speed = np.minimum(speed, self._max_speed)
-        speed[self._remaining <= EPSILON] = 0.0
-        return speed
+        return _DemandProbe(self).speeds(level)
 
     def aggregate_demand_at(self, level: float) -> float:
         """Exact aggregate speed needed for every job to reach ``level``
@@ -275,43 +282,46 @@ class HypotheticalRPF:
         This is the exact solution of the fair-share system the paper
         approximates by the ``W``/``V`` interpolation (it notes the exact
         solve was "too costly to perform in an on-line placement
-        algorithm" on 2008 hardware; vectorized it is not).  The probes
-        share buffers, but each runs :meth:`demand_at`'s operations in
-        its order over full-length arrays, so each equals
+        algorithm" on 2008 hardware).  The answer is the float a
+        48-step bisection of ``[u_1, 1]`` over :meth:`aggregate_demand_at`
+        returns, but most of its probes are never evaluated.
+
+        Demand is non-decreasing in the level even in float arithmetic:
+        with ``relative_goal > 0`` (every :class:`~repro.batch.job.Job`
+        guarantees it) each step of a probe is a monotone IEEE operation
+        of the level, finished jobs demand a constant 0, and the
+        pairwise sum is monotone in each term.  So once some level ``a``
+        is known to pass (demand at most ``ω_g``) every bisection
+        midpoint at or left of it passes too, and every midpoint at or
+        right of a failing ``b`` fails.  After the two endpoint probes
+        the solve brackets the level between sampling levels (one 2-D
+        pass whose rows equal single probes bit for bit), shrinks the
+        bracket with safeguarded Newton steps on exact probes, and then
+        replays the bisection, probing only the midpoints that fall
+        inside the bracket.  Every probe runs the demand pass
+        :meth:`demand_at` runs, over full-length arrays, so each equals
         :meth:`aggregate_demand_at` bit for bit.
         """
         if len(self._job_ids) == 0:
             return 1.0
         aggregate = max(0.0, float(aggregate_mhz))
-        remaining = self._remaining
-        done = remaining <= EPSILON
-        horizon = np.empty_like(remaining)
-        open_horizon = np.empty(remaining.shape, dtype=bool)
-        speed = np.empty_like(remaining)
-
-        def demand(level: float) -> float:
-            np.multiply(level, self._relative_goal, out=horizon)
-            np.subtract(self._goal, horizon, out=horizon)
-            np.subtract(horizon, self._now, out=horizon)
-            np.greater(horizon, EPSILON, out=open_horizon)
-            speed.fill(np.inf)
-            np.divide(remaining, horizon, out=speed, where=open_horizon)
-            np.minimum(speed, self._max_speed, out=speed)
-            speed[done] = 0.0
-            return float(speed.sum())
-
+        probe = _DemandProbe(self)
         lo, hi = float(self._levels[0]), 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if demand(hi) <= aggregate + EPSILON:
-                return hi
-            if demand(lo) > aggregate:
-                return lo
-            for _ in range(_LEVEL_SOLVE_ITERATIONS):
-                mid = 0.5 * (lo + hi)
-                if demand(mid) <= aggregate:
-                    lo = mid
-                else:
-                    hi = mid
+        if probe.demand(hi) <= aggregate + EPSILON:
+            return hi
+        if probe.demand(lo) > aggregate:
+            return lo
+        a, b = probe.bracket(self._levels[1:-1], aggregate, lo, hi)
+        for _ in range(_LEVEL_SOLVE_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            if mid <= a:
+                lo = mid
+            elif mid >= b:
+                hi = mid
+            elif probe.demand(mid) <= aggregate:
+                lo = a = mid
+            else:
+                hi = b = mid
         return lo
 
     def job_speeds_exact(self, aggregate_mhz: float) -> np.ndarray:
@@ -420,3 +430,115 @@ class HypotheticalRPF:
             f"HypotheticalRPF({len(self._job_ids)} jobs, "
             f"R={len(self._levels)}, max_demand={self.max_aggregate_demand:.0f}MHz)"
         )
+
+
+class _DemandProbe:
+    """The demand pass behind every demand in this module: the per-job
+    ``min(ω_m(u), ω^max_m)`` at a level, finished jobs at 0, written
+    into buffers that successive passes reuse.
+
+    Built for one level at a time, or with ``rows`` for that many levels
+    at once, one row per level.  Every row runs the same operations in
+    the same order, so a row of ``W`` equals
+    :meth:`HypotheticalRPF.demand_at` of its level bit for bit.
+    """
+
+    __slots__ = ("_rpf", "_done", "_horizon", "_open", "_speed")
+
+    def __init__(
+        self, rpf: HypotheticalRPF, rows: Optional[int] = None
+    ) -> None:
+        remaining = rpf._remaining
+        shape = remaining.shape if rows is None else (rows, len(remaining))
+        self._rpf = rpf
+        self._done = remaining <= EPSILON
+        self._horizon = np.empty(shape)
+        self._open = np.empty(shape, dtype=bool)
+        self._speed = np.empty(shape)
+
+    def speeds(self, level) -> np.ndarray:
+        """Fill the speed buffer at ``level`` (a float, or a column of
+        levels for a multi-row probe) and return it."""
+        rpf, horizon, speed = self._rpf, self._horizon, self._speed
+        np.multiply(level, rpf._relative_goal, out=horizon)
+        np.subtract(rpf._goal, horizon, out=horizon)
+        np.subtract(horizon, rpf._now, out=horizon)
+        np.greater(horizon, EPSILON, out=self._open)
+        speed.fill(np.inf)
+        # Divide over open horizons only: a subnormal one would overflow.
+        np.divide(rpf._remaining, horizon, out=speed, where=self._open)
+        np.minimum(speed, rpf._max_speed, out=speed)
+        speed[..., self._done] = 0.0
+        return speed
+
+    def demand(self, level: float) -> float:
+        """:meth:`HypotheticalRPF.aggregate_demand_at`, bit for bit."""
+        return float(self.speeds(level).sum())
+
+    def bracket(
+        self, levels: np.ndarray, aggregate: float, a: float, b: float
+    ) -> Tuple[float, float]:
+        """Shrink ``[a, b]``, where ``a`` passes (demand at most
+        ``aggregate``) and ``b`` fails, and return it.
+
+        The sampling ``levels`` inside it narrow it first, in one
+        multi-row pass whose row sums equal single passes.  Then come
+        Newton steps from the last pass (from the sampling level whose
+        demand is nearer ``aggregate`` at the start), each an exact
+        probe that moves one end.  A step that leaves ``(a, b)`` becomes
+        the midpoint; a step shorter than :data:`_LEVEL_PINCH` becomes
+        a probe that far across, to close the bracket from the other
+        side.
+        """
+        rpf = self._rpf
+        max_speed = rpf._max_speed
+        # An open job below its cap demands w = rem/h, whose slope in
+        # the level is rem·rel/h² = rel·w²/rem; every other job's
+        # demand is flat.
+        weight = np.zeros_like(rpf._remaining)
+        np.divide(rpf._relative_goal, rpf._remaining, out=weight,
+                  where=~self._done)
+
+        def slope(speed: np.ndarray) -> float:
+            # Only steers the next probe, so it need not be exact.
+            terms = speed * speed * weight
+            return float(terms.sum(where=speed < max_speed))
+
+        x, gap, grad = 0.0, 0.0, 0.0
+        if len(levels):
+            grid = _DemandProbe(rpf, len(levels)).speeds(levels[:, None])
+            sums = grid.sum(axis=1)
+            # Demand is monotone, so the passing levels are a prefix.
+            k = int(np.count_nonzero(sums <= aggregate))
+            if k:
+                a = float(levels[k - 1])
+            if k < len(levels):
+                b = float(levels[k])
+            if k == len(levels) or (
+                k and aggregate - sums[k - 1] < sums[k] - aggregate
+            ):
+                row = k - 1
+            else:
+                row = k
+            x, gap = float(levels[row]), float(sums[row]) - aggregate
+            grad = slope(grid[row])
+        for _ in range(_LEVEL_NEWTON_STEPS):
+            if grad > 0.0:
+                step = gap / grad
+                if abs(step) < _LEVEL_PINCH:
+                    step = -_LEVEL_PINCH if gap <= 0.0 else _LEVEL_PINCH
+                u = x - step
+            else:
+                u = 0.5 * (a + b)
+            if not a < u < b:
+                u = 0.5 * (a + b)
+            demand = self.demand(u)
+            if demand <= aggregate:
+                a = u
+            else:
+                b = u
+            if b - a <= _LEVEL_PINCH:
+                break
+            x, gap = u, demand - aggregate
+            grad = slope(self._speed)
+        return a, b

@@ -28,6 +28,7 @@ from repro.batch.hypothetical import (
     HypotheticalRPF,
     MethodLike,
     PredictionMethod,
+    validated_levels,
 )
 from repro.batch.job import Job, JobStatus
 from repro.batch.queue import JobQueue
@@ -140,7 +141,9 @@ class BatchWorkloadModel:
     queue:
         The scheduler's job queue (shared, live object).
     levels:
-        Sampling points for the hypothetical relative performance.
+        Sampling points for the hypothetical relative performance: at
+        least two finite levels, strictly increasing, ending at 1.0.
+        The exact solve reads them as its first bracket.
     queue_window:
         At most this many *not-started* jobs (in submission order) are
         offered as placement candidates each cycle.  All incomplete jobs
@@ -169,7 +172,7 @@ class BatchWorkloadModel:
     ) -> None:
         check_queue_window(queue_window)
         self._queue = queue
-        self._levels = tuple(levels)
+        self._levels = tuple(validated_levels(levels).tolist())
         self._queue_window = queue_window
         self._prediction_method = PredictionMethod.coerce(prediction_method)
         #: Job-table snapshot reused across calls until a job advances.

@@ -37,14 +37,17 @@ with the paper's overall heuristic approach.
 
 The level search is the same construction as the yield search of
 virtual-cluster allocation (Stillwell et al., arXiv:1006.5376): bisect one
-common level and test feasibility at each probe.  The controller pays for
-50 probes per candidate placement it evaluates, so without spec tables
-each call prepares its per-app rows once (:func:`_prepare_rows`), each
-probe is a plain yes/no over them, and the per-node assignment is built
-once, at the final level, by the same routine (:func:`_fill`).  The
-straightforward loop that recomputes every target and a full assignment
-per probe is kept in ``tests/test_loadbalance_oracle.py`` as the oracle
-both paths here must match exactly.
+common level and test feasibility at each probe.  The controller runs one
+search per candidate placement it evaluates: up to 50 probes, 1 or 2 when
+the top level fits.  Without spec tables each call prepares its per-app
+rows once (:func:`_prepare_rows`), each probe is a plain yes/no over
+them, and the per-node assignment is built once, at the final level, by
+the same routine (:func:`_fill`).  With them, the array path probes the
+top level first when every placed row is a single-node parametric job
+row (see :func:`_highest_feasible_level`).  The straightforward loop
+that recomputes every target and a full assignment per probe is kept in
+``tests/test_loadbalance_oracle.py`` as the oracle both paths here must
+match exactly.
 """
 
 from __future__ import annotations
@@ -382,8 +385,9 @@ class _VectorContext:
     __slots__ = (
         "placed_ids", "caps", "min_total", "max_total", "saturation",
         "u_max", "vec_target", "scalar_rows", "remaining", "goal",
-        "relative_goal", "now", "max_speed", "levels",
-        "divisible_rows", "fill_rows", "capacity", "node_names", "is_job_row",
+        "relative_goal", "now", "max_speed", "levels", "link_pos",
+        "link_col", "divisible_rows", "fill_rows", "capacity",
+        "node_names", "is_job_row", "generic_pos", "top_first",
     )
 
     @classmethod
@@ -396,25 +400,65 @@ class _VectorContext:
         capacity: Mapping[str, float],
     ) -> Optional["_VectorContext"]:
         index = tables.index
-        rows = []
-        for app_id in placed_ids:
-            row = index.get(app_id)
-            if row is None:
-                # The tables do not cover every placed app; run scalar.
-                return None
-            rows.append(row)
+        try:
+            row_arr = np.array([index[a] for a in placed_ids], dtype=np.intp)
+        except KeyError:
+            # The tables do not cover every placed app; run scalar.
+            return None
         ctx = cls.__new__(cls)
         ctx.placed_ids = placed_ids
-        row_arr = np.array(rows, dtype=np.intp)
-        counts = np.array(
-            [state.instance_count(a) for a in placed_ids], dtype=float
-        )
         max_pi = tables.max_per_instance[row_arr]
-        ctx.min_total = tables.min_cpu[row_arr] * counts
+        node_index = state.node_index
+        ctx.node_names = list(node_index)
+        ctx.caps = np.array([capacity[name] for name in node_index])
+        ctx.capacity = capacity
+
+        # One pass over the placed apps' instances.  A single-node
+        # singleton is a link in its node's chain; divisible apps draw
+        # greedily after every chain; a multi-node singleton sends the
+        # whole call to the scalar _fill.
+        instance_items = state.instance_items
+        divisible_rows: List[Tuple[int, str, List[Tuple[str, int, float]]]] = []
+        scalar_verdict = False
+        link_pos, link_col, counts = [], [], []
+        max_pi_list = max_pi.tolist()
+        for pos, (app_id, divisible) in enumerate(
+            zip(placed_ids, tables.divisible[row_arr].tolist())
+        ):
+            nodes = [item for item in instance_items(app_id) if item[1] > 0]
+            counts.append(sum(count for _, count in nodes))
+            if divisible:
+                divisible_rows.append((
+                    pos, app_id,
+                    [
+                        (node, node_index[node], max_pi_list[pos] * count)
+                        for node, count in nodes
+                    ],
+                ))
+            elif len(nodes) == 1:
+                link_pos.append(pos)
+                link_col.append(node_index[nodes[0][0]])
+            else:
+                scalar_verdict = True
+        ctx.divisible_rows = divisible_rows
+        ctx.fill_rows = (
+            _prepare_rows(placed, state, capacity) if scalar_verdict else None
+        )
+        # A link's depth is its place in its node's chain: _fill walks
+        # singletons in placed order.
+        depth = [0] * len(node_index)
+        link_rank = []
+        for col in link_col:
+            link_rank.append(depth[col])
+            depth[col] += 1
+
+        count_arr = np.array(counts, dtype=float)
+        ctx.min_total = tables.min_cpu[row_arr] * count_arr
         # _aggregate_bounds: inf per-instance ceiling -> inf total.
-        ctx.max_total = np.where(np.isinf(max_pi), np.inf, max_pi * counts)
+        ctx.max_total = np.where(np.isinf(max_pi), np.inf, max_pi * count_arr)
         is_job = tables.is_job[row_arr]
         ctx.is_job_row = is_job
+        ctx.generic_pos = np.flatnonzero(~is_job).tolist()
         ctx.remaining = tables.remaining[row_arr]
         ctx.goal = tables.goal[row_arr]
         ctx.relative_goal = tables.relative_goal[row_arr]
@@ -433,60 +477,26 @@ class _VectorContext:
                                state, capacity))
             for pos in np.flatnonzero(~ctx.vec_target).tolist()
         ]
-        node_index = state.node_index
-        ctx.node_names = list(node_index)
-        ctx.caps = state.capacity_arrays()[0]
-        ctx.capacity = capacity
 
-        # Bucket single-node non-divisible apps into "levels": the j-th
-        # singleton on each node.  _fill walks singletons in placed
-        # order and nodes never interact across apps, so
-        # draining level-by-level reproduces each node's sequential
-        # residual chain bit for bit.  A multi-node singleton would break
-        # the bucketing; fall back to the scalar _fill for the whole
-        # call.
-        per_node_seq: Dict[int, List[int]] = {}
-        divisible_rows: List[Tuple[int, str, List[Tuple[str, int, float]]]] = []
-        max_pi_list = max_pi.tolist()
-        scalar_verdict = False
-        for pos, app_id in enumerate(placed_ids):
-            items = list(state.instance_items(app_id))
-            if placed[app_id].demand.divisible:
-                divisible_rows.append((
-                    pos, app_id,
-                    [
-                        (node, node_index[node], max_pi_list[pos] * count)
-                        for node, count in items
-                        if count > 0
-                    ],
-                ))
-                continue
-            nodes = [(node, count) for node, count in items if count > 0]
-            if len(nodes) != 1:
-                scalar_verdict = True
-                continue
-            node, count = nodes[0]
-            per_node_seq.setdefault(node_index[node], []).append(pos)
-        ctx.divisible_rows = divisible_rows
-        ctx.fill_rows = (
-            _prepare_rows(placed, state, capacity) if scalar_verdict else None
+        # Level j of the chains: the j-th link on each node.  _fill
+        # walks singletons in placed order and nodes never interact
+        # across apps, so draining level by level reproduces each
+        # node's sequential residual chain bit for bit.
+        ctx.link_pos = link_pos
+        ctx.link_col = link_col
+        pos_arr = np.array(link_pos, dtype=np.intp)
+        col_arr = np.array(link_col, dtype=np.intp)
+        rank_arr = np.array(link_rank, dtype=np.intp)
+        cap_arr = max_pi[pos_arr] * count_arr[pos_arr]
+        ctx.levels = [
+            (pos_arr[at], col_arr[at], cap_arr[at])
+            for at in (rank_arr == j for j in range(max(depth, default=0)))
+        ]
+        # Top-first is exact only when every row is a parametric
+        # single-node link; see _highest_feasible_level.
+        ctx.top_first = (
+            len(link_pos) == len(placed_ids) and not ctx.scalar_rows
         )
-        # level j: (positions, node columns, per-app instance caps)
-        levels = []
-        depth = max((len(s) for s in per_node_seq.values()), default=0)
-        for j in range(depth):
-            entries = [
-                (seq[j], col)
-                for col, seq in per_node_seq.items()
-                if len(seq) > j
-            ]
-            pos_arr = np.array([e[0] for e in entries], dtype=np.intp)
-            col_arr = np.array([e[1] for e in entries], dtype=np.intp)
-            cap_arr = np.array([max_pi_list[p] for p, _ in entries]) * counts[
-                pos_arr
-            ]
-            levels.append((pos_arr, col_arr, cap_arr))
-        ctx.levels = levels
         return ctx
 
     # ------------------------------------------------------------------
@@ -525,17 +535,17 @@ class _VectorContext:
             return ("scalar", level) if feasible else None
         targets = self.targets_at(level)
         residual = self.caps.copy()
-        level_takes = []
+        takes = np.zeros(len(targets))
         for pos_arr, col_arr, cap_arr in self.levels:
             t = targets[pos_arr]
             take = np.minimum(np.minimum(t, residual[col_arr]), cap_arr)
             # The scalar loop only records (and subtracts) a take above
             # EPSILON, and skips apps whose target is at most EPSILON.
-            eff = np.where(take > EPSILON, take, 0.0)
-            residual[col_arr] -= eff
-            if np.any(t - eff > EPSILON):
+            take = np.where(take > EPSILON, take, 0.0)
+            residual[col_arr] -= take
+            if np.any(t - take > EPSILON):
                 return None
-            level_takes.append(eff)
+            takes[pos_arr] = take
         div_entries: List[Tuple[str, str, float]] = []
         for pos, app_id, nodes in self.divisible_rows:
             target = targets[pos]
@@ -554,40 +564,38 @@ class _VectorContext:
                     break
             if remaining > EPSILON:
                 return None
-        return ("vector", level_takes, div_entries)
+        return ("vector", takes, div_entries)
 
     def materialize(self, verdict) -> Dict[str, Dict[str, float]]:
         """Expand a successful verdict into the scalar path's per-app
         ``{node: cpu}`` dict, matching its insertion order exactly."""
+        placed_ids = self.placed_ids
         per_node: Dict[str, Dict[str, float]] = {
-            app_id: {} for app_id in self.placed_ids
+            app_id: {} for app_id in placed_ids
         }
         if verdict[0] == "scalar":
             _fill(self.fill_rows, verdict[1], self.capacity, per_node)
             return per_node
-        _, level_takes, div_entries = verdict
+        _, takes, div_entries = verdict
+        values = takes.tolist()
         names = self.node_names
-        for (pos_arr, col_arr, _), eff in zip(self.levels, level_takes):
-            takes = eff.tolist()
-            cols = col_arr.tolist()
-            for k, pos in enumerate(pos_arr.tolist()):
-                if takes[k] > EPSILON:
-                    per_node[self.placed_ids[pos]][names[cols[k]]] = takes[k]
+        for pos, col in zip(self.link_pos, self.link_col):
+            if values[pos] > EPSILON:
+                per_node[placed_ids[pos]][names[col]] = values[pos]
         for app_id, node, take in div_entries:
             per_node[app_id][node] = per_node[app_id].get(node, 0.0) + take
         return per_node
 
     def utilities(
         self,
+        cpu: np.ndarray,
         allocations: Mapping[str, float],
         placed: Mapping[str, AllocatableApp],
     ) -> List[float]:
         """Per-app ``rpf.utility(allocation)`` in placed order —
-        JobAllocationRPF.utility elementwise for parametric rows, the
-        object call for the rest."""
-        cpu = np.array(
-            [allocations[a] for a in self.placed_ids], dtype=float
-        )
+        JobAllocationRPF.utility elementwise over ``cpu`` (the
+        allocations as an array) for parametric rows, the object call
+        for the rest."""
         speed = np.minimum(cpu, self.max_speed)
         completion = np.full(len(cpu), np.inf)
         np.divide(self.remaining, speed, out=completion, where=speed > 0)
@@ -599,7 +607,7 @@ class _VectorContext:
         u = np.where(cpu <= EPSILON, NEGATIVE_INFINITY_UTILITY, u)
         u = np.where(self.remaining <= EPSILON, 1.0, u)
         values = u.tolist()
-        for pos in np.flatnonzero(~self.is_job_row).tolist():
+        for pos in self.generic_pos:
             app_id = self.placed_ids[pos]
             values[pos] = placed[app_id].rpf.utility(allocations[app_id])
         return values
@@ -700,16 +708,36 @@ def distribute_load(
 
 
 def _highest_feasible_level(
-    feasible: Callable[[float], bool]
+    feasible: Callable[[float], bool], top_first: bool = False
 ) -> Optional[float]:
     """Bisect the highest common level in ``[NEGATIVE_INFINITY_UTILITY,
     1]`` that ``feasible`` accepts; ``None`` when even the floor (about
-    the minimum speeds) does not fit."""
+    the minimum speeds) does not fit.
+
+    ``top_first`` probes the top before the floor and skips the floor
+    when the top fits.  That is exact only when a fit at the top implies
+    a fit at the floor, which holds when every row is a parametric job
+    on one node.  Their targets are non-decreasing in the level, and
+    each node drains its chain of such rows in a fixed order.  Suppose
+    the chain fits at the top.  At each link the floor starts with at
+    least the top's residual and a target no larger, so it falls short
+    by no more than the top does, and it is left with at least the
+    top's residual again.  Where the top takes its target or its
+    instance cap, the floor takes no more, and IEEE subtraction is
+    monotone in both operands; where the residual binds at the top, the
+    top is left with exactly 0.
+    """
     lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
-    if not feasible(lo):
-        return None
-    if feasible(hi):
-        return hi
+    if top_first:
+        if feasible(hi):
+            return hi
+        if not feasible(lo):
+            return None
+    else:
+        if not feasible(lo):
+            return None
+        if feasible(hi):
+            return hi
     for _ in range(_LEVEL_SEARCH_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
@@ -755,7 +783,7 @@ def _distribute_load_vec(
         last_verdict = verdict
         return True
 
-    level = _highest_feasible_level(feasible)
+    level = _highest_feasible_level(feasible, ctx.top_first)
     if level is None:
         result.feasible = False
         best_assignment = _best_effort(placed, state, capacity)
@@ -768,26 +796,26 @@ def _distribute_load_vec(
         a: sum(best_assignment.get(a, {}).values()) for a in placed_ids
     }
 
-    residual = _residual(capacity, best_assignment)
+    residual = None
     vec_skip = ctx.is_job_row
     for _ in range(_MAX_REFINEMENT_SWEEPS):
-        raised_any = False
-        values = ctx.utilities(allocations, placed)
-        keys = dict(zip(placed_ids, values))
-        order = sorted(placed_ids, key=keys.__getitem__)
+        cur = np.array([allocations[a] for a in placed_ids], dtype=float)
+        values = ctx.utilities(cur, allocations, placed)
         # Start-of-sweep headroom: each app is visited once per sweep
         # and only its own allocation moves, so the visit-time headroom
         # the scalar loop computes equals this one.  Zero-headroom
-        # parametric rows are exact no-ops in _raise_app; skip them.
-        cur = np.array([allocations[a] for a in placed_ids], dtype=float)
+        # parametric rows are exact no-ops in _raise_app; skip them, and
+        # skip the sweep when that is every row.
         useful = np.minimum(ctx.max_total, np.maximum(ctx.saturation, cur))
-        headroom = useful - cur
-        skip = {
-            placed_ids[pos]
-            for pos in np.flatnonzero(
-                vec_skip & (headroom <= EPSILON)
-            ).tolist()
-        }
+        stuck = vec_skip & (useful - cur <= EPSILON)
+        if stuck.all():
+            break
+        if residual is None:
+            residual = _residual(capacity, best_assignment)
+        keys = dict(zip(placed_ids, values))
+        order = sorted(placed_ids, key=keys.__getitem__)
+        skip = {placed_ids[pos] for pos in np.flatnonzero(stuck).tolist()}
+        raised_any = False
         for app_id in order:
             if app_id in skip:
                 continue
@@ -801,11 +829,14 @@ def _distribute_load_vec(
                 raised_any = True
         if not raised_any:
             break
+    else:
+        # Every sweep raised something: the last one's utilities are
+        # stale.
+        cur = np.array([allocations[a] for a in placed_ids], dtype=float)
+        values = ctx.utilities(cur, allocations, placed)
 
     result.allocations = allocations
-    result.utilities = dict(
-        zip(placed_ids, ctx.utilities(allocations, placed))
-    )
+    result.utilities = dict(zip(placed_ids, values))
     result.assignment = best_assignment
     if write_load_matrix:
         result.write_load(state)

@@ -45,6 +45,7 @@ from collections import deque
 
 from repro._compat import keyword_only
 from repro.errors import ConfigurationError
+from repro.units import is_finite_real
 
 #: The closed vocabulary of rule names (the ``rule`` field of alert
 #: records).  New rules are an optional-field addition, not a schema
@@ -106,9 +107,9 @@ class AlertConfig:
     overload_cycles: int = 3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.slo_target <= 1.0:
+        if not (is_finite_real(self.slo_target) and 0.0 < self.slo_target <= 1.0):
             raise ConfigurationError(
-                f"slo_target must be in (0, 1], got {self.slo_target}"
+                f"slo_target must be in (0, 1], got {self.slo_target!r}"
             )
         for name in (
             "burn_short_window", "burn_long_window", "deadline_window",
@@ -116,7 +117,7 @@ class AlertConfig:
             "overload_cycles", "thrash_moves_threshold",
         ):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigurationError(f"{name} must be a positive int, got {value!r}")
         if self.burn_short_window > self.burn_long_window:
             raise ConfigurationError(
@@ -124,16 +125,17 @@ class AlertConfig:
                 f"burn_long_window ({self.burn_long_window})"
             )
         for name in ("burn_threshold", "stall_rate_threshold"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value > 0):
                 raise ConfigurationError(
-                    f"{name} must be positive, got {getattr(self, name)}"
+                    f"{name} must be finite and positive, got {value!r}"
                 )
         for name in (
             "deadline_miss_threshold", "starvation_fraction", "overload_utilization",
         ):
             value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ConfigurationError(f"{name} must be in (0, 1], got {value}")
+            if not (is_finite_real(value) and 0.0 < value <= 1.0):
+                raise ConfigurationError(f"{name} must be in (0, 1], got {value!r}")
 
     def to_dict(self) -> Dict[str, object]:
         """A plain JSON-serializable representation (round-trips through

@@ -16,8 +16,6 @@ worker processes and merge the results deterministically.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
@@ -48,7 +46,7 @@ from repro.sim.metrics import MetricsRecorder
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.sim.snapshot import SNAPSHOT_SCHEMA_VERSION, check_version, require
 from repro.sim.trace import SimulationTrace
-from repro.units import is_count
+from repro.units import is_count, is_finite_real
 from repro.workloads.generators import experiment_one_jobs, experiment_two_jobs
 
 #: Workload kinds a scenario can name (the seeded generators).
@@ -123,9 +121,7 @@ class Scenario:
                 )
         for name in ("cpu_per_processor", "memory_per_node", "interarrival"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and 0 < value < math.inf
-            ):
+            if not (is_finite_real(value) and value > 0):
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value!r}"
                 )

@@ -71,7 +71,7 @@ from repro.sim.reconcile import Decision, Directive, PendingAction, Reconciler
 from repro.sim.snapshot import SNAPSHOT_SCHEMA_VERSION, check_version, require
 from repro.sim.trace import SimulationTrace, TraceEventKind
 from repro.txn.application import TransactionalApp
-from repro.units import EPSILON
+from repro.units import EPSILON, is_finite_real
 from repro.virt.actions import ActionType, CHANGE_ACTIONS, diff_placements
 from repro.virt.costs import PAPER_COST_MODEL, VirtualizationCostModel
 from repro.virt.faults import ActionFaultModel, RetryPolicy
@@ -138,15 +138,22 @@ class SimulationConfig:
     alerts: Optional[AlertConfig] = None
 
     def __post_init__(self) -> None:
-        if self.cycle_length <= 0:
+        for name in ("cycle_length", "action_timeout"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value > 0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        if self.max_time is not None and not (
+            is_finite_real(self.max_time) and self.max_time > 0
+        ):
             raise ConfigurationError(
-                f"cycle length must be positive, got {self.cycle_length}"
+                f"max_time must be None or finite and positive, got "
+                f"{self.max_time!r}"
             )
-        if self.max_time is not None and self.max_time <= 0:
-            raise ConfigurationError(f"max time must be positive, got {self.max_time}")
-        if self.action_timeout <= 0:
+        if not isinstance(self.prune_completed, bool):
             raise ConfigurationError(
-                f"action timeout must be positive, got {self.action_timeout}"
+                f"prune_completed must be a bool, got {self.prune_completed!r}"
             )
         self.failures = tuple(self.failures)
 
@@ -254,13 +261,17 @@ class NodeFailure:
     lose_progress: bool = True
 
     def __post_init__(self) -> None:
-        if self.fail_time < 0:
+        if not (is_finite_real(self.fail_time) and self.fail_time >= 0):
             raise ConfigurationError(
-                f"fail time must be >= 0, got {self.fail_time}"
+                f"fail_time must be finite and >= 0, got {self.fail_time!r}"
             )
-        if self.duration <= 0:
+        if not (
+            (is_finite_real(self.duration) or self.duration == float("inf"))
+            and self.duration > 0
+        ):
             raise ConfigurationError(
-                f"duration must be positive, got {self.duration}"
+                f"duration must be positive (inf: down for good), got "
+                f"{self.duration!r}"
             )
 
 

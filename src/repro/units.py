@@ -20,6 +20,7 @@ naturally and conversions are greppable.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 #: Tolerance used for floating-point resource comparisons throughout the
@@ -113,4 +114,15 @@ def is_count(value: object) -> bool:
         isinstance(value, numbers.Integral)
         and not isinstance(value, bool)
         and value >= 0
+    )
+
+
+def is_finite_real(value: object) -> bool:
+    """Whether ``value`` is a finite real number that is not a bool (a
+    duration, rate or threshold; NaN passes every ``<`` test as false,
+    so comparisons alone let it through)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
     )

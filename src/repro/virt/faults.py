@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
 from repro.errors import ConfigurationError
+from repro.units import is_count, is_finite_real
 from repro.virt.actions import ActionType
 
 
@@ -67,9 +68,13 @@ class FaultSpec:
             raise ConfigurationError(
                 f"stall probability must be in [0, 1], got {self.stall_probability}"
             )
-        if self.stall_duration_mean <= 0.0:
+        if not (
+            is_finite_real(self.stall_duration_mean)
+            and self.stall_duration_mean > 0.0
+        ):
             raise ConfigurationError(
-                f"stall duration mean must be positive, got {self.stall_duration_mean}"
+                "stall_duration_mean must be finite and positive, got "
+                f"{self.stall_duration_mean!r}"
             )
 
     @property
@@ -108,23 +113,27 @@ class RetryPolicy:
     max_delay: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        if not (is_count(self.max_attempts) and self.max_attempts >= 1):
             raise ConfigurationError(
-                f"max attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
-        if self.base_delay <= 0.0:
+        for name in ("base_delay", "max_delay"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"{name} must be finite and positive, got {value!r}"
+                )
+        if not (is_finite_real(self.multiplier) and self.multiplier >= 1.0):
             raise ConfigurationError(
-                f"base delay must be positive, got {self.base_delay}"
+                f"multiplier must be finite and >= 1, got {self.multiplier!r}"
             )
-        if self.multiplier < 1.0:
+        if not (is_finite_real(self.jitter) and self.jitter >= 0.0):
             raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
+                f"jitter must be finite and >= 0, got {self.jitter!r}"
             )
-        if self.jitter < 0.0:
-            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter}")
         if self.max_delay < self.base_delay:
             raise ConfigurationError(
-                f"max delay {self.max_delay} below base delay {self.base_delay}"
+                f"max_delay {self.max_delay} below base_delay {self.base_delay}"
             )
 
     def backoff(self, failures: int, rng: random.Random) -> float:
@@ -161,10 +170,13 @@ class ActionFaultModel:
             if not isinstance(spec, FaultSpec):
                 raise ConfigurationError(f"spec for {action} must be a FaultSpec")
         for node, mult in self.node_flakiness.items():
-            if mult < 0.0:
+            if not (is_finite_real(mult) and mult >= 0.0):
                 raise ConfigurationError(
-                    f"node flakiness for {node!r} must be >= 0, got {mult}"
+                    f"node_flakiness for {node!r} must be finite and >= 0, "
+                    f"got {mult!r}"
                 )
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigurationError(f"seed must be an int, got {self.seed!r}")
 
     # ------------------------------------------------------------------
     # Convenience constructors

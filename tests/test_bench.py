@@ -47,7 +47,8 @@ def test_quick_report_schema(quick_report):
 
 def test_report_round_trips_through_file(quick_report, tmp_path):
     path = write_bench_report(quick_report, str(tmp_path / "BENCH_apc.json"))
-    loaded = json.loads(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
     assert loaded == quick_report
     assert validate_bench_report(loaded) == []
 

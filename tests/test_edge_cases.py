@@ -23,9 +23,15 @@ from repro.scenario import Scenario
 from repro.sim.export import completions_to_csv, cycles_to_csv, metrics_to_json
 from repro.sim.metrics import MetricsRecorder
 from repro.policies import APCPolicy, FCFSPolicy
-from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
+from repro.obs.alerts import AlertConfig
+from repro.sim.simulator import (
+    MixedWorkloadSimulator,
+    NodeFailure,
+    SimulationConfig,
+)
 from repro.txn.router import RequestRouter
 from repro.virt.costs import FREE_COST_MODEL
+from repro.virt.faults import ActionFaultModel, FaultSpec, RetryPolicy
 
 from tests.conftest import make_job
 
@@ -188,6 +194,159 @@ class TestScenarioBoundary:
         else:
             with pytest.raises(ConfigurationError, match=field):
                 Scenario.from_dict({field: value})
+
+
+def build_config(section, field, value):
+    """Construct the ``section`` config with ``field`` set to ``value``."""
+    if section == "sim":
+        return SimulationConfig(**{field: value})
+    if section == "failure":
+        return NodeFailure(**{"node": "n0", "fail_time": 0.0, field: value})
+    if section == "retry":
+        return RetryPolicy(**{field: value})
+    if section == "spec":
+        return FaultSpec(**{field: value})
+    if section == "flakiness":
+        return ActionFaultModel(node_flakiness={"n0": value})
+    if section == "fault_model":
+        return ActionFaultModel(**{field: value})
+    return AlertConfig(**{field: value})
+
+
+def config_dict(section, field, value):
+    """The :meth:`SimulationConfig.from_dict` input that sets ``field``
+    of ``section`` to ``value``."""
+    if section == "sim":
+        return {field: value}
+    if section == "failure":
+        return {"failures": [{"node": "n0", "fail_time": 0.0, field: value}]}
+    if section == "retry":
+        return {"retry_policy": {field: value}}
+    if section == "spec":
+        return {"fault_model": {"specs": {"boot": {field: value}}}}
+    if section == "flakiness":
+        return {"fault_model": {"node_flakiness": {"n0": value}}}
+    if section == "fault_model":
+        return {"fault_model": {field: value}}
+    return {"alerts": {field: value}}
+
+
+_ALERT_COUNTS = (
+    "burn_short_window", "burn_long_window", "deadline_window",
+    "stall_window", "thrash_window", "starvation_cycles",
+    "overload_cycles", "thrash_moves_threshold",
+)
+
+
+class TestConfigBoundary:
+    """Simulator, fault and alert configs reject inconsistent values when
+    built, naming the field, also through ``SimulationConfig.from_dict``."""
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("sim", "cycle_length", math.nan),
+            ("sim", "cycle_length", math.inf),
+            ("sim", "action_timeout", math.nan),
+            ("sim", "action_timeout", math.inf),
+            ("sim", "max_time", math.nan),
+            ("sim", "max_time", math.inf),
+            ("sim", "prune_completed", "no"),
+            ("failure", "fail_time", math.nan),
+            ("failure", "fail_time", math.inf),
+            ("failure", "duration", math.nan),
+            ("failure", "duration", 0.0),
+            ("retry", "max_attempts", 2.5),
+            ("retry", "max_attempts", True),
+            ("retry", "base_delay", math.nan),
+            ("retry", "base_delay", math.inf),
+            ("retry", "max_delay", math.nan),
+            ("retry", "max_delay", math.inf),
+            ("retry", "multiplier", math.nan),
+            ("retry", "multiplier", math.inf),
+            ("retry", "jitter", math.nan),
+            ("retry", "jitter", math.inf),
+            ("spec", "stall_duration_mean", math.nan),
+            ("spec", "stall_duration_mean", math.inf),
+            ("flakiness", "node_flakiness", math.nan),
+            ("fault_model", "seed", 1.5),
+            ("fault_model", "seed", True),
+            ("alerts", "burn_threshold", math.nan),
+            ("alerts", "burn_threshold", math.inf),
+            ("alerts", "stall_rate_threshold", math.nan),
+            ("alerts", "stall_rate_threshold", math.inf),
+        ]
+        + [("alerts", name, True) for name in _ALERT_COUNTS],
+    )
+    def test_rejects_bad_value(self, section, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            build_config(section, field, value)
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationConfig.from_dict(config_dict(section, field, value))
+
+    def test_infinite_outage_is_still_allowed(self):
+        config = SimulationConfig.from_dict(
+            {"failures": [{"node": "n0", "fail_time": 5.0, "duration": None}]}
+        )
+        assert config.failures[0].duration == math.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.sampled_from([
+            ("sim", "cycle_length", "positive"),
+            ("sim", "action_timeout", "positive"),
+            ("sim", "max_time", "optional positive"),
+            ("sim", "prune_completed", "bool"),
+            ("failure", "fail_time", "non-negative"),
+            ("failure", "duration", "positive or inf"),
+            ("retry", "max_attempts", "count"),
+            ("retry", "base_delay", "positive"),
+            ("retry", "multiplier", "at least one"),
+            ("retry", "jitter", "non-negative"),
+            ("spec", "stall_duration_mean", "positive"),
+            ("flakiness", "node_flakiness", "non-negative"),
+            ("fault_model", "seed", "int"),
+            ("alerts", "burn_threshold", "positive"),
+            ("alerts", "stall_rate_threshold", "positive"),
+            ("alerts", "deadline_window", "count"),
+        ]),
+        value=st.one_of(
+            st.integers(min_value=-5, max_value=5),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.booleans(),
+            st.text(max_size=3),
+            st.none(),
+        ),
+    )
+    def test_fuzzed_value_is_accepted_only_when_valid(self, target, value):
+        section, field, rule = target
+        is_int = isinstance(value, int) and not isinstance(value, bool)
+        real = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and not math.isnan(value)
+        )
+        finite = real and math.isfinite(value)
+        valid = {
+            "positive": finite and value > 0,
+            "optional positive": value is None or (finite and value > 0),
+            "bool": isinstance(value, bool),
+            "non-negative": finite and value >= 0,
+            # A serialized duration of None means down for good.
+            "positive or inf": value is None or (real and value > 0),
+            "count": is_int and value >= 1,
+            "at least one": finite and value >= 1,
+            "int": is_int,
+        }[rule]
+        if section == "retry" and field == "base_delay":
+            # It must also stay at or below the default max_delay.
+            valid = valid and value <= RetryPolicy().max_delay
+        data = config_dict(section, field, value)
+        if valid:
+            SimulationConfig.from_dict(data)
+        else:
+            with pytest.raises(ConfigurationError, match=field):
+                SimulationConfig.from_dict(data)
 
 
 class TestRouterEdges:

@@ -1,15 +1,20 @@
 """Tests for the hypothetical relative performance (§4.2, W/V matrices)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.batch import hypothetical
 from repro.batch.hypothetical import (
     _LEVEL_SOLVE_ITERATIONS,
     DEFAULT_UTILITY_LEVELS,
     HypotheticalRPF,
 )
+from repro.batch.model import BatchWorkloadModel
+from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
@@ -41,6 +46,24 @@ class TestConstruction:
     def test_needs_two_levels(self):
         with pytest.raises(ConfigurationError):
             HypotheticalRPF([], levels=[1.0])
+
+    @pytest.mark.parametrize(
+        "levels",
+        [
+            (-50.0, float("nan"), 1.0),
+            (float("-inf"), 0.0, 1.0),
+            (-50.0, 0.0, float("inf")),
+            (0.0, 0.5),
+            (1.0,),
+            (-1.0, 0.5, 0.2, 1.0),
+            (-1.0, "half", 1.0),
+        ],
+    )
+    def test_bad_levels_rejected_at_construction(self, levels):
+        with pytest.raises(ConfigurationError, match="level"):
+            HypotheticalRPF([], levels=levels)
+        with pytest.raises(ConfigurationError, match="level"):
+            BatchWorkloadModel(JobQueue(), levels=levels)
 
     def test_default_levels_span_the_scale(self):
         assert DEFAULT_UTILITY_LEVELS[0] == NEGATIVE_INFINITY_UTILITY
@@ -86,6 +109,29 @@ class TestWMatrix:
         h = HypotheticalRPF([JobAllocationRPF(job, 0.0)])
         assert h.max_aggregate_demand == 0.0
         assert h.job_utilities(0.0)["a"] == 1.0
+
+    def test_subnormal_horizon_raises_no_float_warning(self):
+        """Job ``a``'s horizon at ``u = 0`` is the smallest subnormal:
+        closed (at most EPSILON), so it demands its max speed, and no
+        pass may divide by it and overflow."""
+        h = HypotheticalRPF.from_arrays(
+            ["a", "b"],
+            remaining=np.array([1_000.0, 1_000.0]),
+            goal=np.array([5e-324, 10.0]),
+            relative_goal=np.array([1.0, 5.0]),
+            max_speed=np.array([100.0, 500.0]),
+            now=np.zeros(2),
+            u_max=np.ones(2),
+            levels=(-1.0, 0.0, 1.0),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = h.w_matrix
+            speeds = h.demand_at(0.0)
+            level = h.equalized_level(250.0)
+        assert w[1].tolist() == speeds.tolist() == [100.0, 100.0]
+        assert 0.0 < level < 1.0
+        assert level == reference_equalized_level(h, 250.0)
 
 
 class TestEqualizedLevel:
@@ -141,9 +187,10 @@ class TestEqualizedLevel:
         assert (u <= u_max + 1e-9).all()
 
 
-def reference_equalized_level(h, aggregate_mhz):
+def reference_equalized_level(h, aggregate_mhz, mids=None):
     """The straightforward bisection over :meth:`aggregate_demand_at`:
-    the oracle that ``equalized_level``'s prepared probes must equal."""
+    the oracle that ``equalized_level``'s certified solve must equal.
+    Appends every midpoint it probes to ``mids`` when given."""
     if len(h) == 0:
         return 1.0
     aggregate = max(0.0, float(aggregate_mhz))
@@ -154,11 +201,25 @@ def reference_equalized_level(h, aggregate_mhz):
         return lo
     for _ in range(_LEVEL_SOLVE_ITERATIONS):
         mid = 0.5 * (lo + hi)
+        if mids is not None:
+            mids.append(mid)
         if h.aggregate_demand_at(mid) <= aggregate:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def pinned_aggregates(h, levels):
+    """Aggregates a wrong bracket would misjudge: the exact demand at
+    each of ``levels`` and its neighbouring floats."""
+    out = []
+    for level in levels:
+        demand = h.aggregate_demand_at(float(level))
+        out += [
+            np.nextafter(demand, -np.inf), demand, np.nextafter(demand, np.inf)
+        ]
+    return out
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -168,32 +229,53 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 def job_arrays(draw):
     """Per-job fields for :meth:`HypotheticalRPF.from_arrays`: completed
     jobs (remaining at most EPSILON) and jobs whose goal lies before
-    ``now`` (past the horizon at every level) mixed with ordinary ones."""
-    n = draw(st.integers(min_value=1, max_value=40))
-    remaining = draw(st.lists(
-        st.one_of(
-            st.just(0.0),
-            st.floats(min_value=0.0, max_value=EPSILON, **_finite),
-            st.floats(min_value=1.0, max_value=1e8, **_finite),
-        ),
-        min_size=n, max_size=n,
-    ))
-    now = draw(st.lists(
-        st.floats(min_value=0.0, max_value=1e5, **_finite),
-        min_size=n, max_size=n,
-    ))
-    goal = [
-        t + draw(st.floats(min_value=-1e4, max_value=1e5, **_finite))
-        for t in now
-    ]
-    rel = draw(st.lists(
-        st.floats(min_value=1.0, max_value=1e4, **_finite),
-        min_size=n, max_size=n,
-    ))
-    speed = draw(st.lists(
-        st.floats(min_value=1.0, max_value=4000.0, **_finite),
-        min_size=n, max_size=n,
-    ))
+    ``now`` (past the horizon at every level) mixed with ordinary ones.
+
+    Up to 40 jobs are drawn field by field.  Larger tables, up to 300
+    jobs (past numpy's 128-element pairwise-sum block, so the grid
+    pass's row sums are checked against single probes), come from a
+    drawn seed with the same value ranges: drawing 1,500 floats one by
+    one would dominate the test's run time.
+    """
+    n = draw(st.integers(min_value=1, max_value=300))
+    if n > 40:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        done_share = draw(st.sampled_from([0.0, 0.05, 0.3]))
+        kind = rng.random(n)
+        remaining = np.where(
+            kind < done_share,
+            rng.choice([0.0, EPSILON], n) * rng.random(n),
+            10.0 ** rng.uniform(0.0, 8.0, n),
+        )
+        now = rng.uniform(0.0, 1e5, n)
+        goal = now + rng.uniform(-1e4, 1e5, n)
+        rel = rng.uniform(1.0, 1e4, n)
+        speed = rng.uniform(1.0, 4000.0, n)
+    else:
+        remaining = draw(st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(min_value=0.0, max_value=EPSILON, **_finite),
+                st.floats(min_value=1.0, max_value=1e8, **_finite),
+            ),
+            min_size=n, max_size=n,
+        ))
+        now = draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e5, **_finite),
+            min_size=n, max_size=n,
+        ))
+        goal = [
+            t + draw(st.floats(min_value=-1e4, max_value=1e5, **_finite))
+            for t in now
+        ]
+        rel = draw(st.lists(
+            st.floats(min_value=1.0, max_value=1e4, **_finite),
+            min_size=n, max_size=n,
+        ))
+        speed = draw(st.lists(
+            st.floats(min_value=1.0, max_value=4000.0, **_finite),
+            min_size=n, max_size=n,
+        ))
     return HypotheticalRPF.from_arrays(
         [f"j{i}" for i in range(n)],
         remaining=np.array(remaining),
@@ -206,8 +288,9 @@ def job_arrays(draw):
 
 
 class TestPreparedLevelProbes:
-    """``equalized_level`` shares buffers across its probes; every level
-    must still equal the plain bisection over ``aggregate_demand_at``."""
+    """``equalized_level`` shares buffers across its probes and evaluates
+    few of the bisection's probes; every level must still equal the
+    plain bisection over ``aggregate_demand_at``."""
 
     @settings(max_examples=200, deadline=None)
     @given(h=job_arrays(), frac=st.floats(min_value=0.0, max_value=1.0))
@@ -223,6 +306,66 @@ class TestPreparedLevelProbes:
             assert h.equalized_level(aggregate) == reference_equalized_level(
                 h, aggregate
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=job_arrays())
+    def test_exact_demand_at_every_sampling_level(self, h):
+        for aggregate in pinned_aggregates(h, h.levels):
+            assert h.equalized_level(aggregate) == reference_equalized_level(
+                h, aggregate
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=job_arrays(), frac=st.floats(min_value=0.0, max_value=1.0))
+    def test_exact_demand_at_bisection_midpoints(self, h, frac):
+        low = h.aggregate_demand_at(float(h.levels[0]))
+        high = h.aggregate_demand_at(1.0)
+        mids = []
+        reference_equalized_level(h, low + frac * (high - low), mids)
+        # The last midpoints sit closest to the level, where a bracket
+        # that is one float off would flip a probe.
+        for aggregate in pinned_aggregates(h, mids[::6] + mids[-6:]):
+            assert h.equalized_level(aggregate) == reference_equalized_level(
+                h, aggregate
+            )
+
+    def test_interior_solve_takes_few_probes(self, monkeypatch):
+        """An interior solve on a 200-job table runs at most 12 full
+        demand passes (endpoints, Newton steps and the replayed
+        bisection's leftovers), not the 50 of a plain bisection."""
+        rng = np.random.default_rng(7)
+        n = 200
+        now = 5_000.0
+        best = rng.uniform(200.0, 20_000.0, n)
+        max_speed = rng.choice([1_000.0, 2_000.0, 3_900.0], n)
+        relative_goal = best * rng.uniform(1.2, 6.0, n)
+        h = HypotheticalRPF.from_arrays(
+            [f"j{i}" for i in range(n)],
+            remaining=best * max_speed * rng.uniform(0.05, 1.0, n),
+            goal=now + relative_goal * rng.uniform(0.2, 1.0, n),
+            relative_goal=relative_goal,
+            max_speed=max_speed,
+            now=np.full(n, now),
+            u_max=np.ones(n),
+        )
+        passes = []
+        probe = hypothetical._DemandProbe.demand
+
+        def counted(self, level):
+            passes.append(level)
+            return probe(self, level)
+
+        monkeypatch.setattr(hypothetical._DemandProbe, "demand", counted)
+        low = h.aggregate_demand_at(float(h.levels[0]))
+        high = h.aggregate_demand_at(1.0)
+        for frac in np.linspace(0.02, 0.98, 25):
+            aggregate = low + frac * (high - low)
+            passes.clear()
+            level = h.equalized_level(aggregate)
+            assert len(passes) <= 12, (frac, len(passes))
+            assert h.levels[0] < level < 1.0
+            # The oracle probes through demand_at, not the wrapped probe.
+            assert level == reference_equalized_level(h, aggregate)
 
     def test_completed_and_past_horizon_jobs(self):
         h = HypotheticalRPF.from_arrays(

@@ -27,6 +27,7 @@ from repro.core.loadbalance import (
     SpecArrays,
     _best_effort,
     _raise_app,
+    _VectorContext,
     distribute_load,
 )
 from repro.core.placement import AppDemand, PlacementState
@@ -279,6 +280,52 @@ def problems(draw):
     return state, apps
 
 
+@st.composite
+def single_node_job_problems(draw):
+    """Only parametric job rows, each on one node (some with two
+    instances there), stacked several to a node.  Some nodes get exactly
+    the capacity their chain takes at the top level, give or take a few
+    EPSILON, so the chain barely fits or barely misses there."""
+    names = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
+    apps: Dict[str, AllocatableApp] = {}
+    where = {}
+    for i in range(draw(st.integers(1, 14))):
+        app_id = f"a{i}"
+        apps[app_id], count = draw(job_app(app_id))
+        where[app_id] = (draw(st.sampled_from(names)), count)
+
+    def placed_on(cluster):
+        state = PlacementState(cluster)
+        for app_id, (node, count) in where.items():
+            state.place(app_id, node, 1.0, count)
+        return state
+
+    roomy = placed_on(Cluster(
+        Node(name, NodeSpec(cpu_capacity=1e9, memory_capacity=1e6))
+        for name in names
+    ))
+    top = dict.fromkeys(names, 0.0)
+    for app_id, (node, _) in where.items():
+        top[node] += target_at_level(apps[app_id], roomy, 1.0)
+    capacity = {}
+    for name in names:
+        if top[name] > 1.0 and draw(st.booleans()):
+            capacity[name] = top[name] + draw(st.sampled_from(
+                [-2 * EPSILON, -0.5 * EPSILON, 0.0, 0.5 * EPSILON, 2 * EPSILON]
+            ))
+        else:
+            capacity[name] = draw(_capacity)
+    cluster = Cluster(
+        Node(name, NodeSpec(cpu_capacity=capacity[name], memory_capacity=1e6))
+        for name in names
+    )
+    state = placed_on(cluster)
+    if len(names) > 1 and draw(st.booleans()):
+        # A node that failed after placement.
+        cluster.node(draw(st.sampled_from(names))).available = False
+    return state, apps
+
+
 def _exact(result: LoadDistributionResult, state: PlacementState) -> str:
     """Every observable output, with exact floats and insertion order."""
     return repr((
@@ -327,5 +374,25 @@ def test_distributor_matches_probe_loop_oracle(problem):
     assert _exact(distribute_load(scalar_state, apps), scalar_state) == expected
     vector_state = state.copy()
     tables = SpecArrays.from_specs(apps)
+    got = distribute_load(vector_state, apps, tables=tables)
+    assert _exact(got, vector_state) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_node_job_problems())
+def test_single_node_job_rows_match_probe_loop_oracle(problem):
+    """The array path's top-first probe and the allocations it reads
+    straight off the accepted probe, on the inputs they apply to."""
+    state, apps = problem
+    ref_state = state.copy()
+    expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
+    tables = SpecArrays.from_specs(apps)
+    placed_ids = [a for a in apps if state.is_placed(a)]
+    capacity = {node.name: node.cpu_capacity for node in state.cluster}
+    ctx = _VectorContext.build(
+        state, {a: apps[a] for a in placed_ids}, placed_ids, tables, capacity
+    )
+    assert ctx.top_first
+    vector_state = state.copy()
     got = distribute_load(vector_state, apps, tables=tables)
     assert _exact(got, vector_state) == expected
