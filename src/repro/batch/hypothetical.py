@@ -274,7 +274,9 @@ class HypotheticalRPF:
         (or its maximum achievable performance if lower)."""
         return float(self.demand_at(level).sum())
 
-    def equalized_level(self, aggregate_mhz: float) -> float:
+    def equalized_level(
+        self, aggregate_mhz: float, *, start: Optional[float] = None
+    ) -> float:
         """The common relative-performance level ``u*`` sustained by
         aggregate ``ω_g``: the largest ``u`` with
         ``Σ_m min(ω_m(u), ω^max_m) <= ω_g``.
@@ -301,6 +303,15 @@ class HypotheticalRPF:
         inside the bracket.  Every probe runs the demand pass
         :meth:`demand_at` runs, over full-length arrays, so each equals
         :meth:`aggregate_demand_at` bit for bit.
+
+        ``start`` is a guess at the answer, such as the level of a
+        similar solve.  One strictly inside ``(u_1, 1)`` is probed after
+        the top and replaces the sampling-level pass: it becomes the
+        passing or the failing end of the bracket (the floor is probed
+        only when it fails), and its slope seeds the Newton steps.  Any
+        other value, NaN and the infinities included, starts from the
+        sampling levels.  The bracket is certified either way, so the
+        returned float does not depend on ``start``.
         """
         if len(self._job_ids) == 0:
             return 1.0
@@ -309,9 +320,21 @@ class HypotheticalRPF:
         lo, hi = float(self._levels[0]), 1.0
         if probe.demand(hi) <= aggregate + EPSILON:
             return hi
-        if probe.demand(lo) > aggregate:
-            return lo
-        a, b = probe.bracket(self._levels[1:-1], aggregate, lo, hi)
+        if start is not None and lo < start < hi:
+            start = float(start)
+            demand = probe.demand(start)
+            seed = (start, demand - aggregate, probe.slope())
+            if demand <= aggregate:
+                a, b = start, hi
+            elif probe.demand(lo) > aggregate:
+                return lo
+            else:
+                a, b = lo, start
+        else:
+            if probe.demand(lo) > aggregate:
+                return lo
+            a, b, seed = probe.grid(self._levels[1:-1], aggregate, lo, hi)
+        a, b = probe.newton(aggregate, a, b, *seed)
         for _ in range(_LEVEL_SOLVE_ITERATIONS):
             mid = 0.5 * (lo + hi)
             if mid <= a:
@@ -389,12 +412,17 @@ class HypotheticalRPF:
         if method is PredictionMethod.EXACT:
             if len(self._job_ids) == 0:
                 return np.zeros(0)
-            level = self.equalized_level(aggregate_mhz)
-            u = np.minimum(level, self._u_max)
-            u = np.clip(u, NEGATIVE_INFINITY_UTILITY, None)
-            u[self._remaining <= EPSILON] = 1.0
-            return u
+            return self.utilities_at_level(self.equalized_level(aggregate_mhz))
         return self.utilities_from_speeds(self.job_speeds(aggregate_mhz))
+
+    def utilities_at_level(self, level: float) -> np.ndarray:
+        """Per-job relative performance when the jobs share common level
+        ``level`` (an :meth:`equalized_level` answer): the level capped
+        at each job's maximum, finished jobs at 1."""
+        u = np.minimum(level, self._u_max)
+        u = np.clip(u, NEGATIVE_INFINITY_UTILITY, None)
+        u[self._remaining <= EPSILON] = 1.0
+        return u
 
     def average_utility(
         self, aggregate_mhz: float, method: MethodLike = PredictionMethod.EXACT
@@ -443,7 +471,7 @@ class _DemandProbe:
     :meth:`HypotheticalRPF.demand_at` of its level bit for bit.
     """
 
-    __slots__ = ("_rpf", "_done", "_horizon", "_open", "_speed")
+    __slots__ = ("_rpf", "_done", "_horizon", "_open", "_speed", "_weight")
 
     def __init__(
         self, rpf: HypotheticalRPF, rows: Optional[int] = None
@@ -455,6 +483,7 @@ class _DemandProbe:
         self._horizon = np.empty(shape)
         self._open = np.empty(shape, dtype=bool)
         self._speed = np.empty(shape)
+        self._weight: Optional[np.ndarray] = None
 
     def speeds(self, level) -> np.ndarray:
         """Fill the speed buffer at ``level`` (a float, or a column of
@@ -475,53 +504,65 @@ class _DemandProbe:
         """:meth:`HypotheticalRPF.aggregate_demand_at`, bit for bit."""
         return float(self.speeds(level).sum())
 
-    def bracket(
-        self, levels: np.ndarray, aggregate: float, a: float, b: float
-    ) -> Tuple[float, float]:
-        """Shrink ``[a, b]``, where ``a`` passes (demand at most
-        ``aggregate``) and ``b`` fails, and return it.
-
-        The sampling ``levels`` inside it narrow it first, in one
-        multi-row pass whose row sums equal single passes.  Then come
-        Newton steps from the last pass (from the sampling level whose
-        demand is nearer ``aggregate`` at the start), each an exact
-        probe that moves one end.  A step that leaves ``(a, b)`` becomes
-        the midpoint; a step shorter than :data:`_LEVEL_PINCH` becomes
-        a probe that far across, to close the bracket from the other
-        side.
-        """
+    def slope(self, speed: Optional[np.ndarray] = None) -> float:
+        """d(demand)/d(level) at a pass's ``speed`` (default: the last
+        single-level pass).  Only steers the next probe, so it need not
+        be exact."""
         rpf = self._rpf
-        max_speed = rpf._max_speed
-        # An open job below its cap demands w = rem/h, whose slope in
-        # the level is rem·rel/h² = rel·w²/rem; every other job's
-        # demand is flat.
-        weight = np.zeros_like(rpf._remaining)
-        np.divide(rpf._relative_goal, rpf._remaining, out=weight,
-                  where=~self._done)
+        if speed is None:
+            speed = self._speed
+        if self._weight is None:
+            # An open job below its cap demands w = rem/h, whose slope
+            # in the level is rem·rel/h² = rel·w²/rem; every other
+            # job's demand is flat.
+            self._weight = np.zeros_like(rpf._remaining)
+            np.divide(rpf._relative_goal, rpf._remaining, out=self._weight,
+                      where=~self._done)
+        terms = speed * speed * self._weight
+        return float(terms.sum(where=speed < rpf._max_speed))
 
-        def slope(speed: np.ndarray) -> float:
-            # Only steers the next probe, so it need not be exact.
-            terms = speed * speed * weight
-            return float(terms.sum(where=speed < max_speed))
+    def grid(
+        self, levels: np.ndarray, aggregate: float, a: float, b: float
+    ) -> Tuple[float, float, Tuple[float, float, float]]:
+        """Narrow ``[a, b]``, where ``a`` passes (demand at most
+        ``aggregate``) and ``b`` fails, with the sampling ``levels``
+        inside it, in one multi-row pass whose row sums equal single
+        passes.  Returns the bracket and the Newton seed ``(level, gap,
+        slope)`` of the sampling level whose demand is nearer
+        ``aggregate`` (a flat seed when there are no ``levels``)."""
+        if not len(levels):
+            return a, b, (0.0, 0.0, 0.0)
+        grid = _DemandProbe(self._rpf, len(levels)).speeds(levels[:, None])
+        sums = grid.sum(axis=1)
+        # Demand is monotone, so the passing levels are a prefix.
+        k = int(np.count_nonzero(sums <= aggregate))
+        if k:
+            a = float(levels[k - 1])
+        if k < len(levels):
+            b = float(levels[k])
+        if k == len(levels) or (
+            k and aggregate - sums[k - 1] < sums[k] - aggregate
+        ):
+            row = k - 1
+        else:
+            row = k
+        seed = (
+            float(levels[row]), float(sums[row]) - aggregate,
+            self.slope(grid[row]),
+        )
+        return a, b, seed
 
-        x, gap, grad = 0.0, 0.0, 0.0
-        if len(levels):
-            grid = _DemandProbe(rpf, len(levels)).speeds(levels[:, None])
-            sums = grid.sum(axis=1)
-            # Demand is monotone, so the passing levels are a prefix.
-            k = int(np.count_nonzero(sums <= aggregate))
-            if k:
-                a = float(levels[k - 1])
-            if k < len(levels):
-                b = float(levels[k])
-            if k == len(levels) or (
-                k and aggregate - sums[k - 1] < sums[k] - aggregate
-            ):
-                row = k - 1
-            else:
-                row = k
-            x, gap = float(levels[row]), float(sums[row]) - aggregate
-            grad = slope(grid[row])
+    def newton(
+        self, aggregate: float, a: float, b: float,
+        x: float, gap: float, grad: float,
+    ) -> Tuple[float, float]:
+        """Shrink the bracket ``[a, b]`` with Newton steps from level
+        ``x``, whose demand is ``gap`` above ``aggregate`` and has slope
+        ``grad``, and return it.  Each step is an exact probe that moves
+        one end.  A step that leaves ``(a, b)`` becomes the midpoint; a
+        step shorter than :data:`_LEVEL_PINCH` becomes a probe that far
+        across, to close the bracket from the other side.
+        """
         for _ in range(_LEVEL_NEWTON_STEPS):
             if grad > 0.0:
                 step = gap / grad
@@ -540,5 +581,5 @@ class _DemandProbe:
             if b - a <= _LEVEL_PINCH:
                 break
             x, gap = u, demand - aggregate
-            grad = slope(self._speed)
+            grad = self.slope()
         return a, b

@@ -186,6 +186,9 @@ class BatchWorkloadModel:
         self._demand_cache: Dict[str, Tuple[object, AppDemand]] = {}
         self._specs_cache: Optional[Tuple[_JobTable, float, Dict]] = None
         self._spec_arrays_cache: Optional[Tuple[_JobTable, float, SpecArrays]] = None
+        #: The level the last exact solve returned: the next solve's
+        #: start (consecutive candidates differ on one node).
+        self._last_level: Optional[float] = None
 
     @property
     def queue(self) -> JobQueue:
@@ -394,8 +397,9 @@ class BatchWorkloadModel:
             u_max = np.where(
                 rem_new <= EPSILON, 1.0, (goal - earliest) / rel
             )
+            fut_ids = [ids[i] for i in fut_idx.tolist()]
             hypothetical = HypotheticalRPF.from_arrays(
-                [ids[i] for i in fut_idx.tolist()],
+                fut_ids,
                 remaining=rem_new,
                 goal=goal,
                 relative_goal=rel,
@@ -404,11 +408,17 @@ class BatchWorkloadModel:
                 u_max=u_max,
                 levels=self._levels,
             )
-            utilities.update(
-                hypothetical.job_utilities(
+            if self._prediction_method is PredictionMethod.EXACT:
+                level = hypothetical.equalized_level(
+                    aggregate, start=self._last_level
+                )
+                self._last_level = level
+                values = hypothetical.utilities_at_level(level)
+            else:
+                values = hypothetical.utilities_array(
                     aggregate, method=self._prediction_method
                 )
-            )
+            utilities.update(zip(fut_ids, values.tolist()))
         return utilities
 
     # ------------------------------------------------------------------

@@ -50,12 +50,16 @@ change, and array scans in admission.  A scored candidate costs one load
 distribution, one prediction per model and one objective score: its load
 is written into its state only on adoption (nothing reads a trial's load
 before), and its churn is its base's plus its change on its one node.
+Its distribution is handed its base's result and that node, so off the
+node it can reuse the base's entries, and the fill pass's LRPF order is
+built once per node and base rather than once per trial.
 ``tests/reference_apc.py`` keeps the paper-literal solver without any of
 it, and the identity tests pin every decision against it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -457,13 +461,13 @@ class ApplicationPlacementController:
         with self._span("apc.place"):
             for observer in self._observers:
                 observer.begin_cycle(now)
-            for model in models:
-                model.begin_cycle(now)
-            try:
-                return self._place_profiled(models, current, now)
-            finally:
+            # Every model whose begin_cycle returned gets its end_cycle,
+            # also when a later model's begin_cycle raises.
+            with contextlib.ExitStack() as cycle:
                 for model in models:
-                    model.end_cycle()
+                    model.begin_cycle(now)
+                    cycle.callback(model.end_cycle)
+                return self._place_profiled(models, current, now)
 
     def _place_profiled(
         self,
@@ -489,9 +493,16 @@ class ApplicationPlacementController:
         evaluations = 0
 
         def evaluate(
-            trial: PlacementState, churn: int, tolerance: Optional[float] = None
+            trial: PlacementState,
+            churn: int,
+            tolerance: Optional[float] = None,
+            base: Optional[LoadDistributionResult] = None,
+            node: Optional[str] = None,
         ) -> _Scored:
-            """Score ``trial``; its load is written only on adoption."""
+            """Score ``trial``; its load is written only on adoption.  A
+            search trial names the load of the placement it was copied
+            from and the one node where it differs (``distribute_load``'s
+            ``base`` and ``node``)."""
             nonlocal evaluations
             evaluations += 1
             tol = (
@@ -502,7 +513,8 @@ class ApplicationPlacementController:
             with self._span("apc.evaluate"):
                 with self._span("apc.loadbalance"):
                     load = distribute_load(
-                        trial, specs, write_load_matrix=False, tables=tables
+                        trial, specs, write_load_matrix=False, tables=tables,
+                        base=base, node=node,
                     )
                 utilities: Dict[str, float] = {}
                 with self._span("apc.predict"):
@@ -1050,6 +1062,10 @@ class ApplicationPlacementController:
                 removable.extend([app_id] * node_base.instances_on(app_id, node))
             if self._config.max_removals_per_node is not None:
                 removable = removable[: self._config.max_removals_per_node]
+            # The inner loop's order is the same for every removal count
+            # (see _fill_order); it reads best.utilities, so an adoption
+            # rebuilds it.
+            order: Optional[List[str]] = None
 
             for removals in range(len(removable) + 1):
                 if removals == 0:
@@ -1081,10 +1097,11 @@ class ApplicationPlacementController:
                 removed = set(removable[:removals])
                 for app_id in removable[:removals]:
                     trial.remove(app_id, node)
-                filled = self._fill_node(
-                    trial, specs, candidates, best.utilities, node,
-                    forbidden=removed,
-                )
+                if order is None:
+                    order = self._fill_order(
+                        node_base, specs, candidates, best.utilities, node
+                    )
+                filled = self._fill_node(trial, specs, node, order)
                 if removals == 0 and not filled:
                     continue  # identical to the incumbent placement
                 # The trial differs from its base on this node only, for
@@ -1106,7 +1123,10 @@ class ApplicationPlacementController:
                     if removals > 0
                     else None
                 )
-                scored = evaluate(trial, churn, tolerance=tolerance)
+                scored = evaluate(
+                    trial, churn, tolerance=tolerance, base=base.load,
+                    node=node,
+                )
                 adopted = self._objective.better(scored.score, best.score)
                 if audit is not None:
                     audit.candidate(
@@ -1125,6 +1145,7 @@ class ApplicationPlacementController:
                 if adopted:
                     best = scored.adopt()
                     improved = True
+                    order = None
                     if bound_reached is not None and bound_reached(best.score):
                         if self._c_shortcut is not None:
                             self._c_shortcut.inc(kind="upper_bound")
@@ -1148,34 +1169,49 @@ class ApplicationPlacementController:
             committed += spec.demand.min_cpu_mhz * state.instances_on(app_id, node)
         return committed
 
-    def _fill_node(
+    def _fill_order(
         self,
         state: PlacementState,
         specs: Mapping[str, AllocatableApp],
         candidates: Sequence[str],
         utilities: Mapping[str, float],
         node: str,
-        forbidden: set,
     ) -> List[str]:
-        """Inner loop: place new instances on ``node``, LRPF order.
-        Returns the applications placed, one instance each."""
-        placed: List[str] = []
+        """The inner loop's candidates for ``node``, LRPF order: every
+        candidate with no instance on the node, divisible or unplaced.
+
+        Built from the node's base ``state``, it is every trial's list
+        whatever it removed: a singleton removed from the node was
+        placed in the base, a divisible app removed from it had an
+        instance there, and a trial changes no other app.
+        """
         eligible = [
             c
             for c in candidates
             if c in specs
-            and c not in forbidden
             and (specs[c].demand.divisible or not state.is_placed(c))
             and state.instances_on(c, node) == 0
         ]
-        eligible = self._admission.order(eligible, specs, utilities)
-        if self._audit is not None and eligible:
-            self._audit.note_fill(node, eligible)
+        return self._admission.order(eligible, specs, utilities)
+
+    def _fill_node(
+        self,
+        state: PlacementState,
+        specs: Mapping[str, AllocatableApp],
+        node: str,
+        order: Sequence[str],
+    ) -> List[str]:
+        """Inner loop: place new instances on ``node``, walking ``order``
+        (:meth:`_fill_order`) and keeping each that fits.  Returns the
+        applications placed, one instance each."""
+        placed: List[str] = []
+        if self._audit is not None and order:
+            self._audit.note_fill(node, order)
         # Maintain the node's committed-min sum across placements instead
         # of rescanning every hosted application per check.
         committed = self._node_committed_min(state, specs, node)
         capacity = self._cluster.node(node).cpu_capacity
-        for app_id in eligible:
+        for app_id in order:
             spec = specs[app_id]
             min_cpu = spec.demand.min_cpu_mhz
             if (

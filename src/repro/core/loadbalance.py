@@ -48,6 +48,12 @@ row (see :func:`_highest_feasible_level`).  The straightforward loop
 that recomputes every target and a full assignment per probe is kept in
 ``tests/test_loadbalance_oracle.py`` as the oracle both paths here must
 match exactly.
+
+A §3.2 search trial differs from the placement it was copied from on
+one node.  Given that placement's result and the node, a call reuses
+every other node's entries when the base sat at the top level with
+nothing left to refine, and recomputes only that node's chain
+(:func:`_derive_from_base`).
 """
 
 from __future__ import annotations
@@ -214,7 +220,9 @@ class LoadDistributionResult:
         allocations are then best-effort.
     assignment:
         The load matrix, ``{app: {node: cpu}}``, in the order
-        :meth:`write_load` writes it.
+        :meth:`write_load` writes it.  Read-only: a result derived from
+        this one (``distribute_load(..., base=this)``) shares its
+        per-app dicts.
     """
 
     allocations: Dict[str, float] = field(default_factory=dict)
@@ -222,6 +230,11 @@ class LoadDistributionResult:
     common_level: float = NEGATIVE_INFINITY_UTILITY
     feasible: bool = True
     assignment: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    #: What a trial copied from this result's state can reuse (a
+    #: :class:`_TopLevelBase`), or ``None``.  A class attribute, not a
+    #: field, so ``repr``, equality and ``dataclasses.fields`` skip it.
+    _top_level = None
 
     def write_load(self, state: PlacementState) -> None:
         """Replace ``state``'s load matrix with :attr:`assignment`: clear
@@ -619,6 +632,8 @@ def distribute_load(
     write_load_matrix: bool = True,
     *,
     tables: Optional[SpecArrays] = None,
+    base: Optional[LoadDistributionResult] = None,
+    node: Optional[str] = None,
 ) -> LoadDistributionResult:
     """Compute the maxmin-fair load matrix for the placement in ``state``.
 
@@ -639,7 +654,27 @@ def distribute_load(
         run on array kernels; without them, on rows prepared once per
         call.  Both are bitwise identical to the per-probe reference
         loop kept in ``tests/test_loadbalance_oracle.py``.
+    base, node:
+        Give both or neither.  ``base`` is this function's result for
+        the placement ``state`` was copied from, with the same ``apps``
+        and ``tables`` on the same cluster; ``node`` is the one node
+        where ``state`` differs from that placement.  When the base sat
+        at the top level with nothing to refine, and ``node`` still
+        holds only single-instance job rows that fit there, the result
+        is built from the base's entries and ``node``'s chain alone
+        (:func:`_derive_from_base`); otherwise the call runs in full.
+        The result is the same either way, float for float and in
+        insertion order.
     """
+    if (base is None) != (node is None):
+        raise TypeError("distribute_load: give both base and node, or neither")
+    if base is not None:
+        derived = _derive_from_base(state, apps, tables, base, node)
+        if derived is not None:
+            if write_load_matrix:
+                derived.write_load(state)
+            return derived
+
     placed_ids = [a for a in apps if state.is_placed(a)]
     result = LoadDistributionResult()
     if not placed_ids:
@@ -654,8 +689,8 @@ def distribute_load(
         ctx = _VectorContext.build(state, placed, placed_ids, tables, capacity)
         if ctx is not None:
             return _distribute_load_vec(
-                state, placed, placed_ids, ctx, capacity, result,
-                write_load_matrix,
+                state, apps, tables, placed, placed_ids, ctx, capacity,
+                result, write_load_matrix,
             )
 
     # ------------------------------------------------------------------
@@ -761,6 +796,8 @@ def _residual(
 
 def _distribute_load_vec(
     state: PlacementState,
+    apps: Mapping[str, AllocatableApp],
+    tables: SpecArrays,
     placed: Mapping[str, AllocatableApp],
     placed_ids: List[str],
     ctx: _VectorContext,
@@ -798,7 +835,7 @@ def _distribute_load_vec(
 
     residual = None
     vec_skip = ctx.is_job_row
-    for _ in range(_MAX_REFINEMENT_SWEEPS):
+    for sweep in range(_MAX_REFINEMENT_SWEEPS):
         cur = np.array([allocations[a] for a in placed_ids], dtype=float)
         values = ctx.utilities(cur, allocations, placed)
         # Start-of-sweep headroom: each app is visited once per sweep
@@ -809,6 +846,9 @@ def _distribute_load_vec(
         useful = np.minimum(ctx.max_total, np.maximum(ctx.saturation, cur))
         stuck = vec_skip & (useful - cur <= EPSILON)
         if stuck.all():
+            if sweep == 0 and level == 1.0 and ctx.top_first:
+                # Trials copied from this state can derive from it.
+                result._top_level = _TopLevelBase(apps, tables, placed_ids)
             break
         if residual is None:
             residual = _residual(capacity, best_assignment)
@@ -843,6 +883,136 @@ def _distribute_load_vec(
     return result
 
 
+class _TopLevelBase:
+    """What :func:`_derive_from_base` reads from a result that sat at the
+    top level with nothing to refine.
+
+    The position map of ``apps`` is built on the first trial that names
+    the result as its base and shared by every result derived from it
+    (an adopted trial becomes the base of later nodes), so runs that
+    never search build nothing extra.
+    """
+
+    __slots__ = ("apps", "tables", "placed_ids", "_position")
+
+    def __init__(
+        self,
+        apps: Mapping[str, AllocatableApp],
+        tables: SpecArrays,
+        placed_ids: List[str],
+        position: Optional[Dict[str, int]] = None,
+    ) -> None:
+        self.apps = apps
+        self.tables = tables
+        self.placed_ids = placed_ids
+        self._position = position
+
+    def position(self) -> Dict[str, int]:
+        """Each app's place in ``apps``."""
+        if self._position is None:
+            self._position = {a: i for i, a in enumerate(self.apps)}
+        return self._position
+
+
+def _derive_from_base(
+    state: PlacementState,
+    apps: Mapping[str, AllocatableApp],
+    tables: Optional[SpecArrays],
+    base: LoadDistributionResult,
+    node: str,
+) -> Optional[LoadDistributionResult]:
+    """The array path's result for ``state``, built from ``base`` (the
+    result for the placement ``state`` was copied from, which differs
+    from it on ``node`` only), or ``None`` when a precondition fails.
+
+    It applies when the base came from the array path on the same
+    ``apps`` and ``tables``, as a top-first context at level 1.0 whose
+    first refinement sweep found every row stuck; when every app on
+    ``node`` is a single-instance job link (``is_job``, not divisible,
+    a finite per-instance ceiling); when something is still placed; and
+    when ``node``'s chain fits at level 1.0 with no row left any
+    headroom.  Every base app is a link on one node, so the trial
+    places the base's apps that are still placed and those it added on
+    ``node``.
+
+    Why it is exact.  When every row is a single-node link, the
+    top-level verdict drains each node's chain without reading any
+    other node.  The other nodes hold the same apps in the same
+    relative order, and a target depends only on the row and the level,
+    so their takes are the base's.  So are their allocations (a
+    one-entry ``sum`` equals the take, and an app with no take gets the
+    int ``0``), their utilities (elementwise) and their stuck flags.
+    The level is the top exactly when every node fits there, and with
+    every row stuck the first refinement sweep ends the search.  The
+    node's chain runs through :func:`_prepare_row` and :func:`_fill`,
+    which the oracle pins bit for bit to the array kernels.
+    """
+    top = base._top_level
+    if top is None or top.apps is not apps or top.tables is not tables:
+        return None
+    position = top.position()
+    chain: List[str] = []
+    for app_id in state.apps_on(node):
+        i = tables.index.get(app_id)
+        if (
+            i is None
+            or app_id not in position
+            or state.instance_count(app_id) != 1
+            or not tables.is_job[i]
+            or tables.divisible[i]
+            or not tables.max_per_instance[i] < _INF
+        ):
+            return None
+        chain.append(app_id)
+    # _fill walks a node's links in placed order.
+    chain.sort(key=position.__getitem__)
+    placed_ids = [a for a in top.placed_ids if state.is_placed(a)]
+    added = [a for a in chain if a not in base.allocations]
+    if added:
+        placed_ids = sorted(placed_ids + added, key=position.__getitem__)
+    if not placed_ids:
+        # The full path's empty result has the floor as its level.
+        return None
+
+    capacity = {node: state.cluster.node(node).cpu_capacity}
+    rows = [_prepare_row(a, apps[a], state, capacity) for a in chain]
+    takes: Dict[str, Dict[str, float]] = {a: {} for a in chain}
+    if not _fill(rows, 1.0, capacity, takes):
+        return None
+    node_allocations: Dict[str, float] = {}
+    node_utilities: Dict[str, float] = {}
+    for row in rows:
+        app_id = row.app_id
+        app = apps[app_id]
+        allocation = sum(takes[app_id].values())
+        if _headroom(app, row.high, allocation) > EPSILON:
+            return None
+        node_allocations[app_id] = allocation
+        node_utilities[app_id] = app.rpf.utility(allocation)
+
+    def merged(mine: Mapping, theirs: Mapping) -> Dict:
+        return {a: mine[a] if a in mine else theirs[a] for a in placed_ids}
+
+    result = LoadDistributionResult(
+        allocations=merged(node_allocations, base.allocations),
+        utilities=merged(node_utilities, base.utilities),
+        common_level=1.0,
+        feasible=True,
+        assignment=merged(takes, base.assignment),
+    )
+    result._top_level = _TopLevelBase(apps, tables, placed_ids, position)
+    return result
+
+
+def _headroom(
+    app: AllocatableApp, max_total: float, current_total: float
+) -> float:
+    """CPU ``app`` could still usefully absorb above ``current_total``:
+    up to its saturation point and its speed ceiling."""
+    useful_ceiling = min(max_total, max(app.rpf.saturation_cpu, current_total))
+    return useful_ceiling - current_total
+
+
 def _raise_app(
     app: AllocatableApp,
     state: PlacementState,
@@ -855,11 +1025,7 @@ def _raise_app(
     Returns the total CPU gained.  Mutates ``assignment`` and ``residual``.
     """
     _, max_total = _aggregate_bounds(app, state)
-    # CPU the app could still usefully absorb: up to its saturation point
-    # and its speed ceiling.
-    saturation = app.rpf.saturation_cpu
-    useful_ceiling = min(max_total, max(saturation, current_total))
-    headroom = useful_ceiling - current_total
+    headroom = _headroom(app, max_total, current_total)
     if headroom <= EPSILON:
         return 0.0
 

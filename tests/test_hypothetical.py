@@ -329,17 +329,16 @@ class TestPreparedLevelProbes:
                 h, aggregate
             )
 
-    def test_interior_solve_takes_few_probes(self, monkeypatch):
-        """An interior solve on a 200-job table runs at most 12 full
-        demand passes (endpoints, Newton steps and the replayed
-        bisection's leftovers), not the 50 of a plain bisection."""
+    @staticmethod
+    def interior_table():
+        """A seeded 200-job table whose solves land inside ``(u_1, 1)``."""
         rng = np.random.default_rng(7)
         n = 200
         now = 5_000.0
         best = rng.uniform(200.0, 20_000.0, n)
         max_speed = rng.choice([1_000.0, 2_000.0, 3_900.0], n)
         relative_goal = best * rng.uniform(1.2, 6.0, n)
-        h = HypotheticalRPF.from_arrays(
+        return HypotheticalRPF.from_arrays(
             [f"j{i}" for i in range(n)],
             remaining=best * max_speed * rng.uniform(0.05, 1.0, n),
             goal=now + relative_goal * rng.uniform(0.2, 1.0, n),
@@ -348,6 +347,12 @@ class TestPreparedLevelProbes:
             now=np.full(n, now),
             u_max=np.ones(n),
         )
+
+    def test_interior_solve_takes_few_probes(self, monkeypatch):
+        """An interior solve on a 200-job table runs at most 12 full
+        demand passes (endpoints, Newton steps and the replayed
+        bisection's leftovers), not the 50 of a plain bisection."""
+        h = self.interior_table()
         passes = []
         probe = hypothetical._DemandProbe.demand
 
@@ -366,6 +371,70 @@ class TestPreparedLevelProbes:
             assert h.levels[0] < level < 1.0
             # The oracle probes through demand_at, not the wrapped probe.
             assert level == reference_equalized_level(h, aggregate)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        h=job_arrays(),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        drawn=st.lists(st.floats(), max_size=4),
+        near=st.floats(min_value=-1e-2, max_value=1e-2),
+    )
+    def test_any_start_gives_the_reference_level(self, h, frac, drawn, near):
+        """``start`` changes how the bracket is found, never the answer:
+        starts anywhere (NaN, the infinities, the bounds, the answer and
+        its neighbouring floats, near misses), and aggregates equal to
+        the demand at a start, all return the plain bisection's float."""
+        low = h.aggregate_demand_at(float(h.levels[0]))
+        high = h.aggregate_demand_at(1.0)
+        floor = float(h.levels[0])
+        aggregate = low + frac * (high - low)
+        answer = reference_equalized_level(h, aggregate)
+        starts = [
+            None, np.nan, np.inf, -np.inf, floor, 1.0,
+            np.nextafter(floor, np.inf), np.nextafter(1.0, -np.inf),
+            answer, np.nextafter(answer, -np.inf), np.nextafter(answer, np.inf),
+            answer + near, *drawn,
+        ]
+        for start in starts:
+            assert h.equalized_level(aggregate, start=start) == answer, start
+        for start in starts[6:]:
+            if not floor < start < 1.0:
+                continue
+            for pinned in pinned_aggregates(h, [start]):
+                assert h.equalized_level(
+                    pinned, start=start
+                ) == reference_equalized_level(h, pinned), (start, pinned)
+
+    def test_start_near_the_answer_skips_the_grid(self, monkeypatch):
+        """On :meth:`interior_table`, a start within 1e-3 of the answer
+        makes no pass over the sampling levels and at most 9 demand
+        passes; a cold solve is allowed 12 plus that pass."""
+        h = self.interior_table()
+        passes, grids = [], []
+        probe = hypothetical._DemandProbe
+        demand, grid = probe.demand, probe.grid
+
+        def counted(self, level):
+            passes.append(level)
+            return demand(self, level)
+
+        def counted_grid(self, *args):
+            grids.append(args)
+            return grid(self, *args)
+
+        monkeypatch.setattr(probe, "demand", counted)
+        monkeypatch.setattr(probe, "grid", counted_grid)
+        low = h.aggregate_demand_at(float(h.levels[0]))
+        high = h.aggregate_demand_at(1.0)
+        for frac in np.linspace(0.02, 0.98, 25):
+            aggregate = low + frac * (high - low)
+            answer = reference_equalized_level(h, aggregate)
+            for offset in (-1e-3, -1e-4, -1e-6, 0.0, 1e-6, 1e-4, 1e-3):
+                passes.clear()
+                level = h.equalized_level(aggregate, start=answer + offset)
+                assert level == answer
+                assert not grids, (frac, offset)
+                assert len(passes) <= 9, (frac, offset, len(passes))
 
     def test_completed_and_past_horizon_jobs(self):
         h = HypotheticalRPF.from_arrays(

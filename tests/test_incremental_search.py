@@ -347,3 +347,99 @@ def test_frontier_skips_nodes_closed_by_constraints():
     }
     assert {"node2", "node3"} <= skipped
 
+
+
+# ----------------------------------------------------------------------
+# Work a search trial reuses from its base
+# ----------------------------------------------------------------------
+def test_every_spec_table_search_trial_derives_from_its_base(monkeypatch):
+    """On spec tables, where every job is a single-node link at the top
+    level, each search trial's distribution is built from its base's
+    result and its node's chain.  A silent fall back to the full path
+    decides the same, so only a count can see it."""
+    import repro.core.apc as apc_module
+    import repro.core.loadbalance as loadbalance
+
+    trials, derived = [], []
+    distribute = apc_module.distribute_load
+    derive = loadbalance._derive_from_base
+
+    def counting_distribute(state, *args, **kwargs):
+        if kwargs.get("base") is not None:
+            trials.append(kwargs["node"])
+        return distribute(state, *args, **kwargs)
+
+    def counting_derive(*args):
+        result = derive(*args)
+        if result is not None:
+            derived.append(result)
+        return result
+
+    monkeypatch.setattr(apc_module, "distribute_load", counting_distribute)
+    monkeypatch.setattr(loadbalance, "_derive_from_base", counting_derive)
+    run_cycles(SPEC_TABLES_SCENARIO, 6, reference=False)
+    assert trials
+    assert len(derived) == len(trials)
+
+
+def _old_fill_list(controller, trial, specs, candidates, utilities, node, forbidden):
+    """The inner loop's list as ``_fill_node`` computed it per trial,
+    from the trial after its removals."""
+    eligible = [
+        c
+        for c in candidates
+        if c in specs
+        and c not in forbidden
+        and (specs[c].demand.divisible or not trial.is_placed(c))
+        and trial.instances_on(c, node) == 0
+    ]
+    return controller.admission.order(eligible, specs, utilities)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=constrained_cases())
+def test_fill_order_is_the_same_for_every_removal_count(case):
+    """The LRPF fill order built once per node from its base state is
+    the list every trial of the node computed for itself, whatever it
+    removed, on the states a constrained run searches from."""
+    scenario, txn_apps, constraints, cycles = case
+    bases = []
+    worthwhile = ApplicationPlacementController._search_is_worthwhile
+
+    def capture(self, state, specs, candidates, utilities, allocations):
+        bases.append((self, state.copy(), specs, list(candidates), utilities))
+        return worthwhile(self, state, specs, candidates, utilities, allocations)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            ApplicationPlacementController, "_search_is_worthwhile", capture
+        )
+        run_cycles(
+            scenario, cycles, reference=False, constraints=constraints,
+            txn_apps=txn_apps,
+        )
+    assert bases
+    for controller, base, specs, candidates, utilities in bases:
+        for node in base.cluster.node_names:
+            removable = []
+            for app_id in sorted(
+                base.apps_on(node),
+                key=lambda a: utilities.get(a, float("-inf")),
+                reverse=True,
+            ):
+                removable.extend([app_id] * base.instances_on(app_id, node))
+            hoisted = controller._fill_order(
+                base, specs, candidates, utilities, node
+            )
+            for removals in range(len(removable) + 1):
+                trial = base.copy()
+                for app_id in removable[:removals]:
+                    trial.remove(app_id, node)
+                assert hoisted == _old_fill_list(
+                    controller, trial, specs, candidates, utilities, node,
+                    set(removable[:removals]),
+                )

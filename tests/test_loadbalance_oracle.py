@@ -9,11 +9,14 @@ assignment (:func:`try_distribute`), and the last feasible probe's
 assignment is the one refined.  A hypothesis property draws small
 clusters and app mixes and requires the production distributor — with
 and without :class:`~repro.core.loadbalance.SpecArrays` tables — to
-match the oracle exactly: same floats, same dict insertion order.
+match the oracle exactly: same floats, same dict insertion order.  A
+trial changed on one node and handed its base's result (``base`` and
+``node``) must get the same result as the call without them.
 """
 
 from typing import Dict, Mapping, Optional
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -396,3 +399,151 @@ def test_single_node_job_rows_match_probe_loop_oracle(problem):
     vector_state = state.copy()
     got = distribute_load(vector_state, apps, tables=tables)
     assert _exact(got, vector_state) == expected
+
+
+# ----------------------------------------------------------------------
+# Trials built from a base: one node changed
+# ----------------------------------------------------------------------
+def _result_parts(result: LoadDistributionResult):
+    """Every field of a result, with insertion order."""
+    return repr((
+        list(result.allocations.items()),
+        list(result.utilities.items()),
+        [(a, list(nodes.items())) for a, nodes in result.assignment.items()],
+        result.common_level,
+        result.feasible,
+    ))
+
+
+@st.composite
+def one_node_trials(draw):
+    """A :func:`single_node_job_problems` placement with extra unplaced
+    job rows and a shuffled ``apps`` order, then three trials, each
+    copied from the one before and changed on one node: some of the
+    node's instances removed, some unplaced apps placed there (now and
+    then two instances at once)."""
+    state, apps = draw(single_node_job_problems())
+    for i in range(draw(st.integers(0, 4))):
+        app_id = f"u{i}"
+        apps[app_id], _ = draw(job_app(app_id))
+    order = draw(st.permutations(list(apps)))
+    apps = {a: apps[a] for a in order}
+    names = list(state.cluster.node_names)
+    trials = []
+    trial = state
+    for _ in range(3):
+        node = draw(st.sampled_from(names))
+        trial = trial.copy()
+        for app_id in trial.apps_on(node):
+            count = trial.instances_on(app_id, node)
+            drop = draw(st.integers(0, count))
+            if drop:
+                trial.remove(app_id, node, drop)
+        # A failed node has no memory left to place on.
+        unplaced = [a for a in apps if not trial.is_placed(a)]
+        if unplaced and trial.cluster.node(node).available:
+            for app_id in draw(st.lists(
+                st.sampled_from(unplaced), unique=True, max_size=3
+            )):
+                trial.place(app_id, node, 1.0, draw(st.sampled_from([1, 1, 2])))
+        trials.append((node, trial))
+    return state, apps, trials
+
+
+def _job_spec(app_id, max_speed, submit_time=0.0, now=0.0):
+    """A one-instance job row on a 4,000 Mcycle job with goal factor 3."""
+    job = Job.with_goal_factor(
+        job_id=app_id,
+        profile=JobProfile.single_stage(
+            work_mcycles=4000.0, max_speed_mhz=max_speed, memory_mb=1.0
+        ),
+        submit_time=submit_time,
+        goal_factor=3.0,
+    )
+    return AllocatableApp(
+        demand=AppDemand(
+            app_id=app_id, memory_mb=1.0, min_cpu_mhz=0.0,
+            max_cpu_per_instance_mhz=max_speed,
+        ),
+        rpf=JobAllocationRPF(job, now),
+    )
+
+
+def _one_node(capacity, placed):
+    cluster = Cluster([Node("n0", NodeSpec(cpu_capacity=capacity, memory_capacity=1e6))])
+    state = PlacementState(cluster)
+    for app_id in placed:
+        state.place(app_id, "n0", 1.0)
+    return state
+
+
+def chain_short_by_half_an_epsilon():
+    """Two jobs on a node that holds their top-level targets (their
+    speed ceilings) less half an EPSILON, placed in the opposite of
+    ``apps`` order: the chain is walked in ``apps`` order, which decides
+    which job is left short."""
+    apps = {"a1": _job_spec("a1", 500.0), "a0": _job_spec("a0", 1000.0)}
+    state = _one_node(1500.0 - 0.5 * EPSILON, ["a0", "a1"])
+    return state, apps, [("n0", state.copy())]
+
+
+def added_job_with_headroom():
+    """A job evaluated before it was submitted can beat its goal by more
+    than its relative goal, so at the top level it demands less than its
+    speed ceiling and refinement raises it: the trial that adds it must
+    not keep its top-level take."""
+    apps = {
+        "a0": _job_spec("a0", 1000.0),
+        "a1": _job_spec("a1", 1000.0, submit_time=1000.0),
+    }
+    state = _one_node(4000.0, ["a0"])
+    trial = state.copy()
+    trial.place("a1", "n0", 1.0)
+    return state, apps, [("n0", trial)]
+
+
+def emptied_trial():
+    """A trial that unplaces the only app: the full path's empty result
+    (level at the floor) must come back, not a top-level one."""
+    apps = {"a0": _job_spec("a0", 1000.0)}
+    state = _one_node(4000.0, ["a0"])
+    trial = state.copy()
+    trial.remove("a0", "n0")
+    return state, apps, [("n0", trial)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_node_trials())
+@example(emptied_trial())
+@example(chain_short_by_half_an_epsilon())
+@example(added_job_with_headroom())
+def test_trial_from_its_base_matches_the_full_path(problem):
+    """``base``/``node`` change how a result is computed, never what it
+    is: each trial's result equals the call without them (and, written
+    into the state, the probe-loop oracle), and becomes the next trial's
+    base."""
+    state, apps, trials = problem
+    tables = SpecArrays.from_specs(apps)
+    base = distribute_load(state, apps, write_load_matrix=False, tables=tables)
+    for node, trial in trials:
+        got = distribute_load(
+            trial, apps, write_load_matrix=False, tables=tables,
+            base=base, node=node,
+        )
+        full = distribute_load(trial, apps, write_load_matrix=False, tables=tables)
+        assert _result_parts(got) == _result_parts(full)
+        written = trial.copy()
+        got.write_load(written)
+        ref_state = trial.copy()
+        expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
+        assert _exact(got, written) == expected
+        base = got
+
+
+def test_base_and_node_come_together():
+    state, apps = infeasible_minimums()
+    base = distribute_load(state, apps, write_load_matrix=False)
+    with pytest.raises(TypeError):
+        distribute_load(state, apps, base=base)
+    with pytest.raises(TypeError):
+        distribute_load(state, apps, node="n0")

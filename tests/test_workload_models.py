@@ -131,6 +131,30 @@ class TestBatchWorkloadModel:
         assert model.placement_candidates(0.0) == ["a", "b"]
         assert len(model.hypothetical(0.0)) == 2
 
+    def test_failed_begin_cycle_ends_the_models_already_in_cycle(self):
+        """When a later model's begin_cycle raises, place() still ends
+        the cycle of every model whose begin_cycle returned, so the
+        batch model sees the live queue again."""
+
+        class Failing:
+            def begin_cycle(self, now):
+                raise RuntimeError("begin_cycle failed")
+
+            def end_cycle(self):
+                raise AssertionError("end_cycle without begin_cycle")
+
+        cluster = Cluster.homogeneous(2, cpu_capacity=1000, memory_capacity=2000)
+        queue = JobQueue()
+        queue.submit(make_job("a", work=1000))
+        queue.submit(make_job("b", work=1000))
+        model = BatchWorkloadModel(queue)
+        controller = ApplicationPlacementController(cluster)
+        with pytest.raises(RuntimeError, match="begin_cycle failed"):
+            controller.place([model, Failing()], PlacementState(cluster), 0.0)
+        assert not model._in_cycle
+        queue.submit(make_job("c", work=1000))
+        assert list(model.app_specs(0.0)) == ["a", "b", "c"]
+
     def test_average_hypothetical_utility(self):
         queue = JobQueue()
         queue.submit(make_job("j", work=1000, max_speed=500, goal_factor=5))
