@@ -30,7 +30,6 @@ from repro.core import (
     AppDemand,
     ApplicationPlacementController,
     ConstraintSet,
-    DensePlacement,
     PlacementScore,
     PlacementState,
     SpecArrays,
@@ -211,7 +210,6 @@ __all__ = [
     "AppDemand",
     "ApplicationPlacementController",
     "ConstraintSet",
-    "DensePlacement",
     "PlacementScore",
     "PlacementState",
     "SpecArrays",

@@ -39,7 +39,7 @@ from repro.core.admission import (
     FCFSAdmission,
     resolve_admission,
 )
-from repro.core.placement import PlacementState, AppDemand, DensePlacement
+from repro.core.placement import PlacementState, AppDemand
 from repro.core.loadbalance import (
     distribute_load,
     LoadDistributionResult,
@@ -73,7 +73,6 @@ __all__ = [
     "resolve_admission",
     "PlacementState",
     "AppDemand",
-    "DensePlacement",
     "distribute_load",
     "LoadDistributionResult",
     "SpecArrays",

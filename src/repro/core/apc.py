@@ -45,8 +45,8 @@ time" (§5.1).
 
 The implementation adds bookkeeping that changes no decision: an upper
 bound that ends the search once no candidate can beat the incumbent, a
-frontier index that skips zero-removal trials the fill pass cannot
-change, and array scans in admission.  A scored candidate costs one load
+skipped zero-removal trial when the fill pass would place nothing on the
+node, and array scans in admission.  A scored candidate costs one load
 distribution, one prediction per model and one objective score: its load
 is written into its state only on adoption (nothing reads a trial's load
 before), and its churn is its base's plus its change on its one node.
@@ -104,7 +104,6 @@ SPAN_PHASES: Tuple[str, ...] = (
     "apc.spec_tables",
     "apc.admission",
     "apc.search",
-    "apc.frontier",
     "apc.evaluate",
     "apc.loadbalance",
     "apc.predict",
@@ -274,93 +273,6 @@ class _Scored(NamedTuple):
         return self
 
 
-class _FrontierIndex:
-    """Per-base-state candidate frontier for the no-op-node check.
-
-    The sweep asks, per node, whether the fill pass could place *any*
-    candidate on the unmodified base state; when not, the zero-removal
-    trial is the incumbent itself and is skipped.  The
-    candidate-intrinsic parts of that answer — spec existence,
-    non-divisible-and-already-placed, the max-instances cap — depend
-    only on the base state, so they are filtered once here; the per-node
-    remainder (memory fit, min-CPU reservation, no instance already on
-    the node) becomes two array comparisons and a mask.  Placement
-    constraints, a per-(app, node) policy check, then run only over the
-    rows that survive the mask.
-
-    The answer is the fill pass's first-placement test applied to every
-    candidate: same float comparisons, same constraint calls on the same
-    state, and ``any`` over the same boolean set.
-    """
-
-    __slots__ = ("ids", "mem", "min_cpu", "on_node", "state", "constraints")
-
-    @classmethod
-    def build(
-        cls,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        candidates: Sequence[str],
-        constraints: Optional[ConstraintSet],
-    ) -> "_FrontierIndex":
-        index = cls.__new__(cls)
-        index.state = state
-        index.constraints = constraints
-        ids: List[str] = []
-        mem: List[float] = []
-        min_cpu: List[float] = []
-        seen: set = set()
-        for c in candidates:
-            if c in seen:
-                continue
-            seen.add(c)
-            spec = specs.get(c)
-            if spec is None:
-                continue
-            demand = spec.demand
-            if not demand.divisible and state.is_placed(c):
-                continue
-            if (
-                demand.max_instances is not None
-                and state.instance_count(c) >= demand.max_instances
-            ):
-                continue
-            ids.append(c)
-            mem.append(demand.memory_mb)
-            min_cpu.append(demand.min_cpu_mhz)
-        index.ids = ids
-        index.mem = np.array(mem)
-        index.min_cpu = np.array(min_cpu)
-        on_node: Dict[str, List[int]] = {}
-        for row, c in enumerate(ids):
-            for node, count in state.instance_items(c):
-                if count != 0:
-                    on_node.setdefault(node, []).append(row)
-        index.on_node = {n: np.array(rows) for n, rows in on_node.items()}
-        return index
-
-    def fill_possible(
-        self,
-        mem_avail: float,
-        committed: float,
-        capacity: float,
-        node: str,
-    ) -> bool:
-        """Could the fill pass place anything on ``node``?"""
-        ok = (mem_avail + EPSILON >= self.mem) & (
-            committed + self.min_cpu <= capacity + EPSILON
-        )
-        hosted = self.on_node.get(node)
-        if hosted is not None:
-            ok[hosted] = False
-        if self.constraints is None:
-            return bool(ok.any())
-        return any(
-            self.constraints.allows(self.state, self.ids[row], node)
-            for row in np.flatnonzero(ok).tolist()
-        )
-
-
 class ApplicationPlacementController:
     """Searches for the best placement each control cycle."""
 
@@ -453,10 +365,10 @@ class ApplicationPlacementController:
         load-balancing solve ``apc.loadbalance``, the workload models'
         hypothetical/RPF prediction ``apc.predict``, and objective
         scoring ``apc.objective``), the greedy admission pass
-        (``apc.admission``), and the nested-loop search (``apc.search``,
-        with frontier-index builds under ``apc.frontier``).  The full
-        phase list is pinned as :data:`SPAN_PHASES`.  Un-instrumented,
-        the spans are no-ops and the computation is unchanged.
+        (``apc.admission``), and the nested-loop search (``apc.search``).
+        The full phase list is pinned as :data:`SPAN_PHASES`.
+        Un-instrumented, the spans are no-ops and the computation is
+        unchanged.
         """
         with self._span("apc.place"):
             for observer in self._observers:
@@ -1026,9 +938,6 @@ class ApplicationPlacementController:
         """One outer-loop pass over all nodes.  Returns
         ``(improved, best)``."""
         improved = False
-        constraints = self._constraints if len(self._constraints) else None
-        frontier: Optional[_FrontierIndex] = None
-        frontier_base: Optional[PlacementState] = None
         audit = self._audit
 
         # Outer loop: visit nodes hosting the highest-utility instances
@@ -1065,34 +974,21 @@ class ApplicationPlacementController:
             # The inner loop's order is the same for every removal count
             # (see _fill_order); it reads best.utilities, so an adoption
             # rebuilds it.
-            order: Optional[List[str]] = None
+            order: Optional[List[str]] = self._fill_order(
+                node_base, specs, candidates, best.utilities, node
+            )
+            # The zero-removal trial is the incumbent plus whatever the
+            # fill pass adds.  When it would add nothing, the trial is the
+            # incumbent itself: skip it without paying for the copy.
+            first = 0
+            if self._fills_nothing(node_base, specs, node, order):
+                if self._c_shortcut is not None:
+                    self._c_shortcut.inc(kind="node_noop")
+                if audit is not None:
+                    audit.shortcircuit("node_noop", node=node)
+                first = 1
 
-            for removals in range(len(removable) + 1):
-                if removals == 0:
-                    # The zero-removal trial is the incumbent plus
-                    # whatever the fill pass can add.  The fill's first
-                    # placement decision depends only on the unmodified
-                    # base, so when nothing can be placed there, the
-                    # trial is the incumbent itself — skip it without
-                    # paying for the state copy.
-                    if frontier_base is not node_base:
-                        with self._span("apc.frontier"):
-                            frontier = _FrontierIndex.build(
-                                node_base, specs, candidates, constraints
-                            )
-                        frontier_base = node_base
-                    fillable = frontier.fill_possible(
-                        node_base.memory_available(node),
-                        self._node_committed_min(node_base, specs, node),
-                        self._cluster.node(node).cpu_capacity,
-                        node,
-                    )
-                    if not fillable:
-                        if self._c_shortcut is not None:
-                            self._c_shortcut.inc(kind="node_noop")
-                        if audit is not None:
-                            audit.shortcircuit("node_noop", node=node)
-                        continue
+            for removals in range(first, len(removable) + 1):
                 trial = node_base.copy()
                 removed = set(removable[:removals])
                 for app_id in removable[:removals]:
@@ -1102,8 +998,6 @@ class ApplicationPlacementController:
                         node_base, specs, candidates, best.utilities, node
                     )
                 filled = self._fill_node(trial, specs, node, order)
-                if removals == 0 and not filled:
-                    continue  # identical to the incumbent placement
                 # The trial differs from its base on this node only, for
                 # the removed and the filled applications.
                 churn = base.churn
@@ -1193,6 +1087,28 @@ class ApplicationPlacementController:
             and state.instances_on(c, node) == 0
         ]
         return self._admission.order(eligible, specs, utilities)
+
+    def _fills_nothing(
+        self,
+        state: PlacementState,
+        specs: Mapping[str, AllocatableApp],
+        node: str,
+        order: Sequence[str],
+    ) -> bool:
+        """Would :meth:`_fill_node` place nothing on ``node`` of ``state``?
+
+        Its first-placement test over ``order``, with the same checks in
+        the same order, on ``state`` itself instead of a copy."""
+        committed = self._node_committed_min(state, specs, node)
+        capacity = self._cluster.node(node).cpu_capacity
+        for app_id in order:
+            spec = specs[app_id]
+            if (
+                self._can_host(state, spec, node)
+                and committed + spec.demand.min_cpu_mhz <= capacity + EPSILON
+            ):
+                return False
+        return True
 
     def _fill_node(
         self,

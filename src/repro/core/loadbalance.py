@@ -39,15 +39,16 @@ The level search is the same construction as the yield search of
 virtual-cluster allocation (Stillwell et al., arXiv:1006.5376): bisect one
 common level and test feasibility at each probe.  The controller runs one
 search per candidate placement it evaluates: up to 50 probes, 1 or 2 when
-the top level fits.  Without spec tables each call prepares its per-app
-rows once (:func:`_prepare_rows`), each probe is a plain yes/no over
-them, and the per-node assignment is built once, at the final level, by
-the same routine (:func:`_fill`).  With them, the array path probes the
-top level first when every placed row is a single-node parametric job
-row (see :func:`_highest_feasible_level`).  The straightforward loop
-that recomputes every target and a full assignment per probe is kept in
-``tests/test_loadbalance_oracle.py`` as the oracle both paths here must
-match exactly.
+the top level fits.  One driver (:func:`distribute_load`) runs the
+search, the assignment and the refinement over one of two kernels: rows
+prepared once per call, each probe a plain yes/no over them
+(:class:`_RowsKernel`, :func:`_fill`), or arrays over the cycle's spec
+tables (:class:`_VectorContext`).  Either kernel probes the top level
+first when every placed row is a single-node parametric job row (see
+:func:`_highest_feasible_level`), and refinement skips rows with no
+headroom.  The straightforward loop that recomputes every target and a
+full assignment per probe is kept in ``tests/test_loadbalance_oracle.py``
+as the oracle both kernels must match exactly.
 
 A §3.2 search trial differs from the placement it was copied from on
 one node.  Given that placement's result and the node, a call reuses
@@ -100,13 +101,12 @@ class AllocatableApp:
 class SpecArrays:
     """Column-oriented view of :class:`AllocatableApp` specs.
 
-    One row per application, shared by the vectorized load distributor
-    and the vectorized APC admission/frontier scoring.  Rows whose RPF is
-    a parametric batch :class:`~repro.batch.rpf.JobAllocationRPF` carry
-    its frozen fields (``is_job`` True); generic rows (transactional
-    queuing-model RPFs) leave those columns zeroed and are handled by the
-    scalar fallbacks.  Arrays are adopted without copying and must be
-    treated as immutable.
+    One row per application, read by the array load-distribution kernel
+    (:class:`_VectorContext`).  Rows whose RPF is a parametric batch
+    :class:`~repro.batch.rpf.JobAllocationRPF` carry its frozen fields
+    (``is_job`` True); generic rows (transactional queuing-model RPFs)
+    leave those columns zeroed and answer through their RPF objects.
+    Arrays are adopted without copying and must be treated as immutable.
     """
 
     ids: List[str]
@@ -308,20 +308,6 @@ def _prepare_row(
     )
 
 
-def _prepare_rows(
-    placed: Mapping[str, AllocatableApp],
-    state: PlacementState,
-    capacity: Mapping[str, float],
-) -> List[_Row]:
-    """Rows in fill order: singletons in placed order, then divisible
-    applications in placed order."""
-    rows = [
-        _prepare_row(app_id, app, state, capacity)
-        for app_id, app in placed.items()
-    ]
-    return [r for r in rows if not r.divisible] + [r for r in rows if r.divisible]
-
-
 def _target(row: _Row, level: float) -> float:
     """CPU the app demands at relative-performance level ``level``.
 
@@ -387,20 +373,99 @@ def _fill(
     return True
 
 
-class _VectorContext:
-    """Per-``distribute_load`` invocation arrays for the vectorized path.
+class _Kernel:
+    """What :func:`distribute_load` runs its three phases over, for the
+    apps placed in one call (placed order).
+
+    ``feasible(level)`` answers one level probe and ``assignment(level)``
+    builds the ``{app: {node: cpu}}`` load at the final level, both by
+    :func:`_fill`'s rules.  ``utilities(current)`` maps a refinement
+    sweep's allocations (the driver's values, in placed order) to each
+    row's ``rpf.utility``.  ``top_first`` lets the level search probe the
+    top level first (:func:`_highest_feasible_level`).  ``max_total`` and
+    ``saturation`` are each row's :func:`_headroom` terms.
+    """
+
+    __slots__ = ()
+
+    def stuck(self, current: Sequence[float]) -> List[bool]:
+        """Rows whose :func:`_headroom` at ``current`` is at most
+        ``EPSILON``, elementwise: :func:`_raise_app` leaves them as they
+        are."""
+        cpu = np.array(current, dtype=float)
+        useful = np.minimum(self.max_total, np.maximum(self.saturation, cpu))
+        return (useful - cpu <= EPSILON).tolist()
+
+
+class _RowsKernel(_Kernel):
+    """The kernel over rows prepared once per call: each level probe is
+    a plain yes/no over them (:func:`_fill`), and the assignment is the
+    same routine run once more at the final level."""
+
+    __slots__ = (
+        "rows", "capacity", "placed_ids", "rpfs", "max_total", "saturation",
+        "top_first",
+    )
+
+    def __init__(
+        self,
+        state: PlacementState,
+        placed: Mapping[str, AllocatableApp],
+        placed_ids: List[str],
+        capacity: Mapping[str, float],
+    ) -> None:
+        from repro.batch.rpf import JobAllocationRPF
+
+        rows = [_prepare_row(a, placed[a], state, capacity) for a in placed_ids]
+        # _fill's order: singletons, then divisible applications, each
+        # in placed order.
+        self.rows = [r for r in rows if not r.divisible] + [
+            r for r in rows if r.divisible
+        ]
+        self.capacity = capacity
+        self.placed_ids = placed_ids
+        self.rpfs = [placed[a].rpf for a in placed_ids]
+        # _aggregate_bounds's ceiling, which _prepare_row replaces by the
+        # nodes' capacity when it is unbounded.
+        self.max_total = np.array([_INF if r.unbounded else r.high for r in rows])
+        self.saturation = np.array([rpf.saturation_cpu for rpf in self.rpfs])
+        # Exact only for parametric job rows on one node each; see
+        # _highest_feasible_level.
+        self.top_first = all(
+            isinstance(rpf, JobAllocationRPF)
+            and not row.divisible
+            and placed[row.app_id].demand.max_cpu_per_instance_mhz < _INF
+            and len(row.slots) == 1
+            for row, rpf in zip(rows, self.rpfs)
+        )
+
+    def feasible(self, level: float) -> bool:
+        return _fill(self.rows, level, self.capacity)
+
+    def assignment(self, level: float) -> Dict[str, Dict[str, float]]:
+        per_node: Dict[str, Dict[str, float]] = {a: {} for a in self.placed_ids}
+        _fill(self.rows, level, self.capacity, per_node)
+        return per_node
+
+    def utilities(self, current: Sequence[float]) -> List[float]:
+        return [rpf.utility(cpu) for rpf, cpu in zip(self.rpfs, current)]
+
+
+class _VectorContext(_Kernel):
+    """The array kernel, over the cycle's spec tables: every probe drains
+    each node's chain of single-node singletons level by level, then the
+    divisible applications greedily, bit for bit as :func:`_fill` does.
 
     Everything here is a function of (state, placed apps, spec tables)
-    and stays fixed for the duration of one distribution — the level
-    bisection re-uses it across all ``feasible()`` probes.
+    and stays fixed for one call; the level search re-uses it across
+    all probes.
     """
 
     __slots__ = (
         "placed_ids", "caps", "min_total", "max_total", "saturation",
-        "u_max", "vec_target", "scalar_rows", "remaining", "goal",
-        "relative_goal", "now", "max_speed", "levels", "link_pos",
-        "link_col", "divisible_rows", "fill_rows", "capacity",
-        "node_names", "is_job_row", "generic_pos", "top_first",
+        "u_max", "scalar_rows", "remaining", "goal", "relative_goal", "now",
+        "max_speed", "levels", "link_pos", "link_col", "divisible_rows",
+        "node_names", "generic", "top_first", "_accepted",
     )
 
     @classmethod
@@ -412,29 +477,24 @@ class _VectorContext:
         tables: SpecArrays,
         capacity: Mapping[str, float],
     ) -> Optional["_VectorContext"]:
+        """The kernel, or ``None`` when the tables miss a placed app or a
+        singleton spans several nodes; the rows kernel takes those
+        calls."""
         index = tables.index
         try:
             row_arr = np.array([index[a] for a in placed_ids], dtype=np.intp)
         except KeyError:
-            # The tables do not cover every placed app; run scalar.
             return None
-        ctx = cls.__new__(cls)
-        ctx.placed_ids = placed_ids
-        max_pi = tables.max_per_instance[row_arr]
         node_index = state.node_index
-        ctx.node_names = list(node_index)
-        ctx.caps = np.array([capacity[name] for name in node_index])
-        ctx.capacity = capacity
+        max_pi = tables.max_per_instance[row_arr]
+        max_pi_list = max_pi.tolist()
 
         # One pass over the placed apps' instances.  A single-node
         # singleton is a link in its node's chain; divisible apps draw
-        # greedily after every chain; a multi-node singleton sends the
-        # whole call to the scalar _fill.
+        # greedily after every chain.
         instance_items = state.instance_items
         divisible_rows: List[Tuple[int, str, List[Tuple[str, int, float]]]] = []
-        scalar_verdict = False
         link_pos, link_col, counts = [], [], []
-        max_pi_list = max_pi.tolist()
         for pos, (app_id, divisible) in enumerate(
             zip(placed_ids, tables.divisible[row_arr].tolist())
         ):
@@ -452,11 +512,15 @@ class _VectorContext:
                 link_pos.append(pos)
                 link_col.append(node_index[nodes[0][0]])
             else:
-                scalar_verdict = True
+                return None
+
+        ctx = cls.__new__(cls)
+        ctx.placed_ids = placed_ids
         ctx.divisible_rows = divisible_rows
-        ctx.fill_rows = (
-            _prepare_rows(placed, state, capacity) if scalar_verdict else None
-        )
+        ctx.node_names = list(node_index)
+        # Float even when the nodes' capacities are ints: every probe
+        # subtracts float takes from a copy in place.
+        ctx.caps = np.array([capacity[name] for name in node_index], dtype=float)
         # A link's depth is its place in its node's chain: _fill walks
         # singletons in placed order.
         depth = [0] * len(node_index)
@@ -470,8 +534,6 @@ class _VectorContext:
         # _aggregate_bounds: inf per-instance ceiling -> inf total.
         ctx.max_total = np.where(np.isinf(max_pi), np.inf, max_pi * count_arr)
         is_job = tables.is_job[row_arr]
-        ctx.is_job_row = is_job
-        ctx.generic_pos = np.flatnonzero(~is_job).tolist()
         ctx.remaining = tables.remaining[row_arr]
         ctx.goal = tables.goal[row_arr]
         ctx.relative_goal = tables.relative_goal[row_arr]
@@ -481,14 +543,20 @@ class _VectorContext:
         ctx.saturation = np.where(
             ctx.remaining <= EPSILON, 0.0, ctx.max_speed
         )
+        # Rows without a parametric batch RPF answer through it.
+        ctx.generic = [
+            (pos, placed[placed_ids[pos]].rpf)
+            for pos in np.flatnonzero(~is_job).tolist()
+        ]
+        for pos, rpf in ctx.generic:
+            ctx.saturation[pos] = rpf.saturation_cpu
         # Rows whose targets the array kernel can produce: parametric
         # batch RPFs with a finite speed ceiling.  Everything else gets
         # the scalar _target over its prepared row.
-        ctx.vec_target = is_job & np.isfinite(max_pi)
         ctx.scalar_rows = [
             (pos, _prepare_row(placed_ids[pos], placed[placed_ids[pos]],
                                state, capacity))
-            for pos in np.flatnonzero(~ctx.vec_target).tolist()
+            for pos in np.flatnonzero(~(is_job & np.isfinite(max_pi))).tolist()
         ]
 
         # Level j of the chains: the j-th link on each node.  _fill
@@ -505,11 +573,7 @@ class _VectorContext:
             (pos_arr[at], col_arr[at], cap_arr[at])
             for at in (rank_arr == j for j in range(max(depth, default=0)))
         ]
-        # Top-first is exact only when every row is a parametric
-        # single-node link; see _highest_feasible_level.
-        ctx.top_first = (
-            len(link_pos) == len(placed_ids) and not ctx.scalar_rows
-        )
+        ctx.top_first = not divisible_rows and not ctx.scalar_rows
         return ctx
 
     # ------------------------------------------------------------------
@@ -540,24 +604,21 @@ class _VectorContext:
             t[pos] = _target(row, level)
         return t
 
-    def verdict(self, level: float):
-        """Vectorized :func:`_fill` at ``level``: ``None`` if infeasible,
-        else the recorded takes for :meth:`materialize`."""
-        if self.fill_rows is not None:
-            feasible = _fill(self.fill_rows, level, self.capacity)
-            return ("scalar", level) if feasible else None
+    def feasible(self, level: float) -> bool:
+        """:func:`_fill` at ``level``; an accepted probe's takes are kept
+        for :meth:`assignment`."""
         targets = self.targets_at(level)
         residual = self.caps.copy()
         takes = np.zeros(len(targets))
         for pos_arr, col_arr, cap_arr in self.levels:
             t = targets[pos_arr]
             take = np.minimum(np.minimum(t, residual[col_arr]), cap_arr)
-            # The scalar loop only records (and subtracts) a take above
-            # EPSILON, and skips apps whose target is at most EPSILON.
+            # _fill only records (and subtracts) a take above EPSILON,
+            # and skips apps whose target is at most EPSILON.
             take = np.where(take > EPSILON, take, 0.0)
             residual[col_arr] -= take
             if np.any(t - take > EPSILON):
-                return None
+                return False
             takes[pos_arr] = take
         div_entries: List[Tuple[str, str, float]] = []
         for pos, app_id, nodes in self.divisible_rows:
@@ -576,20 +637,18 @@ class _VectorContext:
                 if remaining <= EPSILON:
                     break
             if remaining > EPSILON:
-                return None
-        return ("vector", takes, div_entries)
+                return False
+        self._accepted = (takes, div_entries)
+        return True
 
-    def materialize(self, verdict) -> Dict[str, Dict[str, float]]:
-        """Expand a successful verdict into the scalar path's per-app
-        ``{node: cpu}`` dict, matching its insertion order exactly."""
+    def assignment(self, level: float) -> Dict[str, Dict[str, float]]:
+        """The takes of the last accepted probe, which the level search
+        made at ``level``, in :func:`_fill`'s insertion order."""
+        takes, div_entries = self._accepted
         placed_ids = self.placed_ids
         per_node: Dict[str, Dict[str, float]] = {
             app_id: {} for app_id in placed_ids
         }
-        if verdict[0] == "scalar":
-            _fill(self.fill_rows, verdict[1], self.capacity, per_node)
-            return per_node
-        _, takes, div_entries = verdict
         values = takes.tolist()
         names = self.node_names
         for pos, col in zip(self.link_pos, self.link_col):
@@ -599,16 +658,10 @@ class _VectorContext:
             per_node[app_id][node] = per_node[app_id].get(node, 0.0) + take
         return per_node
 
-    def utilities(
-        self,
-        cpu: np.ndarray,
-        allocations: Mapping[str, float],
-        placed: Mapping[str, AllocatableApp],
-    ) -> List[float]:
-        """Per-app ``rpf.utility(allocation)`` in placed order —
-        JobAllocationRPF.utility elementwise over ``cpu`` (the
-        allocations as an array) for parametric rows, the object call
-        for the rest."""
+    def utilities(self, current: Sequence[float]) -> List[float]:
+        """JobAllocationRPF.utility elementwise for parametric rows, the
+        object call for the rest."""
+        cpu = np.array(current, dtype=float)
         speed = np.minimum(cpu, self.max_speed)
         completion = np.full(len(cpu), np.inf)
         np.divide(self.remaining, speed, out=completion, where=speed > 0)
@@ -620,9 +673,8 @@ class _VectorContext:
         u = np.where(cpu <= EPSILON, NEGATIVE_INFINITY_UTILITY, u)
         u = np.where(self.remaining <= EPSILON, 1.0, u)
         values = u.tolist()
-        for pos in self.generic_pos:
-            app_id = self.placed_ids[pos]
-            values[pos] = placed[app_id].rpf.utility(allocations[app_id])
+        for pos, rpf in self.generic:
+            values[pos] = rpf.utility(current[pos])
         return values
 
 
@@ -650,18 +702,20 @@ def distribute_load(
         :meth:`LoadDistributionResult.write_load`).
     tables:
         Optional :class:`SpecArrays` covering (at least) the placed
-        applications.  When provided, the level search and refinement
-        run on array kernels; without them, on rows prepared once per
-        call.  Both are bitwise identical to the per-probe reference
-        loop kept in ``tests/test_loadbalance_oracle.py``.
+        applications.  With them the phases run on the array kernel
+        (:class:`_VectorContext`); without them, or when a singleton
+        spans several nodes, on rows prepared once per call
+        (:class:`_RowsKernel`).  Both are bitwise identical to the
+        per-probe reference loop kept in
+        ``tests/test_loadbalance_oracle.py``.
     base, node:
         Give both or neither.  ``base`` is this function's result for
         the placement ``state`` was copied from, with the same ``apps``
-        and ``tables`` on the same cluster; ``node`` is the one node
-        where ``state`` differs from that placement.  When the base sat
-        at the top level with nothing to refine, and ``node`` still
-        holds only single-instance job rows that fit there, the result
-        is built from the base's entries and ``node``'s chain alone
+        on the same cluster; ``node`` is the one node where ``state``
+        differs from that placement.  When the base sat at the top level
+        with nothing to refine, and ``node`` still holds only
+        single-instance job rows that fit there, the result is built
+        from the base's entries and ``node``'s chain alone
         (:func:`_derive_from_base`); otherwise the call runs in full.
         The result is the same either way, float for float and in
         insertion order.
@@ -669,7 +723,7 @@ def distribute_load(
     if (base is None) != (node is None):
         raise TypeError("distribute_load: give both base and node, or neither")
     if base is not None:
-        derived = _derive_from_base(state, apps, tables, base, node)
+        derived = _derive_from_base(state, apps, base, node)
         if derived is not None:
             if write_load_matrix:
                 derived.write_load(state)
@@ -684,46 +738,53 @@ def distribute_load(
 
     placed = {a: apps[a] for a in placed_ids}
     capacity = {node.name: node.cpu_capacity for node in state.cluster}
-
+    kernel: Optional[_Kernel] = None
     if tables is not None:
-        ctx = _VectorContext.build(state, placed, placed_ids, tables, capacity)
-        if ctx is not None:
-            return _distribute_load_vec(
-                state, apps, tables, placed, placed_ids, ctx, capacity,
-                result, write_load_matrix,
-            )
+        kernel = _VectorContext.build(state, placed, placed_ids, tables, capacity)
+    if kernel is None:
+        kernel = _RowsKernel(state, placed, placed_ids, capacity)
 
     # ------------------------------------------------------------------
     # Phase 1+2: binary search the highest feasible common level, then
     # build the assignment once, at that level.
     # ------------------------------------------------------------------
-    rows = _prepare_rows(placed, state, capacity)
-    level = _highest_feasible_level(lambda u: _fill(rows, u, capacity))
+    level = _highest_feasible_level(kernel.feasible, kernel.top_first)
     if level is None:
         result.feasible = False
-        best_assignment = _best_effort(placed, state, capacity)
+        assignment = _best_effort(placed, state, capacity)
     else:
         result.common_level = level
-        best_assignment = {a: {} for a in placed_ids}
-        _fill(rows, level, capacity, best_assignment)
+        assignment = kernel.assignment(level)
 
     allocations = {
-        a: sum(best_assignment.get(a, {}).values()) for a in placed_ids
+        a: sum(assignment.get(a, {}).values()) for a in placed_ids
     }
 
     # ------------------------------------------------------------------
-    # Phase 3: lexicographic refinement with leftover capacity.
+    # Phase 3: lexicographic refinement with leftover capacity.  Each
+    # app is visited once per sweep and only its own allocation moves,
+    # so the headroom _raise_app sees is the sweep's start-of-sweep one:
+    # stuck rows are skipped, and so is a sweep with nothing else.
     # ------------------------------------------------------------------
-    residual = _residual(capacity, best_assignment)
-    for _ in range(_MAX_REFINEMENT_SWEEPS):
+    residual = None
+    for sweep in range(_MAX_REFINEMENT_SWEEPS):
+        current = [allocations[a] for a in placed_ids]
+        values = kernel.utilities(current)
+        stuck = kernel.stuck(current)
+        if all(stuck):
+            if sweep == 0 and level == 1.0 and kernel.top_first:
+                # Trials copied from this state can derive from it.
+                result._top_level = _TopLevelBase(apps, placed_ids)
+            break
+        if residual is None:
+            residual = _residual(capacity, assignment)
         raised_any = False
-        order = sorted(
-            placed_ids, key=lambda a: placed[a].rpf.utility(allocations[a])
-        )
-        for app_id in order:
-            app = placed[app_id]
+        for pos in sorted(range(len(placed_ids)), key=values.__getitem__):
+            if stuck[pos]:
+                continue
+            app_id = placed_ids[pos]
             gain = _raise_app(
-                app, state, best_assignment.setdefault(app_id, {}),
+                placed[app_id], state, assignment.setdefault(app_id, {}),
                 allocations[app_id], residual,
             )
             if gain > EPSILON:
@@ -731,12 +792,14 @@ def distribute_load(
                 raised_any = True
         if not raised_any:
             break
+    else:
+        # Every sweep raised something: the last one's utilities are
+        # stale.
+        values = kernel.utilities([allocations[a] for a in placed_ids])
 
     result.allocations = allocations
-    result.utilities = {
-        a: placed[a].rpf.utility(allocations[a]) for a in placed_ids
-    }
-    result.assignment = best_assignment
+    result.utilities = dict(zip(placed_ids, values))
+    result.assignment = assignment
     if write_load_matrix:
         result.write_load(state)
     return result
@@ -794,95 +857,6 @@ def _residual(
     return residual
 
 
-def _distribute_load_vec(
-    state: PlacementState,
-    apps: Mapping[str, AllocatableApp],
-    tables: SpecArrays,
-    placed: Mapping[str, AllocatableApp],
-    placed_ids: List[str],
-    ctx: _VectorContext,
-    capacity: Mapping[str, float],
-    result: LoadDistributionResult,
-    write_load_matrix: bool,
-) -> LoadDistributionResult:
-    """Array-kernel twin of :func:`distribute_load`'s phases 1–3.
-
-    Mirrors the scalar control flow decision for decision and float for
-    float; only the per-app inner loops are replaced by vector ops.
-    """
-    last_verdict = None
-
-    def feasible(level: float) -> bool:
-        nonlocal last_verdict
-        verdict = ctx.verdict(level)
-        if verdict is None:
-            return False
-        last_verdict = verdict
-        return True
-
-    level = _highest_feasible_level(feasible, ctx.top_first)
-    if level is None:
-        result.feasible = False
-        best_assignment = _best_effort(placed, state, capacity)
-    else:
-        result.common_level = level
-        # The last accepted probe is the one at the final level.
-        best_assignment = ctx.materialize(last_verdict)
-
-    allocations = {
-        a: sum(best_assignment.get(a, {}).values()) for a in placed_ids
-    }
-
-    residual = None
-    vec_skip = ctx.is_job_row
-    for sweep in range(_MAX_REFINEMENT_SWEEPS):
-        cur = np.array([allocations[a] for a in placed_ids], dtype=float)
-        values = ctx.utilities(cur, allocations, placed)
-        # Start-of-sweep headroom: each app is visited once per sweep
-        # and only its own allocation moves, so the visit-time headroom
-        # the scalar loop computes equals this one.  Zero-headroom
-        # parametric rows are exact no-ops in _raise_app; skip them, and
-        # skip the sweep when that is every row.
-        useful = np.minimum(ctx.max_total, np.maximum(ctx.saturation, cur))
-        stuck = vec_skip & (useful - cur <= EPSILON)
-        if stuck.all():
-            if sweep == 0 and level == 1.0 and ctx.top_first:
-                # Trials copied from this state can derive from it.
-                result._top_level = _TopLevelBase(apps, tables, placed_ids)
-            break
-        if residual is None:
-            residual = _residual(capacity, best_assignment)
-        keys = dict(zip(placed_ids, values))
-        order = sorted(placed_ids, key=keys.__getitem__)
-        skip = {placed_ids[pos] for pos in np.flatnonzero(stuck).tolist()}
-        raised_any = False
-        for app_id in order:
-            if app_id in skip:
-                continue
-            app = placed[app_id]
-            gain = _raise_app(
-                app, state, best_assignment.setdefault(app_id, {}),
-                allocations[app_id], residual,
-            )
-            if gain > EPSILON:
-                allocations[app_id] += gain
-                raised_any = True
-        if not raised_any:
-            break
-    else:
-        # Every sweep raised something: the last one's utilities are
-        # stale.
-        cur = np.array([allocations[a] for a in placed_ids], dtype=float)
-        values = ctx.utilities(cur, allocations, placed)
-
-    result.allocations = allocations
-    result.utilities = dict(zip(placed_ids, values))
-    result.assignment = best_assignment
-    if write_load_matrix:
-        result.write_load(state)
-    return result
-
-
 class _TopLevelBase:
     """What :func:`_derive_from_base` reads from a result that sat at the
     top level with nothing to refine.
@@ -893,17 +867,15 @@ class _TopLevelBase:
     never search build nothing extra.
     """
 
-    __slots__ = ("apps", "tables", "placed_ids", "_position")
+    __slots__ = ("apps", "placed_ids", "_position")
 
     def __init__(
         self,
         apps: Mapping[str, AllocatableApp],
-        tables: SpecArrays,
         placed_ids: List[str],
         position: Optional[Dict[str, int]] = None,
     ) -> None:
         self.apps = apps
-        self.tables = tables
         self.placed_ids = placed_ids
         self._position = position
 
@@ -917,26 +889,27 @@ class _TopLevelBase:
 def _derive_from_base(
     state: PlacementState,
     apps: Mapping[str, AllocatableApp],
-    tables: Optional[SpecArrays],
     base: LoadDistributionResult,
     node: str,
 ) -> Optional[LoadDistributionResult]:
-    """The array path's result for ``state``, built from ``base`` (the
-    result for the placement ``state`` was copied from, which differs
-    from it on ``node`` only), or ``None`` when a precondition fails.
+    """:func:`distribute_load`'s result for ``state``, built from
+    ``base`` (the result for the placement ``state`` was copied from,
+    which differs from it on ``node`` only), or ``None`` when a
+    precondition fails.
 
-    It applies when the base came from the array path on the same
-    ``apps`` and ``tables``, as a top-first context at level 1.0 whose
-    first refinement sweep found every row stuck; when every app on
-    ``node`` is a single-instance job link (``is_job``, not divisible,
-    a finite per-instance ceiling); when something is still placed; and
+    It applies when the base came from a call on the same ``apps`` whose
+    kernel was top-first, at level 1.0, and whose first refinement sweep
+    found every row stuck; when every app on ``node`` is a
+    single-instance job link (a :class:`~repro.batch.rpf.JobAllocationRPF`,
+    not divisible, a finite per-instance ceiling); when something is
+    still placed; and
     when ``node``'s chain fits at level 1.0 with no row left any
     headroom.  Every base app is a link on one node, so the trial
     places the base's apps that are still placed and those it added on
     ``node``.
 
     Why it is exact.  When every row is a single-node link, the
-    top-level verdict drains each node's chain without reading any
+    top-level probe drains each node's chain without reading any
     other node.  The other nodes hold the same apps in the same
     relative order, and a target depends only on the row and the level,
     so their takes are the base's.  So are their allocations (a
@@ -945,22 +918,23 @@ def _derive_from_base(
     The level is the top exactly when every node fits there, and with
     every row stuck the first refinement sweep ends the search.  The
     node's chain runs through :func:`_prepare_row` and :func:`_fill`,
-    which the oracle pins bit for bit to the array kernels.
+    which the oracle pins bit for bit to both kernels.
     """
+    from repro.batch.rpf import JobAllocationRPF
+
     top = base._top_level
-    if top is None or top.apps is not apps or top.tables is not tables:
+    if top is None or top.apps is not apps:
         return None
     position = top.position()
     chain: List[str] = []
     for app_id in state.apps_on(node):
-        i = tables.index.get(app_id)
+        if app_id not in position or state.instance_count(app_id) != 1:
+            return None
+        app = apps[app_id]
         if (
-            i is None
-            or app_id not in position
-            or state.instance_count(app_id) != 1
-            or not tables.is_job[i]
-            or tables.divisible[i]
-            or not tables.max_per_instance[i] < _INF
+            not isinstance(app.rpf, JobAllocationRPF)
+            or app.demand.divisible
+            or not app.demand.max_cpu_per_instance_mhz < _INF
         ):
             return None
         chain.append(app_id)
@@ -1000,7 +974,7 @@ def _derive_from_base(
         feasible=True,
         assignment=merged(takes, base.assignment),
     )
-    result._top_level = _TopLevelBase(apps, tables, placed_ids, position)
+    result._top_level = _TopLevelBase(apps, placed_ids, position)
     return result
 
 

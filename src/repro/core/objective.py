@@ -21,42 +21,9 @@ import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Type, Union
 
-import numpy as np
-
 from repro._compat import keyword_only
 from repro.errors import ConfigurationError
 from repro.units import EPSILON
-
-#: Vector length from which the numpy kernels take over sorting and
-#: comparison.  Below it, plain python wins (array-conversion overhead);
-#: results are identical either way (stable sorts, same elementwise
-#: float comparisons), so the threshold is purely a speed knob.
-_VECTOR_MIN_LEN = 512
-
-
-def _first_decisive(
-    a: Tuple[float, ...], b: Tuple[float, ...], tolerance: float
-) -> Tuple[Optional[int], int]:
-    """Array kernel shared by :func:`_lex_compare` and
-    :func:`lex_explain`: the first position where the vectors differ by
-    more than the tolerance, with the sign of that difference.
-
-    Returns ``(index, sign)``; ``(None, 0)`` when every overlapping
-    element ties.  Identical to the scalar scan: the elementwise
-    comparisons are the same float operations, and ``argmax`` on the
-    "decisive" mask yields the first hit — exactly where the scalar
-    loop would have returned.
-    """
-    n = min(len(a), len(b))
-    lhs = np.array(a[:n])
-    rhs = np.array(b[:n])
-    lower = lhs < rhs - tolerance
-    higher = lhs > rhs + tolerance
-    decisive = lower | higher
-    index = int(np.argmax(decisive))
-    if not decisive[index]:
-        return None, 0
-    return index, -1 if lower[index] else 1
 
 
 @functools.lru_cache(maxsize=65536)
@@ -67,28 +34,20 @@ def _lex_compare(
 
     Returns -1 (``a < b``), 0 (element-wise tie over equal lengths) or 1.
     Pure in its arguments, so results are shared across the controller's
-    repeated comparisons of the same candidate vectors.  Long vectors go
-    through the array kernel; the answer is the same either way.
+    repeated comparisons of the same candidate vectors.
     """
-    if min(len(a), len(b)) >= _VECTOR_MIN_LEN:
-        _, sign = _first_decisive(a, b, tolerance)
-        if sign:
-            return sign
-    else:
-        for x, y in zip(a, b):
-            if x < y - tolerance:
-                return -1
-            if x > y + tolerance:
-                return 1
+    for x, y in zip(a, b):
+        if x < y - tolerance:
+            return -1
+        if x > y + tolerance:
+            return 1
     if len(a) != len(b):
         return -1 if len(a) < len(b) else 1
     return 0
 
 
 def lex_explain(
-    candidate: "UtilityVector",
-    incumbent: "UtilityVector",
-    vectorize: Optional[bool] = None,
+    candidate: "UtilityVector", incumbent: "UtilityVector"
 ) -> dict:
     """Explain a lexicographic comparison for the decision flight recorder.
 
@@ -102,29 +61,16 @@ def lex_explain(
          "candidate": float | None,     # value at that position
          "incumbent": float | None,
          "tolerance": float}
-
-    ``vectorize`` forces the array kernel on (True) or off (False);
-    ``None`` picks by vector length.  The reported values are always
-    read back from the python tuples, so the dict — including its JSON
-    serialization — is identical on both paths (pinned by test).
     """
     tol = max(candidate.tolerance, incumbent.tolerance)
     a, b = candidate.values, incumbent.values
-    if vectorize is None:
-        vectorize = min(len(a), len(b)) >= _VECTOR_MIN_LEN
-    if vectorize and a and b:
-        index, sign = _first_decisive(a, b, tol)
-        if sign:
-            return {"result": sign, "index": index, "candidate": a[index],
-                    "incumbent": b[index], "tolerance": tol}
-    else:
-        for i, (x, y) in enumerate(zip(a, b)):
-            if x < y - tol:
-                return {"result": -1, "index": i, "candidate": x,
-                        "incumbent": y, "tolerance": tol}
-            if x > y + tol:
-                return {"result": 1, "index": i, "candidate": x,
-                        "incumbent": y, "tolerance": tol}
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x < y - tol:
+            return {"result": -1, "index": i, "candidate": x,
+                    "incumbent": y, "tolerance": tol}
+        if x > y + tol:
+            return {"result": 1, "index": i, "candidate": x,
+                    "incumbent": y, "tolerance": tol}
     if len(a) != len(b):
         return {"result": -1 if len(a) < len(b) else 1, "index": None,
                 "candidate": None, "incumbent": None, "tolerance": tol}
@@ -153,15 +99,7 @@ class UtilityVector:
     __slots__ = ("_values", "_tolerance")
 
     def __init__(self, utilities: Iterable[float], tolerance: float = EPSILON) -> None:
-        values = list(utilities)
-        if len(values) >= _VECTOR_MIN_LEN:
-            # Stable, like python's sort: equal floats keep their input
-            # order, so the resulting tuple is bitwise the same.
-            self._values: Tuple[float, ...] = tuple(
-                np.sort(np.array(values), kind="stable").tolist()
-            )
-        else:
-            self._values = tuple(sorted(values))
+        self._values: Tuple[float, ...] = tuple(sorted(utilities))
         self._tolerance = tolerance
 
     @classmethod

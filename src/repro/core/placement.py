@@ -16,9 +16,7 @@ solver paths (:mod:`repro.core.loadbalance`, :mod:`repro.core.apc`) read
 the arrays while the dict API remains the order-preserving view the
 scalar reference solver and the snapshot format rely on.  The sparse
 ``P``/``L`` dicts stay authoritative for structure because dict insertion
-order is semantically significant (see :meth:`PlacementState.to_dict`);
-:meth:`PlacementState.dense_view` materializes them as ``(apps x nodes)``
-matrices on demand.
+order is semantically significant (see :meth:`PlacementState.to_dict`).
 """
 
 from __future__ import annotations
@@ -31,24 +29,6 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.errors import CapacityError, PlacementError
 from repro.units import EPSILON
-
-
-@dataclass(frozen=True)
-class DensePlacement:
-    """Dense ``(apps x nodes)`` materialization of a placement state.
-
-    Row order is the placement dict's insertion order (the same order
-    every order-sensitive iteration uses); column order is the cluster's
-    node order.  Built on demand by :meth:`PlacementState.dense_view` —
-    a diagnostic/analysis view, not the mutation surface.
-    """
-
-    app_ids: Tuple[str, ...]
-    app_index: Mapping[str, int]
-    node_names: Tuple[str, ...]
-    node_index: Mapping[str, int]
-    instances: np.ndarray  # (A, N) int64 — the P matrix
-    load: np.ndarray  # (A, N) float64 — the L matrix
 
 
 @dataclass(frozen=True)
@@ -241,37 +221,6 @@ class PlacementState:
             [self._cluster.node(n).memory_capacity for n in self._node_index]
         )
         return cpu, mem
-
-    def dense_view(self) -> DensePlacement:
-        """Materialize ``P`` and ``L`` as dense ``(apps x nodes)`` arrays.
-
-        Includes every app the placement dict tracks (even ones whose
-        instance count has dropped to zero would be absent — the dict
-        deletes them), with rows in dict insertion order.
-        """
-        app_ids = tuple(self._instances)
-        app_index = {a: i for i, a in enumerate(app_ids)}
-        n_apps, n_nodes = len(app_ids), len(self._node_index)
-        inst = np.zeros((n_apps, n_nodes), dtype=np.int64)
-        load = np.zeros((n_apps, n_nodes))
-        for a, nodes in self._instances.items():
-            row = app_index[a]
-            for node, count in nodes.items():
-                inst[row, self._node_index[node]] = count
-        for a, nodes in self._load.items():
-            row = app_index.get(a)
-            if row is None:
-                continue
-            for node, cpu in nodes.items():
-                load[row, self._node_index[node]] = cpu
-        return DensePlacement(
-            app_ids=app_ids,
-            app_index=app_index,
-            node_names=tuple(self._node_index),
-            node_index=dict(self._node_index),
-            instances=inst,
-            load=load,
-        )
 
     def allocations(self) -> Dict[str, float]:
         """``{app_id: total CPU}`` over all placed applications."""

@@ -1,6 +1,7 @@
 """Edge-case coverage across modules: empty systems, saturation corners,
 boundary arithmetic, and interactions between extensions."""
 
+import json
 import math
 
 import numpy as np
@@ -14,12 +15,16 @@ from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import (
+    SPEC_TABLES_MIN_NODES,
+    APCConfig,
+    ApplicationPlacementController,
+)
 from repro.core.loadbalance import AllocatableApp, distribute_load
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
-from repro.scenario import Scenario
+from repro.scenario import Scenario, Simulation
 from repro.sim.export import completions_to_csv, cycles_to_csv, metrics_to_json
 from repro.sim.metrics import MetricsRecorder
 from repro.policies import APCPolicy, FCFSPolicy
@@ -57,7 +62,6 @@ class TestEmptySystems:
         metrics = MetricsRecorder()
         assert cycles_to_csv(metrics).strip().startswith("time")
         assert completions_to_csv(metrics).count("\n") == 1
-        import json
 
         doc = json.loads(metrics_to_json(metrics))
         assert doc["summary"]["completions"] == 0
@@ -194,6 +198,26 @@ class TestScenarioBoundary:
         else:
             with pytest.raises(ConfigurationError, match=field):
                 Scenario.from_dict({field: value})
+
+    def test_int_cpu_per_processor_runs_like_its_float(self):
+        """An int speed is positive and finite, so it is accepted, and
+        then it must run: on spec tables, int node capacities used to
+        crash the array load distributor mid-cycle."""
+        runs = []
+        for cpu in (3900, 3900.0):
+            sim = Simulation.from_scenario(
+                Scenario(
+                    nodes=SPEC_TABLES_MIN_NODES, cpu_per_processor=cpu,
+                    memory_per_node=16384, job_count=60, interarrival=20.0,
+                    seed=1,
+                ),
+                decision_clock=lambda: 0.0,
+            )
+            sim.run()
+            runs.append(
+                json.dumps(sim.simulator.metrics.state_dict(), sort_keys=True)
+            )
+        assert runs[0] == runs[1]
 
 
 def build_config(section, field, value):

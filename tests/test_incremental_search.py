@@ -296,8 +296,8 @@ def constrained_cases(draw):
 )
 @given(case=constrained_cases())
 def test_identity_under_random_placement_constraints(case):
-    """Admission and the no-op-node frontier check constraints on the
-    live state exactly as the reference's per-pair rescans do."""
+    """Admission and the no-op-node check test constraints on the live
+    state exactly as the reference's per-pair rescans do."""
     scenario, txn_apps, constraints, cycles = case
     _identity_case(scenario, cycles, constraints=constraints, txn_apps=txn_apps)
 
@@ -325,11 +325,11 @@ def test_identity_under_constraints_with_spec_tables():
     )
 
 
-def test_frontier_skips_nodes_closed_by_constraints():
+def test_noop_check_skips_nodes_closed_by_constraints():
     """Every job is pinned to the first two nodes, so the fill pass can
-    add nothing to the other two however free they are.  The frontier's
-    constraint pass proves that without copying the state: those nodes'
-    zero-removal trials are recorded as ``node_noop`` short-circuits."""
+    add nothing to the other two however free they are.  The no-op check
+    sees that without copying the state: those nodes' zero-removal
+    trials are recorded as ``node_noop`` short-circuits."""
     from repro.obs.audit import DecisionAudit
 
     scenario = MULTI_SWEEP_SCENARIO
@@ -352,11 +352,19 @@ def test_frontier_skips_nodes_closed_by_constraints():
 # ----------------------------------------------------------------------
 # Work a search trial reuses from its base
 # ----------------------------------------------------------------------
-def test_every_spec_table_search_trial_derives_from_its_base(monkeypatch):
-    """On spec tables, where every job is a single-node link at the top
-    level, each search trial's distribution is built from its base's
-    result and its node's chain.  A silent fall back to the full path
-    decides the same, so only a count can see it."""
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(SPEC_TABLES_SCENARIO, id="spec-tables"),
+        pytest.param(MULTI_SWEEP_SCENARIO, id="rows-5-nodes"),
+    ],
+)
+def test_every_search_trial_derives_from_its_base(monkeypatch, scenario):
+    """Where every job is a single-node link at the top level, each
+    search trial's distribution is built from its base's result and its
+    node's chain, on spec tables and on the rows kernel alike.  A silent
+    fall back to the full path decides the same, so only a count can
+    see it."""
     import repro.core.apc as apc_module
     import repro.core.loadbalance as loadbalance
 
@@ -377,7 +385,7 @@ def test_every_spec_table_search_trial_derives_from_its_base(monkeypatch):
 
     monkeypatch.setattr(apc_module, "distribute_load", counting_distribute)
     monkeypatch.setattr(loadbalance, "_derive_from_base", counting_derive)
-    run_cycles(SPEC_TABLES_SCENARIO, 6, reference=False)
+    run_cycles(scenario, 6, reference=False)
     assert trials
     assert len(derived) == len(trials)
 
@@ -396,16 +404,9 @@ def _old_fill_list(controller, trial, specs, candidates, utilities, node, forbid
     return controller.admission.order(eligible, specs, utilities)
 
 
-@settings(
-    max_examples=100,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(case=constrained_cases())
-def test_fill_order_is_the_same_for_every_removal_count(case):
-    """The LRPF fill order built once per node from its base state is
-    the list every trial of the node computed for itself, whatever it
-    removed, on the states a constrained run searches from."""
+def _search_bases(case):
+    """Every state a constrained run starts a search from, with its
+    controller and the cycle's specs, candidates and utilities."""
     scenario, txn_apps, constraints, cycles = case
     bases = []
     worthwhile = ApplicationPlacementController._search_is_worthwhile
@@ -422,6 +423,20 @@ def test_fill_order_is_the_same_for_every_removal_count(case):
             scenario, cycles, reference=False, constraints=constraints,
             txn_apps=txn_apps,
         )
+    return bases
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=constrained_cases())
+def test_fill_order_is_the_same_for_every_removal_count(case):
+    """The LRPF fill order built once per node from its base state is
+    the list every trial of the node computed for itself, whatever it
+    removed, on the states a constrained run searches from."""
+    bases = _search_bases(case)
     assert bases
     for controller, base, specs, candidates, utilities in bases:
         for node in base.cluster.node_names:
@@ -443,3 +458,25 @@ def test_fill_order_is_the_same_for_every_removal_count(case):
                     controller, trial, specs, candidates, utilities, node,
                     set(removable[:removals]),
                 )
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=constrained_cases())
+def test_zero_removal_skip_is_the_fill_pass_answer(case):
+    """The sweep skips a node's zero-removal trial exactly when the fill
+    pass, run on a copy of the node's base, places nothing there."""
+    bases = _search_bases(case)
+    assert bases
+    for controller, base, specs, candidates, utilities in bases:
+        for node in base.cluster.node_names:
+            order = controller._fill_order(
+                base, specs, candidates, utilities, node
+            )
+            filled = controller._fill_node(base.copy(), specs, node, order)
+            assert controller._fills_nothing(base, specs, node, order) == (
+                not filled
+            )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
-from repro.core.loadbalance import AllocatableApp, distribute_load
+from repro.core.loadbalance import AllocatableApp, SpecArrays, distribute_load
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import LinearRPF
 
@@ -210,3 +210,30 @@ class TestMultiNode:
         # Every job within its speed bounds.
         for i in range(n):
             assert result.allocations[f"j{i}"] <= speeds[i] + 1e-6
+
+
+class TestIntegerCapacities:
+    """``Scenario(cpu_per_processor=3900)`` gives nodes int capacities;
+    both kernels must give the float-capacity result."""
+
+    @staticmethod
+    def distribute(capacity, tables):
+        cluster = Cluster.homogeneous(2, cpu_capacity=capacity, memory_capacity=16384)
+        state = PlacementState(cluster)
+        apps = {}
+        for i in range(10):
+            job = make_job(
+                f"J{i}", work=40_000 + 5_000 * i, max_speed=3900,
+                goal_factor=1.2 + 0.1 * i,
+            )
+            apps[job.job_id] = job_app(job)
+            state.place(job.job_id, cluster.node_names[i % 2], 750)
+        return distribute_load(
+            state, apps, tables=SpecArrays.from_specs(apps) if tables else None
+        )
+
+    @pytest.mark.parametrize("tables", [False, True])
+    def test_int_capacity_gives_the_float_result(self, tables):
+        got = self.distribute(15600, tables)
+        assert got == self.distribute(15600.0, tables)
+        assert got.common_level < 1.0  # the node capacities bind

@@ -30,6 +30,7 @@ from repro.core.loadbalance import (
     SpecArrays,
     _best_effort,
     _raise_app,
+    _RowsKernel,
     _VectorContext,
     distribute_load,
 )
@@ -384,21 +385,21 @@ def test_distributor_matches_probe_loop_oracle(problem):
 @settings(max_examples=300, deadline=None)
 @given(single_node_job_problems())
 def test_single_node_job_rows_match_probe_loop_oracle(problem):
-    """The array path's top-first probe and the allocations it reads
-    straight off the accepted probe, on the inputs they apply to."""
+    """Both kernels' top-first probe, and the array kernel's allocations
+    read straight off the accepted probe, on the inputs they apply to."""
     state, apps = problem
     ref_state = state.copy()
     expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
     tables = SpecArrays.from_specs(apps)
     placed_ids = [a for a in apps if state.is_placed(a)]
+    placed = {a: apps[a] for a in placed_ids}
     capacity = {node.name: node.cpu_capacity for node in state.cluster}
-    ctx = _VectorContext.build(
-        state, {a: apps[a] for a in placed_ids}, placed_ids, tables, capacity
-    )
-    assert ctx.top_first
-    vector_state = state.copy()
-    got = distribute_load(vector_state, apps, tables=tables)
-    assert _exact(got, vector_state) == expected
+    assert _VectorContext.build(state, placed, placed_ids, tables, capacity).top_first
+    assert _RowsKernel(state, placed, placed_ids, capacity).top_first
+    for kernel_tables in (tables, None):
+        got_state = state.copy()
+        got = distribute_load(got_state, apps, tables=kernel_tables)
+        assert _exact(got, got_state) == expected
 
 
 # ----------------------------------------------------------------------
@@ -521,23 +522,29 @@ def test_trial_from_its_base_matches_the_full_path(problem):
     """``base``/``node`` change how a result is computed, never what it
     is: each trial's result equals the call without them (and, written
     into the state, the probe-loop oracle), and becomes the next trial's
-    base."""
+    base; with spec tables and without."""
     state, apps, trials = problem
-    tables = SpecArrays.from_specs(apps)
-    base = distribute_load(state, apps, write_load_matrix=False, tables=tables)
-    for node, trial in trials:
-        got = distribute_load(
-            trial, apps, write_load_matrix=False, tables=tables,
-            base=base, node=node,
-        )
-        full = distribute_load(trial, apps, write_load_matrix=False, tables=tables)
-        assert _result_parts(got) == _result_parts(full)
-        written = trial.copy()
-        got.write_load(written)
+    expected = []
+    for _, trial in trials:
         ref_state = trial.copy()
-        expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
-        assert _exact(got, written) == expected
-        base = got
+        expected.append(
+            _exact(reference_distribute_load(ref_state, apps), ref_state)
+        )
+    for tables in (SpecArrays.from_specs(apps), None):
+        base = distribute_load(state, apps, write_load_matrix=False, tables=tables)
+        for (node, trial), oracle in zip(trials, expected):
+            got = distribute_load(
+                trial, apps, write_load_matrix=False, tables=tables,
+                base=base, node=node,
+            )
+            full = distribute_load(
+                trial, apps, write_load_matrix=False, tables=tables
+            )
+            assert _result_parts(got) == _result_parts(full)
+            written = trial.copy()
+            got.write_load(written)
+            assert _exact(got, written) == oracle
+            base = got
 
 
 def test_base_and_node_come_together():

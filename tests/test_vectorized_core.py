@@ -8,8 +8,7 @@ Also pinned here:
 
 * a hypothesis property: random placement edit sequences keep the dense
   array mirrors in bitwise lockstep with the authoritative dicts;
-* scalar/vector parity of :func:`~repro.core.objective.lex_explain` and
-  the :class:`~repro.core.objective.UtilityVector` stable sort.
+* the :class:`~repro.core.objective.UtilityVector` sort order.
 """
 
 import json
@@ -28,7 +27,7 @@ from repro.core.apc import (
     APCConfig,
     ApplicationPlacementController,
 )
-from repro.core.objective import UtilityVector, lex_explain
+from repro.core.objective import UtilityVector
 from repro.core.placement import PlacementState
 from repro.errors import CapacityError, PlacementError
 from repro.experiments.common import Scale
@@ -200,8 +199,8 @@ def run_sharing(*, reference):
 
 def test_sharing_run_is_identical_on_every_solver_path():
     """The small-cluster path the §5.3 sharing benchmark measures — the
-    tables-free load distributor, the array admission and frontier, the
-    batch model's table kernels — decides exactly as the reference."""
+    rows load-distribution kernel, the array admission, the batch
+    model's table kernels — decides exactly as the reference."""
     production, profiler = run_sharing(reference=False)
     assert len(production.metrics.completions) == SHARING_SCALE.job_count
     assert any(r.name == "apc.search" for r in profiler.records)
@@ -222,7 +221,6 @@ def test_span_phase_names_are_stable():
         "apc.spec_tables",
         "apc.admission",
         "apc.search",
-        "apc.frontier",
         "apc.evaluate",
         "apc.loadbalance",
         "apc.predict",
@@ -311,14 +309,6 @@ def _assert_lockstep(state):
     for node, col in node_index.items():
         assert mem_arr[col] == state.memory_used(node)
         assert cpu_arr[col] == state.cpu_used(node)
-    dense = state.dense_view()
-    assert dense.node_names == tuple(node_index)
-    for app_id in dense.app_ids:
-        row = dense.app_index[app_id]
-        for node, col in node_index.items():
-            assert dense.instances[row, col] == state.instances_on(app_id, node)
-            assert dense.load[row, col] == state.cpu_on(app_id, node)
-        assert state.instance_count(app_id) == int(dense.instances[row].sum())
     # validate() re-derives every cache from scratch and raises on drift.
     state.validate()
 
@@ -351,47 +341,10 @@ def test_random_edit_sequences_keep_dense_backing_in_lockstep(ops):
 
 
 # ----------------------------------------------------------------------
-# lex_explain / UtilityVector scalar-vs-vector parity
+# UtilityVector sort order
 # ----------------------------------------------------------------------
-@settings(max_examples=80, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(min_value=0, max_value=12),
-)
-def test_lex_explain_vector_path_matches_scalar(data, n):
-    values = st.floats(
-        min_value=0.0, max_value=2.0, allow_nan=False, width=64
-    )
-    a = data.draw(st.lists(values, min_size=n, max_size=n))
-    # Near-ties exercise the tolerance band, not just clear winners.
-    b = [
-        x + data.draw(st.floats(min_value=-1e-6, max_value=1e-6))
-        for x in a
-    ]
-    cand, inc = UtilityVector(a), UtilityVector(b)
-    forced_vec = lex_explain(cand, inc, vectorize=True)
-    forced_scalar = lex_explain(cand, inc, vectorize=False)
-    assert json.dumps(forced_vec) == json.dumps(forced_scalar)
-
-
-def test_lex_explain_parity_above_vector_threshold():
-    """Long vectors take the numpy kernel by default; the explanation —
-    including its JSON serialization — must match the scalar scan."""
-    rng = random.Random(13)
-    for _ in range(20):
-        n = 600  # above _VECTOR_MIN_LEN: auto-vectorized
-        a = [rng.uniform(0.0, 1.5) for _ in range(n)]
-        b = [x + rng.uniform(-1e-7, 1e-7) for x in a]
-        rng.shuffle(b)
-        cand, inc = UtilityVector(a), UtilityVector(b)
-        assert json.dumps(lex_explain(cand, inc, vectorize=True)) == json.dumps(
-            lex_explain(cand, inc, vectorize=False)
-        )
-
-
 def test_utility_vector_stable_sort_matches_sorted():
-    """Above the length threshold UtilityVector sorts with numpy's
-    stable sort; the tuple must be bitwise what ``sorted`` produces —
+    """A long vector's tuple is bitwise what ``sorted`` produces —
     including the relative order of ``-0.0`` and ``0.0``."""
     rng = random.Random(7)
     values = [rng.choice([rng.uniform(0, 1), 0.0, -0.0, 0.5]) for _ in range(700)]
