@@ -658,12 +658,11 @@ class ApplicationPlacementController:
         spec: AllocatableApp,
         node: str,
     ) -> bool:
-        """Memory, instance-cap and policy check for one more instance;
-        the caller checks the minimum-speed reservation against its
-        running per-node sum."""
+        """Instance-cap and policy check for one more instance.  The
+        caller checks memory first, against the node's free memory it
+        holds (read again after each placement), and the minimum-speed
+        reservation against its running per-node sum."""
         demand = spec.demand
-        if state.memory_available(node) + EPSILON < demand.memory_mb:
-            return False
         if demand.max_instances is not None:
             if state.instance_count(demand.app_id) >= demand.max_instances:
                 return False
@@ -1101,8 +1100,11 @@ class ApplicationPlacementController:
         the same order, on ``state`` itself instead of a copy."""
         committed = self._node_committed_min(state, specs, node)
         capacity = self._cluster.node(node).cpu_capacity
+        room = state.memory_available(node) + EPSILON
         for app_id in order:
             spec = specs[app_id]
+            if room < spec.demand.memory_mb:
+                continue
             if (
                 self._can_host(state, spec, node)
                 and committed + spec.demand.min_cpu_mhz <= capacity + EPSILON
@@ -1127,8 +1129,12 @@ class ApplicationPlacementController:
         # of rescanning every hosted application per check.
         committed = self._node_committed_min(state, specs, node)
         capacity = self._cluster.node(node).cpu_capacity
+        # Free memory changes only when an instance is placed.
+        room = state.memory_available(node) + EPSILON
         for app_id in order:
             spec = specs[app_id]
+            if room < spec.demand.memory_mb:
+                continue
             min_cpu = spec.demand.min_cpu_mhz
             if (
                 self._can_host(state, spec, node)
@@ -1137,4 +1143,5 @@ class ApplicationPlacementController:
                 state.place(app_id, node, spec.demand.memory_mb)
                 committed += min_cpu
                 placed.append(app_id)
+                room = state.memory_available(node) + EPSILON
         return placed

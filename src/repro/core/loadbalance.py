@@ -43,12 +43,21 @@ the top level fits.  One driver (:func:`distribute_load`) runs the
 search, the assignment and the refinement over one of two kernels: rows
 prepared once per call, each probe a plain yes/no over them
 (:class:`_RowsKernel`, :func:`_fill`), or arrays over the cycle's spec
-tables (:class:`_VectorContext`).  Either kernel probes the top level
-first when every placed row is a single-node parametric job row (see
+tables (:class:`_VectorContext`).  A *job link* is a placed app whose
+RPF is a parametric batch ``JobAllocationRPF``, not divisible, with a
+finite speed ceiling, on exactly one node.  The rows kernel prepares it
+as a :class:`_Link` carrying the RPF's fields, and a probe works out its
+target in closed form, float for float as the RPF and :func:`_target`
+do; every other row answers through its RPF.  Either kernel probes the
+top level first when every placed row is a link (see
 :func:`_highest_feasible_level`), and refinement skips rows with no
-headroom.  The straightforward loop that recomputes every target and a
-full assignment per probe is kept in ``tests/test_loadbalance_oracle.py``
-as the oracle both kernels must match exactly.
+headroom.  A search that must bisect runs all its probes: feasibility is
+not known to be monotone in the level in float arithmetic once a
+divisible app sorts its nodes by residual each probe, so no bracket
+shortens it.  The straightforward loop that recomputes every target and
+a full assignment per probe is kept in
+``tests/test_loadbalance_oracle.py`` as the oracle both kernels must
+match exactly.
 
 A §3.2 search trial differs from the placement it was copied from on
 one node.  Given that placement's result and the node, a call reuses
@@ -62,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -280,31 +290,76 @@ class _Row(NamedTuple):
     slots: List[Tuple[str, float]]
 
 
+class _Link(NamedTuple):
+    """A job link, prepared once per :func:`distribute_load` call: a
+    placed app whose RPF is a :class:`~repro.batch.rpf.JobAllocationRPF`,
+    not divisible, with a finite speed ceiling, on exactly one node.
+
+    It carries its RPF's fields, read once, so :func:`_fill` works out
+    its target in closed form instead of calling :func:`_target` and the
+    RPF.  ``saturation``, ``low`` and ``high`` are a :class:`_Row`'s.
+    """
+
+    app_id: str
+    saturation: float
+    low: float
+    high: float
+    #: ``rpf.max_utility + EPSILON``: a level above it is unreachable.
+    u_limit: float
+    remaining_work: float
+    goal: float
+    relative_goal: float
+    now: float
+    max_speed: float
+    node: str
+    #: The instance cap on ``node``.
+    cap: float
+
+    # Read as a _Row's are: a link is a singleton with a finite ceiling.
+    divisible = False
+    unbounded = False
+
+
 def _prepare_row(
     app_id: str,
     app: AllocatableApp,
     state: PlacementState,
     capacity: Mapping[str, float],
-) -> _Row:
-    """Everything the level search reads about one placed app."""
+) -> Union[_Row, _Link]:
+    """Everything the level search reads about one placed app: a
+    :class:`_Link` for a job link, else a :class:`_Row`."""
+    from repro.batch.rpf import JobAllocationRPF
+
     demand = app.demand
+    rpf = app.rpf
     min_total, max_total = _aggregate_bounds(app, state)
-    saturation = min(app.rpf.saturation_cpu, max_total)
-    items = state.instance_items(app_id)
+    saturation = min(rpf.saturation_cpu, max_total)
+    max_pi = demand.max_cpu_per_instance_mhz
+    slots = [
+        (node, max_pi * count)
+        for node, count in state.instance_items(app_id)
+        if count > 0
+    ]
     unbounded = max_total == _INF
     if unbounded:
         # No speed ceiling: cap by what its nodes could ever provide.
-        max_total = sum(capacity[node] for node, count in items if count > 0)
-    max_pi = demand.max_cpu_per_instance_mhz
+        max_total = sum(capacity[node] for node, _ in slots)
+    low = min(min_total, max_total)
+    if (
+        not unbounded
+        and not demand.divisible
+        and len(slots) == 1
+        and isinstance(rpf, JobAllocationRPF)
+    ):
+        (node, cap), = slots
+        return _Link(
+            app_id, saturation, low, max_total, rpf.max_utility + EPSILON,
+            rpf.remaining_work, rpf.goal, rpf.relative_goal, rpf.now,
+            rpf.max_speed, node, cap,
+        )
     return _Row(
-        app_id,
-        app.rpf.required_cpu,
-        saturation,
-        min(min_total, max_total),
-        max_total,
-        unbounded,
-        demand.divisible,
-        [(node, max_pi * count) for node, count in items if count > 0],
+        app_id, rpf.required_cpu, saturation, low, max_total, unbounded,
+        demand.divisible, slots,
     )
 
 
@@ -331,7 +386,7 @@ def _target(row: _Row, level: float) -> float:
 
 
 def _fill(
-    rows: Sequence[_Row],
+    rows: Sequence[Union[_Row, _Link]],
     level: float,
     capacity: Mapping[str, float],
     per_node: Optional[Dict[str, Dict[str, float]]] = None,
@@ -345,9 +400,50 @@ def _fill(
     capacity first.  Takes of at most ``EPSILON`` are dropped, and an app
     whose target is at most ``EPSILON`` is skipped.  When ``per_node`` is
     given, every take is recorded into it (``{app: {node: cpu}}``).
+
+    A :class:`_Link`'s target is worked out here, in the order of the
+    operations of ``JobAllocationRPF.required_cpu`` and :func:`_target`,
+    so every float is theirs; its one slot is the loop below run once.
     """
     residual = dict(capacity)
     for row in rows:
+        if row.__class__ is _Link:
+            (app_id, saturation, low, high, u_limit, work, goal,
+             relative_goal, now, max_speed, node, cap) = row
+            if work <= EPSILON:
+                target = 0.0
+            elif level > u_limit:
+                target = saturation
+            else:
+                horizon = (goal - level * relative_goal) - now
+                if horizon <= EPSILON:
+                    target = max_speed
+                else:
+                    # min(max_speed, work / horizon)
+                    target = work / horizon
+                    if not target < max_speed:
+                        target = max_speed
+                if target == _INF:
+                    target = saturation
+            if target < low:
+                target = low
+            elif target > high:
+                target = high
+            if target <= EPSILON:
+                continue
+            # min(target, residual[node], cap)
+            free = residual[node]
+            take = free if free < target else target
+            if cap < take:
+                take = cap
+            if take > EPSILON:
+                if per_node is not None:
+                    per_node[app_id][node] = take
+                residual[node] = free - take
+                target -= take
+            if target > EPSILON:
+                return False
+            continue
         target = _target(row, level)
         if target <= EPSILON:
             continue
@@ -398,9 +494,10 @@ class _Kernel:
 
 
 class _RowsKernel(_Kernel):
-    """The kernel over rows prepared once per call: each level probe is
-    a plain yes/no over them (:func:`_fill`), and the assignment is the
-    same routine run once more at the final level."""
+    """The kernel over rows prepared once per call (job links as
+    :class:`_Link`): each level probe is a plain yes/no over them
+    (:func:`_fill`), and the assignment is the same routine run once
+    more at the final level."""
 
     __slots__ = (
         "rows", "capacity", "placed_ids", "rpfs", "max_total", "saturation",
@@ -414,11 +511,9 @@ class _RowsKernel(_Kernel):
         placed_ids: List[str],
         capacity: Mapping[str, float],
     ) -> None:
-        from repro.batch.rpf import JobAllocationRPF
-
         rows = [_prepare_row(a, placed[a], state, capacity) for a in placed_ids]
-        # _fill's order: singletons, then divisible applications, each
-        # in placed order.
+        # _fill's order: singletons (links among them), then divisible
+        # applications, each in placed order.
         self.rows = [r for r in rows if not r.divisible] + [
             r for r in rows if r.divisible
         ]
@@ -429,15 +524,9 @@ class _RowsKernel(_Kernel):
         # nodes' capacity when it is unbounded.
         self.max_total = np.array([_INF if r.unbounded else r.high for r in rows])
         self.saturation = np.array([rpf.saturation_cpu for rpf in self.rpfs])
-        # Exact only for parametric job rows on one node each; see
+        # Exact only when every row is a link; see
         # _highest_feasible_level.
-        self.top_first = all(
-            isinstance(rpf, JobAllocationRPF)
-            and not row.divisible
-            and placed[row.app_id].demand.max_cpu_per_instance_mhz < _INF
-            and len(row.slots) == 1
-            for row, rpf in zip(rows, self.rpfs)
-        )
+        self.top_first = all(isinstance(row, _Link) for row in rows)
 
     def feasible(self, level: float) -> bool:
         return _fill(self.rows, level, self.capacity)
@@ -814,8 +903,8 @@ def _highest_feasible_level(
 
     ``top_first`` probes the top before the floor and skips the floor
     when the top fits.  That is exact only when a fit at the top implies
-    a fit at the floor, which holds when every row is a parametric job
-    on one node.  Their targets are non-decreasing in the level, and
+    a fit at the floor, which holds when every row is a job link (see
+    :class:`_Link`).  Their targets are non-decreasing in the level, and
     each node drains its chain of such rows in a fixed order.  Suppose
     the chain fits at the top.  At each link the floor starts with at
     least the top's residual and a target no larger, so it falls short
@@ -900,9 +989,7 @@ def _derive_from_base(
     It applies when the base came from a call on the same ``apps`` whose
     kernel was top-first, at level 1.0, and whose first refinement sweep
     found every row stuck; when every app on ``node`` is a
-    single-instance job link (a :class:`~repro.batch.rpf.JobAllocationRPF`,
-    not divisible, a finite per-instance ceiling); when something is
-    still placed; and
+    single-instance :class:`_Link`; when something is still placed; and
     when ``node``'s chain fits at level 1.0 with no row left any
     headroom.  Every base app is a link on one node, so the trial
     places the base's apps that are still placed and those it added on
@@ -920,26 +1007,23 @@ def _derive_from_base(
     node's chain runs through :func:`_prepare_row` and :func:`_fill`,
     which the oracle pins bit for bit to both kernels.
     """
-    from repro.batch.rpf import JobAllocationRPF
-
     top = base._top_level
     if top is None or top.apps is not apps:
         return None
     position = top.position()
-    chain: List[str] = []
+    capacity = {node: state.cluster.node(node).cpu_capacity}
+    rows = []
     for app_id in state.apps_on(node):
+        # One instance, so the app is on ``node`` alone.
         if app_id not in position or state.instance_count(app_id) != 1:
             return None
-        app = apps[app_id]
-        if (
-            not isinstance(app.rpf, JobAllocationRPF)
-            or app.demand.divisible
-            or not app.demand.max_cpu_per_instance_mhz < _INF
-        ):
+        row = _prepare_row(app_id, apps[app_id], state, capacity)
+        if not isinstance(row, _Link):
             return None
-        chain.append(app_id)
+        rows.append(row)
     # _fill walks a node's links in placed order.
-    chain.sort(key=position.__getitem__)
+    rows.sort(key=lambda row: position[row.app_id])
+    chain = [row.app_id for row in rows]
     placed_ids = [a for a in top.placed_ids if state.is_placed(a)]
     added = [a for a in chain if a not in base.allocations]
     if added:
@@ -948,8 +1032,6 @@ def _derive_from_base(
         # The full path's empty result has the floor as its level.
         return None
 
-    capacity = {node: state.cluster.node(node).cpu_capacity}
-    rows = [_prepare_row(a, apps[a], state, capacity) for a in chain]
     takes: Dict[str, Dict[str, float]] = {a: {} for a in chain}
     if not _fill(rows, 1.0, capacity, takes):
         return None

@@ -94,6 +94,12 @@ class PiecewiseLinearRPF:
             raise ConfigurationError("RPF sample CPUs must be >= 0")
         self._cpus: List[float] = [float(c) for c in cpus]
         self._utils: List[float] = [float(u) for u in utils]
+        # Walk back over any flat tail so saturation is the *smallest*
+        # allocation that achieves max utility.
+        i = len(utils) - 1
+        while i > 0 and self._utils[i - 1] >= self._utils[-1] - EPSILON:
+            i -= 1
+        self._saturation = self._cpus[i]
 
     @property
     def points(self) -> List[Tuple[float, float]]:
@@ -106,12 +112,7 @@ class PiecewiseLinearRPF:
 
     @property
     def saturation_cpu(self) -> float:
-        # Walk back over any flat tail so we report the *smallest*
-        # allocation that achieves max utility.
-        i = len(self._utils) - 1
-        while i > 0 and self._utils[i - 1] >= self._utils[-1] - EPSILON:
-            i -= 1
-        return self._cpus[i]
+        return self._saturation
 
     def utility(self, cpu_mhz: float) -> float:
         cpus, utils = self._cpus, self._utils
@@ -128,20 +129,28 @@ class PiecewiseLinearRPF:
         return lo_u + frac * (hi_u - lo_u)
 
     def required_cpu(self, utility: float) -> float:
+        """The inverse, never above :attr:`saturation_cpu`: a utility
+        within ``EPSILON`` above the last sample needs exactly the
+        saturation allocation, and so does one on a tail flatter than
+        ``EPSILON``."""
         cpus, utils = self._cpus, self._utils
-        if utility > self.max_utility + EPSILON:
-            return float("inf")
+        saturation = self._saturation
+        if utility > utils[-1]:
+            if utility > utils[-1] + EPSILON:
+                return float("inf")
+            return saturation
         if utility <= utils[0]:
-            return cpus[0]
-        i = bisect.bisect_left(utils, utility)
-        if i >= len(utils):
-            i = len(utils) - 1
-        lo_c, hi_c = cpus[i - 1], cpus[i]
-        lo_u, hi_u = utils[i - 1], utils[i]
-        if hi_u - lo_u <= EPSILON:
-            return lo_c
-        frac = (utility - lo_u) / (hi_u - lo_u)
-        return lo_c + frac * (hi_c - lo_c)
+            cpu = cpus[0]
+        else:
+            i = bisect.bisect_left(utils, utility)
+            lo_c, hi_c = cpus[i - 1], cpus[i]
+            lo_u, hi_u = utils[i - 1], utils[i]
+            if hi_u - lo_u <= EPSILON:
+                cpu = lo_c
+            else:
+                frac = (utility - lo_u) / (hi_u - lo_u)
+                cpu = lo_c + frac * (hi_c - lo_c)
+        return cpu if cpu < saturation else saturation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PiecewiseLinearRPF({len(self._cpus)} points, max_u={self.max_utility:.3f})"
@@ -178,8 +187,11 @@ class LinearRPF:
         return min(self._max_utility, self._slope * cpu_mhz + self._intercept)
 
     def required_cpu(self, utility: float) -> float:
+        """The inverse, never above :attr:`saturation_cpu`: a utility
+        within ``EPSILON`` above :attr:`max_utility` needs exactly the
+        saturation allocation."""
         if utility > self._max_utility + EPSILON:
             return float("inf")
         if utility <= self._intercept:
             return 0.0
-        return (utility - self._intercept) / self._slope
+        return (min(utility, self._max_utility) - self._intercept) / self._slope

@@ -9,11 +9,15 @@ assignment (:func:`try_distribute`), and the last feasible probe's
 assignment is the one refined.  A hypothesis property draws small
 clusters and app mixes and requires the production distributor — with
 and without :class:`~repro.core.loadbalance.SpecArrays` tables — to
-match the oracle exactly: same floats, same dict insertion order.  A
-trial changed on one node and handed its base's result (``base`` and
-``node``) must get the same result as the call without them.
+match the oracle exactly: same floats, same dict insertion order.  The
+oracle asks each app's RPF for its inverse, so it also pins the rows
+kernel's closed-form job-link targets, including where links share a
+node's chain with other singletons.  A trial changed on one node and
+handed its base's result (``base`` and ``node``) must get the same
+result as the call without them.
 """
 
+import dataclasses
 from typing import Dict, Mapping, Optional
 
 import pytest
@@ -21,14 +25,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.batch.job import Job, JobProfile
+from repro.batch.model import BatchWorkloadModel
+from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
 from repro.cluster.node import Node, NodeSpec
+from repro.core import loadbalance
+from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.loadbalance import (
     AllocatableApp,
     LoadDistributionResult,
     SpecArrays,
     _best_effort,
+    _Link,
     _raise_app,
     _RowsKernel,
     _VectorContext,
@@ -36,9 +45,15 @@ from repro.core.loadbalance import (
 )
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY, PiecewiseLinearRPF
+from repro.experiments.common import Scale
+from repro.experiments.experiment3 import make_txn_app
+from repro.policies import APCPolicy
+from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
+from repro.txn.model import TransactionalWorkloadModel
 from repro.txn.queuing import ProcessorSharingModel
 from repro.txn.rpf import TransactionalRPF
 from repro.units import EPSILON, clamp
+from repro.workloads.generators import experiment_one_jobs
 
 LEVEL_SEARCH_ITERATIONS = 48
 MAX_REFINEMENT_SWEEPS = 64
@@ -249,6 +264,32 @@ def divisible_app(draw, app_id):
 
 
 @st.composite
+def single_node_singleton(draw, app_id):
+    """A one-instance singleton that is not a job link, so the rows
+    kernel prepares it as a generic row: a job with no per-instance
+    ceiling, or an app with a piecewise-linear RPF."""
+    if draw(st.booleans()):
+        app, _ = draw(job_app(app_id))
+        demand = dataclasses.replace(
+            app.demand, max_cpu_per_instance_mhz=float("inf"), max_instances=1
+        )
+        return AllocatableApp(demand=demand, rpf=app.rpf)
+    knee = draw(st.sampled_from([200.0, 900.0, 3000.0]))
+    rpf = PiecewiseLinearRPF(
+        [(0.0, -3.0), (knee, draw(st.sampled_from([0.1, 0.5]))), (2 * knee, 0.8)]
+    )
+    demand = AppDemand(
+        app_id=app_id,
+        memory_mb=1.0,
+        min_cpu_mhz=draw(_min_cpu),
+        max_cpu_per_instance_mhz=draw(st.sampled_from([float("inf"), 1500.0])),
+        max_instances=1,
+        divisible=False,
+    )
+    return AllocatableApp(demand=demand, rpf=rpf)
+
+
+@st.composite
 def problems(draw):
     names = [f"n{i}" for i in range(draw(st.integers(1, 6)))]
     cluster = Cluster(
@@ -259,11 +300,17 @@ def problems(draw):
     apps: Dict[str, AllocatableApp] = {}
     for i in range(draw(st.integers(1, 8))):
         app_id = f"a{i}"
-        if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
             app = draw(divisible_app(app_id))
             spread = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
             for node in spread:
                 state.place(app_id, node, app.demand.memory_mb)
+        elif kind == 1:
+            # Shares its node with links in placed order: a node's chain
+            # interleaves links and generic singletons.
+            app = draw(single_node_singleton(app_id))
+            state.place(app_id, draw(st.sampled_from(names)), 1.0)
         else:
             app, instances = draw(job_app(app_id))
             node = draw(st.sampled_from(names))
@@ -367,9 +414,38 @@ def infeasible_minimums():
     return state, apps
 
 
+def horizon_grouping_shows():
+    """Two jobs frozen at 200 s on a node that binds below the top level:
+    their targets at the final level change in the last bits when the
+    horizon ``(goal - level * relative_goal) - now`` is grouped any other
+    way, which random problems rarely show."""
+    cluster = Cluster([Node("n0", NodeSpec(cpu_capacity=1000.0, memory_capacity=1e6))])
+    state = PlacementState(cluster)
+    apps = {}
+    for app_id, max_speed, done in (("a0", 100.0, 0.9), ("a1", 1000.0, 0.3)):
+        job = Job.with_goal_factor(
+            job_id=app_id,
+            profile=JobProfile.single_stage(
+                work_mcycles=20000.0, max_speed_mhz=max_speed, memory_mb=1.0
+            ),
+            submit_time=0.0,
+            goal_factor=1.5,
+        )
+        job.advance(20000.0 * done)
+        apps[app_id] = AllocatableApp(
+            demand=AppDemand(
+                app_id=app_id, memory_mb=1.0, max_cpu_per_instance_mhz=max_speed,
+            ),
+            rpf=JobAllocationRPF(job, 200.0),
+        )
+        state.place(app_id, "n0", 1.0)
+    return state, apps
+
+
 @settings(max_examples=300, deadline=None)
 @given(problems())
 @example(infeasible_minimums())
+@example(horizon_grouping_shows())
 def test_distributor_matches_probe_loop_oracle(problem):
     state, apps = problem
     ref_state = state.copy()
@@ -554,3 +630,49 @@ def test_base_and_node_come_together():
         distribute_load(state, apps, base=base)
     with pytest.raises(TypeError):
         distribute_load(state, apps, node="n0")
+
+
+# ----------------------------------------------------------------------
+# The §5.3 sharing wiring runs the link path
+# ----------------------------------------------------------------------
+def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
+    """perfbench's ``share`` wiring, the transactional app beside
+    Experiment One jobs on 4 nodes, runs the rows kernel: every job row
+    it prepares is a link, whose target :func:`_fill` works out in
+    closed form, and the divisible transactional row is not."""
+    scale = Scale("share", nodes=4, job_count=40, queue_window=8)
+    cluster = scale.cluster()
+    txn_app = make_txn_app(scale)
+    queue = JobQueue()
+    batch = BatchWorkloadModel(queue, queue_window=scale.queue_window)
+    controller = ApplicationPlacementController(
+        cluster, APCConfig(cycle_length=600.0)
+    )
+    simulator = MixedWorkloadSimulator(
+        cluster,
+        APCPolicy(controller, [TransactionalWorkloadModel([txn_app]), batch]),
+        queue,
+        arrivals=experiment_one_jobs(
+            count=scale.job_count,
+            mean_interarrival=scale.interarrival(150.0),
+            seed=1,
+        ),
+        txn_apps=[txn_app],
+        batch_model=batch,
+        config=SimulationConfig(cycle_length=600.0),
+    )
+    prepare_row = loadbalance._prepare_row
+    prepared = []
+
+    def spy(app_id, app, state, capacity):
+        row = prepare_row(app_id, app, state, capacity)
+        prepared.append(row)
+        return row
+
+    monkeypatch.setattr(loadbalance, "_prepare_row", spy)
+    simulator.run(until=20 * 600.0)
+    jobs = [row for row in prepared if row.app_id != txn_app.app_id]
+    assert len({row.app_id for row in jobs}) > 10
+    assert all(isinstance(row, _Link) for row in jobs)
+    txn = [row for row in prepared if row.app_id == txn_app.app_id]
+    assert txn and not any(isinstance(row, _Link) for row in txn)

@@ -13,6 +13,21 @@ from repro.core.rpf import (
     RelativePerformanceFunction,
 )
 from repro.errors import ConfigurationError
+from repro.units import EPSILON
+
+
+@st.composite
+def monotone_points(draw):
+    """Sample points with non-decreasing CPUs and utilities, some steps
+    below ``EPSILON`` so that tails can be flat or nearly so."""
+    cpu = draw(st.floats(min_value=0.0, max_value=100.0))
+    utility = draw(st.floats(min_value=-50.0, max_value=0.5))
+    points = [(cpu, utility)]
+    for _ in range(draw(st.integers(1, 5))):
+        cpu += draw(st.sampled_from([0.0, 1e-7, 3.0, 250.0]))
+        utility += draw(st.sampled_from([0.0, 3e-7, 2e-6, 0.05, 0.4]))
+        points.append((cpu, utility))
+    return points
 
 
 class TestPiecewiseLinearRPF:
@@ -60,6 +75,31 @@ class TestPiecewiseLinearRPF:
     def test_required_cpu_above_max_is_infinite(self):
         assert self.make().required_cpu(0.9) == math.inf
 
+    @pytest.mark.parametrize("points, saturation", [
+        ([(0, 0), (100, 0.5)], 100.0),
+        ([(0, -50), (50, 0.2), (100, 0.66), (120, 0.66), (150, 0.66)], 100.0),
+    ])
+    def test_required_cpu_just_above_max_is_the_saturation(
+        self, points, saturation
+    ):
+        """Within EPSILON above the last sample, the inverse neither
+        extrapolates past it nor returns a flat tail's second-to-last
+        CPU: demand must not fall as the level rises to inf."""
+        rpf = PiecewiseLinearRPF(points)
+        assert rpf.saturation_cpu == saturation
+        assert rpf.required_cpu(rpf.max_utility + 0.5 * EPSILON) == saturation
+
+    @given(points=monotone_points(), data=st.data())
+    @settings(max_examples=300)
+    def test_required_cpu_never_exceeds_saturation(self, points, data):
+        rpf = PiecewiseLinearRPF(points)
+        top = rpf.max_utility
+        u = data.draw(st.floats(min_value=points[0][1] - 1.0, max_value=top + EPSILON))
+        assert rpf.required_cpu(u) <= rpf.saturation_cpu
+        above = top + data.draw(st.floats(min_value=0.01, max_value=1.0)) * EPSILON
+        if above > top:
+            assert rpf.required_cpu(above) == rpf.saturation_cpu
+
     def test_protocol_conformance(self):
         assert isinstance(self.make(), RelativePerformanceFunction)
 
@@ -97,6 +137,11 @@ class TestLinearRPF:
         assert rpf.required_cpu(0.0) == pytest.approx(100.0)
         assert rpf.required_cpu(-2.0) == 0.0
         assert rpf.required_cpu(1.5) == math.inf
+
+    def test_required_cpu_just_above_max_is_the_saturation(self):
+        rpf = LinearRPF(0.001, 0.0, max_utility=0.5)
+        assert rpf.saturation_cpu == 500.0
+        assert rpf.required_cpu(0.5 + 0.5 * EPSILON) == 500.0
 
     def test_rejects_non_positive_slope(self):
         with pytest.raises(ConfigurationError):

@@ -10,9 +10,12 @@ from repro.core.apc import ApplicationPlacementController
 from repro.core.placement import PlacementState
 from repro.core.workload import WorkloadModel
 from repro.errors import ConfigurationError
+from repro.experiments.common import Scale
+from repro.experiments.experiment3 import make_txn_app
 from repro.txn.application import TransactionalApp
 from repro.txn.model import TransactionalWorkloadModel
 from repro.txn.workload import ConstantTrace
+from repro.units import EPSILON
 
 from tests.conftest import make_job
 
@@ -211,3 +214,12 @@ class TestTransactionalWorkloadModel:
         model = TransactionalWorkloadModel([self.make_app("a"), self.make_app("b")])
         assert set(model.placement_candidates(0.0)) == {"a", "b"}
         assert len(model) == 2
+
+    def test_erlang_snapshot_demands_its_saturation_just_above_max(self):
+        """The piecewise-linear snapshot the distributor sees for the
+        §5.3 app on 4 nodes: within EPSILON above its max utility it
+        demands its saturation allocation, not more."""
+        app = make_txn_app(Scale("share", nodes=4, job_count=150, queue_window=8))
+        rpf = TransactionalWorkloadModel._allocation_rpf(app, 0.0)
+        above = rpf.max_utility + 0.5 * EPSILON
+        assert rpf.required_cpu(above) == rpf.saturation_cpu
