@@ -178,9 +178,12 @@ class HypotheticalRPF:
         must match what the object-based constructor would have read off
         the RPFs (byte-identity tests pin this).  Arrays are adopted
         without copying — callers must not mutate them afterwards.
+        ``levels`` are adopted as given too: pass sampling points that
+        :func:`validated_levels` accepts (the batch model checks its own
+        once, at construction).
         """
         obj = cls.__new__(cls)
-        obj._levels = validated_levels(levels)
+        obj._levels = np.asarray(levels, dtype=float)
         obj._job_ids = list(job_ids)
         obj._remaining = np.asarray(remaining, dtype=float)
         obj._goal = np.asarray(goal, dtype=float)
@@ -479,7 +482,9 @@ class _DemandProbe:
         remaining = rpf._remaining
         shape = remaining.shape if rows is None else (rows, len(remaining))
         self._rpf = rpf
-        self._done = remaining <= EPSILON
+        done = remaining <= EPSILON
+        #: The finished jobs' mask, or ``None`` when no job is finished.
+        self._done: Optional[np.ndarray] = done if done.any() else None
         self._horizon = np.empty(shape)
         self._open = np.empty(shape, dtype=bool)
         self._speed = np.empty(shape)
@@ -497,7 +502,8 @@ class _DemandProbe:
         # Divide over open horizons only: a subnormal one would overflow.
         np.divide(rpf._remaining, horizon, out=speed, where=self._open)
         np.minimum(speed, rpf._max_speed, out=speed)
-        speed[..., self._done] = 0.0
+        if self._done is not None:
+            speed[..., self._done] = 0.0
         return speed
 
     def demand(self, level: float) -> float:
@@ -517,7 +523,7 @@ class _DemandProbe:
             # job's demand is flat.
             self._weight = np.zeros_like(rpf._remaining)
             np.divide(rpf._relative_goal, rpf._remaining, out=self._weight,
-                      where=~self._done)
+                      where=True if self._done is None else ~self._done)
         terms = speed * speed * self._weight
         return float(terms.sum(where=speed < rpf._max_speed))
 

@@ -19,6 +19,7 @@ long-running jobs:
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -172,7 +173,8 @@ class BatchWorkloadModel:
     ) -> None:
         check_queue_window(queue_window)
         self._queue = queue
-        self._levels = tuple(validated_levels(levels).tolist())
+        #: Checked here once: HypotheticalRPF.from_arrays adopts them.
+        self._levels = validated_levels(levels)
         self._queue_window = queue_window
         self._prediction_method = PredictionMethod.coerce(prediction_method)
         #: Job-table snapshot reused across calls until a job advances.
@@ -196,7 +198,7 @@ class BatchWorkloadModel:
 
     @property
     def levels(self) -> Sequence[float]:
-        return self._levels
+        return tuple(self._levels.tolist())
 
     @property
     def prediction_method(self) -> PredictionMethod:
@@ -355,13 +357,14 @@ class BatchWorkloadModel:
         if table is None:
             return {}
         ids = table.ids
-        alloc = np.array(
-            [allocations.get(job_id, 0.0) for job_id in ids], dtype=float
+        alloc = np.fromiter(
+            map(allocations.get, ids, repeat(0.0)), dtype=float, count=len(ids)
         )
         speeds = np.minimum(alloc, table.max_speed)
+        speed_list = speeds.tolist()
 
         # sum() adds left to right, as a per-job running total would.
-        aggregate = sum(speeds.tolist())
+        aggregate = sum(speed_list)
         remaining = table.remaining
         finishing = (speeds * horizon >= remaining - EPSILON) & (
             speeds > EPSILON
@@ -370,15 +373,17 @@ class BatchWorkloadModel:
         utilities: Dict[str, float] = {}
         fin_idx = np.flatnonzero(finishing)
         if fin_idx.size:
-            speed_f = speeds[fin_idx]
-            completion = now + remaining[fin_idx] / speed_f
-            u = (table.goal[fin_idx] - completion) / table.relative_goal[
-                fin_idx
-            ]
-            u = np.maximum(NEGATIVE_INFINITY_UTILITY, u)
-            values = u.tolist()
-            for pos, i in enumerate(fin_idx.tolist()):
-                utilities[ids[i]] = values[pos]
+            # One to five jobs per search candidate: plain floats over
+            # the list columns, equation (2) at now + rem / speed, floored.
+            rem, goal, rel = table.rem_list, table.goal_list, table.rel_list
+            for i in fin_idx.tolist():
+                completion = now + rem[i] / speed_list[i]
+                u = (goal[i] - completion) / rel[i]
+                utilities[ids[i]] = (
+                    NEGATIVE_INFINITY_UTILITY
+                    if u < NEGATIVE_INFINITY_UTILITY
+                    else u
+                )
 
         fut_idx = np.flatnonzero(~finishing)
         if fut_idx.size:

@@ -13,16 +13,17 @@ equation above yields its relative performance.  The inverse,
 ``ω_m(u) = α_rem / (t_m(u) − t_now)`` with
 ``t_m(u) = τ − u·(τ − τ_start)``, is equation (3) of the paper and forms
 the entries of the ``W`` matrix.
+
+:class:`JobAllocationRPF` is defined in :mod:`repro.core.rpf`, beside
+the other RPF shapes, because the load distributor works out a job's
+targets in closed form from its fields; it is re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.batch.job import Job
-from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
+from repro.core.rpf import JobAllocationRPF  # re-exported
 from repro.errors import ModelError
-from repro.units import EPSILON
 
 
 def job_relative_performance(job: Job, completion_time: float) -> float:
@@ -33,152 +34,6 @@ def job_relative_performance(job: Job, completion_time: float) -> float:
 def completion_time_for_utility(job: Job, utility: float) -> float:
     """Invert equation (2): ``t_m(u) = τ_m − u · (τ_m − τ^start_m)``."""
     return job.completion_goal - utility * job.relative_goal
-
-
-class JobAllocationRPF:
-    """Relative performance of one job as a function of sustained speed.
-
-    Frozen at construction time (``now``): captures the job's remaining
-    work, goal and current maximum speed.  Monotone non-decreasing in the
-    allocation; saturates at the job's maximum achievable relative
-    performance (completion at max speed from ``now``); clamped below at
-    :data:`~repro.core.rpf.NEGATIVE_INFINITY_UTILITY`.
-
-    This class implements the
-    :class:`~repro.core.rpf.RelativePerformanceFunction` protocol, which
-    is how batch jobs plug into the workload-agnostic load-distribution
-    optimizer and placement controller.
-    """
-
-    def __init__(self, job: Job, now: float, remaining_work: Optional[float] = None):
-        self._job_id = job.job_id
-        self._now = now
-        self._goal = job.completion_goal
-        self._relative_goal = job.relative_goal
-        self._remaining = (
-            job.remaining_work if remaining_work is None else max(0.0, remaining_work)
-        )
-        # The aggregate speed ceiling over the *remaining* life: we
-        # approximate the multi-stage case with the current stage's max
-        # speed times the job's parallelism (exact for the single-stage
-        # jobs of all paper experiments; for multi-stage jobs the
-        # remaining-best-time bound below keeps u_max exact).
-        self._max_speed = job.max_speed
-        remaining_best = job.remaining_best_time
-        if remaining_work is not None and job.remaining_work > EPSILON:
-            # Scale the best remaining time to the overridden remaining work.
-            remaining_best *= self._remaining / job.remaining_work
-        self._earliest_completion = now + remaining_best
-
-    @classmethod
-    def from_parts(
-        cls,
-        job_id: str,
-        now: float,
-        goal: float,
-        relative_goal: float,
-        remaining: float,
-        max_speed: float,
-        earliest_completion: float,
-    ) -> "JobAllocationRPF":
-        """Rebuild an RPF from precomputed fields without touching a
-        :class:`~repro.batch.job.Job`.
-
-        The vectorized batch model computes these fields in bulk (array
-        kernels over the whole job table) and calls this to get objects
-        that behave *bitwise* like ``__init__``-built ones — the
-        byte-identity tests pin that equivalence.  Callers are
-        responsible for passing values matching the ``__init__``
-        formulas.
-        """
-        rpf = cls.__new__(cls)
-        rpf._job_id = job_id
-        rpf._now = now
-        rpf._goal = goal
-        rpf._relative_goal = relative_goal
-        rpf._remaining = remaining
-        rpf._max_speed = max_speed
-        rpf._earliest_completion = earliest_completion
-        return rpf
-
-    @property
-    def job_id(self) -> str:
-        return self._job_id
-
-    @property
-    def remaining_work(self) -> float:
-        return self._remaining
-
-    @property
-    def now(self) -> float:
-        """The time this RPF was frozen at."""
-        return self._now
-
-    @property
-    def goal(self) -> float:
-        """Absolute completion-time goal ``τ_m``."""
-        return self._goal
-
-    @property
-    def relative_goal(self) -> float:
-        """``τ_m − τ^start_m``."""
-        return self._relative_goal
-
-    @property
-    def earliest_completion(self) -> float:
-        """Completion time at maximum speed from ``now``."""
-        return self._earliest_completion
-
-    @property
-    def max_speed(self) -> float:
-        return self._max_speed
-
-    @property
-    def max_utility(self) -> float:
-        """``u^max_m``: relative performance if run at max speed from now."""
-        if self._remaining <= EPSILON:
-            return 1.0
-        return (self._goal - self._earliest_completion) / self._relative_goal
-
-    @property
-    def saturation_cpu(self) -> float:
-        """Speed above which relative performance cannot improve."""
-        if self._remaining <= EPSILON:
-            return 0.0
-        return self._max_speed
-
-    def utility(self, cpu_mhz: float) -> float:
-        """Predicted relative performance at sustained speed ``cpu_mhz``."""
-        if self._remaining <= EPSILON:
-            return 1.0
-        if cpu_mhz <= EPSILON:
-            return NEGATIVE_INFINITY_UTILITY
-        speed = min(cpu_mhz, self._max_speed)
-        completion = self._now + self._remaining / speed
-        u = (self._goal - completion) / self._relative_goal
-        return max(NEGATIVE_INFINITY_UTILITY, min(u, self.max_utility))
-
-    def required_cpu(self, utility: float) -> float:
-        """Equation (3): average speed needed from ``now`` to reach
-        ``utility``; ``inf`` if unreachable, clamped at the max speed."""
-        if self._remaining <= EPSILON:
-            return 0.0
-        if utility > self.max_utility + EPSILON:
-            return float("inf")
-        target_completion = self._goal - utility * self._relative_goal
-        horizon = target_completion - self._now
-        if horizon <= EPSILON:
-            # The target completion time is already in the past — only
-            # possible for utility > max_utility, handled above; guard
-            # against float-edge cases by demanding max speed.
-            return self._max_speed
-        return min(self._max_speed, self._remaining / horizon)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"JobAllocationRPF({self._job_id!r}, rem={self._remaining:.0f}Mcy, "
-            f"u_max={self.max_utility:.3f})"
-        )
 
 
 def make_allocation_rpf(job: Job, now: float) -> JobAllocationRPF:

@@ -133,10 +133,13 @@ class LRPFAdmission(AdmissionStrategy):
         specs: Mapping[str, AllocatableApp],
         utilities: Mapping[str, float],
     ) -> List[str]:
-        return sorted(
-            eligible,
-            key=lambda a: utilities.get(a, specs[a].rpf.max_utility),
-        )
+        def key(app_id: str) -> float:
+            # The RPF maximum only for the few the prediction misses.
+            if app_id in utilities:
+                return utilities[app_id]
+            return specs[app_id].rpf.max_utility
+
+        return sorted(eligible, key=key)
 
 
 @register_admission

@@ -1078,12 +1078,14 @@ class ApplicationPlacementController:
         placed in the base, a divisible app removed from it had an
         instance there, and a trial changes no other app.
         """
+        placed = state.placed_apps
+        hosted = state.hosted_on(node)
         eligible = [
             c
             for c in candidates
             if c in specs
-            and (specs[c].demand.divisible or not state.is_placed(c))
-            and state.instances_on(c, node) == 0
+            and (specs[c].demand.divisible or c not in placed)
+            and c not in hosted
         ]
         return self._admission.order(eligible, specs, utilities)
 

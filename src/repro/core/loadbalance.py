@@ -79,6 +79,7 @@ import numpy as np
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import (
     NEGATIVE_INFINITY_UTILITY,
+    JobAllocationRPF,
     RelativePerformanceFunction,
 )
 from repro.units import EPSILON
@@ -141,8 +142,6 @@ class SpecArrays:
         Used for the (few) applications whose model does not provide
         arrays directly — e.g. transactional workloads.
         """
-        from repro.batch.rpf import JobAllocationRPF
-
         ids = list(specs)
         n = len(ids)
         memory = np.zeros(n)
@@ -328,8 +327,6 @@ def _prepare_row(
 ) -> Union[_Row, _Link]:
     """Everything the level search reads about one placed app: a
     :class:`_Link` for a job link, else a :class:`_Row`."""
-    from repro.batch.rpf import JobAllocationRPF
-
     demand = app.demand
     rpf = app.rpf
     min_total, max_total = _aggregate_bounds(app, state)
@@ -818,7 +815,8 @@ def distribute_load(
                 derived.write_load(state)
             return derived
 
-    placed_ids = [a for a in apps if state.is_placed(a)]
+    placed_apps = state.placed_apps
+    placed_ids = [a for a in apps if a in placed_apps]
     result = LoadDistributionResult()
     if not placed_ids:
         if write_load_matrix:
@@ -1013,7 +1011,7 @@ def _derive_from_base(
     position = top.position()
     capacity = {node: state.cluster.node(node).cpu_capacity}
     rows = []
-    for app_id in state.apps_on(node):
+    for app_id in state.hosted_on(node):
         # One instance, so the app is on ``node`` alone.
         if app_id not in position or state.instance_count(app_id) != 1:
             return None
@@ -1024,7 +1022,8 @@ def _derive_from_base(
     # _fill walks a node's links in placed order.
     rows.sort(key=lambda row: position[row.app_id])
     chain = [row.app_id for row in rows]
-    placed_ids = [a for a in top.placed_ids if state.is_placed(a)]
+    placed = state.placed_apps
+    placed_ids = [a for a in top.placed_ids if a in placed]
     added = [a for a in chain if a not in base.allocations]
     if added:
         placed_ids = sorted(placed_ids + added, key=position.__getitem__)

@@ -26,15 +26,14 @@ from repro.errors import ConfigurationError
 from repro.units import EPSILON
 
 
-@functools.lru_cache(maxsize=65536)
 def _lex_compare(
     a: Tuple[float, ...], b: Tuple[float, ...], tolerance: float
 ) -> int:
     """Tolerant lexicographic comparison of two sorted value tuples.
 
     Returns -1 (``a < b``), 0 (element-wise tie over equal lengths) or 1.
-    Pure in its arguments, so results are shared across the controller's
-    repeated comparisons of the same candidate vectors.
+    Not memoised: the controller compares each candidate vector once
+    (:meth:`Objective.better`), so a cache would only hold vectors alive.
     """
     for x, y in zip(a, b):
         if x < y - tolerance:
@@ -244,9 +243,12 @@ class Objective:
         """Does ``candidate`` justify replacing ``incumbent``?
 
         The default requires a strict utility-vector improvement — a tie
-        never justifies churn, matching the paper's adoption rule.
+        never justifies churn, matching the paper's adoption rule.  It
+        is ``candidate.utilities > incumbent.utilities`` in one
+        comparison: the rich ``>`` asks ``<`` and then ``==``.
         """
-        return candidate.utilities > incumbent.utilities
+        a, b = candidate.utilities, incumbent.utilities
+        return _lex_compare(a.values, b.values, a._shared_tolerance(b)) == 1
 
     def explain(
         self, candidate: PlacementScore, incumbent: PlacementScore

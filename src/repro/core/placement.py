@@ -17,12 +17,24 @@ the arrays while the dict API remains the order-preserving view the
 scalar reference solver and the snapshot format rely on.  The sparse
 ``P``/``L`` dicts stay authoritative for structure because dict insertion
 order is semantically significant (see :meth:`PlacementState.to_dict`).
+
+Copies and the node index
+-------------------------
+A §3.2 search trial is a copy of its base that differs on one node, so
+:meth:`PlacementState.copy` copies the outer maps only.  The inner dicts
+(one application's ``P`` and ``L`` rows, one node's applications) are
+shared between copies and never changed in place: a write replaces the
+inner dict it changes.  The node-major index of ``P`` (node -> {app:
+count}) makes :meth:`PlacementState.apps_on` cost O(apps on the node).
+It still returns the applications in ``P``'s insertion order, which a
+scan of ``P`` yields and which the search's stable sorts and float sums
+depend on: each application carries its rank in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, KeysView, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -83,7 +95,9 @@ class PlacementState:
 
     Tracks, per node, which application instances are placed and how much
     CPU each consumes; enforces memory and CPU capacity on every mutation.
-    Copy-on-explore: the search algorithm calls :meth:`copy` to branch.
+    Copy-on-explore: the search algorithm calls :meth:`copy` to branch,
+    and copies share every inner dict until one of them writes it (see
+    the module docstring).
     """
 
     def __init__(self, cluster: Cluster) -> None:
@@ -92,6 +106,13 @@ class PlacementState:
         self._instances: Dict[str, Dict[str, int]] = {}
         # L: app_id -> node -> cpu MHz (aggregate over instances there)
         self._load: Dict[str, Dict[str, float]] = {}
+        # P by node: node -> app_id -> instance count (positive counts)
+        self._apps_by_node: Dict[str, Dict[str, int]] = {
+            n.name: {} for n in cluster
+        }
+        # each key of P -> its rank in P's insertion order
+        self._rank: Dict[str, int] = {}
+        self._next_rank = 0
         # memory demand per instance, recorded at placement time
         self._memory_demand: Dict[str, float] = {}
         # per-node caches
@@ -140,16 +161,25 @@ class PlacementState:
     def is_placed(self, app_id: str) -> bool:
         return self._inst_total.get(app_id, 0) > 0
 
+    @property
+    def placed_apps(self) -> KeysView[str]:
+        """Read-only live view of the applications with at least one
+        instance: ``a in state.placed_apps`` is ``state.is_placed(a)``."""
+        return self._inst_total.keys()
+
     def nodes_of(self, app_id: str) -> List[str]:
         return [n for n, c in self._instances.get(app_id, {}).items() if c > 0]
 
     def apps_on(self, node: str) -> List[str]:
-        """Applications with instances on ``node``, in insertion order."""
-        return [
-            app_id
-            for app_id, nodes in self._instances.items()
-            if nodes.get(node, 0) > 0
-        ]
+        """Applications with instances on ``node``, in insertion order
+        (the order a scan of ``P`` yields)."""
+        return sorted(self._apps_by_node.get(node, ()), key=self._rank.__getitem__)
+
+    def hosted_on(self, node: str) -> KeysView[str]:
+        """Read-only view of the applications with instances on
+        ``node``, in no set order, for membership tests.  It shows the
+        node as it is now; ask again after changing the node."""
+        return self._apps_by_node.get(node, {}).keys()
 
     def cpu_of(self, app_id: str) -> float:
         """Total CPU allocated to ``app_id`` across the cluster (``ω_m``)."""
@@ -263,8 +293,15 @@ class PlacementState:
                 f"only {self.memory_available(node):.0f}MB free"
             )
         self._memory_demand[app_id] = memory_mb
-        self._instances.setdefault(app_id, {})
-        self._instances[app_id][node] = self._instances[app_id].get(node, 0) + count
+        nodes = self._instances.get(app_id)
+        if nodes is None:
+            nodes = {}
+            self._rank[app_id] = self._next_rank
+            self._next_rank += 1
+        here = nodes.get(node, 0) + count
+        # Copy on write: a copy of this state may share both inner dicts.
+        self._instances[app_id] = {**nodes, node: here}
+        self._apps_by_node[node] = {**self._apps_by_node[node], app_id: here}
         new_used = self._node_memory_used[node] + needed
         self._node_memory_used[node] = new_used
         self._mem_used_arr[self._node_index[node]] = new_used
@@ -275,14 +312,22 @@ class PlacementState:
 
         Any CPU allocated to the application on the node is released.
         """
-        have = self._instances.get(app_id, {}).get(node, 0)
+        nodes = self._instances.get(app_id, {})
+        have = nodes.get(node, 0)
         if count <= 0 or have < count:
             raise PlacementError(
                 f"cannot remove {count}x {app_id} from {node}: {have} placed"
             )
-        self._instances[app_id][node] = have - count
-        if self._instances[app_id][node] == 0:
-            del self._instances[app_id][node]
+        # Copy on write, as in place().
+        nodes = dict(nodes)
+        on = dict(self._apps_by_node[node])
+        left = have - count
+        if left:
+            nodes[node] = on[app_id] = left
+        else:
+            del nodes[node], on[app_id]
+        self._instances[app_id] = nodes
+        self._apps_by_node[node] = on
         new_total = self._inst_total.get(app_id, 0) - count
         if new_total > 0:
             self._inst_total[app_id] = new_total
@@ -293,10 +338,10 @@ class PlacementState:
             new_used = 0.0
         self._node_memory_used[node] = new_used
         self._mem_used_arr[self._node_index[node]] = new_used
-        if self._instances[app_id].get(node, 0) == 0:
+        if not left:
             self.set_cpu(app_id, node, 0.0)
-        if not self._instances[app_id]:
-            del self._instances[app_id]
+        if not nodes:
+            del self._instances[app_id], self._rank[app_id]
 
     def set_cpu(self, app_id: str, node: str, cpu_mhz: float) -> None:
         """Set ``L[app_id][node] = cpu_mhz``.
@@ -310,7 +355,8 @@ class PlacementState:
         cpu_mhz = max(0.0, cpu_mhz)
         if cpu_mhz > EPSILON and self._instances.get(app_id, {}).get(node, 0) == 0:
             raise PlacementError(f"{app_id} has no instance on {node}")
-        current = self._load.get(app_id, {}).get(node, 0.0)
+        loads = self._load.get(app_id)
+        current = 0.0 if loads is None else loads.get(node, 0.0)
         new_used = self._node_cpu_used[node] - current + cpu_mhz
         capacity = self._cluster.node(node).cpu_capacity
         if new_used > capacity + EPSILON:
@@ -319,9 +365,16 @@ class PlacementState:
             )
         self._node_cpu_used[node] = new_used
         self._cpu_used_arr[self._node_index[node]] = new_used
-        self._load.setdefault(app_id, {})[node] = cpu_mhz
-        if cpu_mhz <= EPSILON:
-            self._load[app_id].pop(node, None)
+        # Copy on write, as in place().  An application's row stays in
+        # L, possibly empty, once written.
+        if cpu_mhz > EPSILON:
+            self._load[app_id] = {**loads, node: cpu_mhz} if loads else {node: cpu_mhz}
+        elif loads is None:
+            self._load[app_id] = {}
+        elif node in loads:
+            loads = dict(loads)
+            del loads[node]
+            self._load[app_id] = loads
 
     def clear_load(self) -> None:
         """Zero the entire load matrix (placement is kept)."""
@@ -330,18 +383,22 @@ class PlacementState:
         self._cpu_used_arr.fill(0.0)
 
     def copy(self) -> "PlacementState":
-        """A deep, independent copy sharing only the (immutable) cluster."""
+        """An independent copy: it shares the (immutable) cluster and the
+        inner dicts, which neither state changes in place."""
         clone = PlacementState.__new__(PlacementState)
         clone._cluster = self._cluster
-        clone._instances = {a: dict(nodes) for a, nodes in self._instances.items()}
-        clone._load = {a: dict(nodes) for a, nodes in self._load.items()}
-        clone._memory_demand = dict(self._memory_demand)
-        clone._node_memory_used = dict(self._node_memory_used)
-        clone._node_cpu_used = dict(self._node_cpu_used)
+        clone._instances = self._instances.copy()
+        clone._load = self._load.copy()
+        clone._apps_by_node = self._apps_by_node.copy()
+        clone._rank = self._rank.copy()
+        clone._next_rank = self._next_rank
+        clone._memory_demand = self._memory_demand.copy()
+        clone._node_memory_used = self._node_memory_used.copy()
+        clone._node_cpu_used = self._node_cpu_used.copy()
         clone._node_index = self._node_index
         clone._mem_used_arr = self._mem_used_arr.copy()
         clone._cpu_used_arr = self._cpu_used_arr.copy()
-        clone._inst_total = dict(self._inst_total)
+        clone._inst_total = self._inst_total.copy()
         return clone
 
     # ------------------------------------------------------------------
@@ -396,6 +453,13 @@ class PlacementState:
             raise PlacementError(
                 f"placement state references unknown nodes: {sorted(unknown)}"
             )
+        state._apps_by_node = {n: {} for n in cluster.node_names}
+        for app_id, nodes in state._instances.items():
+            for node, count in nodes.items():
+                if count > 0:
+                    state._apps_by_node.setdefault(node, {})[app_id] = count
+        state._rank = {a: i for i, a in enumerate(state._instances)}
+        state._next_rank = len(state._rank)
         state._node_index = {n: i for i, n in enumerate(cluster.node_names)}
         state._mem_used_arr = np.array(
             [state._node_memory_used.get(n, 0.0) for n in state._node_index]
@@ -461,6 +525,24 @@ class PlacementState:
                 raise PlacementError(
                     f"stale instance-total entry for {app_id}: {total}"
                 )
+        by_node: Dict[str, Dict[str, int]] = {}
+        for app_id, nodes in self._instances.items():
+            for node, count in nodes.items():
+                if count > 0:
+                    by_node.setdefault(node, {})[app_id] = count
+        index = {n: apps for n, apps in self._apps_by_node.items() if apps}
+        if index != by_node:
+            raise PlacementError(f"node index drift: {index} vs {by_node}")
+        ranks = [self._rank.get(a) for a in self._instances]
+        if (
+            self._rank.keys() != self._instances.keys()
+            or any(b <= a for a, b in zip(ranks, ranks[1:]))
+            or (ranks and ranks[-1] >= self._next_rank)
+        ):
+            raise PlacementError(
+                f"insertion ranks {self._rank} (next {self._next_rank}) "
+                f"disagree with the order {list(self._instances)}"
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         placed = sum(self.instance_count(a) for a in self.app_ids)

@@ -18,15 +18,28 @@ algorithm asks two questions of an RPF (§3.2, "Algorithm outline"):
 Any *monotonically non-decreasing* model works (§3.2); the paper uses
 linear functions of the performance metric, which become non-linear in the
 allocation once the workload's performance model is composed in.
+
+Besides the protocol, this module holds three shapes: sampled points
+(:class:`PiecewiseLinearRPF`), a line (:class:`LinearRPF`) and a batch
+job's completion-time RPF of its sustained speed
+(:class:`JobAllocationRPF`, re-exported by :mod:`repro.batch.rpf`).  The
+last lives here because the load distributor
+(:mod:`repro.core.loadbalance`) recognizes it and works out its targets
+in closed form, and ``repro.core`` imports nothing from ``repro.batch``.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import List, Protocol, Sequence, Tuple, runtime_checkable
+from typing import (
+    TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple, runtime_checkable,
+)
 
 from repro.errors import ConfigurationError
 from repro.units import EPSILON
+
+if TYPE_CHECKING:
+    from repro.batch.job import Job
 
 #: Finite stand-in for the paper's ``u_1 = -inf`` sampling point.  Relative
 #: performance is a *relative* distance from the goal, so a value of -50
@@ -46,7 +59,10 @@ class RelativePerformanceFunction(Protocol):
 
     Implementations must be monotonically non-decreasing in the CPU
     allocation and saturate at :attr:`max_utility` for allocations at or
-    above :attr:`saturation_cpu`.
+    above :attr:`saturation_cpu`.  So the inverse never asks for more:
+    ``required_cpu(u) <= saturation_cpu`` for every
+    ``u <= max_utility + EPSILON`` (a utility within ``EPSILON`` above
+    the maximum is rounding, not a higher target).
     """
 
     def utility(self, cpu_mhz: float) -> float:
@@ -56,8 +72,8 @@ class RelativePerformanceFunction(Protocol):
     def required_cpu(self, utility: float) -> float:
         """CPU (MHz) needed to achieve ``utility``.
 
-        Returns ``float('inf')`` when ``utility`` exceeds
-        :attr:`max_utility` (no allocation reaches it).
+        At most :attr:`saturation_cpu` up to ``max_utility + EPSILON``;
+        ``float('inf')`` above that (no allocation reaches it).
         """
         ...
 
@@ -195,3 +211,149 @@ class LinearRPF:
         if utility <= self._intercept:
             return 0.0
         return (min(utility, self._max_utility) - self._intercept) / self._slope
+
+
+class JobAllocationRPF:
+    """Relative performance of one job as a function of sustained speed.
+
+    Frozen at construction time (``now``): captures the job's remaining
+    work, goal and current maximum speed.  Monotone non-decreasing in the
+    allocation; saturates at the job's maximum achievable relative
+    performance (completion at max speed from ``now``); clamped below at
+    :data:`~repro.core.rpf.NEGATIVE_INFINITY_UTILITY`.
+
+    This class implements the
+    :class:`~repro.core.rpf.RelativePerformanceFunction` protocol, which
+    is how batch jobs plug into the workload-agnostic load-distribution
+    optimizer and placement controller.
+    """
+
+    def __init__(self, job: Job, now: float, remaining_work: Optional[float] = None):
+        self._job_id = job.job_id
+        self._now = now
+        self._goal = job.completion_goal
+        self._relative_goal = job.relative_goal
+        self._remaining = (
+            job.remaining_work if remaining_work is None else max(0.0, remaining_work)
+        )
+        # The aggregate speed ceiling over the *remaining* life: we
+        # approximate the multi-stage case with the current stage's max
+        # speed times the job's parallelism (exact for the single-stage
+        # jobs of all paper experiments; for multi-stage jobs the
+        # remaining-best-time bound below keeps u_max exact).
+        self._max_speed = job.max_speed
+        remaining_best = job.remaining_best_time
+        if remaining_work is not None and job.remaining_work > EPSILON:
+            # Scale the best remaining time to the overridden remaining work.
+            remaining_best *= self._remaining / job.remaining_work
+        self._earliest_completion = now + remaining_best
+
+    @classmethod
+    def from_parts(
+        cls,
+        job_id: str,
+        now: float,
+        goal: float,
+        relative_goal: float,
+        remaining: float,
+        max_speed: float,
+        earliest_completion: float,
+    ) -> "JobAllocationRPF":
+        """Rebuild an RPF from precomputed fields without touching a
+        :class:`~repro.batch.job.Job`.
+
+        The vectorized batch model computes these fields in bulk (array
+        kernels over the whole job table) and calls this to get objects
+        that behave *bitwise* like ``__init__``-built ones — the
+        byte-identity tests pin that equivalence.  Callers are
+        responsible for passing values matching the ``__init__``
+        formulas.
+        """
+        rpf = cls.__new__(cls)
+        rpf._job_id = job_id
+        rpf._now = now
+        rpf._goal = goal
+        rpf._relative_goal = relative_goal
+        rpf._remaining = remaining
+        rpf._max_speed = max_speed
+        rpf._earliest_completion = earliest_completion
+        return rpf
+
+    @property
+    def job_id(self) -> str:
+        return self._job_id
+
+    @property
+    def remaining_work(self) -> float:
+        return self._remaining
+
+    @property
+    def now(self) -> float:
+        """The time this RPF was frozen at."""
+        return self._now
+
+    @property
+    def goal(self) -> float:
+        """Absolute completion-time goal ``τ_m``."""
+        return self._goal
+
+    @property
+    def relative_goal(self) -> float:
+        """``τ_m − τ^start_m``."""
+        return self._relative_goal
+
+    @property
+    def earliest_completion(self) -> float:
+        """Completion time at maximum speed from ``now``."""
+        return self._earliest_completion
+
+    @property
+    def max_speed(self) -> float:
+        return self._max_speed
+
+    @property
+    def max_utility(self) -> float:
+        """``u^max_m``: relative performance if run at max speed from now."""
+        if self._remaining <= EPSILON:
+            return 1.0
+        return (self._goal - self._earliest_completion) / self._relative_goal
+
+    @property
+    def saturation_cpu(self) -> float:
+        """Speed above which relative performance cannot improve."""
+        if self._remaining <= EPSILON:
+            return 0.0
+        return self._max_speed
+
+    def utility(self, cpu_mhz: float) -> float:
+        """Predicted relative performance at sustained speed ``cpu_mhz``."""
+        if self._remaining <= EPSILON:
+            return 1.0
+        if cpu_mhz <= EPSILON:
+            return NEGATIVE_INFINITY_UTILITY
+        speed = min(cpu_mhz, self._max_speed)
+        completion = self._now + self._remaining / speed
+        u = (self._goal - completion) / self._relative_goal
+        return max(NEGATIVE_INFINITY_UTILITY, min(u, self.max_utility))
+
+    def required_cpu(self, utility: float) -> float:
+        """Equation (3): average speed needed from ``now`` to reach
+        ``utility``; ``inf`` if unreachable, clamped at the max speed."""
+        if self._remaining <= EPSILON:
+            return 0.0
+        if utility > self.max_utility + EPSILON:
+            return float("inf")
+        target_completion = self._goal - utility * self._relative_goal
+        horizon = target_completion - self._now
+        if horizon <= EPSILON:
+            # The target completion time is already in the past — only
+            # possible for utility > max_utility, handled above; guard
+            # against float-edge cases by demanding max speed.
+            return self._max_speed
+        return min(self._max_speed, self._remaining / horizon)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"JobAllocationRPF({self._job_id!r}, rem={self._remaining:.0f}Mcy, "
+            f"u_max={self.max_utility:.3f})"
+        )

@@ -33,7 +33,7 @@ and its inverse ``required_cpu(t)``.
 from __future__ import annotations
 
 import math
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError, ModelError
 from repro.units import EPSILON
@@ -192,6 +192,8 @@ class ErlangCModel:
         self._demand = demand_mcycles
         self._sigma = single_thread_speed_mhz
         self._mu = single_thread_speed_mhz / demand_mcycles  # per-server rate
+        #: :attr:`saturation_cpu`, bisected on first use.
+        self._saturation: Optional[float] = None
 
     @property
     def arrival_rate(self) -> float:
@@ -212,10 +214,11 @@ class ErlangCModel:
     @property
     def saturation_cpu(self) -> float:
         # M/M/c only approaches the floor asymptotically; report the point
-        # where waiting time falls below 0.1% of service time.
-        target = self.min_response_time * 1.001
-        required = self.required_cpu(target)
-        return required
+        # where waiting time falls below 0.1% of service time.  One
+        # bisection per model: the model is immutable.
+        if self._saturation is None:
+            self._saturation = self._bisect_cpu(self.min_response_time * 1.001)
+        return self._saturation
 
     def _response_time_servers(self, servers: int) -> float:
         if self._rate <= EPSILON:
@@ -248,6 +251,17 @@ class ErlangCModel:
         return t_lo + frac * (t_hi - t_lo)
 
     def required_cpu(self, response_time: float) -> float:
+        """The bisected inverse, capped at :attr:`saturation_cpu` as the
+        processor-sharing inverse is: a target between the floor and
+        the saturation point's response time needs the saturation."""
+        required = self._bisect_cpu(response_time)
+        if required == math.inf:
+            return required
+        return min(required, self.saturation_cpu)
+
+    def _bisect_cpu(self, response_time: float) -> float:
+        """The smallest allocation whose response time is at most the
+        target, uncapped."""
         if response_time <= 0 or response_time < self.min_response_time * (1.0 - 1e-9):
             return float("inf")
         if self._rate <= EPSILON:

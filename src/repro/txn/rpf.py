@@ -65,12 +65,20 @@ class TransactionalRPF:
         return self.utility_of_response_time(self._model.response_time(cpu_mhz))
 
     def required_cpu(self, utility: float) -> float:
+        """The inverse, never above :attr:`saturation_cpu`: that
+        allocation reaches :attr:`max_utility`, so it is enough for any
+        utility up to ``max_utility + EPSILON``, also one whose target
+        response time rounds below the model's floor."""
         if utility > self.max_utility + EPSILON:
             return float("inf")
         target_response = self._goal * (1.0 - utility)
-        if target_response <= 0:
-            return float("inf")
-        return self._model.required_cpu(target_response)
+        required = (
+            self._model.required_cpu(target_response)
+            if target_response > 0
+            else float("inf")
+        )
+        saturation = self.saturation_cpu
+        return required if required < saturation else saturation
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

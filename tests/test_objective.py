@@ -1,10 +1,17 @@
 """Tests for the maxmin-extension utility-vector objective."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.objective import PlacementScore, UtilityVector
+from repro.core import objective
+from repro.core.objective import (
+    LexMaxMinObjective,
+    PlacementScore,
+    UtilitarianObjective,
+    UtilityVector,
+)
+from repro.units import EPSILON
 
 
 class TestUtilityVector:
@@ -106,3 +113,69 @@ class TestPlacementScore:
         b = PlacementScore(UtilityVector([0.1]), 2)
         assert a == b
         assert a != "x"
+
+
+#: The controller's comparison tolerances, and none at all.
+TOLERANCES = (0.0, EPSILON, 0.02, 0.05)
+
+
+@st.composite
+def near_ties(draw):
+    """A candidate and an incumbent utility vector that differ, element
+    by element, by about their tolerance (just under, at or just over
+    it) or by nothing, with tolerances drawn separately; sometimes one
+    vector is longer."""
+    tol_c = draw(st.sampled_from(TOLERANCES))
+    tol_i = draw(st.sampled_from(TOLERANCES))
+    tol = max(tol_c, tol_i)
+    base = draw(st.lists(st.floats(min_value=-50, max_value=1), max_size=6))
+    steps = st.sampled_from(
+        [0.0, tol, -tol, tol * (1 + 1e-12), -tol * (1 + 1e-12),
+         tol * (1 - 1e-12), -tol * (1 - 1e-12), 2 * tol, -2 * tol, 1e-9]
+    )
+    moved = [x + draw(steps) for x in base]
+    extra = draw(st.lists(st.floats(min_value=-50, max_value=1), max_size=2))
+    if draw(st.booleans()):
+        moved += extra
+    else:
+        base += extra
+    return UtilityVector(moved, tol_c), UtilityVector(base, tol_i)
+
+
+class TestObjectiveBetter:
+    """``Objective.better`` is the rich ``candidate > incumbent`` in one
+    tolerant comparison."""
+
+    @given(pair=near_ties(), churn=st.integers(0, 3))
+    @settings(max_examples=400)
+    @example(
+        pair=(UtilityVector([0.5, 0.6], 0.02), UtilityVector([0.5], 0.05)),
+        churn=0,
+    )
+    @example(
+        pair=(UtilityVector([0.52], 0.0), UtilityVector([0.5], 0.02)),
+        churn=1,
+    )
+    def test_matches_the_rich_comparison(self, pair, churn):
+        candidate, incumbent = pair
+        for judge in (LexMaxMinObjective(), UtilitarianObjective()):
+            assert judge.better(
+                PlacementScore(candidate, churn), PlacementScore(incumbent, 0)
+            ) == (candidate > incumbent)
+
+    @pytest.mark.parametrize("lengths", [(2, 2), (3, 2), (2, 3)])
+    def test_one_comparison_per_call(self, monkeypatch, lengths):
+        calls = []
+        compare = objective._lex_compare
+
+        def counted(*args):
+            calls.append(args)
+            return compare(*args)
+
+        monkeypatch.setattr(objective, "_lex_compare", counted)
+        candidate = UtilityVector([0.3, 0.4, 0.5][: lengths[0]], 0.05)
+        incumbent = UtilityVector([0.3, 0.4, 0.5][: lengths[1]], 0.02)
+        LexMaxMinObjective().better(
+            PlacementScore(candidate), PlacementScore(incumbent)
+        )
+        assert calls == [(candidate.values, incumbent.values, 0.05)]

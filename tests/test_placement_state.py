@@ -1,12 +1,17 @@
 """Tests for the placement/load matrices."""
 
+import copy
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.cluster import Cluster
 from repro.core.placement import AppDemand, PlacementState
 from repro.errors import CapacityError, PlacementError
+from repro.units import EPSILON
 
 
 @pytest.fixture
@@ -168,3 +173,258 @@ class TestValidate:
             except (CapacityError, PlacementError):
                 pass
         state.validate()
+
+
+# ----------------------------------------------------------------------
+# Copies that share history, against a model kept with deep copies
+# ----------------------------------------------------------------------
+class NaiveState:
+    """``P``, ``L`` and the per-node caches as plain nested dicts, every
+    copy a deep one, with the mutation rules ``PlacementState`` keeps:
+    the same checks, the same float operations in the same order, and
+    the same dict insertion order (an application's ``L`` row stays once
+    written, possibly empty)."""
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.instances = {}
+        self.load = {}
+        self.memory_demand = {}
+        self.memory_used = {n.name: 0.0 for n in cluster}
+        self.cpu_used = {n.name: 0.0 for n in cluster}
+
+    def copy(self):
+        clone = NaiveState.__new__(NaiveState)
+        clone.cluster = self.cluster
+        for name in ("instances", "load", "memory_demand", "memory_used",
+                     "cpu_used"):
+            setattr(clone, name, copy.deepcopy(getattr(self, name)))
+        return clone
+
+    def place(self, app_id, node, memory_mb, count=1):
+        if count <= 0 or node not in self.memory_used:
+            raise PlacementError("bad placement")
+        known = self.memory_demand.get(app_id)
+        if known is not None and abs(known - memory_mb) > EPSILON:
+            raise PlacementError("inconsistent memory demand")
+        free = self.cluster.node(node).memory_capacity - self.memory_used[node]
+        if memory_mb * count > free + EPSILON:
+            raise CapacityError("no memory")
+        self.memory_demand[app_id] = memory_mb
+        nodes = self.instances.setdefault(app_id, {})
+        nodes[node] = nodes.get(node, 0) + count
+        self.memory_used[node] = self.memory_used[node] + memory_mb * count
+
+    def remove(self, app_id, node, count=1):
+        have = self.instances.get(app_id, {}).get(node, 0)
+        if count <= 0 or have < count:
+            raise PlacementError("not placed")
+        nodes = self.instances[app_id]
+        nodes[node] = have - count
+        if nodes[node] == 0:
+            del nodes[node]
+        used = self.memory_used[node] - self.memory_demand[app_id] * count
+        self.memory_used[node] = 0.0 if used < 0 else used
+        if node not in nodes:
+            self.set_cpu(app_id, node, 0.0)
+        if not nodes:
+            del self.instances[app_id]
+
+    def set_cpu(self, app_id, node, cpu_mhz):
+        if cpu_mhz < -EPSILON:
+            raise PlacementError("negative CPU")
+        cpu_mhz = max(0.0, cpu_mhz)
+        if cpu_mhz > EPSILON and not self.instances.get(app_id, {}).get(node):
+            raise PlacementError("no instance")
+        current = self.load.get(app_id, {}).get(node, 0.0)
+        used = self.cpu_used[node] - current + cpu_mhz
+        if used > self.cluster.node(node).cpu_capacity + EPSILON:
+            raise CapacityError("no CPU")
+        self.cpu_used[node] = used
+        self.load.setdefault(app_id, {})[node] = cpu_mhz
+        if cpu_mhz <= EPSILON:
+            del self.load[app_id][node]
+
+    def clear_load(self):
+        self.load = {}
+        self.cpu_used = {n: 0.0 for n in self.cpu_used}
+
+    def to_dict(self):
+        return {
+            "instances": self.instances,
+            "load": self.load,
+            "memory_demand": self.memory_demand,
+            "node_memory_used": self.memory_used,
+            "node_cpu_used": self.cpu_used,
+        }
+
+    def apps_on(self, node):
+        return [a for a, nodes in self.instances.items() if nodes.get(node)]
+
+
+HISTORY_CLUSTER = Cluster.homogeneous(3, cpu_capacity=3000, memory_capacity=4000)
+HISTORY_NODES = HISTORY_CLUSTER.node_names
+HISTORY_APPS = ("a", "b", "c", "d")
+
+
+def ordered(value) -> str:
+    """JSON text that keeps dict order, so equal texts mean equal order."""
+    return json.dumps(value)
+
+
+class SharedHistory(RuleBasedStateMachine):
+    """Several states that descend from one another by :meth:`copy`
+    (which shares inner dicts) and by a ``to_dict``/``from_dict`` round
+    trip, each changed on its own and checked after every step against
+    a naive model of it kept with deep copies."""
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = [
+            (PlacementState(HISTORY_CLUSTER), NaiveState(HISTORY_CLUSTER))
+        ]
+
+    def apply(self, which, method, *args):
+        real, naive = self.pairs[which % len(self.pairs)]
+        try:
+            getattr(naive, method)(*args)
+        except (CapacityError, PlacementError) as exc:
+            with pytest.raises(type(exc)):
+                getattr(real, method)(*args)
+        else:
+            getattr(real, method)(*args)
+
+    @rule(
+        which=st.integers(0, 7),
+        app=st.sampled_from(HISTORY_APPS),
+        node=st.sampled_from(HISTORY_NODES),
+        memory=st.sampled_from([1000.0, 1500.0]),
+        count=st.integers(1, 2),
+    )
+    def place(self, which, app, node, memory, count):
+        self.apply(which, "place", app, node, memory, count)
+
+    @rule(
+        which=st.integers(0, 7),
+        app=st.sampled_from(HISTORY_APPS),
+        node=st.sampled_from(HISTORY_NODES),
+        count=st.integers(1, 2),
+    )
+    def remove(self, which, app, node, count):
+        self.apply(which, "remove", app, node, count)
+
+    @rule(
+        which=st.integers(0, 7),
+        app=st.sampled_from(HISTORY_APPS),
+        node=st.sampled_from(HISTORY_NODES),
+        cpu=st.sampled_from([0.0, 0.5 * EPSILON, 333.3, 1000.0, 2900.0]),
+    )
+    def set_cpu(self, which, app, node, cpu):
+        self.apply(which, "set_cpu", app, node, cpu)
+
+    @rule(
+        which=st.integers(0, 7),
+        pick=st.integers(0, 23),
+        cpu=st.sampled_from([0.0, 0.5 * EPSILON, 333.3, 1000.0]),
+        remove=st.booleans(),
+    )
+    def touch_an_instance(self, which, pick, cpu, remove):
+        """Load or remove an instance the state holds: the writes most
+        likely to reach an inner dict another state shares."""
+        naive = self.pairs[which % len(self.pairs)][1]
+        held = [(a, n) for a, nodes in naive.instances.items() for n in nodes]
+        if not held:
+            return
+        app, node = held[pick % len(held)]
+        if remove:
+            self.apply(which, "remove", app, node, 1)
+        else:
+            self.apply(which, "set_cpu", app, node, cpu)
+
+    @rule(which=st.integers(0, 7))
+    def clear_load(self, which):
+        self.apply(which, "clear_load")
+
+    @rule(which=st.integers(0, 7), round_trip=st.booleans())
+    def branch(self, which, round_trip):
+        if len(self.pairs) >= 6:
+            return
+        real, naive = self.pairs[which % len(self.pairs)]
+        if round_trip:
+            data = json.loads(json.dumps(real.to_dict()))
+            clone = PlacementState.from_dict(HISTORY_CLUSTER, data)
+        else:
+            clone = real.copy()
+        self.pairs.append((clone, naive.copy()))
+
+    @invariant()
+    def every_state_matches_its_model(self):
+        for real, naive in self.pairs:
+            real.validate()
+            assert ordered(real.to_dict()) == ordered(naive.to_dict())
+            matrix = {a: n for a, n in naive.instances.items() if n}
+            assert ordered(real.as_matrix()) == ordered(matrix)
+            load = {a: n for a, n in naive.load.items() if n}
+            assert ordered(real.load_matrix()) == ordered(load)
+            for node in HISTORY_NODES:
+                assert real.apps_on(node) == naive.apps_on(node)
+                assert set(real.hosted_on(node)) == set(naive.apps_on(node))
+                col = real.node_index[node]
+                assert real.memory_used(node) == naive.memory_used[node]
+                assert real.memory_used_array()[col] == naive.memory_used[node]
+                assert real.cpu_used(node) == naive.cpu_used[node]
+                assert real.cpu_used_array()[col] == naive.cpu_used[node]
+            for app in HISTORY_APPS:
+                nodes = naive.instances.get(app, {})
+                assert list(real.instances(app).items()) == list(nodes.items())
+                assert real.instance_count(app) == sum(nodes.values())
+                assert (app in real.placed_apps) == real.is_placed(app) == bool(nodes)
+
+
+TestSharedHistory = SharedHistory.TestCase
+TestSharedHistory.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+
+
+def test_apps_on_keeps_insertion_order_not_the_node_index_order():
+    """``b`` reaches node 1 first, but ``a`` entered ``P`` first."""
+    state = PlacementState(HISTORY_CLUSTER)
+    first, second = HISTORY_NODES[:2]
+    state.place("a", first, 1000.0)
+    state.place("b", second, 1000.0)
+    state.place("a", second, 1000.0)
+    assert state.apps_on(second) == ["a", "b"]
+    state.validate()
+
+
+WRITES = {
+    "place on a held node": lambda s, n: s.place("a", n[0], 1000.0),
+    "place a new app": lambda s, n: s.place("c", n[1], 1000.0),
+    "remove one of two": lambda s, n: s.remove("b", n[0]),
+    "remove the last": lambda s, n: s.remove("a", n[1]),
+    "change a load": lambda s, n: s.set_cpu("a", n[0], 700.0),
+    "drop a load": lambda s, n: s.set_cpu("b", n[0], 0.0),
+    "clear the load": lambda s, n: s.clear_load(),
+}
+
+
+@pytest.mark.parametrize("side", ["copy", "origin"])
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_write_on_either_side_of_a_copy_leaves_the_other(side, write):
+    nodes = HISTORY_NODES
+    origin = PlacementState(HISTORY_CLUSTER)
+    origin.place("a", nodes[0], 1000.0)
+    origin.place("a", nodes[1], 1000.0)
+    origin.place("b", nodes[0], 1000.0, count=2)
+    origin.set_cpu("a", nodes[0], 500.0)
+    origin.set_cpu("a", nodes[1], 200.0)
+    origin.set_cpu("b", nodes[0], 100.0)
+    clone = origin.copy()
+    changed, kept = (clone, origin) if side == "copy" else (origin, clone)
+    before = ordered(kept.to_dict())
+    WRITES[write](changed, nodes)
+    assert ordered(kept.to_dict()) == before
+    assert kept.apps_on(nodes[0]) == ["a", "b"]
+    kept.validate()
+    changed.validate()

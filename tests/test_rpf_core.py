@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.rpf import (
+    JobAllocationRPF,
     LinearRPF,
     NEGATIVE_INFINITY_UTILITY,
     PiecewiseLinearRPF,
     RelativePerformanceFunction,
 )
 from repro.errors import ConfigurationError
+from repro.txn.queuing import ErlangCModel, ProcessorSharingModel
+from repro.txn.rpf import TransactionalRPF
 from repro.units import EPSILON
 
 
@@ -167,3 +170,54 @@ class TestLinearRPF:
 
 def test_negative_infinity_utility_is_very_negative():
     assert NEGATIVE_INFINITY_UTILITY <= -10.0
+
+
+@st.composite
+def any_rpf(draw):
+    """An RPF of any implementation: sampled points, a line, a batch
+    job's completion-time RPF (finished jobs included) and the
+    transactional RPF over either queuing model, with goals from far
+    below the response-time floor to far above it."""
+    kind = draw(st.sampled_from(["points", "line", "job", "ps", "erlang"]))
+    if kind == "points":
+        return PiecewiseLinearRPF(draw(monotone_points()))
+    if kind == "line":
+        intercept = draw(st.floats(-5.0, 0.5))
+        top = draw(st.floats(intercept, 1.0))
+        return LinearRPF(draw(st.floats(1e-4, 10.0)), intercept, top)
+    if kind == "job":
+        now = draw(st.floats(0.0, 1e5))
+        remaining = draw(st.one_of(
+            st.just(0.0), st.floats(0.0, EPSILON), st.floats(1.0, 1e8)
+        ))
+        speed = draw(st.floats(1.0, 4000.0))
+        goal = now + draw(st.floats(-1e4, 1e5))
+        return JobAllocationRPF.from_parts(
+            "j", now, goal, draw(st.floats(1.0, 1e4)), remaining, speed,
+            now + remaining / speed,
+        )
+    sigma = draw(st.floats(100.0, 4000.0))
+    demand = sigma * draw(st.floats(0.01, 0.5))
+    # Offered load, in servers of speed sigma.
+    rate = draw(st.floats(0.0, 20.0)) * sigma / demand
+    model_cls = ProcessorSharingModel if kind == "ps" else ErlangCModel
+    floor = demand / sigma
+    return TransactionalRPF(
+        model_cls(rate, demand, sigma), floor * draw(st.floats(0.01, 100.0))
+    )
+
+
+@given(rpf=any_rpf(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_required_cpu_never_exceeds_saturation(rpf, data):
+    """The protocol's contract, for every implementation: up to
+    ``max_utility + EPSILON`` the inverse asks for no more than the
+    saturation allocation."""
+    top = rpf.max_utility
+    saturation = rpf.saturation_cpu
+    u = data.draw(st.floats(
+        min_value=min(top, NEGATIVE_INFINITY_UTILITY) - 1.0,
+        max_value=top + EPSILON,
+    ))
+    for utility in (u, top, top + 0.5 * EPSILON, top + EPSILON):
+        assert rpf.required_cpu(utility) <= saturation

@@ -127,6 +127,30 @@ class TestErlangC:
         sat = model.saturation_cpu
         assert model.response_time(sat) <= model.min_response_time * 1.002
 
+    def test_inverse_is_capped_at_the_saturation(self):
+        """A target between the floor and the saturation point's
+        response time needs the saturation allocation, not the far
+        larger one the curve approaches the floor with."""
+        model = ErlangCModel(100.0, 39.0, 3900.0)
+        assert model.required_cpu(model.min_response_time) == model.saturation_cpu
+        assert model.required_cpu(0.012) < model.saturation_cpu
+
+    def test_saturation_is_bisected_once(self, monkeypatch):
+        model = ErlangCModel(100.0, 39.0, 3900.0)
+        targets = []
+        bisect = model._bisect_cpu
+
+        def counted(target):
+            targets.append(target)
+            return bisect(target)
+
+        monkeypatch.setattr(model, "_bisect_cpu", counted)
+        first = model.saturation_cpu
+        assert model.saturation_cpu == first
+        model.required_cpu(0.012)
+        model.required_cpu(0.013)
+        assert len(targets) == 3
+
 
 class TestCalibration:
     """Experiment Three's anchors: plateau 0.66 at ~130,000 MHz."""

@@ -1,13 +1,17 @@
 """Tests for the WorkloadModel adapters (batch and transactional)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch.job import JobStatus
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
+from repro.batch.rpf import job_relative_performance
 from repro.cluster import Cluster
 from repro.core.apc import ApplicationPlacementController
 from repro.core.placement import PlacementState
+from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.core.workload import WorkloadModel
 from repro.errors import ConfigurationError
 from repro.experiments.common import Scale
@@ -18,6 +22,7 @@ from repro.txn.workload import ConstantTrace
 from repro.units import EPSILON
 
 from tests.conftest import make_job
+from tests.reference_apc import ReferenceBatchModel
 
 
 class TestBatchWorkloadModel:
@@ -91,6 +96,42 @@ class TestBatchWorkloadModel:
         # good.
         assert utilities["wait"] < utilities["run"] + 1e-9
         assert utilities["wait"] > -10
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_finishing_jobs_match_equation_two_exactly(self, data):
+        """Jobs that finish inside the horizon beside jobs that do not:
+        each finishing job's prediction is equation (2) at its
+        completion time, floored, float for float, and the whole
+        prediction is the per-job reference's, in order."""
+        queue = JobQueue()
+        horizon = data.draw(st.sampled_from([1.0, 60.0, 600.0]))
+        allocations = {}
+        for i in range(data.draw(st.integers(2, 7))):
+            job = make_job(
+                f"j{i}",
+                work=data.draw(st.floats(1.0, 1e6)),
+                max_speed=data.draw(st.floats(10.0, 4000.0)),
+                submit=data.draw(st.floats(0.0, 1000.0)),
+                goal_factor=data.draw(st.floats(1.0, 8.0)),
+            )
+            queue.submit(job)
+            share = data.draw(st.sampled_from([None, 0.5, 1.0, 3.0]))
+            if share is not None:
+                allocations[job.job_id] = job.remaining_work / horizon * share
+        now = data.draw(st.floats(0.0, 5000.0))
+        utilities = BatchWorkloadModel(queue).evaluate(allocations, now, horizon)
+        for job in queue.incomplete():
+            speed = min(allocations.get(job.job_id, 0.0), job.max_speed)
+            remaining = job.remaining_work
+            if speed > EPSILON and speed * horizon >= remaining - EPSILON:
+                expected = max(
+                    NEGATIVE_INFINITY_UTILITY,
+                    job_relative_performance(job, now + remaining / speed),
+                )
+                assert utilities[job.job_id] == expected
+        reference = ReferenceBatchModel(queue).evaluate(allocations, now, horizon)
+        assert list(utilities.items()) == list(reference.items())
 
     def test_invalid_prediction_method(self):
         with pytest.raises(ValueError):
@@ -214,6 +255,16 @@ class TestTransactionalWorkloadModel:
         model = TransactionalWorkloadModel([self.make_app("a"), self.make_app("b")])
         assert set(model.placement_candidates(0.0)) == {"a", "b"}
         assert len(model) == 2
+
+    def test_erlang_inverse_needs_its_saturation_at_its_max(self):
+        """The exact Erlang-C RPF of the §5.3 app on 4 nodes at its own
+        maximum utility, where the bisected inverse lies far above the
+        saturation (57,637 against 38,290 MHz), so the cap decides."""
+        app = make_txn_app(Scale("share", nodes=4, job_count=150, queue_window=8))
+        rpf = app.rpf_at(0.0)
+        assert rpf.saturation_cpu == pytest.approx(38_289.6, abs=0.1)
+        assert rpf.required_cpu(rpf.max_utility) == rpf.saturation_cpu
+        assert rpf.required_cpu(rpf.max_utility + EPSILON) == rpf.saturation_cpu
 
     def test_erlang_snapshot_demands_its_saturation_just_above_max(self):
         """The piecewise-linear snapshot the distributor sees for the
