@@ -32,7 +32,6 @@ from repro.core import (
     ConstraintSet,
     PlacementScore,
     PlacementState,
-    SpecArrays,
     UtilityVector,
     distribute_load,
     lex_explain,
@@ -212,7 +211,6 @@ __all__ = [
     "ConstraintSet",
     "PlacementScore",
     "PlacementState",
-    "SpecArrays",
     "UtilityVector",
     "distribute_load",
     "lex_explain",

@@ -19,6 +19,7 @@ long-running jobs:
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,7 +35,7 @@ from repro.batch.hypothetical import (
 from repro.batch.job import Job, JobStatus
 from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
-from repro.core.loadbalance import AllocatableApp, SpecArrays
+from repro.core.loadbalance import AllocatableApp
 from repro.core.placement import AppDemand
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
@@ -51,6 +52,32 @@ def check_queue_window(value: object) -> None:
         )
 
 
+# Nothing in the controller reads SpecArrays or calls
+# BatchWorkloadModel.app_spec_arrays any more.  They stay only because
+# the benchmark's layer map (perfbench/layers.py) wraps that method by
+# name as ``batch.spec_arrays``; both go when that layer does.
+@dataclass(frozen=True)
+class SpecArrays:
+    """Column view of :meth:`BatchWorkloadModel.app_specs`, one row per
+    incomplete job.  Arrays are adopted without copying and must be
+    treated as immutable."""
+
+    ids: List[str]
+    index: Mapping[str, int]
+    memory: np.ndarray  # demand.memory_mb
+    min_cpu: np.ndarray  # demand.min_cpu_mhz (per instance)
+    max_per_instance: np.ndarray  # demand.max_cpu_per_instance_mhz
+    max_instances: np.ndarray  # float parallelism
+    divisible: np.ndarray  # bool
+    is_job: np.ndarray  # bool, all True
+    remaining: np.ndarray
+    goal: np.ndarray
+    relative_goal: np.ndarray
+    now: np.ndarray
+    max_speed: np.ndarray  # rpf aggregate speed ceiling
+    u_max: np.ndarray  # rpf.max_utility
+
+
 class _JobTable:
     """Column-oriented snapshot of the incomplete-job set.
 
@@ -65,9 +92,8 @@ class _JobTable:
     """
 
     __slots__ = (
-        "jobs", "ids", "index", "consumed",
-        "rem_list", "goal_list", "rel_list", "ms_list", "rb_list",
-        "mem_list", "min_speed_list", "maxpi_list", "par_list", "stage_list",
+        "jobs", "ids", "consumed",
+        "rem_list", "goal_list", "rel_list", "ms_list", "rb_list", "stage_list",
         "remaining", "goal", "relative_goal", "max_speed", "remaining_best",
         "_umax_now", "_umax",
     )
@@ -75,32 +101,21 @@ class _JobTable:
     def __init__(self, jobs: Sequence[Job]) -> None:
         self.jobs = list(jobs)
         self.ids = [job.job_id for job in jobs]
-        self.index = {job_id: i for i, job_id in enumerate(self.ids)}
         self.consumed = [job.cpu_consumed for job in jobs]
         rem, goal, rel, ms, rb = [], [], [], [], []
-        mem, min_speed, maxpi, par = [], [], [], []
         stages = []
         for job in jobs:
-            stage = job.current_stage
-            stages.append(stage)
+            stages.append(job.current_stage)
             rem.append(job.remaining_work)
             goal.append(job.completion_goal)
             rel.append(job.relative_goal)
             ms.append(job.max_speed)
             rb.append(job.remaining_best_time)
-            mem.append(stage.memory_mb)
-            min_speed.append(stage.min_speed_mhz)
-            maxpi.append(stage.max_speed_mhz)
-            par.append(job.parallelism)
         self.rem_list = rem
         self.goal_list = goal
         self.rel_list = rel
         self.ms_list = ms
         self.rb_list = rb
-        self.mem_list = mem
-        self.min_speed_list = min_speed
-        self.maxpi_list = maxpi
-        self.par_list = par
         self.stage_list = stages
         self.remaining = np.array(rem)
         self.goal = np.array(goal)
@@ -187,7 +202,6 @@ class BatchWorkloadModel:
         #: in the same stage (AppDemand is frozen, so sharing is safe).
         self._demand_cache: Dict[str, Tuple[object, AppDemand]] = {}
         self._specs_cache: Optional[Tuple[_JobTable, float, Dict]] = None
-        self._spec_arrays_cache: Optional[Tuple[_JobTable, float, SpecArrays]] = None
         #: The level the last exact solve returned: the next solve's
         #: start (consecutive candidates differ on one node).
         self._last_level: Optional[float] = None
@@ -252,34 +266,30 @@ class BatchWorkloadModel:
         return demand
 
     def app_spec_arrays(self, now: float) -> Optional[SpecArrays]:
-        """Column view of :meth:`app_specs` for the controller's spec
-        tables (``None`` when there are no jobs)."""
+        """Column view of :meth:`app_specs` (``None`` when there are no
+        jobs); see :class:`SpecArrays` for why it stays."""
         table = self._jobs()
         if table is None:
             return None
-        cached = self._spec_arrays_cache
-        if cached is not None and cached[0] is table and cached[1] == now:
-            return cached[2]
-        n = len(table.ids)
-        par = np.array(table.par_list, dtype=float)
-        arrays = SpecArrays(
-            ids=list(table.ids),
-            index=table.index,
-            memory=np.array(table.mem_list),
-            min_cpu=np.array(table.min_speed_list),
-            max_per_instance=np.array(table.maxpi_list),
+        ids = list(table.ids)
+        stages = table.stage_list
+        par = np.array([job.parallelism for job in table.jobs], dtype=float)
+        return SpecArrays(
+            ids=ids,
+            index={job_id: i for i, job_id in enumerate(ids)},
+            memory=np.array([stage.memory_mb for stage in stages]),
+            min_cpu=np.array([stage.min_speed_mhz for stage in stages]),
+            max_per_instance=np.array([stage.max_speed_mhz for stage in stages]),
             max_instances=par,
             divisible=par > 1,
-            is_job=np.ones(n, dtype=bool),
+            is_job=np.ones(len(ids), dtype=bool),
             remaining=table.remaining,
             goal=table.goal,
             relative_goal=table.relative_goal,
-            now=np.full(n, now),
+            now=np.full(len(ids), now),
             max_speed=table.max_speed,
             u_max=table.u_max_array(now),
         )
-        self._spec_arrays_cache = (table, now, arrays)
-        return arrays
 
     # ------------------------------------------------------------------
     # WorkloadModel protocol

@@ -43,7 +43,6 @@ from repro.core.placement import PlacementState, AppDemand
 from repro.core.loadbalance import (
     distribute_load,
     LoadDistributionResult,
-    SpecArrays,
 )
 from repro.core.constraints import (
     PlacementConstraint,
@@ -75,7 +74,6 @@ __all__ = [
     "AppDemand",
     "distribute_load",
     "LoadDistributionResult",
-    "SpecArrays",
     "PlacementConstraint",
     "PinToNodes",
     "AntiCollocation",

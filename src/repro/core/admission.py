@@ -5,10 +5,10 @@ capacity in *lowest-relative-performance-first* order (the paper's LRPF
 ordering, §1), and the search's inner fill loop visits applications the
 same way.  :class:`AdmissionStrategy` makes that ordering an extension
 point: the controller asks the strategy to rank the eligible
-applications, then runs its (scalar, indexed, or vectorized) placement
-mechanics unchanged — so a strategy swaps the *queue discipline* without
-forking the placement machinery, and the default strategy reproduces the
-historical behavior byte for byte.
+applications, then runs its placement mechanics unchanged — so a
+strategy swaps the *queue discipline* without forking the placement
+machinery, and the default strategy reproduces the historical behavior
+byte for byte.
 
 Strategies are keyword-only dataclasses registered by name
 (:func:`register_admission`) with JSON-lossless ``to_dict``/``from_dict``,

@@ -78,7 +78,7 @@ from repro.core.admission import (
 )
 from repro.core.constraints import ConstraintSet
 from repro.core.loadbalance import (
-    AllocatableApp, LoadDistributionResult, SpecArrays, distribute_load,
+    AllocatableApp, LoadDistributionResult, distribute_load,
 )
 from repro.core.objective import (
     Objective,
@@ -101,7 +101,6 @@ from repro.units import EPSILON, is_count
 SPAN_PHASES: Tuple[str, ...] = (
     "apc.place",
     "apc.model_specs",
-    "apc.spec_tables",
     "apc.admission",
     "apc.search",
     "apc.evaluate",
@@ -109,14 +108,6 @@ SPAN_PHASES: Tuple[str, ...] = (
     "apc.predict",
     "apc.objective",
 )
-
-#: Clusters of at least this many nodes get the cycle's merged spec
-#: tables (``apc.spec_tables``) and with them the array load
-#: distributor; smaller ones run the distributor on rows prepared once
-#: per call.  Each distributor is the faster one on its side of the
-#: line and both decide identically, so this is a fixed size rule, not
-#: a setting.
-SPEC_TABLES_MIN_NODES = 16
 
 #: Solver switches that :meth:`APCConfig.from_dict` drops on load.  They
 #: chose between implementations of the same decisions, so documents
@@ -303,8 +294,6 @@ class ApplicationPlacementController:
         self._objective = resolve_objective(objective)
         #: Greedy-pass ordering; ``None`` resolves to the paper's LRPF.
         self._admission = resolve_admission(admission)
-        #: See :data:`SPEC_TABLES_MIN_NODES`.
-        self._use_tables = len(cluster) >= SPEC_TABLES_MIN_NODES
         self._c_shortcut = None
         if registry is not None:
             self.bind_registry(registry)
@@ -358,9 +347,7 @@ class ApplicationPlacementController:
         With a :class:`~repro.obs.spans.SpanProfiler` attached, the whole
         computation is one ``apc.place`` root span whose children break
         the cycle's decision time into phases: model spec merging
-        (``apc.model_specs``), spec-array table assembly
-        (``apc.spec_tables``, on clusters of at least
-        :data:`SPEC_TABLES_MIN_NODES` nodes), candidate
+        (``apc.model_specs``), candidate
         evaluation (``apc.evaluate``, itself split into the
         load-balancing solve ``apc.loadbalance``, the workload models'
         hypothetical/RPF prediction ``apc.predict``, and objective
@@ -391,10 +378,6 @@ class ApplicationPlacementController:
         with self._span("apc.model_specs"):
             specs = self._merge_specs(models, now)
             candidates = self._merge_candidates(models, now)
-        tables: Optional[SpecArrays] = None
-        if self._use_tables and specs:
-            with self._span("apc.spec_tables"):
-                tables = self._merge_spec_arrays(models, specs, now)
 
         state = current.copy()
         self._prune_vanished(state, specs)
@@ -425,8 +408,8 @@ class ApplicationPlacementController:
             with self._span("apc.evaluate"):
                 with self._span("apc.loadbalance"):
                     load = distribute_load(
-                        trial, specs, write_load_matrix=False, tables=tables,
-                        base=base, node=node,
+                        trial, specs, write_load_matrix=False, base=base,
+                        node=node,
                     )
                 utilities: Dict[str, float] = {}
                 with self._span("apc.predict"):
@@ -560,38 +543,6 @@ class ApplicationPlacementController:
         for model in models:
             out.extend(model.placement_candidates(now))
         return out
-
-    def _merge_spec_arrays(
-        self,
-        models: Sequence[WorkloadModel],
-        specs: Mapping[str, AllocatableApp],
-        now: float,
-    ) -> Optional[SpecArrays]:
-        """Assemble the cycle's column-oriented spec table.
-
-        Models that can export their specs as arrays directly (the batch
-        model's ``app_spec_arrays``) do so without
-        touching per-app spec objects; the rest are converted through
-        the scalar :meth:`SpecArrays.from_specs` fallback.  Returns
-        ``None`` when there is nothing to tabulate.
-        """
-        parts: List[SpecArrays] = []
-        covered: set = set()
-        for model in models:
-            exporter = getattr(model, "app_spec_arrays", None)
-            if exporter is None:
-                continue
-            part = exporter(now)
-            if part is None:
-                continue
-            parts.append(part)
-            covered.update(part.ids)
-        leftover = {a: s for a, s in specs.items() if a not in covered}
-        if leftover:
-            parts.append(SpecArrays.from_specs(leftover))
-        if not parts:
-            return None
-        return SpecArrays.merge(parts)
 
     @staticmethod
     def _prune_vanished(state: PlacementState, specs: Mapping[str, AllocatableApp]) -> None:

@@ -39,24 +39,23 @@ The level search is the same construction as the yield search of
 virtual-cluster allocation (Stillwell et al., arXiv:1006.5376): bisect one
 common level and test feasibility at each probe.  The controller runs one
 search per candidate placement it evaluates: up to 50 probes, 1 or 2 when
-the top level fits.  One driver (:func:`distribute_load`) runs the
-search, the assignment and the refinement over one of two kernels: rows
-prepared once per call, each probe a plain yes/no over them
-(:class:`_RowsKernel`, :func:`_fill`), or arrays over the cycle's spec
-tables (:class:`_VectorContext`).  A *job link* is a placed app whose
-RPF is a parametric batch ``JobAllocationRPF``, not divisible, with a
-finite speed ceiling, on exactly one node.  The rows kernel prepares it
-as a :class:`_Link` carrying the RPF's fields, and a probe works out its
-target in closed form, float for float as the RPF and :func:`_target`
-do; every other row answers through its RPF.  Either kernel probes the
-top level first when every placed row is a link (see
-:func:`_highest_feasible_level`), and refinement skips rows with no
-headroom.  A search that must bisect runs all its probes: feasibility is
-not known to be monotone in the level in float arithmetic once a
-divisible app sorts its nodes by residual each probe, so no bracket
-shortens it.  The straightforward loop that recomputes every target and
-a full assignment per probe is kept in
-``tests/test_loadbalance_oracle.py`` as the oracle both kernels must
+the top level fits.  :func:`distribute_load` prepares each placed app
+once per call as a row, answers each probe with a plain yes/no over the
+rows (:func:`_fill`), builds the assignment by the same routine at the
+final level, and then refines.  A *job link* is a placed app whose RPF
+is a parametric batch ``JobAllocationRPF`` (that class exactly), not
+divisible, with a finite speed ceiling, on exactly one node.  It is
+prepared as a :class:`_Link` carrying the RPF's fields, read in one
+call, and a probe works out its target in closed form, float for float
+as the RPF and :func:`_target` do; every other row answers through its
+RPF.  The search probes the top level first when every placed row is a
+link (see :func:`_highest_feasible_level`), and refinement skips rows
+with no headroom.  A search that must bisect runs all its probes:
+feasibility is not known to be monotone in the level in float
+arithmetic once a divisible app sorts its nodes by residual each probe,
+so no bracket shortens it.  The straightforward loop that recomputes
+every target and a full assignment per probe is kept in
+``tests/test_loadbalance_oracle.py`` as the oracle the distributor must
 match exactly.
 
 A §3.2 search trial differs from the placement it was copied from on
@@ -73,8 +72,6 @@ from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
     Union,
 )
-
-import numpy as np
 
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import (
@@ -106,107 +103,6 @@ class AllocatableApp:
     @property
     def app_id(self) -> str:
         return self.demand.app_id
-
-
-@dataclass(frozen=True)
-class SpecArrays:
-    """Column-oriented view of :class:`AllocatableApp` specs.
-
-    One row per application, read by the array load-distribution kernel
-    (:class:`_VectorContext`).  Rows whose RPF is a parametric batch
-    :class:`~repro.batch.rpf.JobAllocationRPF` carry its frozen fields
-    (``is_job`` True); generic rows (transactional queuing-model RPFs)
-    leave those columns zeroed and answer through their RPF objects.
-    Arrays are adopted without copying and must be treated as immutable.
-    """
-
-    ids: List[str]
-    index: Mapping[str, int]
-    memory: np.ndarray  # demand.memory_mb
-    min_cpu: np.ndarray  # demand.min_cpu_mhz (per instance)
-    max_per_instance: np.ndarray  # demand.max_cpu_per_instance_mhz (may be inf)
-    max_instances: np.ndarray  # float; inf encodes "unbounded"
-    divisible: np.ndarray  # bool
-    is_job: np.ndarray  # bool: parametric JobAllocationRPF rows
-    remaining: np.ndarray
-    goal: np.ndarray
-    relative_goal: np.ndarray
-    now: np.ndarray
-    max_speed: np.ndarray  # rpf aggregate speed ceiling
-    u_max: np.ndarray  # rpf.max_utility
-
-    @classmethod
-    def from_specs(cls, specs: Mapping[str, AllocatableApp]) -> "SpecArrays":
-        """Scalar fallback builder: extract columns from spec objects.
-
-        Used for the (few) applications whose model does not provide
-        arrays directly — e.g. transactional workloads.
-        """
-        ids = list(specs)
-        n = len(ids)
-        memory = np.zeros(n)
-        min_cpu = np.zeros(n)
-        max_pi = np.zeros(n)
-        max_inst = np.zeros(n)
-        divisible = np.zeros(n, dtype=bool)
-        is_job = np.zeros(n, dtype=bool)
-        remaining = np.zeros(n)
-        goal = np.zeros(n)
-        relative_goal = np.ones(n)
-        now = np.zeros(n)
-        max_speed = np.zeros(n)
-        u_max = np.zeros(n)
-        for i, app_id in enumerate(ids):
-            spec = specs[app_id]
-            demand = spec.demand
-            memory[i] = demand.memory_mb
-            min_cpu[i] = demand.min_cpu_mhz
-            max_pi[i] = demand.max_cpu_per_instance_mhz
-            max_inst[i] = (
-                np.inf if demand.max_instances is None else demand.max_instances
-            )
-            divisible[i] = demand.divisible
-            if isinstance(spec.rpf, JobAllocationRPF):
-                rpf = spec.rpf
-                is_job[i] = True
-                remaining[i] = rpf.remaining_work
-                goal[i] = rpf.goal
-                relative_goal[i] = rpf.relative_goal
-                now[i] = rpf.now
-                max_speed[i] = rpf.max_speed
-                u_max[i] = rpf.max_utility
-        return cls(
-            ids=ids, index={a: i for i, a in enumerate(ids)},
-            memory=memory, min_cpu=min_cpu, max_per_instance=max_pi,
-            max_instances=max_inst, divisible=divisible, is_job=is_job,
-            remaining=remaining, goal=goal, relative_goal=relative_goal,
-            now=now, max_speed=max_speed, u_max=u_max,
-        )
-
-    @classmethod
-    def merge(cls, parts: Sequence["SpecArrays"]) -> "SpecArrays":
-        """Concatenate per-model parts into one table."""
-        if len(parts) == 1:
-            return parts[0]
-        ids: List[str] = []
-        for part in parts:
-            ids.extend(part.ids)
-        cat = np.concatenate
-        return cls(
-            ids=ids, index={a: i for i, a in enumerate(ids)},
-            memory=cat([p.memory for p in parts]),
-            min_cpu=cat([p.min_cpu for p in parts]),
-            max_per_instance=cat([p.max_per_instance for p in parts]),
-            max_instances=cat([p.max_instances for p in parts]),
-            divisible=cat([p.divisible for p in parts]),
-            is_job=cat([p.is_job for p in parts]),
-            remaining=cat([p.remaining for p in parts]),
-            goal=cat([p.goal for p in parts]),
-            relative_goal=cat([p.relative_goal for p in parts]),
-            now=cat([p.now for p in parts]),
-            max_speed=cat([p.max_speed for p in parts]),
-            u_max=cat([p.u_max for p in parts]),
-        )
 
 
 @dataclass
@@ -291,12 +187,15 @@ class _Row(NamedTuple):
 
 class _Link(NamedTuple):
     """A job link, prepared once per :func:`distribute_load` call: a
-    placed app whose RPF is a :class:`~repro.batch.rpf.JobAllocationRPF`,
-    not divisible, with a finite speed ceiling, on exactly one node.
+    placed app whose RPF is a :class:`~repro.core.rpf.JobAllocationRPF`
+    (that class exactly), not divisible, with a finite speed ceiling, on
+    exactly one node.
 
-    It carries its RPF's fields, read once, so :func:`_fill` works out
-    its target in closed form instead of calling :func:`_target` and the
-    RPF.  ``saturation``, ``low`` and ``high`` are a :class:`_Row`'s.
+    It carries its RPF's fields, read in one call
+    (:meth:`~repro.core.rpf.JobAllocationRPF.fields`), so :func:`_fill`
+    works out its target in closed form instead of calling
+    :func:`_target` and the RPF.  ``saturation``, ``low`` and ``high``
+    are a :class:`_Row`'s.
     """
 
     app_id: str
@@ -329,6 +228,22 @@ def _prepare_row(
     :class:`_Link` for a job link, else a :class:`_Row`."""
     demand = app.demand
     rpf = app.rpf
+    if rpf.__class__ is JobAllocationRPF and not demand.divisible:
+        items = state.instance_items(app_id)
+        if len(items) == 1:
+            # The _Row code below for one (node, count) item, whose cap
+            # is the app's ceiling.
+            (node, count), = items
+            cap = demand.max_cpu_per_instance_mhz * count
+            if cap != _INF:
+                (saturation, max_utility, work, goal, relative_goal, now,
+                 max_speed) = rpf.fields()
+                return _Link(
+                    app_id, min(saturation, cap),
+                    min(demand.min_cpu_mhz * count, cap), cap,
+                    max_utility + EPSILON, work, goal, relative_goal, now,
+                    max_speed, node, cap,
+                )
     min_total, max_total = _aggregate_bounds(app, state)
     saturation = min(rpf.saturation_cpu, max_total)
     max_pi = demand.max_cpu_per_instance_mhz
@@ -342,18 +257,6 @@ def _prepare_row(
         # No speed ceiling: cap by what its nodes could ever provide.
         max_total = sum(capacity[node] for node, _ in slots)
     low = min(min_total, max_total)
-    if (
-        not unbounded
-        and not demand.divisible
-        and len(slots) == 1
-        and isinstance(rpf, JobAllocationRPF)
-    ):
-        (node, cap), = slots
-        return _Link(
-            app_id, saturation, low, max_total, rpf.max_utility + EPSILON,
-            rpf.remaining_work, rpf.goal, rpf.relative_goal, rpf.now,
-            rpf.max_speed, node, cap,
-        )
     return _Row(
         app_id, rpf.required_cpu, saturation, low, max_total, unbounded,
         demand.divisible, slots,
@@ -466,310 +369,11 @@ def _fill(
     return True
 
 
-class _Kernel:
-    """What :func:`distribute_load` runs its three phases over, for the
-    apps placed in one call (placed order).
-
-    ``feasible(level)`` answers one level probe and ``assignment(level)``
-    builds the ``{app: {node: cpu}}`` load at the final level, both by
-    :func:`_fill`'s rules.  ``utilities(current)`` maps a refinement
-    sweep's allocations (the driver's values, in placed order) to each
-    row's ``rpf.utility``.  ``top_first`` lets the level search probe the
-    top level first (:func:`_highest_feasible_level`).  ``max_total`` and
-    ``saturation`` are each row's :func:`_headroom` terms.
-    """
-
-    __slots__ = ()
-
-    def stuck(self, current: Sequence[float]) -> List[bool]:
-        """Rows whose :func:`_headroom` at ``current`` is at most
-        ``EPSILON``, elementwise: :func:`_raise_app` leaves them as they
-        are."""
-        cpu = np.array(current, dtype=float)
-        useful = np.minimum(self.max_total, np.maximum(self.saturation, cpu))
-        return (useful - cpu <= EPSILON).tolist()
-
-
-class _RowsKernel(_Kernel):
-    """The kernel over rows prepared once per call (job links as
-    :class:`_Link`): each level probe is a plain yes/no over them
-    (:func:`_fill`), and the assignment is the same routine run once
-    more at the final level."""
-
-    __slots__ = (
-        "rows", "capacity", "placed_ids", "rpfs", "max_total", "saturation",
-        "top_first",
-    )
-
-    def __init__(
-        self,
-        state: PlacementState,
-        placed: Mapping[str, AllocatableApp],
-        placed_ids: List[str],
-        capacity: Mapping[str, float],
-    ) -> None:
-        rows = [_prepare_row(a, placed[a], state, capacity) for a in placed_ids]
-        # _fill's order: singletons (links among them), then divisible
-        # applications, each in placed order.
-        self.rows = [r for r in rows if not r.divisible] + [
-            r for r in rows if r.divisible
-        ]
-        self.capacity = capacity
-        self.placed_ids = placed_ids
-        self.rpfs = [placed[a].rpf for a in placed_ids]
-        # _aggregate_bounds's ceiling, which _prepare_row replaces by the
-        # nodes' capacity when it is unbounded.
-        self.max_total = np.array([_INF if r.unbounded else r.high for r in rows])
-        self.saturation = np.array([rpf.saturation_cpu for rpf in self.rpfs])
-        # Exact only when every row is a link; see
-        # _highest_feasible_level.
-        self.top_first = all(isinstance(row, _Link) for row in rows)
-
-    def feasible(self, level: float) -> bool:
-        return _fill(self.rows, level, self.capacity)
-
-    def assignment(self, level: float) -> Dict[str, Dict[str, float]]:
-        per_node: Dict[str, Dict[str, float]] = {a: {} for a in self.placed_ids}
-        _fill(self.rows, level, self.capacity, per_node)
-        return per_node
-
-    def utilities(self, current: Sequence[float]) -> List[float]:
-        return [rpf.utility(cpu) for rpf, cpu in zip(self.rpfs, current)]
-
-
-class _VectorContext(_Kernel):
-    """The array kernel, over the cycle's spec tables: every probe drains
-    each node's chain of single-node singletons level by level, then the
-    divisible applications greedily, bit for bit as :func:`_fill` does.
-
-    Everything here is a function of (state, placed apps, spec tables)
-    and stays fixed for one call; the level search re-uses it across
-    all probes.
-    """
-
-    __slots__ = (
-        "placed_ids", "caps", "min_total", "max_total", "saturation",
-        "u_max", "scalar_rows", "remaining", "goal", "relative_goal", "now",
-        "max_speed", "levels", "link_pos", "link_col", "divisible_rows",
-        "node_names", "generic", "top_first", "_accepted",
-    )
-
-    @classmethod
-    def build(
-        cls,
-        state: PlacementState,
-        placed: Mapping[str, AllocatableApp],
-        placed_ids: List[str],
-        tables: SpecArrays,
-        capacity: Mapping[str, float],
-    ) -> Optional["_VectorContext"]:
-        """The kernel, or ``None`` when the tables miss a placed app or a
-        singleton spans several nodes; the rows kernel takes those
-        calls."""
-        index = tables.index
-        try:
-            row_arr = np.array([index[a] for a in placed_ids], dtype=np.intp)
-        except KeyError:
-            return None
-        node_index = state.node_index
-        max_pi = tables.max_per_instance[row_arr]
-        max_pi_list = max_pi.tolist()
-
-        # One pass over the placed apps' instances.  A single-node
-        # singleton is a link in its node's chain; divisible apps draw
-        # greedily after every chain.
-        instance_items = state.instance_items
-        divisible_rows: List[Tuple[int, str, List[Tuple[str, int, float]]]] = []
-        link_pos, link_col, counts = [], [], []
-        for pos, (app_id, divisible) in enumerate(
-            zip(placed_ids, tables.divisible[row_arr].tolist())
-        ):
-            nodes = [item for item in instance_items(app_id) if item[1] > 0]
-            counts.append(sum(count for _, count in nodes))
-            if divisible:
-                divisible_rows.append((
-                    pos, app_id,
-                    [
-                        (node, node_index[node], max_pi_list[pos] * count)
-                        for node, count in nodes
-                    ],
-                ))
-            elif len(nodes) == 1:
-                link_pos.append(pos)
-                link_col.append(node_index[nodes[0][0]])
-            else:
-                return None
-
-        ctx = cls.__new__(cls)
-        ctx.placed_ids = placed_ids
-        ctx.divisible_rows = divisible_rows
-        ctx.node_names = list(node_index)
-        # Float even when the nodes' capacities are ints: every probe
-        # subtracts float takes from a copy in place.
-        ctx.caps = np.array([capacity[name] for name in node_index], dtype=float)
-        # A link's depth is its place in its node's chain: _fill walks
-        # singletons in placed order.
-        depth = [0] * len(node_index)
-        link_rank = []
-        for col in link_col:
-            link_rank.append(depth[col])
-            depth[col] += 1
-
-        count_arr = np.array(counts, dtype=float)
-        ctx.min_total = tables.min_cpu[row_arr] * count_arr
-        # _aggregate_bounds: inf per-instance ceiling -> inf total.
-        ctx.max_total = np.where(np.isinf(max_pi), np.inf, max_pi * count_arr)
-        is_job = tables.is_job[row_arr]
-        ctx.remaining = tables.remaining[row_arr]
-        ctx.goal = tables.goal[row_arr]
-        ctx.relative_goal = tables.relative_goal[row_arr]
-        ctx.now = tables.now[row_arr]
-        ctx.max_speed = tables.max_speed[row_arr]
-        ctx.u_max = tables.u_max[row_arr]
-        ctx.saturation = np.where(
-            ctx.remaining <= EPSILON, 0.0, ctx.max_speed
-        )
-        # Rows without a parametric batch RPF answer through it.
-        ctx.generic = [
-            (pos, placed[placed_ids[pos]].rpf)
-            for pos in np.flatnonzero(~is_job).tolist()
-        ]
-        for pos, rpf in ctx.generic:
-            ctx.saturation[pos] = rpf.saturation_cpu
-        # Rows whose targets the array kernel can produce: parametric
-        # batch RPFs with a finite speed ceiling.  Everything else gets
-        # the scalar _target over its prepared row.
-        ctx.scalar_rows = [
-            (pos, _prepare_row(placed_ids[pos], placed[placed_ids[pos]],
-                               state, capacity))
-            for pos in np.flatnonzero(~(is_job & np.isfinite(max_pi))).tolist()
-        ]
-
-        # Level j of the chains: the j-th link on each node.  _fill
-        # walks singletons in placed order and nodes never interact
-        # across apps, so draining level by level reproduces each
-        # node's sequential residual chain bit for bit.
-        ctx.link_pos = link_pos
-        ctx.link_col = link_col
-        pos_arr = np.array(link_pos, dtype=np.intp)
-        col_arr = np.array(link_col, dtype=np.intp)
-        rank_arr = np.array(link_rank, dtype=np.intp)
-        cap_arr = max_pi[pos_arr] * count_arr[pos_arr]
-        ctx.levels = [
-            (pos_arr[at], col_arr[at], cap_arr[at])
-            for at in (rank_arr == j for j in range(max(depth, default=0)))
-        ]
-        ctx.top_first = not divisible_rows and not ctx.scalar_rows
-        return ctx
-
-    # ------------------------------------------------------------------
-    def targets_at(self, level: float) -> np.ndarray:
-        """Per-app aggregate CPU demand at ``level`` (placed order)."""
-        remaining, now = self.remaining, self.now
-        # JobAllocationRPF.required_cpu, elementwise, in its exact
-        # branch order (done -> unreachable -> past-horizon -> formula).
-        target_completion = self.goal - level * self.relative_goal
-        horizon = target_completion - now
-        positive = horizon > EPSILON
-        div = np.full(len(remaining), np.inf)
-        np.divide(remaining, horizon, out=div, where=positive)
-        req = np.where(
-            positive, np.minimum(self.max_speed, div), self.max_speed
-        )
-        req = np.where(level > self.u_max + EPSILON, np.inf, req)
-        req = np.where(remaining <= EPSILON, 0.0, req)
-        # _target continuation: unreachable -> saturation cap, then
-        # clamp into [min(min_total, max_total), max_total].
-        req = np.where(
-            np.isinf(req), np.minimum(self.saturation, self.max_total), req
-        )
-        low = np.minimum(self.min_total, self.max_total)
-        t = np.where(req < low, low, req)
-        t = np.where(t > self.max_total, self.max_total, t)
-        for pos, row in self.scalar_rows:
-            t[pos] = _target(row, level)
-        return t
-
-    def feasible(self, level: float) -> bool:
-        """:func:`_fill` at ``level``; an accepted probe's takes are kept
-        for :meth:`assignment`."""
-        targets = self.targets_at(level)
-        residual = self.caps.copy()
-        takes = np.zeros(len(targets))
-        for pos_arr, col_arr, cap_arr in self.levels:
-            t = targets[pos_arr]
-            take = np.minimum(np.minimum(t, residual[col_arr]), cap_arr)
-            # _fill only records (and subtracts) a take above EPSILON,
-            # and skips apps whose target is at most EPSILON.
-            take = np.where(take > EPSILON, take, 0.0)
-            residual[col_arr] -= take
-            if np.any(t - take > EPSILON):
-                return False
-            takes[pos_arr] = take
-        div_entries: List[Tuple[str, str, float]] = []
-        for pos, app_id, nodes in self.divisible_rows:
-            target = targets[pos]
-            if target <= EPSILON:
-                continue
-            remaining = target
-            for node, col, cap in sorted(
-                nodes, key=lambda entry: -residual[entry[1]]
-            ):
-                take = min(remaining, residual[col], cap)
-                if take > EPSILON:
-                    div_entries.append((app_id, node, float(take)))
-                    residual[col] -= take
-                    remaining -= take
-                if remaining <= EPSILON:
-                    break
-            if remaining > EPSILON:
-                return False
-        self._accepted = (takes, div_entries)
-        return True
-
-    def assignment(self, level: float) -> Dict[str, Dict[str, float]]:
-        """The takes of the last accepted probe, which the level search
-        made at ``level``, in :func:`_fill`'s insertion order."""
-        takes, div_entries = self._accepted
-        placed_ids = self.placed_ids
-        per_node: Dict[str, Dict[str, float]] = {
-            app_id: {} for app_id in placed_ids
-        }
-        values = takes.tolist()
-        names = self.node_names
-        for pos, col in zip(self.link_pos, self.link_col):
-            if values[pos] > EPSILON:
-                per_node[placed_ids[pos]][names[col]] = values[pos]
-        for app_id, node, take in div_entries:
-            per_node[app_id][node] = per_node[app_id].get(node, 0.0) + take
-        return per_node
-
-    def utilities(self, current: Sequence[float]) -> List[float]:
-        """JobAllocationRPF.utility elementwise for parametric rows, the
-        object call for the rest."""
-        cpu = np.array(current, dtype=float)
-        speed = np.minimum(cpu, self.max_speed)
-        completion = np.full(len(cpu), np.inf)
-        np.divide(self.remaining, speed, out=completion, where=speed > 0)
-        completion += self.now
-        u = (self.goal - completion) / self.relative_goal
-        u = np.maximum(
-            NEGATIVE_INFINITY_UTILITY, np.minimum(u, self.u_max)
-        )
-        u = np.where(cpu <= EPSILON, NEGATIVE_INFINITY_UTILITY, u)
-        u = np.where(self.remaining <= EPSILON, 1.0, u)
-        values = u.tolist()
-        for pos, rpf in self.generic:
-            values[pos] = rpf.utility(current[pos])
-        return values
-
-
 def distribute_load(
     state: PlacementState,
     apps: Mapping[str, AllocatableApp],
     write_load_matrix: bool = True,
     *,
-    tables: Optional[SpecArrays] = None,
     base: Optional[LoadDistributionResult] = None,
     node: Optional[str] = None,
 ) -> LoadDistributionResult:
@@ -786,14 +390,6 @@ def distribute_load(
         When True (default) the resulting per-instance allocations are
         written back into ``state`` (else see
         :meth:`LoadDistributionResult.write_load`).
-    tables:
-        Optional :class:`SpecArrays` covering (at least) the placed
-        applications.  With them the phases run on the array kernel
-        (:class:`_VectorContext`); without them, or when a singleton
-        spans several nodes, on rows prepared once per call
-        (:class:`_RowsKernel`).  Both are bitwise identical to the
-        per-probe reference loop kept in
-        ``tests/test_loadbalance_oracle.py``.
     base, node:
         Give both or neither.  ``base`` is this function's result for
         the placement ``state`` was copied from, with the same ``apps``
@@ -825,23 +421,29 @@ def distribute_load(
 
     placed = {a: apps[a] for a in placed_ids}
     capacity = {node.name: node.cpu_capacity for node in state.cluster}
-    kernel: Optional[_Kernel] = None
-    if tables is not None:
-        kernel = _VectorContext.build(state, placed, placed_ids, tables, capacity)
-    if kernel is None:
-        kernel = _RowsKernel(state, placed, placed_ids, capacity)
+    rows = [_prepare_row(a, placed[a], state, capacity) for a in placed_ids]
+    # _fill's order: singletons (links among them), then divisible
+    # applications, each in placed order.
+    fill_rows = [r for r in rows if not r.divisible] + [
+        r for r in rows if r.divisible
+    ]
+    # Exact only when every row is a link; see _highest_feasible_level.
+    top_first = all(row.__class__ is _Link for row in rows)
 
     # ------------------------------------------------------------------
     # Phase 1+2: binary search the highest feasible common level, then
-    # build the assignment once, at that level.
+    # build the assignment once, at that level, by the same rules.
     # ------------------------------------------------------------------
-    level = _highest_feasible_level(kernel.feasible, kernel.top_first)
+    level = _highest_feasible_level(
+        lambda probe: _fill(fill_rows, probe, capacity), top_first
+    )
     if level is None:
         result.feasible = False
         assignment = _best_effort(placed, state, capacity)
     else:
         result.common_level = level
-        assignment = kernel.assignment(level)
+        assignment = {a: {} for a in placed_ids}
+        _fill(fill_rows, level, capacity, assignment)
 
     allocations = {
         a: sum(assignment.get(a, {}).values()) for a in placed_ids
@@ -853,13 +455,25 @@ def distribute_load(
     # so the headroom _raise_app sees is the sweep's start-of-sweep one:
     # stuck rows are skipped, and so is a sweep with nothing else.
     # ------------------------------------------------------------------
+    rpfs = [app.rpf for app in placed.values()]
+    # _headroom's terms per row: _aggregate_bounds's ceiling, and the
+    # saturation, which the row caps by that ceiling without changing
+    # _headroom's answer.
+    bounds = [
+        (row.saturation, _INF if row.unbounded else row.high) for row in rows
+    ]
     residual = None
     for sweep in range(_MAX_REFINEMENT_SWEEPS):
         current = [allocations[a] for a in placed_ids]
-        values = kernel.utilities(current)
-        stuck = kernel.stuck(current)
+        values = [rpf.utility(cpu) for rpf, cpu in zip(rpfs, current)]
+        # Rows whose _headroom is at most EPSILON: _raise_app leaves
+        # them as they are.
+        stuck = [
+            min(ceiling, max(saturation, cpu)) - cpu <= EPSILON
+            for (saturation, ceiling), cpu in zip(bounds, current)
+        ]
         if all(stuck):
-            if sweep == 0 and level == 1.0 and kernel.top_first:
+            if sweep == 0 and level == 1.0 and top_first:
                 # Trials copied from this state can derive from it.
                 result._top_level = _TopLevelBase(apps, placed_ids)
             break
@@ -882,7 +496,9 @@ def distribute_load(
     else:
         # Every sweep raised something: the last one's utilities are
         # stale.
-        values = kernel.utilities([allocations[a] for a in placed_ids])
+        values = [
+            rpf.utility(allocations[a]) for rpf, a in zip(rpfs, placed_ids)
+        ]
 
     result.allocations = allocations
     result.utilities = dict(zip(placed_ids, values))
@@ -985,7 +601,7 @@ def _derive_from_base(
     precondition fails.
 
     It applies when the base came from a call on the same ``apps`` whose
-    kernel was top-first, at level 1.0, and whose first refinement sweep
+    rows were all links, at level 1.0, and whose first refinement sweep
     found every row stuck; when every app on ``node`` is a
     single-instance :class:`_Link`; when something is still placed; and
     when ``node``'s chain fits at level 1.0 with no row left any
@@ -1003,7 +619,7 @@ def _derive_from_base(
     The level is the top exactly when every node fits there, and with
     every row stuck the first refinement sweep ends the search.  The
     node's chain runs through :func:`_prepare_row` and :func:`_fill`,
-    which the oracle pins bit for bit to both kernels.
+    which the oracle pins bit for bit to the full path.
     """
     top = base._top_level
     if top is None or top.apps is not apps:

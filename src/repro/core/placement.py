@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.errors import CapacityError, PlacementError
-from repro.units import EPSILON
+from repro.units import EPSILON, is_count
 
 
 @dataclass(frozen=True)
@@ -414,9 +414,11 @@ class PlacementState:
         round trip), and the accumulated
         per-node usage caches (re-summing them fresh could differ in the
         last float ulp from the values the original run accumulated,
-        breaking byte-identical resume).  Empty per-app entries are kept
-        for the same order-sensitivity reason: re-placing such an app
-        must land at its original dict position.
+        breaking byte-identical resume).  Empty ``load`` rows are kept
+        for the same order-sensitivity reason: re-allocating to such an
+        app must land at its original dict position.  ``instances``
+        holds no empty entry: :meth:`remove` drops an app's row with its
+        last instance, and every count written is an int above 0.
         """
         return {
             "instances": {a: dict(n) for a, n in self._instances.items()},
@@ -428,12 +430,15 @@ class PlacementState:
 
     @classmethod
     def from_dict(cls, cluster: Cluster, data: Dict[str, object]) -> "PlacementState":
-        """Rebuild a state captured by :meth:`to_dict` over ``cluster``."""
+        """Rebuild a state captured by :meth:`to_dict` over ``cluster``.
+
+        Raises :class:`PlacementError` when ``data`` does not fit
+        ``cluster`` (see :meth:`_check_shape`).
+        """
         state = cls.__new__(cls)
         state._cluster = cluster
         state._instances = {
-            a: {n: int(c) for n, c in nodes.items()}
-            for a, nodes in data["instances"].items()
+            a: dict(nodes) for a, nodes in data["instances"].items()
         }
         state._load = {
             a: {n: float(c) for n, c in nodes.items()}
@@ -448,16 +453,11 @@ class PlacementState:
         state._node_cpu_used = {
             n: float(v) for n, v in data["node_cpu_used"].items()
         }
-        unknown = set(state._node_memory_used) - set(cluster.node_names)
-        if unknown:
-            raise PlacementError(
-                f"placement state references unknown nodes: {sorted(unknown)}"
-            )
+        state._check_shape()
         state._apps_by_node = {n: {} for n in cluster.node_names}
         for app_id, nodes in state._instances.items():
             for node, count in nodes.items():
-                if count > 0:
-                    state._apps_by_node.setdefault(node, {})[app_id] = count
+                state._apps_by_node[node][app_id] = count
         state._rank = {a: i for i, a in enumerate(state._instances)}
         state._next_rank = len(state._rank)
         state._node_index = {n: i for i, n in enumerate(cluster.node_names)}
@@ -477,8 +477,41 @@ class PlacementState:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
+    def _check_shape(self) -> None:
+        """Raise :class:`PlacementError` unless every instance count is
+        an int above 0, every node that ``P``, ``L`` and the per-node
+        caches name is in the cluster, and both caches cover every
+        cluster node."""
+        nodes = self._cluster.node_names
+        known = set(nodes)
+        for app_id, where in self._instances.items():
+            for node, count in where.items():
+                if not is_count(count) or count == 0:
+                    raise PlacementError(
+                        f"{app_id} on {node}: instance count must be an "
+                        f"int above 0, got {count!r}"
+                    )
+        for matrix in (self._instances, self._load):
+            for app_id, where in matrix.items():
+                unknown = sorted(n for n in where if n not in known)
+                if unknown:
+                    raise PlacementError(
+                        f"{app_id} is on unknown nodes: {unknown}"
+                    )
+        for name, cache in (
+            ("memory", self._node_memory_used), ("CPU", self._node_cpu_used)
+        ):
+            unknown = sorted(n for n in cache if n not in known)
+            missing = [n for n in nodes if n not in cache]
+            if unknown or missing:
+                raise PlacementError(
+                    f"{name} cache does not match the cluster: unknown "
+                    f"nodes {unknown}, missing nodes {missing}"
+                )
+
     def validate(self) -> None:
         """Re-derive caches and assert internal consistency (for tests)."""
+        self._check_shape()
         for node in self._cluster:
             mem = sum(
                 self._memory_demand.get(a, 0.0) * nodes.get(node.name, 0)

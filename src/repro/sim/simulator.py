@@ -568,7 +568,9 @@ class MixedWorkloadSimulator:
             self._restore_impl(snapshot)
         except CheckpointError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (
+            KeyError, TypeError, ValueError, AttributeError, PlacementError
+        ) as exc:
             raise CheckpointError(
                 f"snapshot is truncated or malformed: {exc!r}"
             ) from exc

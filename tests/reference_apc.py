@@ -13,16 +13,16 @@ docstring describes it, with none of the production bookkeeping:
 * adoption only on strict improvement, with the preemption penalty for
   candidates that remove instances.
 
-There is no upper bound, no no-op-node skip, no spec tables, and every
-trial gets its load matrix written and its churn diffed against the
+There is no upper bound, no no-op-node skip, no base-derived trial
+load, and every trial gets its load matrix written and its churn diffed against the
 baseline in full.  :class:`ReferenceBatchModel` is the §4.2 batch
 prediction computed job by job — one
 :class:`~repro.batch.rpf.JobAllocationRPF` per job,
 :class:`~repro.batch.hypothetical.HypotheticalRPF` over them — from a
 fresh queue scan on every call.
 
-Both reuse what is pinned elsewhere: ``distribute_load`` without tables
-(``tests/test_loadbalance_oracle.py``), ``diff_placements``, the
+Both reuse what is pinned elsewhere: ``distribute_load`` without a
+``base`` (``tests/test_loadbalance_oracle.py``), ``diff_placements``, the
 controller's prune/refresh helpers, and the objective and admission
 strategies.  :func:`run_cycles` drives either side through the rolling
 control-cycle loop that ``repro bench`` times.

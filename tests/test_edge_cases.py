@@ -15,11 +15,7 @@ from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
-from repro.core.apc import (
-    SPEC_TABLES_MIN_NODES,
-    APCConfig,
-    ApplicationPlacementController,
-)
+from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.loadbalance import AllocatableApp, distribute_load
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
@@ -201,13 +197,13 @@ class TestScenarioBoundary:
 
     def test_int_cpu_per_processor_runs_like_its_float(self):
         """An int speed is positive and finite, so it is accepted, and
-        then it must run: on spec tables, int node capacities used to
-        crash the array load distributor mid-cycle."""
+        then it must run: on 16 nodes, int node capacities once crashed
+        an array load distributor mid-cycle."""
         runs = []
         for cpu in (3900, 3900.0):
             sim = Simulation.from_scenario(
                 Scenario(
-                    nodes=SPEC_TABLES_MIN_NODES, cpu_per_processor=cpu,
+                    nodes=16, cpu_per_processor=cpu,
                     memory_per_node=16384, job_count=60, interarrival=20.0,
                     seed=1,
                 ),

@@ -2,8 +2,8 @@
 
 The batch model builds on the load distributor, so the distributor must
 not import the batch package back.  Each package imports first in a
-fresh interpreter, and the distributor's per-row code runs no import
-statement.
+fresh interpreter, and the distributor's per-row and per-probe code
+runs no import statement.
 """
 
 import dis
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.core.loadbalance import SpecArrays, _prepare_row
+from repro.core.loadbalance import _fill, _prepare_row
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -36,7 +36,7 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("function", [_prepare_row, SpecArrays.from_specs])
+@pytest.mark.parametrize("function", [_prepare_row, _fill])
 def test_no_import_statement_runs_per_call(function):
     ops = {ins.opname for ins in dis.get_instructions(function)}
     assert "IMPORT_NAME" not in ops

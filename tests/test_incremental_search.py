@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
-from repro.core.apc import (
-    SPEC_TABLES_MIN_NODES,
-    APCConfig,
-    ApplicationPlacementController,
-)
+from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.constraints import (
     AntiCollocation,
     Collocation,
@@ -55,9 +51,7 @@ def test_identity_saturated_mixed_50_nodes(seed):
 @pytest.mark.parametrize("seed", [7, 11])
 @pytest.mark.parametrize("nodes", [10, 25])
 def test_identity_saturated_mixed_small_rungs(nodes, seed):
-    """The ladder's two smallest rungs: one below the spec-table size
-    rule (rows-based load distributor), one above it (array
-    distributor)."""
+    """The ladder's two smallest rungs."""
     _identity_case(_bench_scenario(nodes, seed), cycles=8)
 
 
@@ -198,23 +192,22 @@ def test_fast_path_actually_engages():
 # ----------------------------------------------------------------------
 # Decision flight recorder
 # ----------------------------------------------------------------------
-#: :data:`MULTI_SWEEP_SCENARIO`'s saturation at the spec-table size
-#: rule: the search runs on spec tables and the array load distributor.
-SPEC_TABLES_SCENARIO = replace(
+#: :data:`MULTI_SWEEP_SCENARIO`'s saturation on 16 nodes.
+SIXTEEN_NODE_SCENARIO = replace(
     MULTI_SWEEP_SCENARIO,
-    name="spec-tables-regime",
-    nodes=SPEC_TABLES_MIN_NODES,
+    name="sixteen-node-regime",
+    nodes=16,
     job_count=160,
     interarrival=2.0,
     queue_window=48,
 )
 
 
-@pytest.mark.parametrize("spec_tables", [False, True])
-def test_audit_attachment_never_changes_placements(spec_tables):
+@pytest.mark.parametrize("sixteen_nodes", [False, True])
+def test_audit_attachment_never_changes_placements(sixteen_nodes):
     from repro.obs.audit import DecisionAudit
 
-    scenario = SPEC_TABLES_SCENARIO if spec_tables else MULTI_SWEEP_SCENARIO
+    scenario = SIXTEEN_NODE_SCENARIO if sixteen_nodes else MULTI_SWEEP_SCENARIO
     plain = run_cycles(scenario, 6, reference=False)
     audit = DecisionAudit()
     audited = run_cycles(scenario, 6, reference=False, audit=audit)
@@ -302,9 +295,9 @@ def test_identity_under_random_placement_constraints(case):
     _identity_case(scenario, cycles, constraints=constraints, txn_apps=txn_apps)
 
 
-def test_identity_under_constraints_with_spec_tables():
-    """A constrained cluster above the spec-table size rule, beside a
-    divisible transactional app, so the array distributor runs too."""
+def test_identity_under_constraints_on_20_nodes():
+    """A constrained 20-node cluster, beside a divisible transactional
+    app."""
     scenario = _bench_scenario(20, seed=7)
     jobs = [job.job_id for job in scenario.build_jobs()]
     nodes = list(scenario.build_cluster().node_names)
@@ -355,14 +348,14 @@ def test_noop_check_skips_nodes_closed_by_constraints():
 @pytest.mark.parametrize(
     "scenario",
     [
-        pytest.param(SPEC_TABLES_SCENARIO, id="spec-tables"),
+        pytest.param(SIXTEEN_NODE_SCENARIO, id="16-nodes"),
         pytest.param(MULTI_SWEEP_SCENARIO, id="rows-5-nodes"),
     ],
 )
 def test_every_search_trial_derives_from_its_base(monkeypatch, scenario):
     """Where every job is a single-node link at the top level, each
     search trial's distribution is built from its base's result and its
-    node's chain, on spec tables and on the rows kernel alike.  A silent
+    node's chain, on 16 nodes and on 5.  A silent
     fall back to the full path decides the same, so only a count can
     see it."""
     import repro.core.apc as apc_module

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
-from repro.core.loadbalance import AllocatableApp, SpecArrays, distribute_load
+from repro.core.loadbalance import AllocatableApp, distribute_load
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import LinearRPF
 
@@ -214,10 +214,10 @@ class TestMultiNode:
 
 class TestIntegerCapacities:
     """``Scenario(cpu_per_processor=3900)`` gives nodes int capacities;
-    both kernels must give the float-capacity result."""
+    the distributor must give the float-capacity result."""
 
     @staticmethod
-    def distribute(capacity, tables):
+    def distribute(capacity):
         cluster = Cluster.homogeneous(2, cpu_capacity=capacity, memory_capacity=16384)
         state = PlacementState(cluster)
         apps = {}
@@ -228,12 +228,9 @@ class TestIntegerCapacities:
             )
             apps[job.job_id] = job_app(job)
             state.place(job.job_id, cluster.node_names[i % 2], 750)
-        return distribute_load(
-            state, apps, tables=SpecArrays.from_specs(apps) if tables else None
-        )
+        return distribute_load(state, apps)
 
-    @pytest.mark.parametrize("tables", [False, True])
-    def test_int_capacity_gives_the_float_result(self, tables):
-        got = self.distribute(15600, tables)
-        assert got == self.distribute(15600.0, tables)
+    def test_int_capacity_gives_the_float_result(self):
+        got = self.distribute(15600)
+        assert got == self.distribute(15600.0)
         assert got.common_level < 1.0  # the node capacities bind

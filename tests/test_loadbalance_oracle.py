@@ -7,14 +7,14 @@ the loop it replaced, kept as the oracle: every probe recomputes each
 app's aggregate target (:func:`target_at_level`) and a full per-node
 assignment (:func:`try_distribute`), and the last feasible probe's
 assignment is the one refined.  A hypothesis property draws small
-clusters and app mixes and requires the production distributor — with
-and without :class:`~repro.core.loadbalance.SpecArrays` tables — to
+clusters and app mixes and requires the production distributor to
 match the oracle exactly: same floats, same dict insertion order.  The
-oracle asks each app's RPF for its inverse, so it also pins the rows
-kernel's closed-form job-link targets, including where links share a
-node's chain with other singletons.  A trial changed on one node and
-handed its base's result (``base`` and ``node``) must get the same
-result as the call without them.
+oracle asks each app's RPF for its inverse, so it also pins the
+closed-form job-link targets, including where links share a node's
+chain with other singletons, and every field a link carries is checked
+against the RPF that holds it.  A trial changed on one node and handed
+its base's result (``base`` and ``node``) must get the same result as
+the call without them.
 """
 
 import dataclasses
@@ -35,12 +35,10 @@ from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.loadbalance import (
     AllocatableApp,
     LoadDistributionResult,
-    SpecArrays,
     _best_effort,
     _Link,
+    _prepare_row,
     _raise_app,
-    _RowsKernel,
-    _VectorContext,
     distribute_load,
 )
 from repro.core.placement import AppDemand, PlacementState
@@ -450,32 +448,72 @@ def test_distributor_matches_probe_loop_oracle(problem):
     state, apps = problem
     ref_state = state.copy()
     expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
-    scalar_state = state.copy()
-    assert _exact(distribute_load(scalar_state, apps), scalar_state) == expected
-    vector_state = state.copy()
-    tables = SpecArrays.from_specs(apps)
-    got = distribute_load(vector_state, apps, tables=tables)
-    assert _exact(got, vector_state) == expected
+    got_state = state.copy()
+    assert _exact(distribute_load(got_state, apps), got_state) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(single_node_job_problems())
 def test_single_node_job_rows_match_probe_loop_oracle(problem):
-    """Both kernels' top-first probe, and the array kernel's allocations
-    read straight off the accepted probe, on the inputs they apply to."""
+    """The top-first probe, on the inputs it applies to: every placed
+    row is a link."""
     state, apps = problem
     ref_state = state.copy()
     expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
-    tables = SpecArrays.from_specs(apps)
-    placed_ids = [a for a in apps if state.is_placed(a)]
-    placed = {a: apps[a] for a in placed_ids}
     capacity = {node.name: node.cpu_capacity for node in state.cluster}
-    assert _VectorContext.build(state, placed, placed_ids, tables, capacity).top_first
-    assert _RowsKernel(state, placed, placed_ids, capacity).top_first
-    for kernel_tables in (tables, None):
-        got_state = state.copy()
-        got = distribute_load(got_state, apps, tables=kernel_tables)
-        assert _exact(got, got_state) == expected
+    assert all(
+        isinstance(_prepare_row(a, apps[a], state, capacity), _Link)
+        for a in apps
+        if state.is_placed(a)
+    )
+    got_state = state.copy()
+    got = distribute_load(got_state, apps)
+    assert _exact(got, got_state) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems())
+def test_every_link_carries_its_rpfs_floats(problem):
+    """A link carries the floats its ``JobAllocationRPF`` holds and the
+    bounds of its one ``(node, count)`` item, bit for bit; every other
+    placed app is prepared as a generic row."""
+    state, apps = problem
+    capacity = {node.name: node.cpu_capacity for node in state.cluster}
+    for app_id, app in apps.items():
+        if not state.is_placed(app_id):
+            continue
+        row = _prepare_row(app_id, app, state, capacity)
+        rpf, demand = app.rpf, app.demand
+        nodes = state.instances(app_id)
+        if not (
+            isinstance(rpf, JobAllocationRPF)
+            and not demand.divisible
+            and demand.max_cpu_per_instance_mhz != float("inf")
+            and len(nodes) == 1
+        ):
+            assert not isinstance(row, _Link)
+            continue
+        assert isinstance(row, _Link)
+        (node, count), = nodes.items()
+        cap = demand.max_cpu_per_instance_mhz * count
+        assert repr(row) == repr(_Link(
+            app_id,
+            min(rpf.saturation_cpu, cap),
+            min(demand.min_cpu_mhz * count, cap),
+            cap,
+            rpf.max_utility + EPSILON,
+            rpf.remaining_work,
+            rpf.goal,
+            rpf.relative_goal,
+            rpf.now,
+            rpf.max_speed,
+            node,
+            cap,
+        ))
+        assert repr(rpf.fields()) == repr((
+            rpf.saturation_cpu, rpf.max_utility, rpf.remaining_work,
+            rpf.goal, rpf.relative_goal, rpf.now, rpf.max_speed,
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -598,7 +636,7 @@ def test_trial_from_its_base_matches_the_full_path(problem):
     """``base``/``node`` change how a result is computed, never what it
     is: each trial's result equals the call without them (and, written
     into the state, the probe-loop oracle), and becomes the next trial's
-    base; with spec tables and without."""
+    base."""
     state, apps, trials = problem
     expected = []
     for _, trial in trials:
@@ -606,21 +644,17 @@ def test_trial_from_its_base_matches_the_full_path(problem):
         expected.append(
             _exact(reference_distribute_load(ref_state, apps), ref_state)
         )
-    for tables in (SpecArrays.from_specs(apps), None):
-        base = distribute_load(state, apps, write_load_matrix=False, tables=tables)
-        for (node, trial), oracle in zip(trials, expected):
-            got = distribute_load(
-                trial, apps, write_load_matrix=False, tables=tables,
-                base=base, node=node,
-            )
-            full = distribute_load(
-                trial, apps, write_load_matrix=False, tables=tables
-            )
-            assert _result_parts(got) == _result_parts(full)
-            written = trial.copy()
-            got.write_load(written)
-            assert _exact(got, written) == oracle
-            base = got
+    base = distribute_load(state, apps, write_load_matrix=False)
+    for (node, trial), oracle in zip(trials, expected):
+        got = distribute_load(
+            trial, apps, write_load_matrix=False, base=base, node=node
+        )
+        full = distribute_load(trial, apps, write_load_matrix=False)
+        assert _result_parts(got) == _result_parts(full)
+        written = trial.copy()
+        got.write_load(written)
+        assert _exact(got, written) == oracle
+        base = got
 
 
 def test_base_and_node_come_together():
@@ -637,8 +671,8 @@ def test_base_and_node_come_together():
 # ----------------------------------------------------------------------
 def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
     """perfbench's ``share`` wiring, the transactional app beside
-    Experiment One jobs on 4 nodes, runs the rows kernel: every job row
-    it prepares is a link, whose target :func:`_fill` works out in
+    Experiment One jobs on 4 nodes: every job row the distributor
+    prepares is a link, whose target :func:`_fill` works out in
     closed form, and the divisible transactional row is not."""
     scale = Scale("share", nodes=4, job_count=40, queue_window=8)
     cluster = scale.cluster()

@@ -175,6 +175,63 @@ class TestValidate:
         state.validate()
 
 
+class TestShape:
+    """Counts, nodes and caches that do not fit the cluster are refused
+    as PlacementError, where a state is loaded and where it is checked."""
+
+    @staticmethod
+    def data(state):
+        state.place("a", FIRST, memory_mb=100)
+        state.set_cpu("a", FIRST, 50)
+        return json.loads(json.dumps(state.to_dict()))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda d: d["instances"]["a"].update({FIRST: 0}), id="zero"),
+            pytest.param(lambda d: d["instances"]["a"].update({FIRST: -1}), id="negative"),
+            pytest.param(lambda d: d["instances"]["a"].update({FIRST: 1.0}), id="float"),
+            pytest.param(lambda d: d["instances"]["a"].update({FIRST: True}), id="bool"),
+            pytest.param(
+                lambda d: d["instances"].update(a={"ghost": 1}), id="instance-on-ghost"
+            ),
+            pytest.param(lambda d: d["load"]["a"].update(ghost=1.0), id="load-on-ghost"),
+            pytest.param(lambda d: d["node_memory_used"].pop(SECOND), id="memory-missing"),
+            pytest.param(lambda d: d["node_cpu_used"].pop(SECOND), id="cpu-missing"),
+            pytest.param(lambda d: d["node_cpu_used"].update(ghost=0.0), id="cpu-on-ghost"),
+        ],
+    )
+    def test_from_dict_refuses(self, state, corrupt):
+        data = self.data(state)
+        corrupt(data)
+        with pytest.raises(PlacementError):
+            PlacementState.from_dict(state.cluster, data)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(
+                lambda s: s._instances.update(a={FIRST: 1, SECOND: 0}), id="zero"
+            ),
+            pytest.param(lambda s: s._instances.update(a={FIRST: True}), id="bool"),
+            pytest.param(
+                lambda s: s._load.update(a={**s._load["a"], "ghost": 0.0}),
+                id="load-on-ghost",
+            ),
+            pytest.param(lambda s: s._node_memory_used.pop(SECOND), id="memory-missing"),
+            pytest.param(lambda s: s._node_cpu_used.pop(SECOND), id="cpu-missing"),
+            pytest.param(
+                lambda s: s._node_memory_used.update(ghost=0.0), id="memory-on-ghost"
+            ),
+        ],
+    )
+    def test_validate_refuses(self, state, corrupt):
+        self.data(state)
+        corrupt(state)
+        with pytest.raises(PlacementError):
+            state.validate()
+
+
 # ----------------------------------------------------------------------
 # Copies that share history, against a model kept with deep copies
 # ----------------------------------------------------------------------

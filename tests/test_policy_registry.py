@@ -18,7 +18,6 @@ from repro.core.admission import (
     LRPFAdmission,
     resolve_admission,
 )
-from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.core.objective import (
     LexMaxMinObjective,
     Objective,
@@ -224,8 +223,7 @@ class TestDefaultPlugByteIdentity:
     """The redesign's core safety property: the default-config APC with
     ``LexMaxMinObjective``/``LRPFAdmission`` plugged explicitly produces
     byte-for-byte the run of the unplugged controller, for two seeds, on
-    clusters below and at ``SPEC_TABLES_MIN_NODES`` (so both load
-    distributors run)."""
+    4 and on 16 nodes."""
 
     @staticmethod
     def run_json(policy_params, seed, nodes):
@@ -250,10 +248,10 @@ class TestDefaultPlugByteIdentity:
             sort_keys=True,
         )
 
-    @pytest.mark.parametrize("spec_tables", [True, False])
+    @pytest.mark.parametrize("sixteen_nodes", [True, False])
     @pytest.mark.parametrize("seed", [0, 1000])
-    def test_identical(self, seed, spec_tables):
-        nodes = SPEC_TABLES_MIN_NODES if spec_tables else 4
+    def test_identical(self, seed, sixteen_nodes):
+        nodes = 16 if sixteen_nodes else 4
         default = self.run_json({}, seed, nodes)
         plugged = self.run_json(
             {

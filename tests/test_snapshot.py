@@ -3,9 +3,8 @@
 The contract under test (the state-serialization contract in
 ``docs/architecture.md``): for any snapshot point,
 ``restore(snapshot).run()`` produces byte-for-byte the trace, metrics,
-and final state of an uninterrupted run — on clusters below and at the
-spec-table size rule (so both load distributors run), with fault
-injection and node outages active, including snapshots taken
+and final state of an uninterrupted run — on 3 and on 16 nodes, with
+fault injection and node outages active, including snapshots taken
 mid-reconciliation while retries and stall timers are in flight.
 
 "Byte-identical" is checked by comparing ``json.dumps`` of the full
@@ -21,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.errors import CheckpointError
 from repro.scenario import Scenario, Simulation
 from repro.sim.metrics import CycleSample, JobCompletionRecord
@@ -71,11 +69,8 @@ def faulty_scenario(
     )
 
 
-#: A loaded cluster at :data:`SPEC_TABLES_MIN_NODES`: the controller
-#: builds spec tables, runs the array load distributor, and searches.
-SPEC_TABLES_SIZE = dict(
-    nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0
-)
+#: A loaded 16-node cluster, on which the controller searches.
+SIXTEEN_NODES = dict(nodes=16, job_count=64, interarrival=20.0)
 
 
 def final_state_json(sim):
@@ -111,12 +106,12 @@ def run_interrupted(scenario, snapshot_time, trace=False):
 
 
 # ----------------------------------------------------------------------
-# Byte-identity, faults on and off, below and at the spec-table size
+# Byte-identity, faults on and off, on 3 and on 16 nodes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("spec_tables", [True, False])
+@pytest.mark.parametrize("sixteen_nodes", [True, False])
 @pytest.mark.parametrize("faults", [True, False])
-def test_restore_equals_uninterrupted(faults, spec_tables):
-    size = SPEC_TABLES_SIZE if spec_tables else {}
+def test_restore_equals_uninterrupted(faults, sixteen_nodes):
+    size = SIXTEEN_NODES if sixteen_nodes else {}
     scenario = faulty_scenario(seed=3, faults=faults, **size)
     reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
     reference.run()
@@ -256,6 +251,56 @@ def test_truncated_snapshot_is_a_checkpoint_error():
             Simulation.from_snapshot(bad)
     with pytest.raises(CheckpointError):
         Simulation.from_snapshot({"schema_version": SNAPSHOT_SCHEMA_VERSION})
+
+
+def _move_to_ghost(placement):
+    app_id, nodes = next(iter(placement["instances"].items()))
+    placement["instances"][app_id] = {"ghost": sum(nodes.values())}
+
+
+def _set_first_count(value):
+    def corrupt(placement):
+        nodes = next(iter(placement["instances"].values()))
+        nodes[next(iter(nodes))] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(_move_to_ghost, id="instance-on-unknown-node"),
+        pytest.param(_set_first_count(-1), id="negative-count"),
+        pytest.param(_set_first_count(0), id="zero-count"),
+        pytest.param(_set_first_count(1.5), id="fractional-count"),
+        pytest.param(
+            lambda p: next(iter(p["load"].values())).update(ghost=1.0),
+            id="load-on-unknown-node",
+        ),
+        pytest.param(
+            lambda p: p["node_memory_used"].update(ghost=0.0),
+            id="memory-cache-on-unknown-node",
+        ),
+        pytest.param(
+            lambda p: p["node_memory_used"].pop("node1"),
+            id="memory-cache-missing-a-node",
+        ),
+        pytest.param(
+            lambda p: p["node_cpu_used"].pop("node1"),
+            id="cpu-cache-missing-a-node",
+        ),
+    ],
+)
+def test_malformed_placement_is_a_checkpoint_error(corrupt):
+    """A snapshot whose placement does not fit the cluster is refused
+    where it is loaded, as a CheckpointError, not by a bare KeyError
+    from the first cycle that touches it."""
+    scenario = faulty_scenario(seed=1)
+    sim = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+    sim.run(until=2 * CYCLE + 100.0)
+    bad = json.loads(json.dumps(sim.snapshot()))
+    corrupt(bad["simulator"]["placement"])
+    with pytest.raises(CheckpointError, match="placement|node|count"):
+        Simulation.from_snapshot(bad).run()
 
 
 def test_config_mismatch_is_a_checkpoint_error():

@@ -4,7 +4,7 @@ The contracts under test:
 
 * **zero overhead off** — with no tracer attached, simulation results
   are byte-identical to a tracer-attached run (modulo the trace-only
-  fields), below and at the spec-table size rule, with faults on;
+  fields), on 3 and on 16 nodes, with faults on;
 * **unbroken chains** — every completed job's trace reconstructs an
   arrival -> completion chain of parent-linked spans, even under fault
   injection and retries;
@@ -25,7 +25,6 @@ import math
 
 import pytest
 
-from repro.core.apc import SPEC_TABLES_MIN_NODES
 from repro.errors import ConfigurationError
 from repro.obs.alerts import AlertConfig
 from repro.obs.audit import DecisionAudit
@@ -86,11 +85,8 @@ def faulty_scenario(
     )
 
 
-#: A loaded cluster at :data:`SPEC_TABLES_MIN_NODES`: the controller
-#: builds spec tables, runs the array load distributor, and searches.
-SPEC_TABLES_SIZE = dict(
-    nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0
-)
+#: A loaded 16-node cluster, on which the controller searches.
+SIXTEEN_NODES = dict(nodes=16, job_count=64, interarrival=20.0)
 
 
 def traced_run(scenario, tracer=None):
@@ -128,12 +124,12 @@ def stripped_state(sim):
 
 
 # ----------------------------------------------------------------------
-# Zero overhead with tracing off (faults on, both load distributors)
+# Zero overhead with tracing off (faults on, 3 and 16 nodes)
 # ----------------------------------------------------------------------
 class TestTracingOffByteIdentity:
-    @pytest.mark.parametrize("spec_tables", [True, False])
-    def test_results_identical_with_and_without_tracer(self, spec_tables):
-        scenario = faulty_scenario(**(SPEC_TABLES_SIZE if spec_tables else {}))
+    @pytest.mark.parametrize("sixteen_nodes", [True, False])
+    def test_results_identical_with_and_without_tracer(self, sixteen_nodes):
+        scenario = faulty_scenario(**(SIXTEEN_NODES if sixteen_nodes else {}))
         plain = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
         plain.run()
         traced, tracer = traced_run(scenario)

@@ -1,6 +1,6 @@
-"""The production controller and batch model — array kernels,
-short-circuits, deferred load writes — must be *byte-identical* to the paper-literal reference
-solver (:mod:`tests.reference_apc`) in full simulations: same metrics,
+"""The production controller and batch model — array scans,
+short-circuits, deferred load writes — must be *byte-identical* to the
+paper-literal reference solver (:mod:`tests.reference_apc`) in full simulations: same metrics,
 same trace, same final snapshot, with faults and checkpoint/restore
 active and on the §5.3 sharing configuration.
 
@@ -23,7 +23,6 @@ from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import (
     SPAN_PHASES,
-    SPEC_TABLES_MIN_NODES,
     APCConfig,
     ApplicationPlacementController,
 )
@@ -81,11 +80,8 @@ def fault_scenario(
     )
 
 
-#: A loaded cluster at :data:`SPEC_TABLES_MIN_NODES`: the controller
-#: builds spec tables, runs the array load distributor, and searches.
-SPEC_TABLES_SIZE = dict(
-    nodes=SPEC_TABLES_MIN_NODES, job_count=64, interarrival=20.0
-)
+#: A loaded 16-node cluster, on which the controller searches.
+SIXTEEN_NODES = dict(nodes=16, job_count=64, interarrival=20.0)
 
 
 def metrics_and_trace(simulator):
@@ -122,14 +118,14 @@ def run_full(scenario, *, reference=False):
 # ----------------------------------------------------------------------
 # Full-simulation byte-identity, production vs reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("spec_tables", [True, False])
+@pytest.mark.parametrize("sixteen_nodes", [True, False])
 @pytest.mark.parametrize("faults", [True, False])
-def test_vectorized_run_is_byte_identical_to_scalar(faults, spec_tables):
+def test_vectorized_run_is_byte_identical_to_scalar(faults, sixteen_nodes):
     """Metrics, trace, queue, placement matrices and RNG stream of a
-    whole production run (array kernels, short-circuits) equal the
-    scalar reference solver's, with fault injection on and off, below
-    and at the spec-table size rule."""
-    size = SPEC_TABLES_SIZE if spec_tables else {}
+    whole production run (array scans, short-circuits) equal the
+    scalar reference solver's, with fault injection on and off, on 3
+    and on 16 nodes."""
+    size = SIXTEEN_NODES if sixteen_nodes else {}
     production = run_full(fault_scenario(faults=faults, **size))
     reference = run_full(fault_scenario(faults=faults, **size), reference=True)
     assert final_state_json(production) == final_state_json(reference)
@@ -199,8 +195,9 @@ def run_sharing(*, reference):
 
 def test_sharing_run_is_identical_on_every_solver_path():
     """The small-cluster path the §5.3 sharing benchmark measures — the
-    rows load-distribution kernel, the array admission, the batch
-    model's table kernels — decides exactly as the reference."""
+    load distributor's links beside the transactional row, the array
+    admission, the batch model's table kernels — decides exactly as the
+    reference."""
     production, profiler = run_sharing(reference=False)
     assert len(production.metrics.completions) == SHARING_SCALE.job_count
     assert any(r.name == "apc.search" for r in profiler.records)
@@ -218,7 +215,6 @@ def test_span_phase_names_are_stable():
     assert SPAN_PHASES == (
         "apc.place",
         "apc.model_specs",
-        "apc.spec_tables",
         "apc.admission",
         "apc.search",
         "apc.evaluate",
@@ -231,9 +227,9 @@ def test_span_phase_names_are_stable():
 def test_profiled_vectorized_run_emits_only_known_phases():
     scenario = Scenario(
         name="span-vec",
-        nodes=SPEC_TABLES_MIN_NODES,
+        nodes=16,
         workload="experiment2",
-        job_count=8 * SPEC_TABLES_MIN_NODES,
+        job_count=8 * 16,
         interarrival=30.0,
         seed=7,
         queue_window=16,
@@ -255,8 +251,6 @@ def test_profiled_vectorized_run_emits_only_known_phases():
         now += 600.0
     names = {r.name for r in profiler.records}
     assert names <= set(SPAN_PHASES)
-    # The spec tables are built at this size.
-    assert "apc.spec_tables" in names
     assert "apc.place" in names
 
 
