@@ -46,7 +46,8 @@ time" (§5.1).
 The implementation adds bookkeeping that changes no decision: an upper
 bound that ends the search once no candidate can beat the incumbent, a
 skipped zero-removal trial when the fill pass would place nothing on the
-node, and array scans in admission.  A scored candidate costs one load
+node, and an admission pass that sorts the nodes by free CPU once and
+keeps per-node running sums.  A scored candidate costs one load
 distribution, one prediction per model and one objective score: its load
 is written into its state only on adoption (nothing reads a trial's load
 before), and its churn is its base's plus its change on its one node.
@@ -66,8 +67,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
-
-import numpy as np
 
 from repro._compat import keyword_only
 from repro.cluster import Cluster
@@ -619,27 +618,6 @@ class ApplicationPlacementController:
                 return False
         return self._constraints.allows(state, demand.app_id, node)
 
-    def _committed_min_cpu(
-        self, state: PlacementState, specs: Mapping[str, AllocatableApp]
-    ) -> Dict[str, float]:
-        """Per-node sum of placed instances' minimum speeds.
-
-        The admission pass's index: computed once per pass and updated
-        per placement, so the min-CPU reservation check does not rescan
-        every application on the node for every (candidate, node) pair.
-        """
-        committed = {n: 0.0 for n in self._cluster.node_names}
-        for app_id in state.app_ids:
-            spec = specs.get(app_id)
-            if spec is None:
-                continue
-            min_cpu = spec.demand.min_cpu_mhz
-            if min_cpu <= 0.0:
-                continue
-            for node, count in state.instance_items(app_id):
-                committed[node] += min_cpu * count
-        return committed
-
     def _make_bound_checker(
         self, specs: Mapping[str, AllocatableApp]
     ) -> Callable[[PlacementScore], bool]:
@@ -676,32 +654,41 @@ class ApplicationPlacementController:
         Returns the number of instances placed.
 
         Singleton applications (jobs) get one instance on the node with
-        the most free CPU among those with room, which spreads jobs and
-        leaves each room to reach its maximum speed; divisible applications
-        (web clusters) get an instance on *every* node that can host one —
+        the most free CPU among those with room, the first in cluster
+        order on a tie, which spreads jobs and leaves each room to reach
+        its maximum speed; divisible applications (web clusters) get an
+        instance on *every* node that can host one, in cluster order —
         growing the cluster costs nothing at this stage and lets the load
         distributor use all available capacity.
 
-        Per-node free memory, committed minimum CPU and free CPU are
-        computed once and updated per placement, so each candidate's
-        memory and min-CPU host scan is one array comparison over all
-        node columns; placement constraints then run on the surviving
-        columns against the live state.  The host tie-break — most free
-        CPU, then lowest node position — maps onto ``argmax`` because
-        numpy returns the *first* maximum.
+        The pass never writes the load matrix, so free CPU is constant:
+        the nodes are sorted by it once, and a singleton takes the first
+        node in that order that passes the memory, min-CPU and constraint
+        tests.  A node's free memory, committed minimum CPU and CPU
+        capacity are read from the state when the walk first reaches it,
+        before anything is placed there, and then kept as running sums.
         """
         unplaced = [c for c in candidates if not state.is_placed(c) and c in specs]
         unplaced = self._admission.order(unplaced, specs, utilities)
         if not unplaced:
             return 0
-        names = list(state.node_index)
-        cpu_caps, mem_caps = state.capacity_arrays()
-        mem_avail = mem_caps - state.memory_used_array()
-        # The admission pass never touches the load matrix, so free CPU
-        # (the host tie-break key) is constant throughout.
-        cpu_avail = cpu_caps - state.cpu_used_array()
-        committed_by_name = self._committed_min_cpu(state, specs)
-        committed = np.array([committed_by_name[n] for n in names])
+        cluster = state.cluster
+        names = cluster.node_names
+        # The singletons' walk: most free CPU first (sorted() is stable,
+        # so ties keep cluster order), in a dict so that full nodes can
+        # leave it.  A node whose sums fail the pass's least singleton
+        # demand hosts no later singleton: free memory only shrinks and
+        # committed CPU only grows.
+        order = dict.fromkeys(
+            sorted(names, key=state.cpu_available, reverse=True)
+        )
+        singles = [
+            specs[a].demand for a in unplaced if not specs[a].demand.divisible
+        ]
+        least_memory = min((d.memory_mb for d in singles), default=0.0)
+        least_min_cpu = min((d.min_cpu_mhz for d in singles), default=0.0)
+        # node -> [free memory, committed minimum CPU, CPU capacity]
+        room: Dict[str, List[float]] = {}
         constraints = self._constraints if len(self._constraints) else None
         observe = bool(self._observers)
         placed = 0
@@ -710,35 +697,44 @@ class ApplicationPlacementController:
             memory_mb = demand.memory_mb
             min_cpu = demand.min_cpu_mhz
             max_inst = demand.max_instances
+            divisible = demand.divisible
             count = state.instance_count(app_id)
             placed_nodes: List[str] = []
-            mask = (mem_avail + EPSILON >= memory_mb) & (
-                committed + min_cpu <= cpu_caps + EPSILON
-            )
-            if demand.divisible:
-                for col in np.flatnonzero(mask).tolist():
-                    if max_inst is not None and count >= max_inst:
-                        break
-                    node = names[col]
-                    if constraints is not None and not constraints.allows(
-                        state, app_id, node
-                    ):
-                        continue
+            full: List[str] = []
+            # A placement changes only its own node's sums, which the
+            # walk has passed, so each node is tested once.
+            for node in names if divisible else order:
+                if max_inst is not None and count >= max_inst:
+                    break
+                sums = room.get(node)
+                if sums is None:
+                    sums = room[node] = [
+                        state.memory_available(node),
+                        self._node_committed_min(state, specs, node),
+                        cluster.node(node).cpu_capacity,
+                    ]
+                if (
+                    sums[0] + EPSILON >= memory_mb
+                    and sums[1] + min_cpu <= sums[2] + EPSILON
+                    and (
+                        constraints is None
+                        or constraints.allows(state, app_id, node)
+                    )
+                ):
                     state.place(app_id, node, memory_mb)
-                    committed[col] += min_cpu
-                    mem_avail[col] -= memory_mb
+                    sums[0] -= memory_mb
+                    sums[1] += min_cpu
                     count += 1
                     placed_nodes.append(node)
-            elif max_inst is None or count < max_inst:
-                if constraints is not None:
-                    for col in np.flatnonzero(mask).tolist():
-                        mask[col] = constraints.allows(state, app_id, names[col])
-                if mask.any():
-                    target = int(np.argmax(np.where(mask, cpu_avail, -np.inf)))
-                    state.place(app_id, names[target], memory_mb)
-                    committed[target] += min_cpu
-                    mem_avail[target] -= memory_mb
-                    placed_nodes.append(names[target])
+                    if not divisible:
+                        break
+                elif not divisible and not (
+                    sums[0] + EPSILON >= least_memory
+                    and sums[1] + least_min_cpu <= sums[2] + EPSILON
+                ):
+                    full.append(node)
+            for node in full:
+                del order[node]
             placed += len(placed_nodes)
             if observe:
                 self._note_admission(
@@ -856,12 +852,11 @@ class ApplicationPlacementController:
                 not state.is_placed(c) for c in candidates if c in specs
             )
         best_placed = max(placed_utilities.values())
-        # One array scan for the nodes with free CPU, instead of an
-        # O(nodes) availability probe per starved application.
-        cpu_caps, _ = state.capacity_arrays()
-        names = list(state.node_index)
-        free_mask = (cpu_caps - state.cpu_used_array()) > EPSILON
-        free_names = [names[i] for i in np.flatnonzero(free_mask).tolist()]
+        # One scan for the nodes with free CPU, instead of an O(nodes)
+        # availability probe per starved application.
+        free_names = [
+            n for n in state.cluster.node_names if state.cpu_available(n) > EPSILON
+        ]
         for app_id, utility in placed_utilities.items():
             if utility >= best_placed - gate:
                 continue

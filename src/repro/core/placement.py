@@ -6,15 +6,10 @@
 bookkeeping and is the object the placement algorithm mutates while
 searching for a better configuration.
 
-Array backing
--------------
-The per-node usage caches are mirrored into dense numpy arrays indexed by
-:attr:`PlacementState.node_index` (node name -> column).  Every mutation
-computes the new scalar value once and writes it to both the dict and the
-array, so the two views are *bitwise* equal at all times — the vectorized
-solver paths (:mod:`repro.core.loadbalance`, :mod:`repro.core.apc`) read
-the arrays while the dict API remains the order-preserving view the
-scalar reference solver and the snapshot format rely on.  The sparse
+Per-node caches
+---------------
+Each node's used memory and CPU are kept in one dict each, which every
+mutation updates; the snapshot form carries them verbatim.  The sparse
 ``P``/``L`` dicts stay authoritative for structure because dict insertion
 order is semantically significant (see :meth:`PlacementState.to_dict`).
 
@@ -34,9 +29,7 @@ depend on: each application carries its rank in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, KeysView, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, KeysView, List, Optional
 
 from repro.cluster import Cluster
 from repro.errors import CapacityError, PlacementError
@@ -90,6 +83,16 @@ class AppDemand:
             )
 
 
+def _check_count(count: object) -> None:
+    """Raise :class:`PlacementError` unless ``count`` is an int above 0
+    and not a bool, as :meth:`PlacementState.from_dict` requires."""
+    # The exact-type test spares the common case is_count's ABC check.
+    if not (type(count) is int or is_count(count)) or count <= 0:
+        raise PlacementError(
+            f"instance count must be an int above 0, got {count!r}"
+        )
+
+
 class PlacementState:
     """Mutable placement + load assignment over a cluster.
 
@@ -118,14 +121,6 @@ class PlacementState:
         # per-node caches
         self._node_memory_used: Dict[str, float] = {n.name: 0.0 for n in cluster}
         self._node_cpu_used: Dict[str, float] = {n.name: 0.0 for n in cluster}
-        # dense mirrors of the per-node caches (see module docstring):
-        # every value written to the dicts above is also written, bit for
-        # bit, to these arrays at the node's column index.
-        self._node_index: Dict[str, int] = {
-            n.name: i for i, n in enumerate(cluster)
-        }
-        self._mem_used_arr = np.zeros(len(self._node_index))
-        self._cpu_used_arr = np.zeros(len(self._node_index))
         # O(1) per-app instance totals (sum over the app's node dict)
         self._inst_total: Dict[str, int] = {}
 
@@ -219,39 +214,6 @@ class PlacementState:
     def total_cpu_used(self) -> float:
         return sum(self._node_cpu_used.values())
 
-    # ------------------------------------------------------------------
-    # Dense array views (vectorized solver surface)
-    # ------------------------------------------------------------------
-    @property
-    def node_index(self) -> Mapping[str, int]:
-        """Node name -> array column, in cluster order.  Shared between
-        copies (the cluster is immutable)."""
-        return self._node_index
-
-    def memory_used_array(self) -> np.ndarray:
-        """Live per-node memory-used mirror (bitwise equal to the dict
-        cache).  Callers must treat it as read-only."""
-        return self._mem_used_arr
-
-    def cpu_used_array(self) -> np.ndarray:
-        """Live per-node CPU-used mirror (bitwise equal to the dict
-        cache).  Callers must treat it as read-only."""
-        return self._cpu_used_arr
-
-    def capacity_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(cpu_capacity, memory_capacity)`` per node, in column order.
-
-        Rebuilt on every call because capacities are availability-aware
-        (an unavailable node reports 0.0).
-        """
-        cpu = np.array(
-            [self._cluster.node(n).cpu_capacity for n in self._node_index]
-        )
-        mem = np.array(
-            [self._cluster.node(n).memory_capacity for n in self._node_index]
-        )
-        return cpu, mem
-
     def allocations(self) -> Dict[str, float]:
         """``{app_id: total CPU}`` over all placed applications."""
         return {app_id: self.cpu_of(app_id) for app_id in self.app_ids}
@@ -276,8 +238,7 @@ class PlacementState:
 
         Raises :class:`CapacityError` if the node lacks memory.
         """
-        if count <= 0:
-            raise PlacementError(f"instance count must be positive, got {count}")
+        _check_count(count)
         if node not in self._node_memory_used:
             raise PlacementError(f"unknown node: {node!r}")
         existing_demand = self._memory_demand.get(app_id)
@@ -302,9 +263,7 @@ class PlacementState:
         # Copy on write: a copy of this state may share both inner dicts.
         self._instances[app_id] = {**nodes, node: here}
         self._apps_by_node[node] = {**self._apps_by_node[node], app_id: here}
-        new_used = self._node_memory_used[node] + needed
-        self._node_memory_used[node] = new_used
-        self._mem_used_arr[self._node_index[node]] = new_used
+        self._node_memory_used[node] += needed
         self._inst_total[app_id] = self._inst_total.get(app_id, 0) + count
 
     def remove(self, app_id: str, node: str, count: int = 1) -> None:
@@ -312,9 +271,10 @@ class PlacementState:
 
         Any CPU allocated to the application on the node is released.
         """
+        _check_count(count)
         nodes = self._instances.get(app_id, {})
         have = nodes.get(node, 0)
-        if count <= 0 or have < count:
+        if have < count:
             raise PlacementError(
                 f"cannot remove {count}x {app_id} from {node}: {have} placed"
             )
@@ -337,7 +297,6 @@ class PlacementState:
         if new_used < 0:
             new_used = 0.0
         self._node_memory_used[node] = new_used
-        self._mem_used_arr[self._node_index[node]] = new_used
         if not left:
             self.set_cpu(app_id, node, 0.0)
         if not nodes:
@@ -364,7 +323,6 @@ class PlacementState:
                 f"node {node}: CPU {new_used:.1f}MHz exceeds capacity {capacity:.1f}MHz"
             )
         self._node_cpu_used[node] = new_used
-        self._cpu_used_arr[self._node_index[node]] = new_used
         # Copy on write, as in place().  An application's row stays in
         # L, possibly empty, once written.
         if cpu_mhz > EPSILON:
@@ -380,7 +338,6 @@ class PlacementState:
         """Zero the entire load matrix (placement is kept)."""
         self._load = {}
         self._node_cpu_used = {n: 0.0 for n in self._node_cpu_used}
-        self._cpu_used_arr.fill(0.0)
 
     def copy(self) -> "PlacementState":
         """An independent copy: it shares the (immutable) cluster and the
@@ -395,9 +352,6 @@ class PlacementState:
         clone._memory_demand = self._memory_demand.copy()
         clone._node_memory_used = self._node_memory_used.copy()
         clone._node_cpu_used = self._node_cpu_used.copy()
-        clone._node_index = self._node_index
-        clone._mem_used_arr = self._mem_used_arr.copy()
-        clone._cpu_used_arr = self._cpu_used_arr.copy()
         clone._inst_total = self._inst_total.copy()
         return clone
 
@@ -460,13 +414,6 @@ class PlacementState:
                 state._apps_by_node[node][app_id] = count
         state._rank = {a: i for i, a in enumerate(state._instances)}
         state._next_rank = len(state._rank)
-        state._node_index = {n: i for i, n in enumerate(cluster.node_names)}
-        state._mem_used_arr = np.array(
-            [state._node_memory_used.get(n, 0.0) for n in state._node_index]
-        )
-        state._cpu_used_arr = np.array(
-            [state._node_cpu_used.get(n, 0.0) for n in state._node_index]
-        )
         state._inst_total = {
             a: total
             for a, nodes in state._instances.items()
@@ -534,19 +481,6 @@ class PlacementState:
                 )
             if cpu > node.cpu_capacity + EPSILON:
                 raise CapacityError(f"node {node.name} CPU overcommitted")
-            col = self._node_index[node.name]
-            if self._mem_used_arr[col] != self._node_memory_used[node.name]:
-                raise PlacementError(
-                    f"memory array mirror drift on {node.name}: "
-                    f"{self._mem_used_arr[col]} vs "
-                    f"{self._node_memory_used[node.name]}"
-                )
-            if self._cpu_used_arr[col] != self._node_cpu_used[node.name]:
-                raise PlacementError(
-                    f"CPU array mirror drift on {node.name}: "
-                    f"{self._cpu_used_arr[col]} vs "
-                    f"{self._node_cpu_used[node.name]}"
-                )
         for app_id, nodes in self._instances.items():
             if self._inst_total.get(app_id, 0) != sum(nodes.values()):
                 raise PlacementError(

@@ -42,12 +42,12 @@ from repro.scenario import Scenario
 BENCH_SCHEMA = "repro.bench.apc/v2"
 
 #: Cluster sizes of the full ladder (node counts).  The 500/1000/2000
-#: rungs pin the array kernels' scaling (§5.1 plots decision time
+#: rungs pin the controller's scaling (§5.1 plots decision time
 #: against cluster size).
 DEFAULT_SIZES = (10, 25, 50, 100, 200, 500, 1000, 2000)
 
 #: Sizes used by ``--quick`` (CI smoke).  Includes one big rung so the
-#: array kernels' scaling — the part most likely to regress — is
+#: controller's scaling — the part most likely to regress — is
 #: smoke-checked on every run, not only in full ladder runs.
 QUICK_SIZES = (10, 25, 500)
 

@@ -496,6 +496,76 @@ class AlertEngine:
             self._g_active.set(float(count), rule=rule)
 
     # ------------------------------------------------------------------
+    # Snapshot / restore (crash-safe simulations)
+    # ------------------------------------------------------------------
+    def state_dict(self) -> Dict[str, object]:
+        """History, active alerts, counters, rule windows and streaks as
+        JSON data.
+
+        An active alert that is in the history is written as its index
+        there, so that after :meth:`restore_state` resolving it updates
+        the history entry too.
+        """
+        position = {id(alert): i for i, alert in enumerate(self.alerts)}
+        return {
+            "alerts": [dataclasses.asdict(alert) for alert in self.alerts],
+            "active": [
+                {"history": position[id(alert)]}
+                if id(alert) in position
+                else {"alert": dataclasses.asdict(alert)}
+                for alert in self._active.values()
+            ],
+            "dropped_alerts": self.dropped_alerts,
+            "fired_count": self.fired_count,
+            "resolved_count": self.resolved_count,
+            "burn": {app: list(window) for app, window in self._burn.items()},
+            "deadline": list(self._deadline),
+            "stall": [list(pair) for pair in self._stall],
+            "moves": {app: list(window) for app, window in self._moves.items()},
+            "starving_streak": self._starving_streak,
+            "overload_streak": dict(self._overload_streak),
+            "cycles_observed": self._cycles_observed,
+        }
+
+    def restore_state(self, data: Mapping[str, object]) -> None:
+        """Overwrite this engine from :meth:`state_dict` output taken
+        under the same :class:`AlertConfig`.  The sink and the registry
+        are left untouched: restored transitions were streamed and
+        published when they happened."""
+        cfg = self.config
+        self.alerts = [Alert(**alert) for alert in data["alerts"]]
+        self._active = {}
+        for entry in data["active"]:
+            if "history" in entry:
+                index = entry["history"]
+                if not 0 <= index < len(self.alerts):
+                    raise ValueError(f"active alert at history index {index!r}")
+                alert = self.alerts[index]
+            else:
+                alert = Alert(**entry["alert"])
+            self._active[(alert.rule, alert.subject)] = alert
+        self.dropped_alerts = int(data["dropped_alerts"])
+        self.fired_count = int(data["fired_count"])
+        self.resolved_count = int(data["resolved_count"])
+        self._burn = {
+            app: deque(window, maxlen=cfg.burn_long_window)
+            for app, window in data["burn"].items()
+        }
+        self._deadline = deque(data["deadline"], maxlen=cfg.deadline_window)
+        self._stall = deque(
+            (tuple(pair) for pair in data["stall"]), maxlen=cfg.stall_window
+        )
+        self._moves = {
+            app: deque(window, maxlen=cfg.thrash_window)
+            for app, window in data["moves"].items()
+        }
+        self._starving_streak = int(data["starving_streak"])
+        self._overload_streak = {
+            node: int(streak) for node, streak in data["overload_streak"].items()
+        }
+        self._cycles_observed = int(data["cycles_observed"])
+
+    # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     @property

@@ -516,7 +516,7 @@ class MixedWorkloadSimulator:
         remaining = list(self._arrivals)
         self._arrivals = iter(remaining)
         rec = self._reconciler
-        return {
+        data: Dict[str, object] = {
             "schema_version": SNAPSHOT_SCHEMA_VERSION,
             "config": self._config.to_dict(),
             "cluster": {
@@ -550,6 +550,17 @@ class MixedWorkloadSimulator:
             "events": [self._encode_event(e) for e in self._events.dump_events()],
             "cycles_recorded": len(self.metrics.cycles),
         }
+        # Only runs with a watchdog write the key, so other snapshots
+        # keep their pre-alert bytes.
+        if self.alert_engine is not None:
+            data["alerts"] = {
+                "engine": self.alert_engine.state_dict(),
+                "completions_seen": self._alert_completions_seen,
+                "prev_moves": dict(self._alert_prev_moves),
+                "prev_attempts": self._alert_prev_attempts,
+                "prev_stalls": self._alert_prev_stalls,
+            }
+        return data
 
     def restore(self, snapshot: Mapping[str, object]) -> None:
         """Load a :meth:`snapshot` into this (fresh, same-config)
@@ -612,6 +623,18 @@ class MixedWorkloadSimulator:
             self.tracer.restore_state(tracer_state)
         self._init_reconciler()
         self._init_alerts()
+        # ``.get``: snapshots of runs without a watchdog, and older ones,
+        # lack the key; the watchdog then starts afresh.
+        alert_state = snapshot.get("alerts")
+        if self.alert_engine is not None and alert_state is not None:
+            self.alert_engine.restore_state(alert_state["engine"])
+            self._alert_completions_seen = int(alert_state["completions_seen"])
+            self._alert_prev_moves = {
+                job_id: int(moves)
+                for job_id, moves in alert_state["prev_moves"].items()
+            }
+            self._alert_prev_attempts = int(alert_state["prev_attempts"])
+            self._alert_prev_stalls = int(alert_state["prev_stalls"])
         rec_state = snapshot["reconciler"]
         if rec_state is not None:
             if self._reconciler is None:

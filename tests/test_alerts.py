@@ -269,6 +269,49 @@ class TestEngineLifecycle:
         assert total.value(rule=RULE_DEADLINE_MISS, event="resolved") == 1.0
         assert active.value(rule=RULE_DEADLINE_MISS) == 0.0
 
+    def test_restored_state_continues_every_rule(self):
+        """Every rule fires over two bad cycles, four of the six alerts
+        past the history's capacity, and resolves over three good ones.
+        An engine restored from a JSON round trip of ``state_dict()``
+        between the two reports what the original reports and ends in
+        its state, history entries resolved in place included."""
+        config = AlertConfig(
+            burn_short_window=2, burn_long_window=4, deadline_window=2,
+            stall_window=2, thrash_window=2, thrash_moves_threshold=2,
+            starvation_cycles=2, overload_cycles=2,
+        )
+
+        def cycle(n, bad):
+            return obs(
+                n,
+                txn_utilities={"TX": -1.0 if bad else 1.0},
+                completions_met=[not bad],
+                queued_ages=[60.0],
+                queued_slacks=[-5.0 if bad else 5.0],
+                app_moves={"j1": 2} if bad else {},
+                node_utilization={"n1": 1.0 if bad else 0.2},
+                node_below_goal_txn={"n1": ["TX"]} if bad else {},
+                action_attempts=4,
+                action_stalls=3 if bad else 0,
+            )
+
+        straight = AlertEngine(config, capacity=2)
+        for n in range(2):
+            straight.observe(cycle(n, bad=True))
+        assert straight.summary()["active"] == 6
+        restored = AlertEngine(config, capacity=2)
+        restored.restore_state(json.loads(json.dumps(straight.state_dict())))
+        assert restored.state_dict() == straight.state_dict()
+        for n in range(2, 6):
+            later = cycle(n, bad=n == 2)
+            assert restored.observe(later) == straight.observe(later)
+        assert restored.state_dict() == straight.state_dict()
+        assert restored.summary() == straight.summary() == {
+            "fired": 6, "resolved": 6, "active": 0, "cycles_observed": 6,
+            "dropped": 4,
+        }
+        assert all(alert.resolved_at is not None for alert in restored.alerts)
+
     def test_render_mentions_state(self):
         alert = Alert(rule=RULE_TXN_BURN_RATE, subject="TX",
                       severity="critical", fired_at=900.0, fired_cycle=3)
@@ -344,6 +387,37 @@ def _run_scenario_metrics(alerts=None, sixteen_nodes=False):
     return simulation, doc
 
 
+def streamed_alerts(out):
+    """The alert records a sink wrote to ``out``, in order."""
+    records = (json.loads(line) for line in out.getvalue().splitlines())
+    return [r for r in records if r["type"] in ALERT_RECORD_TYPES]
+
+
+def assert_restore_continues_alerting(build, until):
+    """Run ``build(sink)``'s simulator straight through, and again from
+    a JSON round trip of its snapshot at ``until``.  The restored run
+    must stream the alert records the straight run streams after that
+    point and end in the same engine state.  Returns the straight run
+    and the snapshot."""
+    straight_out = io.StringIO()
+    straight = build(JsonlSink(straight_out))
+    straight.run(until=until)
+    snapshot = json.loads(json.dumps(straight.snapshot()))
+    seen = len(streamed_alerts(straight_out))
+    straight.run()
+
+    resumed_out = io.StringIO()
+    resumed = build(JsonlSink(resumed_out))
+    resumed.restore(snapshot)
+    resumed.run()
+
+    expected = streamed_alerts(straight_out)
+    assert len(expected) > seen
+    assert streamed_alerts(resumed_out) == expected[seen:]
+    assert resumed.alert_engine.state_dict() == straight.alert_engine.state_dict()
+    return straight, snapshot
+
+
 class TestSimulatorIntegration:
     @pytest.mark.parametrize("sixteen_nodes", [True, False])
     def test_alerting_does_not_change_results(self, sixteen_nodes):
@@ -384,12 +458,95 @@ class TestSimulatorIntegration:
         assert len(a.cycles) == len(b.cycles)
         assert [c.time for c in a.cycles] == [c.time for c in b.cycles]
 
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_restored_watchdog_continues_the_uninterrupted_one(self, faults):
+        """The overload run, snapshotted at 12,000 s while TX's burn-rate
+        alert fires: the restored run re-fires nothing and counts every
+        cycle."""
+        from repro.virt.faults import ActionFaultModel
+
+        fault_model = (
+            ActionFaultModel.uniform(
+                failure_probability=0.3,
+                stall_probability=0.3,
+                stall_duration_mean=400.0,
+                seed=3,
+            )
+            if faults
+            else None
+        )
+        straight, snapshot = assert_restore_continues_alerting(
+            lambda sink: overload_simulator(sink, fault_model), 12_000.0
+        )
+        fired = snapshot["alerts"]["engine"]["alerts"]
+        assert (fired[0]["rule"], fired[0]["resolved_at"]) == (
+            RULE_TXN_BURN_RATE, None
+        )
+        assert straight.alert_engine.summary()["cycles_observed"] == 121
+
+    def test_restored_watchdog_keeps_its_action_baselines(self):
+        """A run whose actions fail and stall, snapshotted at 18,000 s
+        after 14 attempts and 2 stalls: the restored run's first cycle
+        reports only its own attempts and stalls to the stall-rate
+        rule."""
+        from repro.scenario import Scenario, Simulation
+        from repro.sim.simulator import SimulationConfig
+        from repro.sim.trace import SimulationTrace
+        from repro.virt.faults import ActionFaultModel, RetryPolicy
+
+        scenario = Scenario(
+            name="stalls", nodes=3, job_count=14, interarrival=100.0, seed=0,
+            sim=SimulationConfig(
+                cycle_length=600.0,
+                fault_model=ActionFaultModel.uniform(
+                    failure_probability=0.45,
+                    stall_probability=0.3,
+                    stall_duration_mean=400.0,
+                    seed=0,
+                ),
+                retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
+                action_timeout=150.0,
+                alerts=AlertConfig(stall_window=4),
+            ),
+        )
+
+        def build(sink):
+            return Simulation.from_scenario(
+                scenario, trace=SimulationTrace(sink=sink)
+            ).simulator
+
+        straight, snapshot = assert_restore_continues_alerting(build, 18_000.0)
+        baselines = snapshot["alerts"]
+        assert (baselines["prev_attempts"], baselines["prev_stalls"]) == (14, 2)
+        rules = {a.rule for a in straight.alert_engine.alerts}
+        assert rules == {RULE_RECONCILER_STALL}
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_active_alert_outside_the_history_is_a_checkpoint_error(self, index):
+        from repro.errors import CheckpointError
+
+        sim = overload_simulator(JsonlSink(io.StringIO()))
+        sim.run(until=12_000.0)
+        snapshot = json.loads(json.dumps(sim.snapshot()))
+        assert snapshot["alerts"]["engine"]["active"] == [{"history": 0}]
+        snapshot["alerts"]["engine"]["active"] = [{"history": index}]
+        with pytest.raises(CheckpointError, match="history index"):
+            overload_simulator(JsonlSink(io.StringIO())).restore(snapshot)
+
+    def test_snapshot_without_a_watchdog_has_no_alert_key(self):
+        from repro.scenario import Scenario, Simulation
+
+        simulation = Simulation.from_scenario(
+            Scenario(name="snap", nodes=2, job_count=6, interarrival=80.0, seed=4)
+        )
+        simulation.run(until=1200.0)
+        assert "alerts" not in simulation.simulator.snapshot()
+
 
 # ----------------------------------------------------------------------
 # Seeded overload acceptance scenario
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def overload_run(tmp_path_factory):
+def overload_simulator(sink, fault_model=None):
     """A 3-node cluster whose transactional app wants ~2x the cluster's
     total CPU: TX burns its SLO from the start, and the batch queue
     starves behind it once deadline slack drains below zero."""
@@ -407,7 +564,6 @@ def overload_run(tmp_path_factory):
         experiment_one_jobs,
     )
 
-    path = tmp_path_factory.mktemp("overload") / "alerts.jsonl"
     cluster = Cluster.homogeneous(
         3, cpu_capacity=4 * 3900.0, memory_capacity=16 * 1024.0,
         cpu_per_processor=3900.0,
@@ -422,19 +578,26 @@ def overload_run(tmp_path_factory):
         cluster, APCConfig(cycle_length=300.0)
     )
     policy = APCPolicy(controller, [TransactionalWorkloadModel([txn]), batch])
-    sink = JsonlSink(path)
-    sim = MixedWorkloadSimulator(
+    return MixedWorkloadSimulator(
         cluster, policy, queue,
         arrivals=experiment_one_jobs(count=30, mean_interarrival=20.0, seed=3),
         txn_apps=[txn], batch_model=batch,
         trace=SimulationTrace(sink=sink),
         config=SimulationConfig(
             cycle_length=300.0, max_time=120 * 300.0,
+            fault_model=fault_model,
             alerts=AlertConfig(
                 burn_short_window=4, burn_long_window=8, starvation_cycles=2,
             ),
         ),
     )
+
+
+@pytest.fixture(scope="module")
+def overload_run(tmp_path_factory):
+    path = tmp_path_factory.mktemp("overload") / "alerts.jsonl"
+    sink = JsonlSink(path)
+    sim = overload_simulator(sink)
     sim.run()
     sink.close()
     return sim, path

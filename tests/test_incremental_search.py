@@ -9,6 +9,7 @@ full per-cycle placement matrices, load matrices, allocations and
 utilities.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
+from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.constraints import (
     AntiCollocation,
@@ -25,14 +27,16 @@ from repro.core.constraints import (
     MaxInstancesPerNode,
     PinToNodes,
 )
-from repro.core.placement import PlacementState
+from repro.core.loadbalance import AllocatableApp
+from repro.core.placement import AppDemand, PlacementState
+from repro.core.rpf import LinearRPF
 from repro.experiments.benchmark import _bench_scenario
 from repro.experiments.common import Scale
 from repro.experiments.experiment3 import make_txn_app
 from repro.obs.registry import MetricRegistry
 from repro.scenario import Scenario
 
-from tests.reference_apc import run_cycles
+from tests.reference_apc import ReferenceController, run_cycles
 
 
 def _identity_case(scenario, cycles, **kwargs):
@@ -316,6 +320,85 @@ def test_identity_under_constraints_on_20_nodes():
     _identity_case(
         scenario, cycles=8, constraints=constraints, txn_apps=[txn_app]
     )
+
+
+@st.composite
+def admission_cases(draw):
+    """One admission pass over a cluster with busy, loaded and failed
+    nodes, and candidates of mixed memory and minimum speed (the
+    generated workloads give every job the same demand).  Integral
+    demands keep the running sums and the reference's fresh re-reads
+    equal."""
+    names = [f"n{i}" for i in range(draw(st.integers(min_value=2, max_value=6)))]
+    cluster = Cluster.homogeneous(
+        len(names), cpu_capacity=15_600.0, memory_capacity=16_384.0,
+        cpu_per_processor=3_900.0, name_prefix="n",
+    )
+    specs = {}
+    state = PlacementState(cluster)
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        app = f"p{i}"
+        demand = AppDemand(
+            app_id=app,
+            memory_mb=draw(st.sampled_from([2_048.0, 4_320.0, 6_000.0])),
+            min_cpu_mhz=draw(st.sampled_from([0.0, 1_000.0, 3_900.0])),
+        )
+        node = draw(st.sampled_from(names))
+        if demand.memory_mb <= state.memory_available(node):
+            state.place(app, node, demand.memory_mb)
+            state.set_cpu(app, node, min(
+                draw(st.sampled_from([0.0, 3_900.0, 7_800.0])),
+                state.cpu_available(node),
+            ))
+            specs[app] = AllocatableApp(demand, LinearRPF(1e-4, -1.0))
+    for node in cluster:
+        if not state.apps_on(node.name) and draw(st.integers(0, 4)) == 0:
+            node.available = False
+    candidates = []
+    for i in range(draw(st.integers(min_value=1, max_value=10))):
+        app = f"c{i}"
+        divisible = draw(st.integers(0, 4)) == 0
+        demand = AppDemand(
+            app_id=app,
+            memory_mb=draw(st.sampled_from([512.0, 2_048.0, 4_320.0, 8_192.0])),
+            min_cpu_mhz=draw(st.sampled_from([0.0, 1_000.0, 3_900.0, 9_000.0])),
+            max_instances=draw(st.sampled_from([None, 2, 3])) if divisible else 1,
+            divisible=divisible,
+        )
+        specs[app] = AllocatableApp(demand, LinearRPF(1e-4, -1.0))
+        candidates.append(app)
+    utilities = {
+        app: draw(st.sampled_from([-1.0, -0.5, 0.0]))
+        for app in candidates
+        if draw(st.booleans())
+    }
+    constraints = ConstraintSet(
+        [
+            _constraint(draw, list(specs), names)
+            for _ in range(draw(st.sampled_from([0, 0, 1, 2])))
+        ]
+        if len(specs) > 1
+        else []
+    )
+    return cluster, state, specs, candidates, utilities, constraints
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=admission_cases())
+def test_admission_matches_the_reference_with_mixed_demands(case):
+    """Each singleton lands on the node the reference's fresh per-pair
+    checks choose, after nodes full for some demand left the walk, and
+    each divisible application on the same nodes."""
+    cluster, state, specs, candidates, utilities, constraints = case
+    production = state.copy()
+    reference = state.copy()
+    ApplicationPlacementController(cluster, constraints=constraints)._greedy_admit(
+        production, specs, candidates, utilities
+    )
+    ReferenceController(cluster, constraints=constraints)._admit(
+        reference, specs, candidates, utilities
+    )
+    assert json.dumps(production.to_dict()) == json.dumps(reference.to_dict())
 
 
 def test_noop_check_skips_nodes_closed_by_constraints():

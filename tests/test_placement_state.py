@@ -231,6 +231,34 @@ class TestShape:
         with pytest.raises(PlacementError):
             state.validate()
 
+    BAD_COUNTS = [
+        pytest.param(1.5, id="float"),
+        pytest.param(0.5, id="fraction"),
+        pytest.param(True, id="bool"),
+        pytest.param(0, id="zero"),
+        pytest.param(-1, id="negative"),
+    ]
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_place_refuses_a_count_from_dict_refuses(self, state, count):
+        state.place("a", FIRST, memory_mb=100, count=2)
+        before = json.dumps(state.to_dict())
+        with pytest.raises(PlacementError, match="int above 0"):
+            state.place("a", FIRST, memory_mb=100, count=count)
+        with pytest.raises(PlacementError, match="int above 0"):
+            state.place("b", SECOND, memory_mb=100, count=count)
+        assert json.dumps(state.to_dict()) == before
+        state.validate()
+
+    @pytest.mark.parametrize("count", BAD_COUNTS)
+    def test_remove_refuses_a_count_from_dict_refuses(self, state, count):
+        state.place("a", FIRST, memory_mb=100, count=2)
+        before = json.dumps(state.to_dict())
+        with pytest.raises(PlacementError, match="int above 0"):
+            state.remove("a", FIRST, count=count)
+        assert json.dumps(state.to_dict()) == before
+        state.validate()
+
 
 # ----------------------------------------------------------------------
 # Copies that share history, against a model kept with deep copies
@@ -426,11 +454,8 @@ class SharedHistory(RuleBasedStateMachine):
             for node in HISTORY_NODES:
                 assert real.apps_on(node) == naive.apps_on(node)
                 assert set(real.hosted_on(node)) == set(naive.apps_on(node))
-                col = real.node_index[node]
                 assert real.memory_used(node) == naive.memory_used[node]
-                assert real.memory_used_array()[col] == naive.memory_used[node]
                 assert real.cpu_used(node) == naive.cpu_used[node]
-                assert real.cpu_used_array()[col] == naive.cpu_used[node]
             for app in HISTORY_APPS:
                 nodes = naive.instances.get(app, {})
                 assert list(real.instances(app).items()) == list(nodes.items())
