@@ -64,17 +64,12 @@ from repro.txn import (
 
 # --- placement policies (the registry and every implementation) --------
 from repro.policies import (
-    AdmissionStrategy,
     APCPolicy,
     DFRSConfig,
     DFRSPolicy,
     EDFPolicy,
-    FCFSAdmission,
     FCFSPolicy,
-    LexMaxMinObjective,
-    LRPFAdmission,
     LRPFPolicy,
-    Objective,
     PartitionedPolicy,
     PlacementPolicy,
     PolicyContext,
@@ -82,10 +77,7 @@ from repro.policies import (
     ProportionalFairnessConfig,
     ProportionalFairnessPolicy,
     ScriptedPolicy,
-    UtilitarianObjective,
     default_policy_registry,
-    resolve_admission,
-    resolve_objective,
 )
 
 # --- simulator, metrics, traces ----------------------------------------
@@ -246,14 +238,6 @@ __all__ = [
     "PolicyContext",
     "PolicyRegistry",
     "default_policy_registry",
-    "Objective",
-    "LexMaxMinObjective",
-    "UtilitarianObjective",
-    "resolve_objective",
-    "AdmissionStrategy",
-    "LRPFAdmission",
-    "FCFSAdmission",
-    "resolve_admission",
     # simulator
     "MetricsRecorder",
     "MixedWorkloadSimulator",

@@ -29,15 +29,6 @@ from repro.core.objective import (
     PlacementScore,
     lex_explain,
     Objective,
-    LexMaxMinObjective,
-    UtilitarianObjective,
-    resolve_objective,
-)
-from repro.core.admission import (
-    AdmissionStrategy,
-    LRPFAdmission,
-    FCFSAdmission,
-    resolve_admission,
 )
 from repro.core.placement import PlacementState, AppDemand
 from repro.core.loadbalance import (
@@ -63,13 +54,6 @@ __all__ = [
     "PlacementScore",
     "lex_explain",
     "Objective",
-    "LexMaxMinObjective",
-    "UtilitarianObjective",
-    "resolve_objective",
-    "AdmissionStrategy",
-    "LRPFAdmission",
-    "FCFSAdmission",
-    "resolve_admission",
     "PlacementState",
     "AppDemand",
     "distribute_load",

@@ -70,29 +70,18 @@ from typing import (
 
 from repro._compat import keyword_only
 from repro.cluster import Cluster
-from repro.core.admission import (
-    AdmissionLike,
-    AdmissionStrategy,
-    resolve_admission,
-)
 from repro.core.constraints import ConstraintSet
 from repro.core.loadbalance import (
     AllocatableApp, LoadDistributionResult, distribute_load,
 )
-from repro.core.objective import (
-    Objective,
-    ObjectiveLike,
-    PlacementScore,
-    UtilityVector,
-    resolve_objective,
-)
+from repro.core.objective import Objective, PlacementScore, UtilityVector
 from repro.core.placement import PlacementState
 from repro.core.workload import WorkloadModel
 from repro.errors import ConfigurationError, PlacementError
 from repro.obs.audit import DecisionAudit
 from repro.obs.registry import MetricRegistry
 from repro.obs.spans import NULL_SPAN, SpanProfiler
-from repro.units import EPSILON, is_count
+from repro.units import EPSILON
 
 #: Every profiler span phase the controller can emit, in nesting order.
 #: Pinned by test: dashboards and ``repro bench --profile`` key off these
@@ -113,6 +102,12 @@ SPAN_PHASES: Tuple[str, ...] = (
 #: that still carry them load to the same controller.
 _RETIRED_KEYS = frozenset({"incremental", "vectorize", "fast_path_min_nodes"})
 
+#: Search caps that :meth:`APCConfig.from_dict` drops on load, with the
+#: value every document written while they existed carries: one sweep,
+#: uncapped removals, which is the only search the controller runs.  Any
+#: other value asked for a different search, so it is refused.
+_RETIRED_CAPS = {"search_sweeps": 1, "max_removals_per_node": None}
+
 
 @keyword_only
 @dataclass
@@ -125,11 +120,6 @@ class APCConfig:
     cycle_length:
         Control cycle period ``T`` in seconds (§3.1: "of the order of
         minutes"; Experiment One uses 600 s).
-    max_removals_per_node:
-        Cap on the intermediate loop's cumulative removals per node
-        (``None`` = all instances on the node may be considered).
-    search_sweeps:
-        Number of outer-loop sweeps over all nodes per cycle.
     improvement_epsilon:
         Minimum per-element utility-vector improvement that justifies a
         change; below this, candidates are treated as ties (and ties
@@ -157,8 +147,6 @@ class APCConfig:
     """
 
     cycle_length: float = 600.0
-    max_removals_per_node: Optional[int] = None
-    search_sweeps: int = 1
     improvement_epsilon: float = 0.02
     preemption_penalty: float = 0.05
     enable_search: bool = True
@@ -177,19 +165,6 @@ class APCConfig:
                 raise ConfigurationError(
                     f"{name} must be non-negative and finite, got {value}"
                 )
-        # Both counts drive range() and list slicing mid-search, so a
-        # float or a bool must fail here, not inside a control cycle.
-        if not is_count(self.search_sweeps):
-            raise ConfigurationError(
-                f"search_sweeps must be an integer >= 0, got {self.search_sweeps!r}"
-            )
-        if self.max_removals_per_node is not None and not is_count(
-            self.max_removals_per_node
-        ):
-            raise ConfigurationError(
-                "max_removals_per_node must be None or an integer >= 0, got "
-                f"{self.max_removals_per_node!r}"
-            )
         if not isinstance(self.enable_search, bool):
             raise ConfigurationError(
                 f"enable_search must be a bool, got {self.enable_search!r}"
@@ -200,8 +175,6 @@ class APCConfig:
         :meth:`from_dict`)."""
         return {
             "cycle_length": self.cycle_length,
-            "max_removals_per_node": self.max_removals_per_node,
-            "search_sweeps": self.search_sweeps,
             "improvement_epsilon": self.improvement_epsilon,
             "preemption_penalty": self.preemption_penalty,
             "enable_search": self.enable_search,
@@ -212,9 +185,24 @@ class APCConfig:
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
         keys are rejected to surface config typos.  The retired solver
         switches ``incremental``, ``vectorize`` and ``fast_path_min_nodes``
-        are dropped, so scenario JSON, snapshots and sweep manifests that
-        carry them still load."""
-        data = {k: v for k, v in data.items() if k not in _RETIRED_KEYS}
+        are dropped, and so are the retired search caps when they hold
+        the one value documents recorded (``search_sweeps`` 1,
+        ``max_removals_per_node`` ``None``), so scenario JSON, snapshots
+        and sweep manifests that carry them still load.  Any other cap
+        value is refused: it asked for a search the controller no longer
+        runs."""
+        for key, kept in _RETIRED_CAPS.items():
+            value = data.get(key, kept)
+            if type(value) is not type(kept) or value != kept:
+                raise ConfigurationError(
+                    f"APCConfig key {key!r} is retired and must be {kept!r} "
+                    f"(one sweep, uncapped removals), got {value!r}"
+                )
+        data = {
+            k: v
+            for k, v in data.items()
+            if k not in _RETIRED_KEYS and k not in _RETIRED_CAPS
+        }
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -263,6 +251,29 @@ class _Scored(NamedTuple):
         return self
 
 
+def lrpf_order(
+    eligible: Sequence[str],
+    specs: Mapping[str, AllocatableApp],
+    utilities: Mapping[str, float],
+) -> List[str]:
+    """The order both greedy passes visit applications in: lowest
+    relative performance first (the paper's LRPF ordering, §1).
+
+    Applications are ranked by their predicted utility, or by their RPF
+    maximum when the prediction does not cover them, ascending.  The
+    sort is stable, so equal-utility applications keep candidate
+    (submission) order.
+    """
+
+    def key(app_id: str) -> float:
+        # The RPF maximum only for the few the prediction misses.
+        if app_id in utilities:
+            return utilities[app_id]
+        return specs[app_id].rpf.max_utility
+
+    return sorted(eligible, key=key)
+
+
 class ApplicationPlacementController:
     """Searches for the best placement each control cycle."""
 
@@ -274,8 +285,6 @@ class ApplicationPlacementController:
         profiler: Optional[SpanProfiler] = None,
         registry: Optional[MetricRegistry] = None,
         audit: Optional[DecisionAudit] = None,
-        objective: ObjectiveLike = None,
-        admission: AdmissionLike = None,
         tracer=None,
     ) -> None:
         self._cluster = cluster
@@ -287,12 +296,7 @@ class ApplicationPlacementController:
         #: audit and the causal job tracer
         #: (``repro.obs.tracing.JobTracer``), whichever are attached.
         self._observers = tuple(o for o in (audit, tracer) if o is not None)
-        #: Candidate-ranking strategy; ``None`` resolves to the paper's
-        #: lexicographic maxmin, byte-identical to the historical
-        #: hardwired scoring.
-        self._objective = resolve_objective(objective)
-        #: Greedy-pass ordering; ``None`` resolves to the paper's LRPF.
-        self._admission = resolve_admission(admission)
+        self._objective = Objective()
         self._c_shortcut = None
         if registry is not None:
             self.bind_registry(registry)
@@ -314,14 +318,6 @@ class ApplicationPlacementController:
     @property
     def constraints(self) -> ConstraintSet:
         return self._constraints
-
-    @property
-    def objective(self) -> Objective:
-        return self._objective
-
-    @property
-    def admission(self) -> AdmissionStrategy:
-        return self._admission
 
     def _span(self, name: str, **attrs: object):
         """A profiler span, or the shared no-op when un-instrumented."""
@@ -480,27 +476,20 @@ class ApplicationPlacementController:
                 else "search_disabled"
             )
         if run_search:
-            bound_reached = (
-                self._make_bound_checker(specs)
-                if self._objective.supports_upper_bound
-                else None
-            )
+            bound_reached = self._make_bound_checker(specs)
             with self._span("apc.search"):
-                for _ in range(self._config.search_sweeps):
-                    if bound_reached is not None and bound_reached(best.score):
-                        # No candidate vector can clear the incumbent by
-                        # more than the noise threshold anywhere.
-                        if self._c_shortcut is not None:
-                            self._c_shortcut.inc(kind="upper_bound")
-                        if audit is not None:
-                            audit.shortcircuit("upper_bound")
-                        break
-                    improved, best = self._sweep(
+                if bound_reached(best.score):
+                    # No candidate vector can clear the incumbent by more
+                    # than the noise threshold anywhere.
+                    if self._c_shortcut is not None:
+                        self._c_shortcut.inc(kind="upper_bound")
+                    if audit is not None:
+                        audit.shortcircuit("upper_bound")
+                else:
+                    best = self._sweep(
                         best, specs, candidates, baseline, evaluate,
                         bound_reached,
                     )
-                    if not improved:
-                        break
 
         # Churn counts every instance that differs from the baseline.
         changed = best.churn > 0
@@ -630,7 +619,7 @@ class ApplicationPlacementController:
         to exceed the incumbent by more than the comparison tolerance at
         some position, and every tolerance in play is at least
         ``improvement_epsilon`` — so once the bound is within epsilon of
-        the incumbent everywhere, no further sweep can adopt anything.
+        the incumbent everywhere, no further candidate can be adopted.
         """
         upper = sorted(spec.rpf.max_utility for spec in specs.values())
         epsilon = self._config.improvement_epsilon
@@ -669,7 +658,7 @@ class ApplicationPlacementController:
         before anything is placed there, and then kept as running sums.
         """
         unplaced = [c for c in candidates if not state.is_placed(c) and c in specs]
-        unplaced = self._admission.order(unplaced, specs, utilities)
+        unplaced = lrpf_order(unplaced, specs, utilities)
         if not unplaced:
             return 0
         cluster = state.cluster
@@ -878,11 +867,10 @@ class ApplicationPlacementController:
         candidates: Sequence[str],
         baseline: Mapping[str, Mapping[str, int]],
         evaluate: Callable[..., "_Scored"],
-        bound_reached: Optional[Callable[[PlacementScore], bool]],
-    ) -> Tuple[bool, "_Scored"]:
-        """One outer-loop pass over all nodes.  Returns
-        ``(improved, best)``."""
-        improved = False
+        bound_reached: Callable[[PlacementScore], bool],
+    ) -> "_Scored":
+        """The outer loop: one pass over all nodes.  Returns the best
+        placement found."""
         audit = self._audit
 
         # Outer loop: visit nodes hosting the highest-utility instances
@@ -914,8 +902,6 @@ class ApplicationPlacementController:
                 reverse=True,
             ):
                 removable.extend([app_id] * node_base.instances_on(app_id, node))
-            if self._config.max_removals_per_node is not None:
-                removable = removable[: self._config.max_removals_per_node]
             # The inner loop's order is the same for every removal count
             # (see _fill_order); it reads best.utilities, so an adoption
             # rebuilds it.
@@ -983,15 +969,14 @@ class ApplicationPlacementController:
                     )
                 if adopted:
                     best = scored.adopt()
-                    improved = True
                     order = None
-                    if bound_reached is not None and bound_reached(best.score):
+                    if bound_reached(best.score):
                         if self._c_shortcut is not None:
                             self._c_shortcut.inc(kind="upper_bound")
                         if audit is not None:
                             audit.shortcircuit("upper_bound", node=node)
-                        return improved, best
-        return improved, best
+                        return best
+        return best
 
     def _node_committed_min(
         self,
@@ -1033,7 +1018,7 @@ class ApplicationPlacementController:
             and (specs[c].demand.divisible or c not in placed)
             and c not in hosted
         ]
-        return self._admission.order(eligible, specs, utilities)
+        return lrpf_order(eligible, specs, utilities)
 
     def _fills_nothing(
         self,

@@ -16,13 +16,9 @@ placements.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Type, Union
+from typing import Iterable, Mapping, Tuple
 
-from repro._compat import keyword_only
-from repro.errors import ConfigurationError
 from repro.units import EPSILON
 
 
@@ -190,43 +186,17 @@ class PlacementScore:
         return f"PlacementScore({self.utilities!r}, changes={self.num_changes})"
 
 
-# ----------------------------------------------------------------------
-# Pluggable objectives
-# ----------------------------------------------------------------------
-#: Objective name -> class, filled by :func:`register_objective`.
-OBJECTIVES: Dict[str, Type["Objective"]] = {}
-
-
-def register_objective(cls: Type["Objective"]) -> Type["Objective"]:
-    """Class decorator: make an :class:`Objective` resolvable by name."""
-    OBJECTIVES[cls.name] = cls
-    return cls
-
-
 class Objective:
-    """How the placement controller ranks candidate placements.
+    """How the placement controller ranks candidate placements (§3.2).
 
     The controller evaluates each candidate into per-application
     utilities and a churn count; the objective turns those into a
     :class:`PlacementScore` (:meth:`score`), decides whether a candidate
     beats the incumbent (:meth:`better`), and explains that comparison
-    for the decision flight recorder (:meth:`explain`).
-
-    Implementations are keyword-only dataclasses registered by name
-    (:func:`register_objective`) and JSON-round-trippable through
-    :meth:`to_dict` / :meth:`from_dict`, so a scenario can select one
-    declaratively (``policy_params={"objective": "utilitarian"}``).
-
-    ``supports_upper_bound`` gates the controller's sorted-RPF-maxima
-    short-circuit, whose soundness argument is specific to the paper's
-    lexicographic ordering; objectives that rank differently leave it
-    False and simply forgo the shortcut (decisions are unaffected).
+    for the decision flight recorder (:meth:`explain`).  The ranking is
+    the paper's tolerant lexicographic maxmin over the sorted utility
+    vector, ties broken by churn.
     """
-
-    #: Registry key; subclasses override.
-    name = "objective"
-    #: Whether the RPF-maxima upper-bound short-circuit is sound.
-    supports_upper_bound = False
 
     def score(
         self,
@@ -234,18 +204,21 @@ class Objective:
         churn: int,
         tolerance: float,
     ) -> PlacementScore:
-        """Score one evaluated candidate placement."""
-        raise NotImplementedError
+        """Score one evaluated candidate placement: its sorted utility
+        vector, compared with ``tolerance``, and its churn."""
+        return PlacementScore(
+            UtilityVector(utilities.values(), tolerance=tolerance), churn
+        )
 
     def better(
         self, candidate: PlacementScore, incumbent: PlacementScore
     ) -> bool:
         """Does ``candidate`` justify replacing ``incumbent``?
 
-        The default requires a strict utility-vector improvement — a tie
-        never justifies churn, matching the paper's adoption rule.  It
-        is ``candidate.utilities > incumbent.utilities`` in one
-        comparison: the rich ``>`` asks ``<`` and then ``==``.
+        Only a strict utility-vector improvement does — a tie never
+        justifies churn, matching the paper's adoption rule.  It is
+        ``candidate.utilities > incumbent.utilities`` in one comparison:
+        the rich ``>`` asks ``<`` and then ``==``.
         """
         a, b = candidate.utilities, incumbent.utilities
         return _lex_compare(a.values, b.values, a._shared_tolerance(b)) == 1
@@ -255,136 +228,3 @@ class Objective:
     ) -> dict:
         """A JSON-friendly account of :meth:`better`'s comparison."""
         return lex_explain(candidate.utilities, incumbent.utilities)
-
-    def to_dict(self) -> Dict[str, object]:
-        """A plain JSON-serializable representation (round-trips through
-        :meth:`from_dict`)."""
-        out: Dict[str, object] = {"name": self.name}
-        if dataclasses.is_dataclass(self):
-            for f in dataclasses.fields(self):
-                out[f.name] = getattr(self, f.name)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "Objective":
-        """Build a registered objective from a plain dict (inverse of
-        :meth:`to_dict`); unknown names and keys are rejected."""
-        payload = dict(data)
-        name = payload.pop("name", None)
-        target = OBJECTIVES.get(name)  # type: ignore[arg-type]
-        if target is None:
-            raise ConfigurationError(
-                f"unknown objective {name!r}; expected one of "
-                f"{sorted(OBJECTIVES)}"
-            )
-        known = {f.name for f in dataclasses.fields(target)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown {target.__name__} keys: {sorted(unknown)}"
-            )
-        return target(**payload)
-
-
-ObjectiveLike = Union[None, str, Mapping[str, object], Objective]
-
-
-def resolve_objective(spec: ObjectiveLike) -> Objective:
-    """Coerce ``None`` (the paper's default), a registry name, a config
-    dict, or an :class:`Objective` instance into an objective."""
-    if spec is None:
-        return LexMaxMinObjective()
-    if isinstance(spec, Objective):
-        return spec
-    if isinstance(spec, str):
-        return Objective.from_dict({"name": spec})
-    if isinstance(spec, Mapping):
-        return Objective.from_dict(spec)
-    raise ConfigurationError(
-        f"cannot resolve an objective from {type(spec).__name__}"
-    )
-
-
-@register_objective
-@keyword_only
-@dataclass
-class LexMaxMinObjective(Objective):
-    """The paper's objective: tolerant lexicographic maxmin (§3.2).
-
-    Byte-identical to the controller's historical hardwired scoring:
-    the sorted utility vector compared lexicographically with the
-    evaluation tolerance, ties broken by churn.  ``tolerance_override``
-    replaces the controller-supplied comparison tolerance when set
-    (``None``, the default, preserves the stock behavior exactly).
-    """
-
-    name = "lex_maxmin"
-    supports_upper_bound = True
-
-    tolerance_override: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.tolerance_override is not None
-            and self.tolerance_override < 0.0
-        ):
-            raise ConfigurationError(
-                f"tolerance override must be >= 0, got {self.tolerance_override}"
-            )
-
-    def score(
-        self,
-        utilities: Mapping[str, float],
-        churn: int,
-        tolerance: float,
-    ) -> PlacementScore:
-        tol = (
-            tolerance
-            if self.tolerance_override is None
-            else self.tolerance_override
-        )
-        return PlacementScore(
-            UtilityVector(utilities.values(), tolerance=tol), churn
-        )
-
-
-@register_objective
-@keyword_only
-@dataclass
-class UtilitarianObjective(Objective):
-    """A rival objective: rank by aggregate utility, not the worst app.
-
-    The score vector is the single value ``(1 - worst_weight) * mean +
-    worst_weight * worst`` — pure utilitarian at the default weight 0,
-    blending back toward the paper's egalitarian objective as the
-    weight approaches 1.  Exists to exercise the extension point (and
-    ablate the maxmin choice); it deliberately trades fairness for
-    throughput.
-    """
-
-    name = "utilitarian"
-
-    worst_weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.worst_weight <= 1.0:
-            raise ConfigurationError(
-                f"worst weight must be in [0, 1], got {self.worst_weight}"
-            )
-
-    def score(
-        self,
-        utilities: Mapping[str, float],
-        churn: int,
-        tolerance: float,
-    ) -> PlacementScore:
-        values = list(utilities.values())
-        if not values:
-            return PlacementScore(UtilityVector((), tolerance=tolerance), churn)
-        mean = sum(values) / len(values)
-        blended = (1.0 - self.worst_weight) * mean + self.worst_weight * min(
-            values
-        )
-        return PlacementScore(
-            UtilityVector((blended,), tolerance=tolerance), churn
-        )

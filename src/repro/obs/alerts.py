@@ -491,6 +491,9 @@ class AlertEngine:
     def _publish(self, rule: str, event: str) -> None:
         if self._c_total is not None:
             self._c_total.inc(rule=rule, event=event)
+        self._publish_active(rule)
+
+    def _publish_active(self, rule: str) -> None:
         if self._g_active is not None:
             count = sum(1 for r, _ in self._active if r == rule)
             self._g_active.set(float(count), rule=rule)
@@ -529,9 +532,14 @@ class AlertEngine:
 
     def restore_state(self, data: Mapping[str, object]) -> None:
         """Overwrite this engine from :meth:`state_dict` output taken
-        under the same :class:`AlertConfig`.  The sink and the registry
-        are left untouched: restored transitions were streamed and
-        published when they happened."""
+        under the same :class:`AlertConfig`.
+
+        The sink and the transition counter ``repro_alerts_total`` are
+        left untouched: restored transitions were streamed and counted
+        when they happened, so a fresh registry counts only those after
+        the restore.  The gauge ``repro_alerts_active`` is a level, so it
+        is set at once for every rule with an alert in the restored
+        history or active set, as the uninterrupted run last set it."""
         cfg = self.config
         self.alerts = [Alert(**alert) for alert in data["alerts"]]
         self._active = {}
@@ -564,6 +572,11 @@ class AlertEngine:
             node: int(streak) for node, streak in data["overload_streak"].items()
         }
         self._cycles_observed = int(data["cycles_observed"])
+        for rule in dict.fromkeys(
+            [alert.rule for alert in self.alerts]
+            + [rule for rule, _ in self._active]
+        ):
+            self._publish_active(rule)
 
     # ------------------------------------------------------------------
     # Reading

@@ -51,7 +51,8 @@ ADMISSION_REASONS = (
 
 SHORTCIRCUIT_REASONS = (
     "upper_bound",       # sorted-utility upper bound reached, sweep cut
-    "node_noop",         # structural no-op node skipped (frontier index)
+    "node_noop",         # zero-removal trial skipped: the fill pass's
+                         # first-placement test found nothing to place
     "search_skipped",    # _search_is_worthwhile said no
     "search_disabled",   # APCConfig(enable_search=False)
 )

@@ -11,24 +11,11 @@ The package gathers the policy surface behind one import root:
 * :mod:`repro.policies.registry` — the string-keyed registry that lets
   scenarios and sweeps select a policy by name.
 
-The APC's own extension points — the pluggable placement
-:class:`~repro.core.objective.Objective` and
-:class:`~repro.core.admission.AdmissionStrategy` — live in
-:mod:`repro.core` and are re-exported here for convenience.
+The APC itself has one objective, the paper's lexicographic maxmin, and
+one admission order, LRPF; a rival ranking rule is a policy of its own
+here, as proportional fairness and DFRS are.
 """
 
-from repro.core.admission import (
-    AdmissionStrategy,
-    FCFSAdmission,
-    LRPFAdmission,
-    resolve_admission,
-)
-from repro.core.objective import (
-    LexMaxMinObjective,
-    Objective,
-    UtilitarianObjective,
-    resolve_objective,
-)
 from repro.policies.base import (
     PlacementPolicy,
     build_batch_state,
@@ -71,12 +58,4 @@ __all__ = [
     "PolicyContext",
     "PolicyRegistry",
     "default_policy_registry",
-    "Objective",
-    "LexMaxMinObjective",
-    "UtilitarianObjective",
-    "resolve_objective",
-    "AdmissionStrategy",
-    "LRPFAdmission",
-    "FCFSAdmission",
-    "resolve_admission",
 ]

@@ -12,8 +12,7 @@ are resolvable by name but must be constructed directly.
 
 Stable names::
 
-    apc                     the paper's controller (params: objective,
-                            admission — names or config dicts)
+    apc                     the paper's controller
     fcfs                    First-Come First-Served (params: skip_blocked)
     edf                     Earliest Deadline First
     lrpf                    standalone LRPF greedy
@@ -34,9 +33,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
-from repro.core.admission import resolve_admission
 from repro.core.apc import APCConfig, ApplicationPlacementController
-from repro.core.objective import resolve_objective
 from repro.errors import ConfigurationError
 from repro.obs.audit import DecisionAudit
 from repro.obs.registry import MetricRegistry
@@ -161,8 +158,6 @@ def _reject_unknown(name: str, params: Dict[str, object]) -> None:
 
 
 def _build_apc(context: PolicyContext, **params: object) -> APCPolicy:
-    objective = params.pop("objective", None)
-    admission = params.pop("admission", None)
     _reject_unknown("apc", params)
     controller = ApplicationPlacementController(
         context.cluster,
@@ -170,8 +165,6 @@ def _build_apc(context: PolicyContext, **params: object) -> APCPolicy:
         profiler=context.profiler,
         registry=context.registry,
         audit=context.audit,
-        objective=resolve_objective(objective),
-        admission=resolve_admission(admission),
         tracer=context.tracer,
     )
     return APCPolicy(controller, [context.batch_model])

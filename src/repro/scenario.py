@@ -86,11 +86,14 @@ class Scenario:
         Which placement policy drives the run, by registry name
         (:func:`~repro.policies.default_policy_registry`), plus its
         JSON-friendly parameters — e.g. ``policy="proportional_fairness"``
-        or ``policy="apc", policy_params={"objective": "utilitarian"}``.
+        or ``policy="fcfs", policy_params={"skip_blocked": True}``.
     apc:
         The controller's :class:`~repro.core.apc.APCConfig`.
     sim:
         The simulator's :class:`~repro.sim.simulator.SimulationConfig`.
+        Its ``cycle_length`` must equal ``apc.cycle_length``: the
+        simulator runs a cycle every ``T`` seconds, and the controller
+        predicts ``T`` seconds ahead.
     """
 
     name: str = "scenario"
@@ -147,6 +150,14 @@ class Scenario:
             self.apc = APCConfig.from_dict(self.apc)
         if isinstance(self.sim, Mapping):
             self.sim = SimulationConfig.from_dict(self.sim)
+        # Every prediction looks one control cycle ahead (§4.2: t + T),
+        # so the controller's horizon must be the simulator's period.
+        if self.apc.cycle_length != self.sim.cycle_length:
+            raise ConfigurationError(
+                f"apc.cycle_length ({self.apc.cycle_length}) must equal "
+                f"sim.cycle_length ({self.sim.cycle_length}): the controller "
+                "predicts one control cycle ahead"
+            )
 
     # ------------------------------------------------------------------
     # Serialization

@@ -121,9 +121,11 @@ class SimulationConfig:
         the watchdog.  With a config set, the simulator evaluates every
         rule at each control cycle and streams ``alert_fired`` /
         ``alert_resolved`` records through the trace's sink (if any).
-        Alert window state is *not* snapshotted: a restored run re-arms
-        its windows empty (alerting is a live operator surface, not part
-        of the deterministic-replay contract).
+        The engine's history, active alerts and rule windows are
+        snapshotted, so a restored run goes on alerting as the
+        uninterrupted one would.  A snapshot of a run without a
+        watchdog, or an older one, lacks them, and the restored watchdog
+        starts afresh.
     """
 
     cycle_length: float = 600.0
@@ -413,7 +415,7 @@ class MixedWorkloadSimulator:
             elif kind == _STAGE:
                 self._cross_stage_boundary(payload, now, events)
             elif kind == _FAIL:
-                self._fail_node(payload, now)
+                self._fail_node(payload, now, events)
             elif kind == _RESTORE:
                 self._restore_node(payload, now)
             elif kind == _RETRY:
@@ -794,12 +796,16 @@ class MixedWorkloadSimulator:
             job.advance(speed * dt)
             self._run_since[job.job_id] = now
 
-    def _fail_node(self, failure: NodeFailure, now: float) -> None:
+    def _fail_node(
+        self, failure: NodeFailure, now: float, events: EventQueue
+    ) -> None:
         """Take a node down: evict its placements and requeue its jobs.
 
         Evictions happen *before* the node is marked unavailable — the
         capacity bookkeeping must still see the node's real capacity
-        while allocations are being released.
+        while allocations are being released.  A parallel job that keeps
+        instances elsewhere runs on at its remaining speed, so its
+        in-cycle progress event is rescheduled at that speed.
 
         Outage windows may overlap (or abut): a reference count per node
         tracks how many windows currently cover it, and the node comes
@@ -826,10 +832,16 @@ class MixedWorkloadSimulator:
                     self._state.cpu_of(app_id), job.max_speed
                 )
                 if remaining_speed > EPSILON:
+                    # A job still in its boot or resume delay starts when
+                    # the delay ends, not at the outage.
+                    start = max(now, self._run_since.get(app_id, now))
                     self._speeds[app_id] = remaining_speed
-                    self._run_since[app_id] = now
+                    self._run_since[app_id] = start
+                    self._schedule_progress(job, start, events)
                 else:
                     self._speeds.pop(app_id, None)
+                    self._run_since.pop(app_id, None)
+                    self._cancel_progress(app_id)
                 continue
             if job.status is JobStatus.RUNNING:
                 self._advance_job(job, now)

@@ -23,9 +23,11 @@ fresh queue scan on every call.
 
 Both reuse what is pinned elsewhere: ``distribute_load`` without a
 ``base`` (``tests/test_loadbalance_oracle.py``), ``diff_placements``, the
-controller's prune/refresh helpers, and the objective and admission
-strategies.  :func:`run_cycles` drives either side through the rolling
-control-cycle loop that ``repro bench`` times.
+controller's prune/refresh helpers, and the
+:class:`~repro.core.objective.Objective` (``tests/test_objective.py``).
+The LRPF order is the reference's own sort.  :func:`run_cycles` drives
+either side through the rolling control-cycle loop that ``repro bench``
+times.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from repro.batch.job import JobStatus
 from repro.batch.model import BatchWorkloadModel, check_queue_window
 from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF, job_relative_performance
-from repro.core.admission import resolve_admission
 from repro.core.apc import APCConfig, APCResult, ApplicationPlacementController
 from repro.core.constraints import ConstraintSet
 from repro.core.loadbalance import AllocatableApp, distribute_load
-from repro.core.objective import resolve_objective
+from repro.core.objective import Objective
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.experiments.benchmark import _roll_cycles
@@ -59,6 +60,14 @@ from repro.virt.actions import diff_placements
 _prune_vanished = ApplicationPlacementController._prune_vanished
 _prune_unavailable = ApplicationPlacementController._prune_unavailable
 _refresh_demands = ApplicationPlacementController._refresh_demands
+
+
+def _lrpf(app_ids, specs, utilities) -> List[str]:
+    """Lowest predicted relative performance first, the RPF maximum for
+    an application without a prediction; stable, so ties keep order."""
+    return sorted(
+        app_ids, key=lambda a: utilities.get(a, specs[a].rpf.max_utility)
+    )
 
 
 class Incumbent(NamedTuple):
@@ -78,14 +87,11 @@ class ReferenceController:
         cluster,
         config: Optional[APCConfig] = None,
         constraints: Optional[ConstraintSet] = None,
-        objective=None,
-        admission=None,
     ) -> None:
         self.cluster = cluster
         self.config = config or APCConfig()
         self.constraints = constraints or ConstraintSet()
-        self.objective = resolve_objective(objective)
-        self.admission = resolve_admission(admission)
+        self.objective = Objective()
 
     def place(self, models, current: PlacementState, now: float) -> APCResult:
         specs: Dict[str, AllocatableApp] = {}
@@ -128,12 +134,7 @@ class ReferenceController:
         if self.config.enable_search and self._worthwhile(
             best.state, specs, candidates, best.utilities, best.allocations
         ):
-            for _ in range(self.config.search_sweeps):
-                improved, best = self._sweep(
-                    best, specs, candidates, evaluate, epsilon, penalty
-                )
-                if not improved:
-                    break
+            best = self._sweep(best, specs, candidates, evaluate, epsilon, penalty)
 
         return APCResult(
             state=best.state,
@@ -174,7 +175,7 @@ class ReferenceController:
         unplaced = [c for c in candidates if not state.is_placed(c) and c in specs]
         placed_any = False
         names = self.cluster.node_names
-        for app_id in self.admission.order(unplaced, specs, utilities):
+        for app_id in _lrpf(unplaced, specs, utilities):
             memory_mb = specs[app_id].demand.memory_mb
             if specs[app_id].demand.divisible:
                 # Fit is re-read per node: each placement changes the
@@ -225,7 +226,6 @@ class ReferenceController:
     def _sweep(self, best, specs, candidates, evaluate, epsilon, penalty):
         """Outer loop over nodes, most valuable hosted application first;
         intermediate loop over cumulative removals; inner loop refills."""
-        improved = False
 
         def node_key(node):
             apps = best.state.apps_on(node)
@@ -244,8 +244,6 @@ class ReferenceController:
                 reverse=True,
             ):
                 removable.extend([app_id] * base.instances_on(app_id, node))
-            if self.config.max_removals_per_node is not None:
-                removable = removable[: self.config.max_removals_per_node]
             for removals in range(len(removable) + 1):
                 trial = base.copy()
                 for app_id in removable[:removals]:
@@ -261,8 +259,7 @@ class ReferenceController:
                 )
                 if self.objective.better(scored.score, best.score):
                     best = scored
-                    improved = True
-        return improved, best
+        return best
 
     def _fill(self, state, specs, candidates, utilities, node, forbidden) -> bool:
         eligible = [
@@ -274,7 +271,7 @@ class ReferenceController:
             and state.instances_on(c, node) == 0
         ]
         placed_any = False
-        for app_id in self.admission.order(eligible, specs, utilities):
+        for app_id in _lrpf(eligible, specs, utilities):
             if self._fits(state, specs, app_id, node):
                 state.place(app_id, node, specs[app_id].demand.memory_mb)
                 placed_any = True

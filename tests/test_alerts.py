@@ -418,6 +418,30 @@ def assert_restore_continues_alerting(build, until):
     return straight, snapshot
 
 
+def stalling_scenario():
+    """Three nodes whose actions fail and stall often enough to fire the
+    reconciler-stall rule."""
+    from repro.scenario import Scenario
+    from repro.sim.simulator import SimulationConfig
+    from repro.virt.faults import ActionFaultModel, RetryPolicy
+
+    return Scenario(
+        name="stalls", nodes=3, job_count=14, interarrival=100.0, seed=0,
+        sim=SimulationConfig(
+            cycle_length=600.0,
+            fault_model=ActionFaultModel.uniform(
+                failure_probability=0.45,
+                stall_probability=0.3,
+                stall_duration_mean=400.0,
+                seed=0,
+            ),
+            retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
+            action_timeout=150.0,
+            alerts=AlertConfig(stall_window=4),
+        ),
+    )
+
+
 class TestSimulatorIntegration:
     @pytest.mark.parametrize("sixteen_nodes", [True, False])
     def test_alerting_does_not_change_results(self, sixteen_nodes):
@@ -489,26 +513,10 @@ class TestSimulatorIntegration:
         after 14 attempts and 2 stalls: the restored run's first cycle
         reports only its own attempts and stalls to the stall-rate
         rule."""
-        from repro.scenario import Scenario, Simulation
-        from repro.sim.simulator import SimulationConfig
+        from repro.scenario import Simulation
         from repro.sim.trace import SimulationTrace
-        from repro.virt.faults import ActionFaultModel, RetryPolicy
 
-        scenario = Scenario(
-            name="stalls", nodes=3, job_count=14, interarrival=100.0, seed=0,
-            sim=SimulationConfig(
-                cycle_length=600.0,
-                fault_model=ActionFaultModel.uniform(
-                    failure_probability=0.45,
-                    stall_probability=0.3,
-                    stall_duration_mean=400.0,
-                    seed=0,
-                ),
-                retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
-                action_timeout=150.0,
-                alerts=AlertConfig(stall_window=4),
-            ),
-        )
+        scenario = stalling_scenario()
 
         def build(sink):
             return Simulation.from_scenario(
@@ -520,6 +528,37 @@ class TestSimulatorIntegration:
         assert (baselines["prev_attempts"], baselines["prev_stalls"]) == (14, 2)
         rules = {a.rule for a in straight.alert_engine.alerts}
         assert rules == {RULE_RECONCILER_STALL}
+
+    def test_restored_watchdog_republishes_its_active_gauge(self):
+        """The active-alert gauge is a level: a restored run's fresh
+        registry reads the uninterrupted run's active counts before any
+        rule fires or resolves again."""
+        from repro.scenario import Simulation
+
+        def active_gauge(sim):
+            return [
+                sample
+                for sample in sim.simulator.metrics.registry.collect()
+                if sample["name"] == "repro_alerts_active"
+            ]
+
+        straight = Simulation.from_scenario(
+            stalling_scenario(), registry=MetricRegistry()
+        )
+        straight.run(until=20_000.0)
+        snapshot = json.loads(json.dumps(straight.snapshot()))
+        straight.run(until=20_001.0)
+        restored = Simulation.from_snapshot(snapshot, registry=MetricRegistry())
+        restored.run(until=20_001.0)
+        engine = restored.simulator.alert_engine
+        assert engine.active_keys() == ["reconciler_stall:reconciler"]
+        assert active_gauge(straight) == [{
+            "name": "repro_alerts_active",
+            "kind": "gauge",
+            "labels": {"rule": RULE_RECONCILER_STALL},
+            "value": 1.0,
+        }]
+        assert active_gauge(restored) == active_gauge(straight)
 
     @pytest.mark.parametrize("index", [1, -1])
     def test_active_alert_outside_the_history_is_a_checkpoint_error(self, index):

@@ -1,4 +1,5 @@
-"""Tests for APC configuration variants (search toggles and caps)."""
+"""Tests for APC configuration variants (the search toggle and the
+preemption penalty)."""
 
 import pytest
 
@@ -51,44 +52,6 @@ class TestEnableSearch:
         queue, batch, state = contended_system(single_node_cluster)
         apc = ApplicationPlacementController(
             single_node_cluster, APCConfig(cycle_length=1.0)
-        )
-        result = apc.place([batch], state, now=1.0)
-        assert result.state.is_placed("U")
-
-
-class TestRemovalCap:
-    def test_zero_removals_blocks_swaps(self, single_node_cluster):
-        queue, batch, state = contended_system(single_node_cluster)
-        apc = ApplicationPlacementController(
-            single_node_cluster,
-            APCConfig(cycle_length=1.0, max_removals_per_node=0),
-        )
-        result = apc.place([batch], state, now=1.0)
-        assert not result.state.is_placed("U")
-
-    def test_one_removal_suffices_here(self, single_node_cluster):
-        queue, batch, state = contended_system(single_node_cluster)
-        apc = ApplicationPlacementController(
-            single_node_cluster,
-            APCConfig(cycle_length=1.0, max_removals_per_node=1),
-        )
-        result = apc.place([batch], state, now=1.0)
-        assert result.state.is_placed("U")
-
-
-class TestSweeps:
-    def test_zero_sweeps_equivalent_to_no_search(self, single_node_cluster):
-        queue, batch, state = contended_system(single_node_cluster)
-        apc = ApplicationPlacementController(
-            single_node_cluster, APCConfig(cycle_length=1.0, search_sweeps=0)
-        )
-        result = apc.place([batch], state, now=1.0)
-        assert not result.state.is_placed("U")
-
-    def test_multiple_sweeps_allowed(self, single_node_cluster):
-        queue, batch, state = contended_system(single_node_cluster)
-        apc = ApplicationPlacementController(
-            single_node_cluster, APCConfig(cycle_length=1.0, search_sweeps=3)
         )
         result = apc.place([batch], state, now=1.0)
         assert result.state.is_placed("U")

@@ -17,17 +17,13 @@ from repro.api import (
     ArenaResult,
     ConfigurationError,
     DFRSConfig,
-    FCFSAdmission,
     JobQueue,
-    LexMaxMinObjective,
-    LRPFAdmission,
     PredictionMethod,
     ProportionalFairnessConfig,
     RunSpec,
     Scenario,
     Simulation,
     SimulationConfig,
-    UtilitarianObjective,
 )
 
 
@@ -57,14 +53,6 @@ def test_facade_covers_the_policy_surface():
         "PolicyRegistry",
         "PolicyContext",
         "default_policy_registry",
-        "Objective",
-        "LexMaxMinObjective",
-        "UtilitarianObjective",
-        "resolve_objective",
-        "AdmissionStrategy",
-        "LRPFAdmission",
-        "FCFSAdmission",
-        "resolve_admission",
         "ProportionalFairnessPolicy",
         "ProportionalFairnessConfig",
         "DFRSPolicy",
@@ -106,14 +94,10 @@ KEYWORD_ONLY = (
     ArenaEntrant,
     ArenaResult,
     DFRSConfig,
-    FCFSAdmission,
-    LRPFAdmission,
-    LexMaxMinObjective,
     ProportionalFairnessConfig,
     RunSpec,
     Scenario,
     SimulationConfig,
-    UtilitarianObjective,
 )
 
 
@@ -166,13 +150,11 @@ def _through_json(data):
 
 def test_apcconfig_round_trip():
     config = APCConfig(
-        cycle_length=450.0, search_sweeps=3, max_removals_per_node=2
+        cycle_length=450.0, improvement_epsilon=0.03, enable_search=False
     )
     data = _through_json(config.to_dict())
     assert set(data) == {
         "cycle_length",
-        "max_removals_per_node",
-        "search_sweeps",
         "improvement_epsilon",
         "preemption_penalty",
         "enable_search",
@@ -182,15 +164,21 @@ def test_apcconfig_round_trip():
 
 def test_apcconfig_from_dict_drops_retired_solver_switches():
     """Scenario JSON, snapshots and sweep manifests written while the
-    solver had switches still load, to the same controller."""
+    solver had switches and the search had caps still load, to the same
+    controller: every such document carries one sweep and uncapped
+    removals."""
     legacy = {
         "cycle_length": 450.0,
         "incremental": False,
         "vectorize": False,
         "fast_path_min_nodes": 0,
+        "search_sweeps": 1,
+        "max_removals_per_node": None,
     }
     assert APCConfig.from_dict(legacy) == APCConfig(cycle_length=450.0)
-    scenario = Scenario.from_dict({"name": "legacy", "apc": legacy})
+    scenario = Scenario.from_dict(
+        {"name": "legacy", "apc": legacy, "sim": {"cycle_length": 450.0}}
+    )
     assert scenario.apc == APCConfig(cycle_length=450.0)
 
 

@@ -161,6 +161,40 @@ class TestScenarioBoundary:
         with pytest.raises(ConfigurationError, match=field):
             Scenario.from_dict({"name": "bad-shape", field: value})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda: Scenario(
+                    nodes=2, job_count=4, interarrival=100.0,
+                    sim=SimulationConfig(cycle_length=300.0),
+                ),
+                id="constructor",
+            ),
+            pytest.param(
+                lambda: Scenario.from_dict({
+                    "apc": {"cycle_length": 450.0},
+                    "sim": {"cycle_length": 600.0},
+                }),
+                id="from_dict",
+            ),
+        ],
+    )
+    def test_rejects_a_horizon_other_than_the_cycle(self, build):
+        """The controller predicts ``apc.cycle_length`` ahead (§4.2), so
+        a simulator that runs cycles at another period is refused, also
+        from a dict such as a checkpoint's."""
+        with pytest.raises(
+            ConfigurationError, match="apc.cycle_length.*sim.cycle_length"
+        ):
+            build()
+
+    def test_accepts_a_horizon_equal_to_the_cycle(self):
+        matched = Scenario.from_dict(
+            {"apc": {"cycle_length": 450.0}, "sim": {"cycle_length": 450.0}}
+        )
+        assert matched.apc.cycle_length == matched.sim.cycle_length == 450.0
+
     @settings(max_examples=200, deadline=None)
     @given(
         field=st.sampled_from(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.batch.job import JobStatus
+from repro.batch.job import Job, JobProfile, JobStatus
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
@@ -17,7 +17,7 @@ from repro.sim.simulator import (
 from repro.sim.trace import SimulationTrace, TraceEventKind
 from repro.txn.application import TransactionalApp
 from repro.txn.workload import ConstantTrace
-from repro.virt.costs import FREE_COST_MODEL
+from repro.virt.costs import FREE_COST_MODEL, PAPER_COST_MODEL
 
 from tests.conftest import make_job
 
@@ -201,6 +201,76 @@ class TestOverlappingOutageWindows:
         assert metrics.completions[0].completion_time == pytest.approx(20.0)
         assert [e.time for e in node_restores(trace, "node0")] == [9.0]
         assert sim.state.cluster.node("node0").available
+
+
+class TestParallelJobUnderFailure:
+    @pytest.mark.parametrize(
+        "cost_model, fail_time, completion, credited_s",
+        [
+            # 600 s on both instances, then 2,400 s on the survivor.
+            pytest.param(
+                FREE_COST_MODEL, 600.0, 3000.0, [1200.0, 2400.0],
+                id="mid-run",
+            ),
+            # The outage falls in the 3.6 s boot: the survivor starts
+            # when its boot ends and runs all of the work alone.
+            pytest.param(
+                PAPER_COST_MODEL, 2.0, 3603.6, [3600.0], id="during-boot"
+            ),
+        ],
+    )
+    def test_survivor_runs_on_at_its_remaining_speed(
+        self, cost_model, fail_time, completion, credited_s
+    ):
+        """A two-instance job that loses one instance to a graceful
+        outage finishes when its surviving instance has run the rest of
+        its work, not when both would have."""
+        speed = 3900.0
+        profile = JobProfile.single_stage(
+            work_mcycles=speed * 3600.0, max_speed_mhz=speed, memory_mb=750.0
+        )
+        job = Job.with_goal_factor(
+            "p", profile, submit_time=0.0, goal_factor=4.0, parallelism=2
+        )
+        cycle = 36_000.0
+        cluster = Cluster.homogeneous(
+            2, cpu_capacity=4 * speed, memory_capacity=2000
+        )
+        queue = JobQueue()
+        batch = BatchWorkloadModel(queue)
+        sim = MixedWorkloadSimulator(
+            cluster,
+            APCPolicy(
+                ApplicationPlacementController(
+                    cluster, APCConfig(cycle_length=cycle)
+                ),
+                [batch],
+            ),
+            queue,
+            arrivals=[job],
+            batch_model=batch,
+            config=SimulationConfig(
+                cycle_length=cycle,
+                cost_model=cost_model,
+                failures=[
+                    NodeFailure("node1", fail_time=fail_time, lose_progress=False)
+                ],
+            ),
+        )
+        credited = []
+        advance = job.advance
+
+        def recording_advance(work_mcycles):
+            credited.append(work_mcycles)
+            advance(work_mcycles)
+
+        job.advance = recording_advance
+        metrics = sim.run()
+        (record,) = metrics.completions
+        assert record.completion_time == pytest.approx(completion)
+        # Each credit is the work one speed ran: seconds on one instance.
+        assert credited == [pytest.approx(s * speed) for s in credited_s]
+        assert sum(credited) == pytest.approx(profile.total_work)
 
 
 class TestPartitionedPolicyUnderFailure:

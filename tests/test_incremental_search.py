@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import ApplicationPlacementController, lrpf_order
 from repro.core.constraints import (
     AntiCollocation,
     Collocation,
@@ -28,6 +28,7 @@ from repro.core.constraints import (
     PinToNodes,
 )
 from repro.core.loadbalance import AllocatableApp
+from repro.core.objective import Objective
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import LinearRPF
 from repro.experiments.benchmark import _bench_scenario
@@ -85,27 +86,26 @@ def _counter_total(registry, name, **labels):
     return total
 
 
-#: A deeply saturated small cluster with several sweeps: distinct search
-#: trials converge to placements an earlier sweep already scored, and
-#: adopted trials carry their churn from one sweep into the next.
-MULTI_SWEEP_SCENARIO = Scenario(
-    name="multi-sweep-regime",
+#: A deeply saturated small cluster: the search adopts trials on several
+#: nodes of one sweep, and each adopted trial carries its churn into the
+#: trials built from it.
+DENSE_SCENARIO = Scenario(
+    name="dense-regime",
     nodes=5,
     workload="experiment2",
     job_count=40,
     interarrival=10.0,
     seed=7,
     queue_window=16,
-    apc=APCConfig(search_sweeps=3),
 )
 
 
-def test_identity_multi_sweep_regime():
-    """Identity must survive several sweeps per cycle, where trials
-    re-reach placements an earlier sweep scored and churn accumulates
-    over adoptions."""
-    reference = run_cycles(MULTI_SWEEP_SCENARIO, 8, reference=True)
-    production = run_cycles(MULTI_SWEEP_SCENARIO, 8, reference=False)
+def test_identity_dense_regime():
+    """Identity must survive a saturated cluster, where the search
+    adopts several trials per cycle and churn accumulates over
+    adoptions."""
+    reference = run_cycles(DENSE_SCENARIO, 8, reference=True)
+    production = run_cycles(DENSE_SCENARIO, 8, reference=False)
     assert production == reference
 
 
@@ -116,25 +116,25 @@ def test_delta_churn_equals_full_diff(monkeypatch):
     import repro.core.apc as apc_module
     from repro.virt.actions import diff_placements
 
-    scenario = MULTI_SWEEP_SCENARIO
+    scenario = DENSE_SCENARIO
     cluster = scenario.build_cluster()
     queue = JobQueue()
     model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
     controller = ApplicationPlacementController(cluster, scenario.apc)
     scored = []
     distribute = apc_module.distribute_load
-    score = controller.objective.score
+    score = Objective.score
 
     def recording_distribute(state, *args, **kwargs):
         scored.append([state.as_matrix()])
         return distribute(state, *args, **kwargs)
 
-    def recording_score(utilities, churn, tolerance):
+    def recording_score(objective, utilities, churn, tolerance):
         scored[-1].append(churn)
-        return score(utilities, churn, tolerance)
+        return score(objective, utilities, churn, tolerance)
 
     monkeypatch.setattr(apc_module, "distribute_load", recording_distribute)
-    monkeypatch.setattr(controller.objective, "score", recording_score)
+    monkeypatch.setattr(Objective, "score", recording_score)
     state = PlacementState(cluster)
     pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
     now, checked = 0.0, 0
@@ -172,7 +172,7 @@ def test_identity_underloaded_small_cluster():
 def test_fast_path_actually_engages():
     """Short-circuits are observable: the speedup is not an accident of
     the workload."""
-    scenario = MULTI_SWEEP_SCENARIO
+    scenario = DENSE_SCENARIO
     cluster = scenario.build_cluster()
     queue = JobQueue()
     model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
@@ -196,9 +196,9 @@ def test_fast_path_actually_engages():
 # ----------------------------------------------------------------------
 # Decision flight recorder
 # ----------------------------------------------------------------------
-#: :data:`MULTI_SWEEP_SCENARIO`'s saturation on 16 nodes.
+#: :data:`DENSE_SCENARIO`'s saturation on 16 nodes.
 SIXTEEN_NODE_SCENARIO = replace(
-    MULTI_SWEEP_SCENARIO,
+    DENSE_SCENARIO,
     name="sixteen-node-regime",
     nodes=16,
     job_count=160,
@@ -211,7 +211,7 @@ SIXTEEN_NODE_SCENARIO = replace(
 def test_audit_attachment_never_changes_placements(sixteen_nodes):
     from repro.obs.audit import DecisionAudit
 
-    scenario = SIXTEEN_NODE_SCENARIO if sixteen_nodes else MULTI_SWEEP_SCENARIO
+    scenario = SIXTEEN_NODE_SCENARIO if sixteen_nodes else DENSE_SCENARIO
     plain = run_cycles(scenario, 6, reference=False)
     audit = DecisionAudit()
     audited = run_cycles(scenario, 6, reference=False, audit=audit)
@@ -226,7 +226,7 @@ def test_audit_counts_every_scored_candidate():
     from repro.obs.audit import DecisionAudit
 
     audit = DecisionAudit()
-    run_cycles(MULTI_SWEEP_SCENARIO, 6, reference=False, audit=audit)
+    run_cycles(DENSE_SCENARIO, 6, reference=False, audit=audit)
     for cycle in audit.cycles():
         records = audit.records_for(cycle)
         scored = [
@@ -267,10 +267,6 @@ def constrained_cases(draw):
         interarrival=draw(st.sampled_from([30.0, 90.0, 300.0])),
         seed=draw(st.integers(min_value=0, max_value=99)),
         queue_window=draw(st.sampled_from([None, 4])),
-        apc=APCConfig(
-            search_sweeps=draw(st.integers(min_value=1, max_value=3)),
-            max_removals_per_node=draw(st.sampled_from([None, 1, 2])),
-        ),
     )
     txn_apps = []
     if draw(st.booleans()):
@@ -408,7 +404,7 @@ def test_noop_check_skips_nodes_closed_by_constraints():
     trials are recorded as ``node_noop`` short-circuits."""
     from repro.obs.audit import DecisionAudit
 
-    scenario = MULTI_SWEEP_SCENARIO
+    scenario = DENSE_SCENARIO
     jobs = [job.job_id for job in scenario.build_jobs()]
     constraints = ConstraintSet(PinToNodes(j, ["node0", "node1"]) for j in jobs)
     audit = DecisionAudit()
@@ -432,7 +428,7 @@ def test_noop_check_skips_nodes_closed_by_constraints():
     "scenario",
     [
         pytest.param(SIXTEEN_NODE_SCENARIO, id="16-nodes"),
-        pytest.param(MULTI_SWEEP_SCENARIO, id="rows-5-nodes"),
+        pytest.param(DENSE_SCENARIO, id="rows-5-nodes"),
     ],
 )
 def test_every_search_trial_derives_from_its_base(monkeypatch, scenario):
@@ -466,7 +462,7 @@ def test_every_search_trial_derives_from_its_base(monkeypatch, scenario):
     assert len(derived) == len(trials)
 
 
-def _old_fill_list(controller, trial, specs, candidates, utilities, node, forbidden):
+def _old_fill_list(trial, specs, candidates, utilities, node, forbidden):
     """The inner loop's list as ``_fill_node`` computed it per trial,
     from the trial after its removals."""
     eligible = [
@@ -477,7 +473,7 @@ def _old_fill_list(controller, trial, specs, candidates, utilities, node, forbid
         and (specs[c].demand.divisible or not trial.is_placed(c))
         and trial.instances_on(c, node) == 0
     ]
-    return controller.admission.order(eligible, specs, utilities)
+    return lrpf_order(eligible, specs, utilities)
 
 
 def _search_bases(case):
@@ -531,7 +527,7 @@ def test_fill_order_is_the_same_for_every_removal_count(case):
                 for app_id in removable[:removals]:
                     trial.remove(app_id, node)
                 assert hoisted == _old_fill_list(
-                    controller, trial, specs, candidates, utilities, node,
+                    trial, specs, candidates, utilities, node,
                     set(removable[:removals]),
                 )
 

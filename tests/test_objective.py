@@ -5,12 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import objective
-from repro.core.objective import (
-    LexMaxMinObjective,
-    PlacementScore,
-    UtilitarianObjective,
-    UtilityVector,
-)
+from repro.core.objective import Objective, PlacementScore, UtilityVector
 from repro.units import EPSILON
 
 
@@ -158,10 +153,9 @@ class TestObjectiveBetter:
     )
     def test_matches_the_rich_comparison(self, pair, churn):
         candidate, incumbent = pair
-        for judge in (LexMaxMinObjective(), UtilitarianObjective()):
-            assert judge.better(
-                PlacementScore(candidate, churn), PlacementScore(incumbent, 0)
-            ) == (candidate > incumbent)
+        assert Objective().better(
+            PlacementScore(candidate, churn), PlacementScore(incumbent, 0)
+        ) == (candidate > incumbent)
 
     @pytest.mark.parametrize("lengths", [(2, 2), (3, 2), (2, 3)])
     def test_one_comparison_per_call(self, monkeypatch, lengths):
@@ -175,7 +169,7 @@ class TestObjectiveBetter:
         monkeypatch.setattr(objective, "_lex_compare", counted)
         candidate = UtilityVector([0.3, 0.4, 0.5][: lengths[0]], 0.05)
         incumbent = UtilityVector([0.3, 0.4, 0.5][: lengths[1]], 0.02)
-        LexMaxMinObjective().better(
+        Objective().better(
             PlacementScore(candidate), PlacementScore(incumbent)
         )
         assert calls == [(candidate.values, incumbent.values, 0.05)]

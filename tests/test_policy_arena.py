@@ -245,18 +245,6 @@ class TestScenarioPolicyField:
         with pytest.raises(ConfigurationError):
             Simulation.from_scenario(scenario)
 
-    def test_apc_objective_params_reach_the_controller(self):
-        scenario = Scenario(
-            nodes=2,
-            job_count=2,
-            policy="apc",
-            policy_params={"objective": "utilitarian", "admission": "fcfs"},
-        )
-        sim = Simulation.from_scenario(scenario)
-        assert sim.controller is not None
-        assert sim.controller.objective.name == "utilitarian"
-        assert sim.controller.admission.name == "fcfs"
-
     def test_non_apc_policies_have_no_controller(self):
         sim = Simulation.from_scenario(
             Scenario(nodes=2, job_count=2, policy="proportional_fairness")

@@ -239,6 +239,37 @@ def test_schema_version_is_stamped_and_enforced():
         Simulation.from_snapshot(bad)
 
 
+#: The search caps every checkpoint written while they existed carries
+#: in its scenario's ``apc`` dict: one sweep, uncapped removals.
+RETIRED_SEARCH_CAPS = {"search_sweeps": 1, "max_removals_per_node": None}
+
+
+def test_checkpoint_with_the_retired_search_caps_restores():
+    """Such a checkpoint restores and finishes byte-identically to the
+    uninterrupted run, on a cluster where the controller searches."""
+    scenario = faulty_scenario(seed=3, faults=False, **SIXTEEN_NODES)
+    reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+    reference.run()
+    partial = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+    partial.run(until=2 * CYCLE + 300.0)
+    snapshot = json.loads(json.dumps(partial.snapshot()))
+    snapshot["scenario"]["apc"].update(RETIRED_SEARCH_CAPS)
+    resumed = Simulation.from_snapshot(snapshot, decision_clock=ZERO_CLOCK)
+    resumed.run()
+    assert final_state_json(reference) == final_state_json(resumed)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("search_sweeps", 2), ("max_removals_per_node", 1)]
+)
+def test_checkpoint_asking_for_another_search_is_refused(key, value):
+    sim = Simulation.from_scenario(faulty_scenario(seed=1))
+    bad = json.loads(json.dumps(sim.snapshot()))
+    bad["scenario"]["apc"].update(RETIRED_SEARCH_CAPS, **{key: value})
+    with pytest.raises(CheckpointError, match=key):
+        Simulation.from_snapshot(bad)
+
+
 def test_truncated_snapshot_is_a_checkpoint_error():
     scenario = faulty_scenario(seed=1)
     sim = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)

@@ -2,17 +2,20 @@
 
 Usage::
 
-    python tools/perfbench_fingerprints.py ROOT
+    python tools/perfbench_fingerprints.py ROOT [SEED ...]
 
 Imports ``ROOT/perfbench/workloads.py`` over ``ROOT/src``, as
 ``perfbench/run.py`` does, runs one timed window of each of the four
-workloads at seeds 1-3, and prints one JSON object: workload, then seed,
-then the window's fingerprint, its outcome, its failed output checks and
-its observability stream counts.  Nothing in it depends on timing, so two
-checkouts that decide identically print identical text; CI compares the
-base commit's output with the head's.
+workloads at each seed (1, 2 and 3 when none is given), and prints one
+JSON object: workload, then seed, then the window's fingerprint, its
+outcome, its failed output checks and its observability stream counts.
+Nothing in it depends on timing, so two checkouts that decide
+identically print identical text; CI compares the base commit's output
+with the head's.  A seed no test or CI run uses, such as 4, checks that
+identity on held-out inputs.
 
-Exits with status 2, printing nothing, when ``ROOT/src`` holds no program.
+Exits with status 2, printing nothing, when ``ROOT/src`` holds no program
+or a seed is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -24,10 +27,14 @@ from pathlib import Path
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/perfbench_fingerprints.py ROOT", file=sys.stderr)
+    if len(argv) < 2 or not all(arg.isdigit() for arg in argv[2:]):
+        print(
+            "usage: python tools/perfbench_fingerprints.py ROOT [SEED ...]",
+            file=sys.stderr,
+        )
         return 2
     root = Path(argv[1]).resolve()
+    seeds = [int(arg) for arg in argv[2:]] or [1, 2, 3]
     src = root / "src"
     if not (src / "repro" / "__init__.py").is_file():
         print(f"perfbench_fingerprints: no program under {src}", file=sys.stderr)
@@ -42,7 +49,7 @@ def main(argv) -> int:
     for name in ("paper-steady", "overload", "share", "faulty-observed"):
         workload = workloads.WORKLOADS[name]
         out[name] = {}
-        for seed in (1, 2, 3):
+        for seed in seeds:
             prep = workload.prepare(seed, workload.inputs(seed), False)
             result = workloads.run_window(prep)
             workloads.close_stream(prep, result)
