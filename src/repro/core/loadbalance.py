@@ -38,25 +38,33 @@ with the paper's overall heuristic approach.
 The level search is the same construction as the yield search of
 virtual-cluster allocation (Stillwell et al., arXiv:1006.5376): bisect one
 common level and test feasibility at each probe.  The controller runs one
-search per candidate placement it evaluates: up to 50 probes, 1 or 2 when
-the top level fits.  :func:`distribute_load` prepares each placed app
-once per call as a row, answers each probe with a plain yes/no over the
-rows (:func:`_fill`), builds the assignment by the same routine at the
-final level, and then refines.  A *job link* is a placed app whose RPF
-is a parametric batch ``JobAllocationRPF`` (that class exactly), not
+search per candidate placement it evaluates.  :func:`distribute_load`
+prepares each placed app once per call as a row, answers each probe over
+the rows (:func:`_fill`), builds the assignment by the same routine at
+the final level, and then refines.  A *job link* is a placed app whose
+RPF is a parametric batch ``JobAllocationRPF`` (that class exactly), not
 divisible, with a finite speed ceiling, on exactly one node.  It is
 prepared as a :class:`_Link` carrying the RPF's fields, read in one
 call, and a probe works out its target in closed form, float for float
 as the RPF and :func:`_target` do; every other row answers through its
-RPF.  The search probes the top level first when every placed row is a
-link (see :func:`_highest_feasible_level`), and refinement skips rows
-with no headroom.  A search that must bisect runs all its probes:
-feasibility is not known to be monotone in the level in float
-arithmetic once a divisible app sorts its nodes by residual each probe,
-so no bracket shortens it.  The straightforward loop that recomputes
-every target and a full assignment per probe is kept in
-``tests/test_loadbalance_oracle.py`` as the oracle the distributor must
-match exactly.
+RPF.  Refinement skips rows with no headroom.
+
+The search returns the float the 48-step bisection returns, but skips
+the probes a certificate decides (:func:`_highest_feasible_level`):
+:func:`_fill` also says whether its answer holds for every level on its
+side.  A chain of links always does; the one divisible row of the §5.3
+sharing workload does when its deficit clears ``EPSILON`` by a stated
+rounding margin.  Secant steps on that deficit, from a search trial's
+base level when it has one, narrow the bracket; the bisection's final
+pair is predicted and certified, and the bisection replayed.  A
+``share`` distribution takes about 10 probes instead of 50, a call whose
+links all fit at the top takes 1, and a mix with no certificate (two
+divisible rows, a singleton that is not a link, or an inverse with no
+stated rounding bound) takes the bisection's 50.
+
+The straightforward loop that recomputes every target and a full
+assignment per probe is kept in ``tests/test_loadbalance_oracle.py`` as
+the oracle the distributor must match exactly.
 
 A §3.2 search trial differs from the placement it was copied from on
 one node.  Given that placement's result and the node, a call reuses
@@ -77,6 +85,7 @@ from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import (
     NEGATIVE_INFINITY_UTILITY,
     JobAllocationRPF,
+    PiecewiseLinearRPF,
     RelativePerformanceFunction,
 )
 from repro.units import EPSILON
@@ -86,11 +95,34 @@ from repro.units import EPSILON
 #: physically meaningful difference.
 _LEVEL_SEARCH_ITERATIONS = 48
 
+#: The bisection's final spacing, about 1.8e-13: no two points on its
+#: path are closer.
+_LEVEL_SPACING = (
+    (1.0 - NEGATIVE_INFINITY_UTILITY) / 2.0 ** _LEVEL_SEARCH_ITERATIONS
+)
+
+#: Most secant steps a certified level search takes before it replays
+#: the bisection (see :func:`_highest_feasible_level`).
+_SECANT_STEPS = 24
+
+#: A secant step shorter than this ends the steps: the guess it makes is
+#: then far nearer the threshold than the bisection's final spacing.
+_SECANT_CONVERGED = 1e3 * _LEVEL_SPACING
+
+#: How far a search that starts from a base's level takes its second
+#: point, toward the threshold: about how far one node's change moves
+#: the level on the §5.3 sharing workload.  It only steers the search.
+_START_STEP = 0.02
+
+#: The unit roundoff of IEEE doubles.
+_ROUNDOFF = 2.0 ** -53
+
 #: Maximum refinement sweeps.  Each sweep either raises at least one
 #: application or terminates, so this is a safety bound, not a tuning knob.
 _MAX_REFINEMENT_SWEEPS = 64
 
 _INF = float("inf")
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -290,8 +322,10 @@ def _fill(
     level: float,
     capacity: Mapping[str, float],
     per_node: Optional[Dict[str, Dict[str, float]]] = None,
-) -> bool:
-    """Whether every app's target at ``level`` fits its nodes.
+    certify: bool = False,
+) -> Tuple[bool, bool, Optional[float]]:
+    """Whether every app's target at ``level`` fits its nodes, as
+    ``(fits, certified, deficit)``.
 
     The one copy of the feasibility rules, shared by the level probes and
     the final assignment: singleton (non-divisible) applications take
@@ -304,8 +338,19 @@ def _fill(
     A :class:`_Link`'s target is worked out here, in the order of the
     operations of ``JobAllocationRPF.required_cpu`` and :func:`_target`,
     so every float is theirs; its one slot is the loop below run once.
+
+    ``certify`` says the rows are links and at most one divisible row,
+    last, whose RPF is a ``PiecewiseLinearRPF`` (the mix
+    :func:`_highest_feasible_level` can certify).  Then ``certified``
+    says whether the answer holds for every level on its side (every
+    lower level fits when this one does; no higher level fits when this
+    one does not), and ``deficit`` is the divisible row's target less
+    what its nodes have left, ``T - Σ min(residual, cap)`` over the takes
+    its greedy can make (``None`` when no divisible row was reached).
+    Otherwise ``certified`` is ``False`` and ``deficit`` ``None``.
     """
     residual = dict(capacity)
+    certified, deficit = certify, None
     for row in rows:
         if row.__class__ is _Link:
             (app_id, saturation, low, high, u_limit, work, goal,
@@ -342,12 +387,26 @@ def _fill(
                 residual[node] = free - take
                 target -= take
             if target > EPSILON:
-                return False
+                return False, certified, None
             continue
         target = _target(row, level)
+        app_id, _, _, _, _, _, divisible, slots = row
+        if certify:
+            # The rounding margin beta of _highest_feasible_level.
+            available = 0.0
+            for node, cap in slots:
+                free = residual[node]
+                if cap < free:
+                    free = cap
+                if free > EPSILON:
+                    available += free
+            deficit = target - available
+            certified = abs(deficit - EPSILON) > (
+                (32 + 4 * len(slots)) * _ROUNDOFF
+                * max(target, available, 1.0)
+            )
         if target <= EPSILON:
             continue
-        app_id, _, _, _, _, _, divisible, slots = row
         if divisible and len(slots) > 1:
             # Most-residual-first keeps the greedy exact for a lone
             # divisible application and balances the router's view of
@@ -365,8 +424,8 @@ def _fill(
             if remaining <= EPSILON:
                 break
         if remaining > EPSILON:
-            return False
-    return True
+            return False, certified, deficit
+    return True, certified, deficit
 
 
 def distribute_load(
@@ -424,18 +483,26 @@ def distribute_load(
     rows = [_prepare_row(a, placed[a], state, capacity) for a in placed_ids]
     # _fill's order: singletons (links among them), then divisible
     # applications, each in placed order.
-    fill_rows = [r for r in rows if not r.divisible] + [
-        r for r in rows if r.divisible
-    ]
-    # Exact only when every row is a link; see _highest_feasible_level.
-    top_first = all(row.__class__ is _Link for row in rows)
+    singletons = [r for r in rows if not r.divisible]
+    divisible = [r for r in rows if r.divisible]
+    fill_rows = singletons + divisible
+    chains = all(row.__class__ is _Link for row in singletons)
+    all_links = chains and not divisible
+    # The mixes whose probes _fill certifies: links, and at most one
+    # divisible row, whose inverse has a stated rounding bound.
+    certify = all_links or (
+        chains
+        and len(divisible) == 1
+        and placed[divisible[0].app_id].rpf.__class__ is PiecewiseLinearRPF
+    )
 
     # ------------------------------------------------------------------
-    # Phase 1+2: binary search the highest feasible common level, then
-    # build the assignment once, at that level, by the same rules.
+    # Phase 1+2: search the highest feasible common level, then build
+    # the assignment once, at that level, by the same rules.
     # ------------------------------------------------------------------
     level = _highest_feasible_level(
-        lambda probe: _fill(fill_rows, probe, capacity), top_first
+        lambda probe: _fill(fill_rows, probe, capacity, certify=certify),
+        base.common_level if certify and base is not None else None,
     )
     if level is None:
         result.feasible = False
@@ -473,7 +540,7 @@ def distribute_load(
             for (saturation, ceiling), cpu in zip(bounds, current)
         ]
         if all(stuck):
-            if sweep == 0 and level == 1.0 and top_first:
+            if sweep == 0 and level == 1.0 and all_links:
                 # Trials copied from this state can derive from it.
                 result._top_level = _TopLevelBase(apps, placed_ids)
             break
@@ -509,39 +576,174 @@ def distribute_load(
 
 
 def _highest_feasible_level(
-    feasible: Callable[[float], bool], top_first: bool = False
+    probe: Callable[[float], Tuple[bool, bool, Optional[float]]],
+    start: Optional[float] = None,
 ) -> Optional[float]:
-    """Bisect the highest common level in ``[NEGATIVE_INFINITY_UTILITY,
-    1]`` that ``feasible`` accepts; ``None`` when even the floor (about
-    the minimum speeds) does not fit.
+    """The level a bisection of ``[NEGATIVE_INFINITY_UTILITY, 1]``
+    returns, probing only where no certificate decides its step; ``None``
+    when even the floor (about the minimum speeds) does not fit.
 
-    ``top_first`` probes the top before the floor and skips the floor
-    when the top fits.  That is exact only when a fit at the top implies
-    a fit at the floor, which holds when every row is a job link (see
-    :class:`_Link`).  Their targets are non-decreasing in the level, and
-    each node drains its chain of such rows in a fixed order.  Suppose
-    the chain fits at the top.  At each link the floor starts with at
-    least the top's residual and a target no larger, so it falls short
-    by no more than the top does, and it is left with at least the
-    top's residual again.  Where the top takes its target or its
-    instance cap, the floor takes no more, and IEEE subtraction is
-    monotone in both operands; where the residual binds at the top, the
-    top is left with exactly 0.
+    ``probe`` is :func:`_fill` at a level: ``(fits, certified,
+    deficit)``.  The bisection returns ``None`` when the floor does not
+    fit, the top when the top fits, and otherwise halves the bracket 48
+    times, keeping the half whose low end fits.  Here a certified fit at ``a``
+    stands for every midpoint at or below ``a``, and a certified miss at
+    ``b`` for every midpoint at or above ``b``.  The search probes:
+
+    * the top, and returns it on a certified fit; then the floor.  A
+      search given ``start`` (a trial's base level) probes it instead,
+      and a point :data:`_START_STEP` toward the threshold: a certified
+      answer at ``start`` stands for one endpoint, and the endpoints
+      are probed last only if nothing certified stands for them;
+    * up to :data:`_SECANT_STEPS` secant steps on the divisible row's
+      deficit less ``EPSILON``, through the two probes nearest it, kept
+      half the final spacing inside the certified bracket ``[a, b]`` (a
+      step that leaves it bisects it), until the bracket is narrower
+      than the bisection's final spacing (:data:`_LEVEL_SPACING`) or a
+      step shorter than :data:`_SECANT_CONVERGED` gives a guess;
+    * from a guess, the bisection's predicted final pair: the last
+      midpoint the guess says fits, and the last it says misses (or,
+      when one is too near the threshold to certify, the one before).
+      When they certify, the replay below probes nothing;
+    * the replay of the bisection, probing only midpoints inside
+      ``(a, b)`` that it has not probed.
+
+    A mix ``_fill`` does not certify (two divisible rows, a singleton
+    that is not a link, or an inverse with no stated rounding bound)
+    probes the top, the floor and all 48 midpoints, as the plain
+    bisection does.  On the §5.3 ``share`` workload a distribution takes
+    about 10 probes.
+
+    Why it is exact.  The replay takes the bisection's path as long as
+    every certificate holds, and probes give exact answers.  The
+    certificates rest on two arguments.
+
+    *Link chains.*  A job link's target is non-decreasing in the level
+    in float arithmetic (each step of :func:`_fill`'s closed form is a
+    monotone IEEE operation of the level, with ``relative_goal > 0``),
+    and each node drains its chain of links in a fixed order.  Take two
+    levels ``y < x`` where the chain fits at ``x``.  At each link ``y``
+    starts with at least ``x``'s residual and a target no larger, so it
+    falls short by no more than ``x`` does, and it is left with at least
+    ``x``'s residual again: where ``x`` takes its target or its instance
+    cap, ``y`` takes no more, and IEEE subtraction is monotone in both
+    operands; where the residual binds at ``x``, ``x`` is left with
+    exactly 0.  So a chain that fits at ``x`` fits at every lower level,
+    leaving at least as much on every node, and one that misses at ``x``
+    misses at every higher level.  A links-only answer is always
+    certified, which makes the top-first probe exact.
+
+    *The divisible row.*  After the links, the one divisible row with
+    target ``T`` draws from slots with ``m_i = min(residual_i, cap_i)``.
+    Only slots with ``m_i > EPSILON`` can give a take, so with
+    ``S = Σ m_i`` over those the greedy, in any slot order, ends within
+    ``k·u·T`` of ``T − S`` (``k`` slots, ``u = 2**-53``; each subtraction
+    rounds by at most ``u`` of a remainder at most ``T``), or covers its
+    target.  ``T`` comes from the inverse through monotone clamps; a
+    ``PiecewiseLinearRPF`` inverse is monotone within a segment, and at
+    a segment's end it can exceed the next segment's first value by its
+    interpolation's rounding, at most about ``2u·T``.  Lower levels see
+    no less ``S`` (the link argument) and a ``T`` larger by at most that,
+    higher levels the reverse.  With the deficit ``D = T − S`` computed
+    in floats (off by at most about ``k·u·max(T, S)``), a probe is
+    certified when ``|D − EPSILON|`` exceeds
+    ``β = (32 + 4k)·u·max(T, S, 1)``, over twice the sum of those bounds:
+    a fit then fits at every lower level and a miss misses at every
+    higher one.  The mixes ``_fill`` certifies have that row last, so no
+    row after it can undo this.  ``tests/test_loadbalance_oracle.py``
+    draws mixes whose deficit lands within a few ulps of ``EPSILON`` and
+    pins the result to the plain probe loop.
     """
-    lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
-    if top_first:
-        if feasible(hi):
-            return hi
-        if not feasible(lo):
-            return None
+    floor, top = NEGATIVE_INFINITY_UTILITY, 1.0
+    # Every level probed: (fits, certified).
+    seen: Dict[float, Tuple[bool, bool]] = {}
+    # Every level at or below ``a`` fits; none at or above ``b`` does.
+    a, b = -_INF, _INF
+    # The two probes whose deficit less EPSILON is nearest 0, the
+    # nearest last, as (level, deficit - EPSILON).
+    near: List[Tuple[float, float]] = []
+
+    def look(level: float) -> Tuple[bool, bool]:
+        nonlocal a, b
+        if level not in seen:
+            fits, certified, deficit = probe(level)
+            seen[level] = (fits, certified)
+            if certified:
+                if fits:
+                    a = max(a, level)
+                else:
+                    b = min(b, level)
+            if deficit is not None:
+                near.append((level, deficit - EPSILON))
+                near.sort(key=lambda point: -abs(point[1]))
+                del near[:-2]
+        return seen[level]
+
+    if start is not None and floor < start < top:
+        # The second secant point: a step toward the threshold.
+        look(start)
+        if near:
+            step = _START_STEP if near[-1][1] < 0.0 else -_START_STEP
+            if floor < start + step < top:
+                look(start + step)
     else:
-        if not feasible(lo):
+        if look(top) == (True, True):
+            return top
+        if not look(floor)[0]:
             return None
-        if feasible(hi):
-            return hi
+        if seen[top][0]:
+            return top
+
+    # Secant steps, kept half a spacing inside the certified bracket: a
+    # probe nearer one of its ends than that decides no more midpoints.
+    guess = None
+    pinch = 0.5 * _LEVEL_SPACING
+    for _ in range(_SECANT_STEPS):
+        left, right = max(a, floor), min(b, top)
+        if len(near) < 2 or right - left <= _LEVEL_SPACING:
+            break
+        (x0, f0), (x1, f1) = near
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else _NAN
+        if not left < x < right:
+            x = 0.5 * (left + right)
+        elif abs(x - x1) < _SECANT_CONVERGED:
+            guess = x
+            break
+        x = min(max(x, left + pinch), right - pinch)
+        if x in seen:
+            break
+        look(x)
+
+    if guess is not None:
+        # The path the guess predicts, then its final pair, walking back
+        # past a point too near the threshold to certify.
+        lo, hi, lows, highs = floor, top, [], []
+        for _ in range(_LEVEL_SEARCH_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            if mid <= a or mid < b and (
+                seen[mid][0] if mid in seen else mid <= guess
+            ):
+                lo = mid
+                lows.append(mid)
+            else:
+                hi = mid
+                highs.append(mid)
+        for level in reversed(lows):
+            if level <= a or not look(level)[0]:
+                break
+        for level in reversed(highs):
+            if level >= b or look(level)[0]:
+                break
+
+    # The endpoints no certificate stands for, then the bisection.
+    if a < floor and not look(floor)[0]:
+        return None
+    if b > top and look(top)[0]:
+        return top
+    lo, hi = floor, top
     for _ in range(_LEVEL_SEARCH_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if feasible(mid):
+        if mid <= a or mid < b and look(mid)[0]:
             lo = mid
         else:
             hi = mid
@@ -648,7 +850,7 @@ def _derive_from_base(
         return None
 
     takes: Dict[str, Dict[str, float]] = {a: {} for a in chain}
-    if not _fill(rows, 1.0, capacity, takes):
+    if not _fill(rows, 1.0, capacity, takes)[0]:
         return None
     node_allocations: Dict[str, float] = {}
     node_utilities: Dict[str, float] = {}

@@ -102,9 +102,12 @@ class PiecewiseLinearRPF:
             raise ConfigurationError("piecewise-linear RPF needs >= 2 points")
         cpus = [p[0] for p in points]
         utils = [p[1] for p in points]
-        if any(b - a < -EPSILON for a, b in zip(cpus, cpus[1:])):
+        # Exactly, not within EPSILON: the inverse bisects the utilities,
+        # and the load distributor's certified level search relies on
+        # the inverse being monotone (see repro.core.loadbalance).
+        if any(b < a for a, b in zip(cpus, cpus[1:])):
             raise ConfigurationError("RPF sample CPUs must be non-decreasing")
-        if any(b - a < -EPSILON for a, b in zip(utils, utils[1:])):
+        if any(b < a for a, b in zip(utils, utils[1:])):
             raise ConfigurationError("RPF sample utilities must be non-decreasing")
         if cpus[0] < 0:
             raise ConfigurationError("RPF sample CPUs must be >= 0")

@@ -14,11 +14,17 @@ closed-form job-link targets, including where links share a node's
 chain with other singletons, and every field a link carries is checked
 against the RPF that holds it.  A trial changed on one node and handed
 its base's result (``base`` and ``node``) must get the same result as
-the call without them.
+the call without them.  Problems shaped like perfbench's ``share``
+(links beside one piecewise-linear divisible row whose deficit lands
+within a few ulps of ``EPSILON``) drive the certified level search,
+from the endpoints and from a base's level; mixes it cannot certify
+must make the bisection's 50 probes.
 """
 
 import dataclasses
+import math
 from typing import Dict, Mapping, Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +37,7 @@ from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
 from repro.cluster.node import Node, NodeSpec
 from repro.core import loadbalance
+import repro.core.apc as apc_module
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.loadbalance import (
     AllocatableApp,
@@ -375,6 +382,133 @@ def single_node_job_problems(draw):
     return state, apps
 
 
+#: Piecewise-linear RPFs for a divisible row: the transactional
+#: snapshot's shape (a steep rise that flattens toward its maximum), one
+#: with a vertical segment (its inverse is flat over a range of levels,
+#: so the deficit sits near ``EPSILON`` across many probes) and a knee.
+_SHARE_RPFS = [
+    [(0.0, -50.0), (600.0, -6.0), (1500.0, -0.8), (3000.0, 0.3),
+     (4500.0, 0.6), (6000.0, 0.66)],
+    [(0.0, -3.0), (800.0, 0.2), (800.0, 0.5), (2000.0, 0.9)],
+    [(0.0, -2.0), (1500.0, 0.6), (3000.0, 0.9)],
+]
+
+
+@st.composite
+def share_problems(draw):
+    """``share``-shaped problems, the mix the level search certifies:
+    job links stacked on 2-6 nodes, plus one divisible row with a
+    piecewise-linear RPF on several of them.  The capacities leave the
+    divisible row, after the links, its target at a drawn level less
+    ``EPSILON``, give or take a few ulps, so its deficit lands within a
+    few ulps of ``EPSILON`` there."""
+    names = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
+    apps: Dict[str, AllocatableApp] = {}
+    where = {}
+    for i in range(draw(st.integers(0, 12))):
+        app_id = f"a{i}"
+        apps[app_id], count = draw(job_app(app_id))
+        where[app_id] = (draw(st.sampled_from(names)), count)
+    scale = draw(st.sampled_from([0.5, 1.0, 7.0]))
+    rpf = PiecewiseLinearRPF(
+        [(cpu * scale, u) for cpu, u in draw(st.sampled_from(_SHARE_RPFS))]
+    )
+    txn = AllocatableApp(
+        demand=AppDemand(
+            app_id="txn",
+            memory_mb=1.0,
+            min_cpu_mhz=draw(st.sampled_from([0.0, 0.0, 50.0])),
+            max_cpu_per_instance_mhz=draw(
+                st.sampled_from([float("inf"), float("inf"), 3000.0])
+            ),
+            max_instances=None,
+            divisible=True,
+        ),
+        rpf=rpf,
+    )
+    # The transactional app comes first in apps, as the controller
+    # merges its models.
+    apps = {"txn": txn, **apps}
+    spread = draw(st.lists(
+        st.sampled_from(names), min_size=2, max_size=len(names), unique=True
+    ))
+
+    def placed_on(cluster):
+        state = PlacementState(cluster)
+        for node in spread:
+            state.place("txn", node, 1.0)
+        for app_id, (node, count) in where.items():
+            state.place(app_id, node, 1.0, count)
+        return state
+
+    roomy = placed_on(Cluster(
+        Node(name, NodeSpec(cpu_capacity=1e9, memory_capacity=1e6))
+        for name in names
+    ))
+    level = draw(st.sampled_from([-20.0, -1.0, 0.0, 0.25, 0.35, 0.55, 0.65]))
+    links = dict.fromkeys(names, 0.0)
+    for app_id, (node, _) in where.items():
+        links[node] += target_at_level(apps[app_id], roomy, level)
+    target = target_at_level(txn, roomy, level)
+    ulps = draw(st.sampled_from([-8, -2, -1, 0, 1, 2, 8]))
+    left = max(target - EPSILON + ulps * math.ulp(target), 0.0)
+    weights = {node: draw(st.sampled_from([1.0, 2.0, 3.0])) for node in spread}
+    total = sum(weights.values())
+    capacity = {}
+    for name in names:
+        share = left * weights[name] / total if name in weights else 0.0
+        extra = draw(st.sampled_from([0.0, 0.0, 250.0])) if not share else 0.0
+        capacity[name] = max(links[name] + share + extra, 1.0)
+    cluster = Cluster(
+        Node(name, NodeSpec(cpu_capacity=capacity[name], memory_capacity=1e6))
+        for name in names
+    )
+    return placed_on(cluster), apps
+
+
+@st.composite
+def uncertified_share_problems(draw):
+    """A :func:`share_problems` mix made one the level search cannot
+    certify: a second divisible row, a singleton that is not a link, or
+    a processor-sharing transactional row in place of the
+    piecewise-linear one (its inverse states no rounding bound)."""
+    state, apps = draw(share_problems())
+    names = list(state.cluster.node_names)
+    kind = draw(st.sampled_from(["second divisible", "singleton", "ps"]))
+    if kind == "second divisible":
+        app = draw(divisible_app("txn2"))
+        app = AllocatableApp(
+            demand=app.demand,
+            rpf=PiecewiseLinearRPF(draw(st.sampled_from(_SHARE_RPFS))),
+        )
+        for node in draw(st.lists(
+            st.sampled_from(names), min_size=1, max_size=3, unique=True
+        )):
+            state.place("txn2", node, 1.0)
+        apps["txn2"] = app
+    elif kind == "singleton":
+        if draw(st.booleans()):
+            apps["solo"] = draw(single_node_singleton("solo"))
+            state.place("solo", draw(st.sampled_from(names)), 1.0)
+        else:
+            # A job on two nodes: a singleton, but not a link.
+            apps["solo"], _ = draw(job_app("solo"))
+            first, second = names[:2]
+            state.place("solo", first, 1.0)
+            state.place("solo", second, 1.0)
+    else:
+        model = ProcessorSharingModel(
+            arrival_rate=draw(st.sampled_from([0.5, 2.0])),
+            demand_mcycles=draw(st.sampled_from([100.0, 800.0])),
+            single_thread_speed_mhz=1000.0,
+        )
+        apps["txn"] = AllocatableApp(
+            demand=apps["txn"].demand,
+            rpf=TransactionalRPF(model, response_time_goal=1.0),
+        )
+    return state, apps
+
+
 def _exact(result: LoadDistributionResult, state: PlacementState) -> str:
     """Every observable output, with exact floats and insertion order."""
     return repr((
@@ -469,6 +603,122 @@ def test_single_node_job_rows_match_probe_loop_oracle(problem):
     got_state = state.copy()
     got = distribute_load(got_state, apps)
     assert _exact(got, got_state) == expected
+
+
+def _counting_probes(state, apps, **kwargs):
+    """:func:`distribute_load`'s result, and the ``certify`` flag of
+    each level probe it made (each :func:`_fill` call without
+    ``per_node``)."""
+    probes = []
+    fill = loadbalance._fill
+
+    def spy(rows, level, capacity, per_node=None, certify=False):
+        if per_node is None:
+            probes.append(certify)
+        return fill(rows, level, capacity, per_node, certify)
+
+    with mock.patch.object(loadbalance, "_fill", spy):
+        result = distribute_load(state, apps, **kwargs)
+    return result, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(share_problems(), st.data())
+def test_certified_search_matches_probe_loop_oracle(problem, data):
+    """The certified level search, on the mix it certifies and with the
+    divisible row's deficit near ``EPSILON``: from the endpoints, from a
+    base's level (the placement with one link fewer on a node) and from
+    any level given as a base's, it returns the probe loop's result."""
+    state, apps = problem
+    ref_state = state.copy()
+    expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
+    got_state = state.copy()
+    got, probes = _counting_probes(got_state, apps)
+    assert _exact(got, got_state) == expected
+    assert probes and all(probes)
+
+    jobs = [a for a in apps if a != "txn"]
+    if jobs:
+        # A search trial: its base lacks one of its links.
+        app_id = data.draw(st.sampled_from(jobs))
+        node, = state.nodes_of(app_id)
+        base_state = state.copy()
+        base_state.remove(app_id, node, base_state.instances_on(app_id, node))
+        base = distribute_load(base_state, apps, write_load_matrix=False)
+        got_state = state.copy()
+        got = distribute_load(got_state, apps, base=base, node=node)
+        assert _exact(got, got_state) == expected
+
+    # Any start only steers the search.
+    start = data.draw(st.one_of(
+        st.sampled_from([got.common_level, NEGATIVE_INFINITY_UTILITY, 1.0]),
+        st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
+    ))
+    got_state = state.copy()
+    got = distribute_load(
+        got_state, apps, base=LoadDistributionResult(common_level=start),
+        node=next(iter(state.cluster.node_names)),
+    )
+    assert _exact(got, got_state) == expected
+
+
+def test_a_segment_end_that_rounds_up_is_probed():
+    """Feasibility that is not monotone in the level: at the bisection
+    midpoint 0.203125, a segment end of the divisible row's
+    piecewise-linear inverse, ``774.4 + 1.0 * (2029.651 - 774.4)``
+    rounds one ulp above the sample 2029.651, and the row misses; just
+    above it the inverse is exactly 2029.651 (a vertical segment) and
+    the row fits, with a deficit half an ulp below ``EPSILON``.  A pass
+    there may not stand for the midpoint below it: the search must probe
+    the midpoint, as the bisection does, and end just below it, also
+    when it starts from a level in that segment."""
+    rpf = PiecewiseLinearRPF([
+        (0.0, -50.0), (774.4, -40.0), (2029.651, 0.203125),
+        (2029.651, 0.5), (4059.302, 0.9),
+    ])
+    assert rpf.required_cpu(0.203125) > 2029.651 == rpf.required_cpu(0.3)
+    apps = {"txn": AllocatableApp(
+        demand=AppDemand(
+            app_id="txn", memory_mb=1.0, max_cpu_per_instance_mhz=5000.0,
+            max_instances=None, divisible=True,
+        ),
+        rpf=rpf,
+    )}
+    # The deficit at the vertical segment: 2029.651 less this capacity
+    # is a little below EPSILON, and one ulp more is above it.
+    capacity = 2029.651 - EPSILON + math.ulp(2029.651)
+    cluster = Cluster([Node("n0", NodeSpec(cpu_capacity=capacity, memory_capacity=1e6))])
+    state = PlacementState(cluster)
+    state.place("txn", "n0", 1.0)
+    ref_state = state.copy()
+    expected = reference_distribute_load(ref_state, apps)
+    assert expected.common_level < 0.203125
+    got_state = state.copy()
+    got = distribute_load(got_state, apps)
+    assert _exact(got, got_state) == _exact(expected, ref_state)
+    got_state = state.copy()
+    got = distribute_load(
+        got_state, apps, base=LoadDistributionResult(common_level=0.3),
+        node="n0",
+    )
+    assert _exact(got, got_state) == _exact(expected, ref_state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(uncertified_share_problems())
+def test_mixes_without_a_certificate_bisect_as_before(problem):
+    """Two divisible rows, a singleton that is not a link, or an inverse
+    with no stated rounding bound: no probe is certified, and a search
+    that bisects makes the bisection's 50 probes."""
+    state, apps = problem
+    ref_state = state.copy()
+    expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
+    got_state = state.copy()
+    got, probes = _counting_probes(got_state, apps)
+    assert _exact(got, got_state) == expected
+    assert not any(probes)
+    if NEGATIVE_INFINITY_UTILITY < got.common_level < 1.0:
+        assert len(probes) == 50
 
 
 @settings(max_examples=300, deadline=None)
@@ -669,12 +919,11 @@ def test_base_and_node_come_together():
 # ----------------------------------------------------------------------
 # The §5.3 sharing wiring runs the link path
 # ----------------------------------------------------------------------
-def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
+def _share_simulation(job_count=40):
     """perfbench's ``share`` wiring, the transactional app beside
-    Experiment One jobs on 4 nodes: every job row the distributor
-    prepares is a link, whose target :func:`_fill` works out in
-    closed form, and the divisible transactional row is not."""
-    scale = Scale("share", nodes=4, job_count=40, queue_window=8)
+    ``job_count`` Experiment One jobs on 4 nodes, and its transactional
+    app."""
+    scale = Scale("share", nodes=4, job_count=job_count, queue_window=8)
     cluster = scale.cluster()
     txn_app = make_txn_app(scale)
     queue = JobQueue()
@@ -695,6 +944,14 @@ def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
         batch_model=batch,
         config=SimulationConfig(cycle_length=600.0),
     )
+    return simulator, txn_app
+
+
+def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
+    """Under the ``share`` wiring every job row the distributor prepares
+    is a link, whose target :func:`_fill` works out in closed form, and
+    the divisible transactional row is not."""
+    simulator, txn_app = _share_simulation()
     prepare_row = loadbalance._prepare_row
     prepared = []
 
@@ -710,3 +967,43 @@ def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
     assert all(isinstance(row, _Link) for row in jobs)
     txn = [row for row in prepared if row.app_id == txn_app.app_id]
     assert txn and not any(isinstance(row, _Link) for row in txn)
+
+
+def test_share_wiring_bisects_in_about_ten_probes(monkeypatch):
+    """Under the ``share`` wiring, with perfbench's 150 jobs so that a
+    backlog forms and the search runs, a distribution whose level lies
+    strictly between the floor and the top makes at most 12 level
+    probes on average (the plain bisection makes 50): its one divisible
+    row is piecewise linear, so the search certifies its probes, and a
+    search trial starts from its base's level."""
+    simulator, _ = _share_simulation(job_count=150)
+    fill = loadbalance._fill
+    distribute = apc_module.distribute_load
+    probes = []
+    per_call = []
+
+    def counting_fill(rows, level, capacity, per_node=None, certify=False):
+        if per_node is None:
+            probes.append(level)
+        return fill(rows, level, capacity, per_node, certify)
+
+    def counting_distribute(*args, **kwargs):
+        before = len(probes)
+        result = distribute(*args, **kwargs)
+        if NEGATIVE_INFINITY_UTILITY < result.common_level < 1.0:
+            per_call.append(len(probes) - before)
+        return result
+
+    monkeypatch.setattr(loadbalance, "_fill", counting_fill)
+    monkeypatch.setattr(apc_module, "distribute_load", counting_distribute)
+    simulator.run(until=40 * 600.0)
+    assert len(per_call) > 200
+    assert sum(per_call) / len(per_call) <= 12
+
+
+def test_links_that_fit_at_the_top_cost_one_probe():
+    apps = {"a0": _job_spec("a0", 1000.0), "a1": _job_spec("a1", 500.0)}
+    state = _one_node(4000.0, ["a0", "a1"])
+    got, probes = _counting_probes(state, apps)
+    assert got.common_level == 1.0
+    assert probes == [True]

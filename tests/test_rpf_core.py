@@ -49,6 +49,19 @@ class TestPiecewiseLinearRPF:
         with pytest.raises(ConfigurationError):
             PiecewiseLinearRPF([(0, 0.5), (10, 0.0)])
 
+    @pytest.mark.parametrize("points", [
+        # required_cpu would fall from 100.0 at 0.5 to 99.9999995 at 0.6.
+        [(0, -1), (100, 0.5), (99.9999995, 0.6), (200, 0.9)],
+        # bisect would search an unsorted list: 150.0000625 MHz for 0.5,
+        # although utility(100) == 0.5.
+        [(0, -1), (100, 0.5), (150, 0.4999995), (200, 0.9)],
+    ])
+    def test_rejects_a_decrease_below_epsilon(self, points):
+        """A sample may not fall at all, not even by less than EPSILON:
+        the inverse must stay monotone."""
+        with pytest.raises(ConfigurationError):
+            PiecewiseLinearRPF(points)
+
     def test_rejects_negative_cpu(self):
         with pytest.raises(ConfigurationError):
             PiecewiseLinearRPF([(-1, 0.0), (10, 0.5)])

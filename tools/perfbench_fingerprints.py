@@ -11,8 +11,8 @@ JSON object: workload, then seed, then the window's fingerprint, its
 outcome, its failed output checks and its observability stream counts.
 Nothing in it depends on timing, so two checkouts that decide
 identically print identical text; CI compares the base commit's output
-with the head's.  A seed no test or CI run uses, such as 4, checks that
-identity on held-out inputs.
+with the head's at seeds 1-6.  A seed no test or CI run uses, such as 7,
+checks that identity on held-out inputs.
 
 Exits with status 2, printing nothing, when ``ROOT/src`` holds no program
 or a seed is not a non-negative integer.
