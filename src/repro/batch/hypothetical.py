@@ -179,8 +179,8 @@ class HypotheticalRPF:
         the RPFs (byte-identity tests pin this).  Arrays are adopted
         without copying — callers must not mutate them afterwards.
         ``levels`` are adopted as given too: pass sampling points that
-        :func:`validated_levels` accepts (the batch model checks its own
-        once, at construction).
+        :func:`validated_levels` accepts (the batch model passes the
+        default levels, checked once, at import).
         """
         obj = cls.__new__(cls)
         obj._levels = np.asarray(levels, dtype=float)
@@ -225,10 +225,6 @@ class HypotheticalRPF:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def job_ids(self) -> List[str]:
-        return list(self._job_ids)
-
     @property
     def levels(self) -> np.ndarray:
         """The sampling points ``u_1 … u_R``."""
@@ -406,8 +402,8 @@ class HypotheticalRPF:
     def utilities_array(
         self, aggregate_mhz: float, method: MethodLike = PredictionMethod.EXACT
     ) -> np.ndarray:
-        """Like :meth:`job_utilities` but as an array aligned with
-        :attr:`job_ids` (the hot path for candidate evaluation)."""
+        """Like :meth:`job_utilities` but as an array in the jobs' order
+        (the hot path for candidate evaluation)."""
         try:
             method = PredictionMethod.coerce(method)
         except ValueError as exc:
@@ -434,14 +430,6 @@ class HypotheticalRPF:
         if len(self._job_ids) == 0:
             return float("nan")
         return float(np.mean(self.utilities_array(aggregate_mhz, method=method)))
-
-    def min_utility(
-        self, aggregate_mhz: float, method: MethodLike = PredictionMethod.EXACT
-    ) -> float:
-        """Worst predicted relative performance (the maxmin objective)."""
-        if len(self._job_ids) == 0:
-            return float("nan")
-        return float(np.min(self.utilities_array(aggregate_mhz, method=method)))
 
     def aggregate_required(self, level: float) -> float:
         """Aggregate speed needed for every job to reach ``level``

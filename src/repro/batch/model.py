@@ -42,6 +42,13 @@ from repro.errors import ConfigurationError
 from repro.units import EPSILON, is_count
 
 
+#: The sampling levels of every hypothetical RPF the model builds,
+#: checked once: :meth:`HypotheticalRPF.from_arrays` adopts them.  Every
+#: model shares the array, so it is read-only.
+_LEVELS = validated_levels(DEFAULT_UTILITY_LEVELS)
+_LEVELS.flags.writeable = False
+
+
 def check_queue_window(value: object) -> None:
     """Reject a queue window that is neither ``None`` nor an integer
     >= 0.  A negative window would silently drop the last waiting jobs
@@ -156,10 +163,6 @@ class BatchWorkloadModel:
     ----------
     queue:
         The scheduler's job queue (shared, live object).
-    levels:
-        Sampling points for the hypothetical relative performance: at
-        least two finite levels, strictly increasing, ending at 1.0.
-        The exact solve reads them as its first bracket.
     queue_window:
         At most this many *not-started* jobs (in submission order) are
         offered as placement candidates each cycle.  All incomplete jobs
@@ -182,14 +185,11 @@ class BatchWorkloadModel:
     def __init__(
         self,
         queue: JobQueue,
-        levels: Sequence[float] = DEFAULT_UTILITY_LEVELS,
         queue_window: Optional[int] = None,
         prediction_method: MethodLike = PredictionMethod.EXACT,
     ) -> None:
         check_queue_window(queue_window)
         self._queue = queue
-        #: Checked here once: HypotheticalRPF.from_arrays adopts them.
-        self._levels = validated_levels(levels)
         self._queue_window = queue_window
         self._prediction_method = PredictionMethod.coerce(prediction_method)
         #: Job-table snapshot reused across calls until a job advances.
@@ -201,7 +201,6 @@ class BatchWorkloadModel:
         #: AppDemand objects keyed by job id, reused while the job stays
         #: in the same stage (AppDemand is frozen, so sharing is safe).
         self._demand_cache: Dict[str, Tuple[object, AppDemand]] = {}
-        self._specs_cache: Optional[Tuple[_JobTable, float, Dict]] = None
         #: The level the last exact solve returned: the next solve's
         #: start (consecutive candidates differ on one node).
         self._last_level: Optional[float] = None
@@ -209,10 +208,6 @@ class BatchWorkloadModel:
     @property
     def queue(self) -> JobQueue:
         return self._queue
-
-    @property
-    def levels(self) -> Sequence[float]:
-        return tuple(self._levels.tolist())
 
     @property
     def prediction_method(self) -> PredictionMethod:
@@ -314,9 +309,6 @@ class BatchWorkloadModel:
         table = self._jobs()
         if table is None:
             return {}
-        cached = self._specs_cache
-        if cached is not None and cached[0] is table and cached[1] == now:
-            return dict(cached[2])
         specs: Dict[str, AllocatableApp] = {}
         rem, goal, rel = table.rem_list, table.goal_list, table.rel_list
         ms, rb = table.ms_list, table.rb_list
@@ -326,8 +318,7 @@ class BatchWorkloadModel:
                 job.job_id, now, goal[i], rel[i], rem[i], ms[i], now + rb[i]
             )
             specs[job.job_id] = AllocatableApp(demand=demand, rpf=rpf)
-        self._specs_cache = (table, now, specs)
-        return dict(specs)
+        return specs
 
     def placement_candidates(self, now: float) -> List[str]:
         table = self._jobs()
@@ -421,7 +412,7 @@ class BatchWorkloadModel:
                 max_speed=table.max_speed[fut_idx],
                 now=np.full(fut_idx.size, now_h),
                 u_max=u_max,
-                levels=self._levels,
+                levels=_LEVELS,
             )
             if self._prediction_method is PredictionMethod.EXACT:
                 level = hypothetical.equalized_level(
@@ -445,7 +436,7 @@ class BatchWorkloadModel:
         of Figures 2 and 6)."""
         table = self._jobs()
         if table is None:
-            return HypotheticalRPF([], levels=self._levels)
+            return HypotheticalRPF([])
         return HypotheticalRPF.from_arrays(
             list(table.ids),
             remaining=table.remaining,
@@ -454,7 +445,7 @@ class BatchWorkloadModel:
             max_speed=table.max_speed,
             now=np.full(len(table.ids), now),
             u_max=table.u_max_array(now),
-            levels=self._levels,
+            levels=_LEVELS,
         )
 
     def average_hypothetical_utility(

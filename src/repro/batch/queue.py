@@ -127,9 +127,6 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
-    def completed_count(self) -> int:
-        return sum(1 for j in self if j.is_complete)
-
     def deadline_satisfaction_rate(self) -> float:
         """Fraction of *completed* jobs that met their goal (Figure 3)."""
         done = self.completed()
@@ -144,9 +141,8 @@ class JobQueue:
             j.suspend_count + j.resume_count + j.migration_count for j in self
         )
 
-    def prune_completed(self, keep: int = 0) -> List[Job]:
-        """Drop completed jobs from the queue (optionally keeping the most
-        recent ``keep``), returning the dropped jobs.
+    def prune_completed(self) -> List[Job]:
+        """Drop completed jobs from the queue, returning them.
 
         Long experiments submit hundreds of jobs; pruning keeps the
         controller's working set proportional to the *incomplete* jobs.
@@ -154,10 +150,7 @@ class JobQueue:
         their own references).
         """
         dropped: List[Job] = []
-        completed_ids = [j.job_id for j in self.completed()]
-        if keep:
-            completed_ids = completed_ids[:-keep]
-        for job_id in completed_ids:
+        for job_id in [j.job_id for j in self.completed()]:
             dropped.append(self._jobs.pop(job_id))
             self._order.remove(job_id)
         if self._g_depth is not None and dropped:

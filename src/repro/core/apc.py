@@ -102,11 +102,45 @@ SPAN_PHASES: Tuple[str, ...] = (
 #: that still carry them load to the same controller.
 _RETIRED_KEYS = frozenset({"incremental", "vectorize", "fast_path_min_nodes"})
 
-#: Search caps that :meth:`APCConfig.from_dict` drops on load, with the
-#: value every document written while they existed carries: one sweep,
-#: uncapped removals, which is the only search the controller runs.  Any
-#: other value asked for a different search, so it is refused.
-_RETIRED_CAPS = {"search_sweeps": 1, "max_removals_per_node": None}
+#: Minimum per-element utility-vector improvement that justifies a
+#: change; below it, candidates tie (and ties never justify churn).  0.02
+#: matches the paper's reporting granularity for the illustrative
+#: example: Scenario 1's alternatives (exactly 0.6875 and 0.6955) are
+#: reported as the tie "0.7 vs 0.7" and resolved in favor of no change.
+IMPROVEMENT_EPSILON = 0.02
+
+#: Extra utility-vector improvement a candidate must show when it
+#: *suspends or relocates* running instances.  The hypothetical
+#: predictor has one-cycle lookahead: swapping a queued job for a running
+#: one of the same class always shows a transient gain of
+#: ``T / relative_goal`` (the queued job's achievable performance stops
+#: eroding for one cycle) even though the true completion-time vector
+#: cannot improve; the paper proves this for identical jobs (§5.1) and
+#: indeed observes zero changes.  Requiring preemptive configs to beat
+#: the incumbent by this margin suppresses those illusory swaps while
+#: preserving genuine urgency-driven preemption (a tight-goal job's
+#: erosion rate is many times larger).  This realizes the paper's
+#: "heuristics that aim to minimize the number of changes to the current
+#: placement" (§3.2).
+PREEMPTION_PENALTY = 0.05
+
+#: The tolerance a search trial that removes instances must clear, and
+#: the headroom that lets the search start at all (a removal can realize
+#: no more than that).
+REMOVAL_GATE = max(PREEMPTION_PENALTY, IMPROVEMENT_EPSILON)
+
+#: Keys that :meth:`APCConfig.from_dict` drops on load, with the value
+#: every document written while they were settable carries, and what
+#: that value meant.  The search caps asked for one sweep and uncapped
+#: removals, the only search the controller runs; the tolerances are
+#: the constants above.  Any other value asked for a different
+#: controller, so it is refused.
+_RETIRED_CAPS: Dict[str, Tuple[object, str]] = {
+    "search_sweeps": (1, "one sweep"),
+    "max_removals_per_node": (None, "uncapped removals"),
+    "improvement_epsilon": (IMPROVEMENT_EPSILON, "the constant IMPROVEMENT_EPSILON"),
+    "preemption_penalty": (PREEMPTION_PENALTY, "the constant PREEMPTION_PENALTY"),
+}
 
 
 @keyword_only
@@ -120,51 +154,23 @@ class APCConfig:
     cycle_length:
         Control cycle period ``T`` in seconds (§3.1: "of the order of
         minutes"; Experiment One uses 600 s).
-    improvement_epsilon:
-        Minimum per-element utility-vector improvement that justifies a
-        change; below this, candidates are treated as ties (and ties
-        never justify churn).  The default, 0.02, matches the paper's
-        reporting granularity for the illustrative example — Scenario 1's
-        alternatives (exactly: 0.6875 vs 0.6955) are reported as the tie
-        "0.7 vs 0.7" and resolved in favor of no change.
-    preemption_penalty:
-        Extra utility-vector improvement a candidate must show when it
-        *suspends or relocates* running instances.  The hypothetical
-        predictor has one-cycle lookahead: swapping a queued job for a
-        running one of the same class always shows a transient gain of
-        ``T / relative_goal`` (the queued job's achievable performance
-        stops eroding for one cycle) even though the true completion-time
-        vector cannot improve — the paper proves this for identical jobs
-        (§5.1) and indeed observes zero changes.  Requiring preemptive
-        configs to beat the incumbent by this margin suppresses those
-        illusory swaps while preserving genuine urgency-driven
-        preemption (a tight-goal job's erosion rate is many times
-        larger).  This realizes the paper's "heuristics that aim to
-        minimize the number of changes to the current placement" (§3.2).
     enable_search:
         When False only the greedy admission pass runs (useful for
         ablations; the full paper algorithm keeps it True).
+
+    The tie tolerance and the preemption penalty are the module
+    constants :data:`IMPROVEMENT_EPSILON` and :data:`PREEMPTION_PENALTY`.
     """
 
     cycle_length: float = 600.0
-    improvement_epsilon: float = 0.02
-    preemption_penalty: float = 0.05
     enable_search: bool = True
 
     def __post_init__(self) -> None:
-        # The chained comparisons are false for NaN, so NaN is rejected
-        # too: a NaN tolerance would make every candidate comparison
-        # false without a word.
+        # The chained comparison is false for NaN, so NaN is rejected too.
         if not 0 < self.cycle_length < math.inf:
             raise ConfigurationError(
                 f"cycle_length must be positive and finite, got {self.cycle_length}"
             )
-        for name in ("improvement_epsilon", "preemption_penalty"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be non-negative and finite, got {value}"
-                )
         if not isinstance(self.enable_search, bool):
             raise ConfigurationError(
                 f"enable_search must be a bool, got {self.enable_search!r}"
@@ -175,8 +181,6 @@ class APCConfig:
         :meth:`from_dict`)."""
         return {
             "cycle_length": self.cycle_length,
-            "improvement_epsilon": self.improvement_epsilon,
-            "preemption_penalty": self.preemption_penalty,
             "enable_search": self.enable_search,
         }
 
@@ -185,18 +189,19 @@ class APCConfig:
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
         keys are rejected to surface config typos.  The retired solver
         switches ``incremental``, ``vectorize`` and ``fast_path_min_nodes``
-        are dropped, and so are the retired search caps when they hold
-        the one value documents recorded (``search_sweeps`` 1,
-        ``max_removals_per_node`` ``None``), so scenario JSON, snapshots
-        and sweep manifests that carry them still load.  Any other cap
-        value is refused: it asked for a search the controller no longer
-        runs."""
-        for key, kept in _RETIRED_CAPS.items():
+        are dropped, and so are the retired search caps and tolerances
+        when they hold the one value documents recorded
+        (``search_sweeps`` 1, ``max_removals_per_node`` ``None``,
+        ``improvement_epsilon`` 0.02, ``preemption_penalty`` 0.05), so
+        scenario JSON, snapshots and sweep manifests that carry them
+        still load.  Any other value is refused: it asked for a
+        controller that no longer runs."""
+        for key, (kept, meaning) in _RETIRED_CAPS.items():
             value = data.get(key, kept)
             if type(value) is not type(kept) or value != kept:
                 raise ConfigurationError(
                     f"APCConfig key {key!r} is retired and must be {kept!r} "
-                    f"(one sweep, uncapped removals), got {value!r}"
+                    f"({meaning}), got {value!r}"
                 )
         data = {
             k: v
@@ -385,7 +390,7 @@ class ApplicationPlacementController:
         def evaluate(
             trial: PlacementState,
             churn: int,
-            tolerance: Optional[float] = None,
+            tolerance: float = IMPROVEMENT_EPSILON,
             base: Optional[LoadDistributionResult] = None,
             node: Optional[str] = None,
         ) -> _Scored:
@@ -395,11 +400,6 @@ class ApplicationPlacementController:
             ``base`` and ``node``)."""
             nonlocal evaluations
             evaluations += 1
-            tol = (
-                self._config.improvement_epsilon
-                if tolerance is None
-                else tolerance
-            )
             with self._span("apc.evaluate"):
                 with self._span("apc.loadbalance"):
                     load = distribute_load(
@@ -415,7 +415,7 @@ class ApplicationPlacementController:
                             )
                         )
                 with self._span("apc.objective"):
-                    score = self._objective.score(utilities, churn, tol)
+                    score = self._objective.score(utilities, churn, tolerance)
             return _Scored(trial, score, utilities, load, churn)
 
         best = evaluate(state, 0).adopt()
@@ -618,11 +618,11 @@ class ApplicationPlacementController:
         candidate vector element-wise.  Adoption requires the candidate
         to exceed the incumbent by more than the comparison tolerance at
         some position, and every tolerance in play is at least
-        ``improvement_epsilon`` — so once the bound is within epsilon of
-        the incumbent everywhere, no further candidate can be adopted.
+        :data:`IMPROVEMENT_EPSILON` — so once the bound is within epsilon
+        of the incumbent everywhere, no further candidate can be adopted.
         """
         upper = sorted(spec.rpf.max_utility for spec in specs.values())
-        epsilon = self._config.improvement_epsilon
+        epsilon = IMPROVEMENT_EPSILON
 
         def reached(score: PlacementScore) -> bool:
             incumbent = score.utilities.values
@@ -821,9 +821,7 @@ class ApplicationPlacementController:
           application while other nodes still have free CPU — a live
           migration could rebalance.
         """
-        gate = max(
-            self._config.preemption_penalty, self._config.improvement_epsilon
-        )
+        gate = REMOVAL_GATE
         for candidate in candidates:
             if state.is_placed(candidate) or candidate not in specs:
                 continue
@@ -941,12 +939,7 @@ class ApplicationPlacementController:
                 # instances) must clear the preemption penalty; pure
                 # additions only the noise threshold.
                 tolerance = (
-                    max(
-                        self._config.preemption_penalty,
-                        self._config.improvement_epsilon,
-                    )
-                    if removals > 0
-                    else None
+                    REMOVAL_GATE if removals > 0 else IMPROVEMENT_EPSILON
                 )
                 scored = evaluate(
                     trial, churn, tolerance=tolerance, base=base.load,

@@ -211,9 +211,6 @@ class PlacementState:
     def cpu_available(self, node: str) -> float:
         return self._cluster.node(node).cpu_capacity - self._node_cpu_used[node]
 
-    def total_cpu_used(self) -> float:
-        return sum(self._node_cpu_used.values())
-
     def allocations(self) -> Dict[str, float]:
         """``{app_id: total CPU}`` over all placed applications."""
         return {app_id: self.cpu_of(app_id) for app_id in self.app_ids}

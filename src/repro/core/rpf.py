@@ -121,11 +121,6 @@ class PiecewiseLinearRPF:
         self._saturation = self._cpus[i]
 
     @property
-    def points(self) -> List[Tuple[float, float]]:
-        """The defining sample points as ``(cpu, utility)`` pairs."""
-        return list(zip(self._cpus, self._utils))
-
-    @property
     def max_utility(self) -> float:
         return self._utils[-1]
 

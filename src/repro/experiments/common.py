@@ -68,10 +68,6 @@ class Scale:
             cpu_per_processor=PAPER_CPU_PER_PROCESSOR,
         )
 
-    def partition_size(self, paper_size: int) -> int:
-        """Translate a paper node-partition size (e.g. 9 of 25)."""
-        return max(1, round(paper_size * self.nodes / PAPER_NODES))
-
 
 SCALES: Dict[str, Scale] = {
     "tiny": Scale("tiny", nodes=4, job_count=80),

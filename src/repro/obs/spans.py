@@ -175,9 +175,6 @@ class SpanProfiler:
             if r.parent is None and (name is None or r.name == name)
         ]
 
-    def children_of(self, index: int) -> List[SpanRecord]:
-        return [r for r in self.records if r.parent == index]
-
     def breakdowns(self, anchor: str) -> List[Dict[str, SpanStats]]:
         """Per-occurrence phase breakdown of every span named ``anchor``.
 

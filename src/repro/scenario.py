@@ -72,7 +72,7 @@ class Scenario:
         (identical jobs, §5.1) or ``"experiment2"`` (mixed classes and
         goal factors, §5.2).
     job_count / interarrival / seed:
-        Stream parameters (``job_count`` an integer >= 0,
+        Stream parameters (``job_count`` and ``seed`` integers >= 0,
         ``interarrival`` positive and finite).  ``interarrival`` is in *paper* terms (mean
         seconds between submissions at 25 nodes) and is stretched by
         ``25 / nodes`` so per-node load is scale-invariant.
@@ -93,7 +93,8 @@ class Scenario:
         The simulator's :class:`~repro.sim.simulator.SimulationConfig`.
         Its ``cycle_length`` must equal ``apc.cycle_length``: the
         simulator runs a cycle every ``T`` seconds, and the controller
-        predicts ``T`` seconds ahead.
+        predicts ``T`` seconds ahead.  Each of its ``failures`` must name
+        a node of the scenario's cluster.
     """
 
     name: str = "scenario"
@@ -115,7 +116,8 @@ class Scenario:
     def __post_init__(self) -> None:
         # A float count or a NaN capacity fails here, not mid-cycle.
         for name, least in (
-            ("nodes", 1), ("processors_per_node", 1), ("job_count", 0)
+            ("nodes", 1), ("processors_per_node", 1), ("job_count", 0),
+            ("seed", 0),
         ):
             value = getattr(self, name)
             if not is_count(value) or value < least:
@@ -158,6 +160,15 @@ class Scenario:
                 f"sim.cycle_length ({self.sim.cycle_length}): the controller "
                 "predicts one control cycle ahead"
             )
+        if self.sim.failures:
+            names = set(self.build_cluster().node_names)
+            for failure in self.sim.failures:
+                if failure.node not in names:
+                    raise ConfigurationError(
+                        f"sim.failures takes down node {failure.node!r}, "
+                        f"which the scenario's {self.nodes}-node cluster "
+                        "lacks"
+                    )
 
     # ------------------------------------------------------------------
     # Serialization

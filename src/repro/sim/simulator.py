@@ -91,9 +91,6 @@ class SimulationConfig:
     cost_model:
         VM action cost model (the paper's measured model by default;
         Experiment Two uses :data:`~repro.virt.costs.FREE_COST_MODEL`).
-    prune_completed:
-        Drop completed jobs from the queue each cycle to keep the
-        controller's working set small (metrics keep their own records).
     failures:
         Injected node outages (failure-injection extension).
     fault_model:
@@ -126,12 +123,16 @@ class SimulationConfig:
         uninterrupted one would.  A snapshot of a run without a
         watchdog, or an older one, lacks them, and the restored watchdog
         starts afresh.
+
+    Completed jobs leave the queue at the end of every control cycle, so
+    the controller's working set stays the incomplete jobs (metrics keep
+    their own records).  Each field is checked when the config is built,
+    so a wrong-typed part fails here, not inside a control cycle.
     """
 
     cycle_length: float = 600.0
     max_time: Optional[float] = None
     cost_model: VirtualizationCostModel = field(default_factory=lambda: PAPER_COST_MODEL)
-    prune_completed: bool = True
     failures: Sequence["NodeFailure"] = ()
     fault_model: Optional[ActionFaultModel] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -153,11 +154,35 @@ class SimulationConfig:
                 f"max_time must be None or finite and positive, got "
                 f"{self.max_time!r}"
             )
-        if not isinstance(self.prune_completed, bool):
+        for name, kind, optional in (
+            ("cost_model", VirtualizationCostModel, False),
+            ("fault_model", ActionFaultModel, True),
+            ("retry_policy", RetryPolicy, False),
+            ("alerts", AlertConfig, True),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, kind) or (optional and value is None)):
+                raise ConfigurationError(
+                    f"{name} must be {'None or ' if optional else ''}a "
+                    f"{kind.__name__}, got {value!r}"
+                )
+        try:
+            failures = tuple(self.failures)
+        except TypeError:
+            failures = None
+        if failures is None or not all(
+            isinstance(f, NodeFailure) for f in failures
+        ):
             raise ConfigurationError(
-                f"prune_completed must be a bool, got {self.prune_completed!r}"
+                f"failures must be a sequence of NodeFailure, got "
+                f"{self.failures!r}"
             )
-        self.failures = tuple(self.failures)
+        self.failures = failures
+        if self.decision_clock is not None and not callable(self.decision_clock):
+            raise ConfigurationError(
+                f"decision_clock must be None or callable, got "
+                f"{self.decision_clock!r}"
+            )
 
     def to_dict(self) -> Dict[str, object]:
         """A plain JSON-serializable representation.
@@ -172,7 +197,6 @@ class SimulationConfig:
             "cycle_length": self.cycle_length,
             "max_time": self.max_time,
             "cost_model": dataclasses.asdict(self.cost_model),
-            "prune_completed": self.prune_completed,
             "failures": [
                 {
                     "node": f.node,
@@ -202,7 +226,18 @@ class SimulationConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimulationConfig":
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
-        keys are rejected to surface config typos."""
+        keys are rejected to surface config typos.  The retired switch
+        ``prune_completed`` is dropped when it holds ``True``, the value
+        documents recorded, so scenario JSON, snapshots and sweep
+        manifests that carry it still load; ``False`` asked for a
+        simulator that keeps completed jobs queued, so it is refused."""
+        value = data.get("prune_completed", True)
+        if value is not True:
+            raise ConfigurationError(
+                "SimulationConfig key 'prune_completed' is retired and must "
+                f"be True (the simulator always prunes), got {value!r}"
+            )
+        data = {k: v for k, v in data.items() if k != "prune_completed"}
         known = {
             f.name for f in dataclasses.fields(cls) if f.name != "decision_clock"
         }
@@ -263,6 +298,10 @@ class NodeFailure:
     lose_progress: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.node, str):
+            raise ConfigurationError(
+                f"node must be a node name (str), got {self.node!r}"
+            )
         if not (is_finite_real(self.fail_time) and self.fail_time >= 0):
             raise ConfigurationError(
                 f"fail_time must be finite and >= 0, got {self.fail_time!r}"
@@ -582,7 +621,8 @@ class MixedWorkloadSimulator:
         except CheckpointError:
             raise
         except (
-            KeyError, TypeError, ValueError, AttributeError, PlacementError
+            KeyError, TypeError, ValueError, AttributeError, PlacementError,
+            ConfigurationError,
         ) as exc:
             raise CheckpointError(
                 f"snapshot is truncated or malformed: {exc!r}"
@@ -590,7 +630,11 @@ class MixedWorkloadSimulator:
 
     def _restore_impl(self, snapshot: Mapping[str, object]) -> None:
         check_version(snapshot, "simulator snapshot")
-        config = require(snapshot, "config", "simulator snapshot")
+        # A retired key that older checkpoints carry at its one value
+        # loads; compare the config it builds.
+        config = SimulationConfig.from_dict(
+            require(snapshot, "config", "simulator snapshot")
+        ).to_dict()
         if config != self._config.to_dict():
             raise CheckpointError(
                 "snapshot was taken under a different SimulationConfig; "
@@ -1018,8 +1062,7 @@ class MixedWorkloadSimulator:
             self.alert_engine.observe(self._observe_cycle(effective, now))
 
         # 6. Book-keeping and the next cycle.
-        if self._config.prune_completed:
-            self._queue.prune_completed()
+        self._queue.prune_completed()
         more_batch = bool(self._queue.incomplete()) or not self._arrivals_done
         next_cycle = now + self._config.cycle_length
         past_horizon = (

@@ -59,10 +59,6 @@ class RequestRouter:
             )
         self._max_utilization = max_utilization
 
-    @property
-    def max_utilization(self) -> float:
-        return self._max_utilization
-
     def route(
         self,
         arrival_rate: float,

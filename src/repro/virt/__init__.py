@@ -12,17 +12,14 @@ footprint (§5):
 * ``migrate_cost = footprint * 0.0132 s/MB``
 * ``boot_time    = 3.6 s`` (constant)
 
-This package implements that cost model and the action/state machinery the
-simulator uses to apply placement changes.
+This package holds that cost model, the action vocabulary, the placement
+diff and the fault model of a fallible actuator.  The simulator turns
+each diff into actions, prices them with the cost model and follows each
+job's VM through the job's status.
 """
 
 from repro.virt.costs import VirtualizationCostModel, PAPER_COST_MODEL, FREE_COST_MODEL
-from repro.virt.actions import (
-    ActionType,
-    PlacementAction,
-    diff_placements,
-)
-from repro.virt.container import Container, ContainerState
+from repro.virt.actions import ActionType, diff_placements
 from repro.virt.faults import (
     ActionFaultModel,
     FaultOutcome,
@@ -36,10 +33,7 @@ __all__ = [
     "PAPER_COST_MODEL",
     "FREE_COST_MODEL",
     "ActionType",
-    "PlacementAction",
     "diff_placements",
-    "Container",
-    "ContainerState",
     "ActionFaultModel",
     "FaultOutcome",
     "FaultSampler",

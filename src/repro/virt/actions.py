@@ -12,10 +12,7 @@ by the schedulers, not here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
-
-from repro.virt.costs import VirtualizationCostModel
+from typing import Dict, List, Mapping, Tuple
 
 
 class ActionType(enum.Enum):
@@ -32,46 +29,6 @@ class ActionType(enum.Enum):
 #: ("Number of jobs migrated, suspended, and moved and resumed").  Boots of
 #: fresh instances are normal dispatch, not reconfiguration churn.
 CHANGE_ACTIONS = frozenset({ActionType.SUSPEND, ActionType.RESUME, ActionType.MIGRATE})
-
-
-@dataclass(frozen=True)
-class PlacementAction:
-    """One control operation against one application instance.
-
-    ``duration`` is the wall-clock cost of the operation according to the
-    active :class:`~repro.virt.costs.VirtualizationCostModel`.
-    """
-
-    action: ActionType
-    app_id: str
-    node: str
-    source_node: Optional[str] = None
-    duration: float = 0.0
-
-    def __str__(self) -> str:
-        if self.action is ActionType.MIGRATE:
-            return (
-                f"{self.action.value} {self.app_id}: "
-                f"{self.source_node} -> {self.node} ({self.duration:.2f}s)"
-            )
-        return f"{self.action.value} {self.app_id} @ {self.node} ({self.duration:.2f}s)"
-
-
-def action_duration(
-    action: ActionType, footprint_mb: float, costs: VirtualizationCostModel
-) -> float:
-    """Duration of ``action`` on a VM with the given memory footprint."""
-    if action is ActionType.BOOT:
-        return costs.boot_cost(footprint_mb)
-    if action is ActionType.STOP:
-        return 0.0
-    if action is ActionType.SUSPEND:
-        return costs.suspend_cost(footprint_mb)
-    if action is ActionType.RESUME:
-        return costs.resume_cost(footprint_mb)
-    if action is ActionType.MIGRATE:
-        return costs.migrate_cost(footprint_mb)
-    raise AssertionError(f"unhandled action type: {action!r}")
 
 
 Placement = Mapping[str, Mapping[str, int]]

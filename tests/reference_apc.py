@@ -34,16 +34,18 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
-from repro.batch.hypothetical import (
-    DEFAULT_UTILITY_LEVELS,
-    HypotheticalRPF,
-    PredictionMethod,
-)
+from repro.batch.hypothetical import HypotheticalRPF, PredictionMethod
 from repro.batch.job import JobStatus
 from repro.batch.model import BatchWorkloadModel, check_queue_window
 from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF, job_relative_performance
-from repro.core.apc import APCConfig, APCResult, ApplicationPlacementController
+from repro.core.apc import (
+    IMPROVEMENT_EPSILON,
+    PREEMPTION_PENALTY,
+    APCConfig,
+    APCResult,
+    ApplicationPlacementController,
+)
 from repro.core.constraints import ConstraintSet
 from repro.core.loadbalance import AllocatableApp, distribute_load
 from repro.core.objective import Objective
@@ -121,8 +123,8 @@ class ReferenceController:
             score = self.objective.score(utilities, churn, tolerance)
             return score, utilities, result.allocations
 
-        epsilon = self.config.improvement_epsilon
-        penalty = max(self.config.preemption_penalty, epsilon)
+        epsilon = IMPROVEMENT_EPSILON
+        penalty = max(PREEMPTION_PENALTY, epsilon)
         best = Incumbent(state, *evaluate(state, epsilon))
 
         trial = state.copy()
@@ -199,7 +201,7 @@ class ReferenceController:
         """Enter the search only if some unplaced candidate could gain
         more than the preemption penalty, or some starved placed
         application could move to a node with free CPU."""
-        gate = max(self.config.preemption_penalty, self.config.improvement_epsilon)
+        gate = max(PREEMPTION_PENALTY, IMPROVEMENT_EPSILON)
         for c in candidates:
             if c in specs and not state.is_placed(c):
                 if specs[c].rpf.max_utility - utilities.get(c, float("-inf")) > gate:
@@ -284,13 +286,11 @@ class ReferenceBatchModel:
     def __init__(
         self,
         queue: JobQueue,
-        levels: Sequence[float] = DEFAULT_UTILITY_LEVELS,
         queue_window: Optional[int] = None,
         prediction_method=PredictionMethod.EXACT,
     ) -> None:
         check_queue_window(queue_window)
         self.queue = queue
-        self.levels = tuple(levels)
         self.queue_window = queue_window
         self.prediction_method = PredictionMethod.coerce(prediction_method)
 
@@ -343,7 +343,7 @@ class ReferenceBatchModel:
                     )
                 )
         if future_rpfs:
-            hypothetical = HypotheticalRPF(future_rpfs, levels=self.levels)
+            hypothetical = HypotheticalRPF(future_rpfs)
             utilities.update(
                 hypothetical.job_utilities(aggregate, method=self.prediction_method)
             )
@@ -351,7 +351,7 @@ class ReferenceBatchModel:
 
     def hypothetical(self, now: float) -> HypotheticalRPF:
         rpfs = [JobAllocationRPF(job, now) for job in self.queue.incomplete()]
-        return HypotheticalRPF(rpfs, levels=self.levels)
+        return HypotheticalRPF(rpfs)
 
 
 # ----------------------------------------------------------------------

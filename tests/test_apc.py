@@ -8,12 +8,20 @@ These encode the paper's qualitative claims directly:
 * fairness between transactional and batch workloads (§5.3).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import (
+    IMPROVEMENT_EPSILON,
+    PREEMPTION_PENALTY,
+    REMOVAL_GATE,
+    APCConfig,
+    ApplicationPlacementController,
+)
 from repro.core.constraints import ConstraintSet, PinToNodes
 from repro.core.placement import PlacementState
 from repro.errors import ConfigurationError
@@ -49,11 +57,15 @@ class TestAPCConfig:
     )
     def test_rejects_non_finite_and_negative_tolerances(self, field, value):
         """A NaN tolerance would make every candidate comparison false;
-        the error names the field, from the constructor and from_dict."""
-        with pytest.raises(ConfigurationError, match=field):
-            APCConfig(**{field: value})
+        a document carrying one is refused, naming the field.  The two
+        tolerances are constants, so any value but theirs is refused."""
         with pytest.raises(ConfigurationError, match=field):
             APCConfig.from_dict({**APCConfig().to_dict(), field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -600.0])
+    def test_constructor_rejects_bad_cycle_length(self, value):
+        with pytest.raises(ConfigurationError, match="cycle_length"):
+            APCConfig(cycle_length=value)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -88,9 +100,42 @@ class TestAPCConfig:
         with pytest.raises(ConfigurationError, match=key):
             APCConfig.from_dict({**APCConfig().to_dict(), key: value})
 
-    def test_zero_tolerances_are_valid(self):
-        config = APCConfig(improvement_epsilon=0.0, preemption_penalty=0.0)
-        assert APCConfig.from_dict(config.to_dict()) == config
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("improvement_epsilon", 0.0),
+            ("improvement_epsilon", 0.03),
+            ("improvement_epsilon", "0.02"),
+            ("preemption_penalty", 0.0),
+            ("preemption_penalty", 0.03),
+            ("preemption_penalty", None),
+        ],
+    )
+    def test_retired_tolerances_refuse_any_other_value(self, key, value):
+        """Such a document asked for a controller with other tolerances;
+        loading it anyway would decide differently without a word."""
+        with pytest.raises(ConfigurationError, match=key):
+            APCConfig.from_dict({**APCConfig().to_dict(), key: value})
+
+    def test_old_tolerances_load(self):
+        """Documents written while the tolerances were settable carry
+        them at 0.02 and 0.05; they load to the same controller."""
+        document = {
+            "cycle_length": 450.0,
+            "improvement_epsilon": 0.02,
+            "preemption_penalty": 0.05,
+            "enable_search": False,
+        }
+        config = APCConfig.from_dict(document)
+        assert config == APCConfig(cycle_length=450.0, enable_search=False)
+        assert config.to_dict() == {"cycle_length": 450.0, "enable_search": False}
+
+    def test_tolerances_are_the_documented_constants(self):
+        assert (IMPROVEMENT_EPSILON, PREEMPTION_PENALTY) == (0.02, 0.05)
+        assert REMOVAL_GATE == max(PREEMPTION_PENALTY, IMPROVEMENT_EPSILON)
+        assert [f.name for f in dataclasses.fields(APCConfig)] == [
+            "cycle_length", "enable_search",
+        ]
 
     def test_defaults(self):
         config = APCConfig()

@@ -83,16 +83,6 @@ class TestJobQueue:
         assert [j.job_id for j in dropped] == ["a"]
         assert "a" not in q and "b" in q
 
-    def test_prune_completed_keep(self):
-        q = JobQueue()
-        jobs = [make_job(f"j{i}") for i in range(3)]
-        for j in jobs:
-            q.submit(j)
-            j.status = JobStatus.COMPLETED
-        dropped = q.prune_completed(keep=1)
-        assert len(dropped) == 2
-        assert "j2" in q
-
 
 class TestJobWorkloadProfiler:
     def test_estimate_from_history(self):

@@ -19,7 +19,7 @@ from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.loadbalance import AllocatableApp, distribute_load
 from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.scenario import Scenario, Simulation
 from repro.sim.export import completions_to_csv, cycles_to_csv, metrics_to_json
 from repro.sim.metrics import MetricsRecorder
@@ -198,7 +198,7 @@ class TestScenarioBoundary:
     @settings(max_examples=200, deadline=None)
     @given(
         field=st.sampled_from(
-            ["nodes", "processors_per_node", "job_count",
+            ["nodes", "processors_per_node", "job_count", "seed",
              "cpu_per_processor", "memory_per_node", "interarrival"]
         ),
         value=st.one_of(
@@ -210,8 +210,8 @@ class TestScenarioBoundary:
         ),
     )
     def test_fuzzed_shape_is_accepted_only_when_valid(self, field, value):
-        if field in ("nodes", "processors_per_node", "job_count"):
-            least = 0 if field == "job_count" else 1
+        if field in ("nodes", "processors_per_node", "job_count", "seed"):
+            least = 0 if field in ("job_count", "seed") else 1
             valid = (
                 isinstance(value, int)
                 and not isinstance(value, bool)
@@ -228,6 +228,36 @@ class TestScenarioBoundary:
         else:
             with pytest.raises(ConfigurationError, match=field):
                 Scenario.from_dict({field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "1", None])
+    def test_refuses_a_seed_the_stream_cannot_take(self, seed):
+        """numpy once raised TypeError or ValueError for these inside
+        ``build_jobs``; a checkpoint carrying one is refused too (sweep
+        specs load their scenario through ``from_dict``)."""
+        with pytest.raises(ConfigurationError, match="seed"):
+            Scenario(seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            Scenario.from_dict({"seed": seed})
+        checkpoint = Simulation.from_scenario(
+            Scenario(nodes=2, job_count=2)
+        ).snapshot()
+        checkpoint["scenario"]["seed"] = seed
+        with pytest.raises(CheckpointError, match="seed"):
+            Simulation.from_snapshot(checkpoint)
+
+    def test_refuses_an_outage_of_a_node_its_cluster_lacks(self):
+        """Such a scenario once built and failed only at ``run()``, with
+        a SimulationError from the first outage event."""
+        outage = {"node": "node3", "fail_time": 600.0}
+        with pytest.raises(ConfigurationError, match="node3"):
+            Scenario(
+                nodes=3,
+                sim=SimulationConfig(failures=[NodeFailure(**outage)]),
+            )
+        with pytest.raises(ConfigurationError, match="node3"):
+            Scenario.from_dict({"nodes": 3, "sim": {"failures": [outage]}})
+        kept = Scenario.from_dict({"nodes": 4, "sim": {"failures": [outage]}})
+        assert kept.sim.failures[0].node == "node3"
 
     def test_int_cpu_per_processor_runs_like_its_float(self):
         """An int speed is positive and finite, so it is accepted, and
@@ -305,7 +335,6 @@ class TestConfigBoundary:
             ("sim", "action_timeout", math.inf),
             ("sim", "max_time", math.nan),
             ("sim", "max_time", math.inf),
-            ("sim", "prune_completed", "no"),
             ("failure", "fail_time", math.nan),
             ("failure", "fail_time", math.inf),
             ("failure", "duration", math.nan),
@@ -338,6 +367,16 @@ class TestConfigBoundary:
         with pytest.raises(ConfigurationError, match=field):
             SimulationConfig.from_dict(config_dict(section, field, value))
 
+    @pytest.mark.parametrize("value", [False, "no", 1, None])
+    def test_retired_prune_completed_refuses_other_values(self, value):
+        """The simulator always prunes; a document asking it not to is
+        refused, naming the key, and one that carries True loads."""
+        with pytest.raises(ConfigurationError, match="prune_completed"):
+            SimulationConfig.from_dict({"prune_completed": value})
+        assert SimulationConfig.from_dict(
+            {"prune_completed": True}
+        ) == SimulationConfig()
+
     def test_infinite_outage_is_still_allowed(self):
         config = SimulationConfig.from_dict(
             {"failures": [{"node": "n0", "fail_time": 5.0, "duration": None}]}
@@ -350,7 +389,7 @@ class TestConfigBoundary:
             ("sim", "cycle_length", "positive"),
             ("sim", "action_timeout", "positive"),
             ("sim", "max_time", "optional positive"),
-            ("sim", "prune_completed", "bool"),
+            ("sim", "prune_completed", "retired, True"),
             ("failure", "fail_time", "non-negative"),
             ("failure", "duration", "positive or inf"),
             ("retry", "max_attempts", "count"),
@@ -384,7 +423,7 @@ class TestConfigBoundary:
         valid = {
             "positive": finite and value > 0,
             "optional positive": value is None or (finite and value > 0),
-            "bool": isinstance(value, bool),
+            "retired, True": value is True,
             "non-negative": finite and value >= 0,
             # A serialized duration of None means down for good.
             "positive or inf": value is None or (real and value > 0),
@@ -401,6 +440,39 @@ class TestConfigBoundary:
         else:
             with pytest.raises(ConfigurationError, match=field):
                 SimulationConfig.from_dict(data)
+
+
+class TestWrongTypedParts:
+    """A part of the wrong type is refused when the config is built,
+    naming the field.  Most of these once constructed and then raised
+    AttributeError inside the run."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cost_model", None),
+            ("cost_model", {"suspend_rate": 0.0}),
+            ("retry_policy", None),
+            ("fault_model", "x"),
+            ("alerts", 5),
+            ("failures", ("x",)),
+            ("failures", 5),
+            ("decision_clock", 5),
+        ],
+    )
+    def test_simulation_config_refuses(self, field, value):
+        extra = {}
+        if field == "retry_policy":
+            extra["fault_model"] = ActionFaultModel.uniform(
+                failure_probability=0.5
+            )
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationConfig(**{field: value}, **extra)
+
+    @pytest.mark.parametrize("node", [5, None, ("node0",)])
+    def test_node_failure_needs_a_node_name(self, node):
+        with pytest.raises(ConfigurationError, match="node"):
+            NodeFailure(node=node, fail_time=0.0)
 
 
 class TestRouterEdges:

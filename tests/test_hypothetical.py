@@ -13,8 +13,6 @@ from repro.batch.hypothetical import (
     DEFAULT_UTILITY_LEVELS,
     HypotheticalRPF,
 )
-from repro.batch.model import BatchWorkloadModel
-from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
@@ -62,8 +60,6 @@ class TestConstruction:
     def test_bad_levels_rejected_at_construction(self, levels):
         with pytest.raises(ConfigurationError, match="level"):
             HypotheticalRPF([], levels=levels)
-        with pytest.raises(ConfigurationError, match="level"):
-            BatchWorkloadModel(JobQueue(), levels=levels)
 
     def test_default_levels_span_the_scale(self):
         assert DEFAULT_UTILITY_LEVELS[0] == NEGATIVE_INFINITY_UTILITY

@@ -67,9 +67,7 @@ def run_policy(policy_name, jobs, costs=FREE_COST_MODEL):
         policy = FCFSPolicy(cluster, queue)
     sim = MixedWorkloadSimulator(
         cluster, policy, queue, arrivals=jobs, batch_model=batch,
-        config=SimulationConfig(
-            cycle_length=10.0, cost_model=costs, prune_completed=False
-        ),
+        config=SimulationConfig(cycle_length=10.0, cost_model=costs),
     )
     metrics = sim.run()
     return sim, queue, metrics
@@ -81,10 +79,12 @@ def run_policy(policy_name, jobs, costs=FREE_COST_MODEL):
           suppress_health_check=[HealthCheck.too_slow])
 def test_all_jobs_complete_exactly_once(specs, policy):
     jobs = build_jobs(specs)
-    _, queue, metrics = run_policy(policy, jobs)
+    _, _, metrics = run_policy(policy, jobs)
     assert len(metrics.completions) == len(jobs)
     assert len({c.job_id for c in metrics.completions}) == len(jobs)
-    for job in queue.all_jobs():
+    # The simulator prunes completed jobs from the queue, so check the
+    # submitted objects themselves.
+    for job in jobs:
         assert job.is_complete
         assert job.cpu_consumed == pytest.approx(job.profile.total_work)
 

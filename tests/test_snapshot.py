@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.scenario import Scenario, Simulation
 from repro.sim.metrics import CycleSample, JobCompletionRecord
 from repro.sim.reconcile import PendingAction
@@ -270,6 +270,110 @@ def test_checkpoint_asking_for_another_search_is_refused(key, value):
         Simulation.from_snapshot(bad)
 
 
+#: Keys that documents written while the tolerances and the pruning
+#: switch were settable carry, at the one value they held.
+OLD_APC_KEYS = {"improvement_epsilon": 0.02, "preemption_penalty": 0.05}
+OLD_SIM_KEYS = {"prune_completed": True}
+
+#: A scenario as such a document wrote it, key for key.
+OLD_SCENARIO = {
+    "name": "old-format", "nodes": 3, "cpu_per_processor": 3900.0,
+    "processors_per_node": 4, "memory_per_node": 16384.0,
+    "workload": "experiment1", "job_count": 20, "interarrival": 100.0,
+    "seed": 2, "queue_window": 48, "prediction_method": "exact",
+    "policy": "apc", "policy_params": {},
+    "apc": {
+        "cycle_length": 600.0, "improvement_epsilon": 0.02,
+        "preemption_penalty": 0.05, "enable_search": True,
+    },
+    "sim": {
+        "cycle_length": 600.0, "max_time": None,
+        "cost_model": {
+            "suspend_rate": 0.0353, "resume_rate": 0.0333,
+            "migrate_rate": 0.0132, "boot_time": 3.6,
+        },
+        "prune_completed": True, "failures": [], "fault_model": None,
+        "retry_policy": {
+            "max_attempts": 3, "base_delay": 10.0, "multiplier": 2.0,
+            "jitter": 0.1, "max_delay": 600.0,
+        },
+        "action_timeout": 120.0, "alerts": None,
+    },
+}
+
+
+def in_old_format(snapshot):
+    """``snapshot`` with the retired keys where older documents carry
+    them: the scenario's ``apc`` and ``sim`` dicts and the simulator's
+    own config."""
+    snapshot["scenario"]["apc"].update(OLD_APC_KEYS)
+    snapshot["scenario"]["sim"].update(OLD_SIM_KEYS)
+    snapshot["simulator"]["config"].update(OLD_SIM_KEYS)
+    return snapshot
+
+
+def test_old_format_scenario_loads():
+    scenario = Scenario.from_dict(OLD_SCENARIO)
+    assert scenario == Scenario(
+        name="old-format", nodes=3, job_count=20, interarrival=100.0,
+        seed=2,
+    )
+    assert "improvement_epsilon" not in scenario.to_dict()["apc"]
+    assert "prune_completed" not in scenario.to_dict()["sim"]
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("apc", "improvement_epsilon", 0.03),
+        ("apc", "preemption_penalty", 0.03),
+        ("apc", "preemption_penalty", 0.0),
+        ("sim", "prune_completed", False),
+    ],
+)
+def test_old_format_with_another_value_is_refused(section, key, value):
+    """Such a document asked for another controller or simulator: the
+    scenario is refused naming the key, and so is a checkpoint carrying
+    it."""
+    data = json.loads(json.dumps(OLD_SCENARIO))
+    data[section][key] = value
+    with pytest.raises(ConfigurationError, match=key):
+        Scenario.from_dict(data)
+    sim = Simulation.from_scenario(faulty_scenario(seed=1))
+    bad = in_old_format(json.loads(json.dumps(sim.snapshot())))
+    bad["scenario"][section][key] = value
+    with pytest.raises(CheckpointError, match=key):
+        Simulation.from_snapshot(bad)
+
+
+def test_simulator_checkpoint_that_keeps_completed_jobs_is_refused():
+    sim = Simulation.from_scenario(faulty_scenario(seed=1))
+    state = json.loads(json.dumps(sim.simulator.snapshot()))
+    state["config"]["prune_completed"] = False
+    fresh = Simulation.from_scenario(faulty_scenario(seed=1))
+    with pytest.raises(CheckpointError, match="prune_completed"):
+        fresh.simulator.restore(state)
+
+
+def test_old_format_checkpoint_restores_byte_identically():
+    """A checkpoint whose scenario and simulator config carry the
+    retired keys restores and finishes as the uninterrupted run does,
+    with faults, an outage and a searching controller."""
+    scenario = faulty_scenario(
+        seed=3,
+        failures=(NodeFailure(node="node02", fail_time=1500.0, duration=1800.0),),
+        **SIXTEEN_NODES,
+    )
+    reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+    reference.run()
+    partial = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+    partial.run(until=2 * CYCLE + 300.0)
+    snapshot = in_old_format(json.loads(json.dumps(partial.snapshot())))
+    resumed = Simulation.from_snapshot(snapshot, decision_clock=ZERO_CLOCK)
+    resumed.run()
+    assert final_state_json(reference) == final_state_json(resumed)
+
+
 def test_truncated_snapshot_is_a_checkpoint_error():
     scenario = faulty_scenario(seed=1)
     sim = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
@@ -282,6 +386,22 @@ def test_truncated_snapshot_is_a_checkpoint_error():
             Simulation.from_snapshot(bad)
     with pytest.raises(CheckpointError):
         Simulation.from_snapshot({"schema_version": SNAPSHOT_SCHEMA_VERSION})
+
+
+@pytest.mark.parametrize("section", ["queue", "arrivals"])
+def test_job_its_constructor_refuses_is_a_checkpoint_error(section):
+    """A job record with a stage of negative work is malformed: restore
+    says so with a CheckpointError, not with the ConfigurationError the
+    record's constructor raises."""
+    scenario = faulty_scenario(seed=1)
+    sim = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+    sim.run(until=2 * CYCLE + 100.0)
+    bad = json.loads(json.dumps(sim.snapshot()))
+    jobs = bad["simulator"][section]
+    jobs = jobs["jobs"] if section == "queue" else jobs
+    jobs[0]["profile"]["stages"][0]["work_mcycles"] = -5.0
+    with pytest.raises(CheckpointError, match="work"):
+        Simulation.from_snapshot(bad)
 
 
 def _move_to_ghost(placement):

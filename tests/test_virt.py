@@ -1,19 +1,16 @@
-"""Tests for the virtualization cost model, actions and containers."""
+"""Tests for the virtualization cost model and the action vocabulary."""
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.virt import (
     ActionType,
-    Container,
-    ContainerState,
     FREE_COST_MODEL,
     PAPER_COST_MODEL,
-    PlacementAction,
     VirtualizationCostModel,
     diff_placements,
 )
-from repro.virt.actions import CHANGE_ACTIONS, action_duration
+from repro.virt.actions import CHANGE_ACTIONS
 
 
 class TestCostModel:
@@ -49,26 +46,12 @@ class TestCostModel:
 
 
 class TestActionDuration:
-    def test_each_action_uses_its_rate(self):
-        m = PAPER_COST_MODEL
-        assert action_duration(ActionType.SUSPEND, 100, m) == pytest.approx(3.53)
-        assert action_duration(ActionType.RESUME, 100, m) == pytest.approx(3.33)
-        assert action_duration(ActionType.MIGRATE, 100, m) == pytest.approx(1.32)
-        assert action_duration(ActionType.BOOT, 100, m) == pytest.approx(3.6)
-        assert action_duration(ActionType.STOP, 100, m) == 0.0
-
     def test_change_actions_exclude_boot_and_stop(self):
         assert ActionType.BOOT not in CHANGE_ACTIONS
         assert ActionType.STOP not in CHANGE_ACTIONS
         assert ActionType.SUSPEND in CHANGE_ACTIONS
         assert ActionType.RESUME in CHANGE_ACTIONS
         assert ActionType.MIGRATE in CHANGE_ACTIONS
-
-    def test_action_str_formats(self):
-        a = PlacementAction(ActionType.MIGRATE, "j1", "n2", source_node="n1", duration=1.5)
-        assert "n1 -> n2" in str(a)
-        b = PlacementAction(ActionType.BOOT, "j1", "n1", duration=3.6)
-        assert "boot" in str(b)
 
 
 class TestDiffPlacements:
@@ -103,80 +86,3 @@ class TestDiffPlacements:
         removals, additions = diff_placements(old, new)
         assert removals == [("a", "n1", 1), ("b", "n2", 1)]
         assert additions == [("a", "n2", 1), ("b", "n1", 1)]
-
-
-class TestContainer:
-    def make(self) -> Container:
-        return Container(app_id="j1", footprint_mb=1000.0)
-
-    def test_boot_lifecycle(self):
-        c = self.make()
-        done = c.begin(ActionType.BOOT, now=0.0, costs=PAPER_COST_MODEL, node="n1")
-        assert done == pytest.approx(3.6)
-        assert c.state is ContainerState.BOOTING
-        assert c.in_transition and c.is_placed and not c.is_active
-        c.complete(done)
-        assert c.state is ContainerState.RUNNING
-        assert c.is_active
-
-    def test_suspend_resume_cycle(self):
-        c = self.make()
-        c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL, node="n1")
-        c.complete(3.6)
-        done = c.begin(ActionType.SUSPEND, 10.0, PAPER_COST_MODEL)
-        assert done == pytest.approx(10.0 + 35.3)
-        c.complete(done)
-        assert c.state is ContainerState.SUSPENDED
-        done = c.begin(ActionType.RESUME, 100.0, PAPER_COST_MODEL)
-        assert done == pytest.approx(100.0 + 33.3)
-        c.complete(done)
-        assert c.state is ContainerState.RUNNING
-
-    def test_migrate_updates_node(self):
-        c = self.make()
-        c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL, node="n1")
-        c.complete(3.6)
-        done = c.begin(ActionType.MIGRATE, 10.0, PAPER_COST_MODEL, node="n2")
-        assert c.state is ContainerState.MIGRATING
-        assert c.node == "n1"
-        c.complete(done)
-        assert c.node == "n2"
-        assert c.state is ContainerState.RUNNING
-
-    def test_stop_is_immediate(self):
-        c = self.make()
-        c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL, node="n1")
-        c.complete(3.6)
-        done = c.begin(ActionType.STOP, 5.0, PAPER_COST_MODEL)
-        assert done == 5.0
-        assert c.state is ContainerState.STOPPED
-        assert c.node is None
-
-    def test_cannot_suspend_while_booting(self):
-        c = self.make()
-        c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL, node="n1")
-        with pytest.raises(SimulationError):
-            c.begin(ActionType.SUSPEND, 1.0, PAPER_COST_MODEL)
-
-    def test_cannot_resume_running(self):
-        c = self.make()
-        c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL, node="n1")
-        c.complete(3.6)
-        with pytest.raises(SimulationError):
-            c.begin(ActionType.RESUME, 5.0, PAPER_COST_MODEL)
-
-    def test_boot_requires_node(self):
-        c = self.make()
-        with pytest.raises(SimulationError):
-            c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL)
-
-    def test_complete_before_busy_until_rejected(self):
-        c = self.make()
-        c.begin(ActionType.BOOT, 0.0, PAPER_COST_MODEL, node="n1")
-        with pytest.raises(SimulationError):
-            c.complete(1.0)
-
-    def test_complete_without_transition_rejected(self):
-        c = self.make()
-        with pytest.raises(SimulationError):
-            c.complete(0.0)
