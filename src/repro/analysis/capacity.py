@@ -20,9 +20,9 @@ from repro.batch.job import Job
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster, NodeSpec
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import APCConfig
 from repro.errors import ConfigurationError
-from repro.policies import APCPolicy, FCFSPolicy
+from repro.policies import PolicyContext, build_policy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.txn.application import TransactionalApp
 
@@ -83,15 +83,15 @@ def _evaluate(
     )
     queue = JobQueue()
     batch = BatchWorkloadModel(queue, queue_window=32)
-    if policy_name == "APC":
-        policy = APCPolicy(
-            ApplicationPlacementController(
-                cluster, APCConfig(cycle_length=cycle_length)
-            ),
-            [batch],
-        )
-    else:
-        policy = FCFSPolicy(cluster, queue)
+    policy = build_policy(
+        policy_name.lower(),
+        PolicyContext(
+            cluster=cluster,
+            queue=queue,
+            batch_model=batch,
+            apc_config=APCConfig(cycle_length=cycle_length),
+        ),
+    )
     sim = MixedWorkloadSimulator(
         cluster,
         policy,

@@ -62,7 +62,7 @@ from repro.txn import (
     WorkProfiler,
 )
 
-# --- placement policies (the registry and every implementation) --------
+# --- placement policies (the name table and every implementation) ------
 from repro.policies import (
     APCPolicy,
     DFRSConfig,
@@ -73,11 +73,10 @@ from repro.policies import (
     PartitionedPolicy,
     PlacementPolicy,
     PolicyContext,
-    PolicyRegistry,
     ProportionalFairnessConfig,
     ProportionalFairnessPolicy,
     ScriptedPolicy,
-    default_policy_registry,
+    build_policy,
 )
 
 # --- simulator, metrics, traces ----------------------------------------
@@ -236,8 +235,7 @@ __all__ = [
     "DFRSPolicy",
     "DFRSConfig",
     "PolicyContext",
-    "PolicyRegistry",
-    "default_policy_registry",
+    "build_policy",
     # simulator
     "MetricsRecorder",
     "MixedWorkloadSimulator",

@@ -72,15 +72,13 @@ def fcfs_assign(
     jobs: Sequence[Job],
     cluster: Cluster,
     current: Mapping[str, str],
-    skip_blocked: bool = False,
 ) -> Dict[str, str]:
     """FCFS job→node assignment.
 
     ``current`` maps running job ids to their nodes; running jobs are
     never moved.  Not-started jobs are considered in the order given
-    (callers pass submission order).  With ``skip_blocked`` False
-    (default), the first job that fits nowhere blocks the rest of the
-    queue; True gives the backfilling variant.
+    (callers pass submission order), and the first job that fits nowhere
+    blocks the rest of the queue (§5.2's head-of-line blocking).
     """
     jobs_by_id = {j.job_id: j for j in jobs}
     assignment: Dict[str, str] = {
@@ -94,8 +92,6 @@ def fcfs_assign(
             continue
         node = _first_fit(cluster, job, free_mem, free_cpu)
         if node is None:
-            if skip_blocked:
-                continue
             break
         assignment[job.job_id] = node
         free_mem[node] -= job.memory_mb

@@ -653,7 +653,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_arena(args) -> int:
-    """Tournament: run several registry policies over shared scenarios."""
+    """Tournament: run several named policies over shared scenarios."""
     import json
 
     from repro.errors import CheckpointError, ConfigurationError
@@ -970,11 +970,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "arena",
-        help="policy tournament: rank registry policies on shared "
+        help="policy tournament: rank named policies on shared "
              "seeded scenarios",
     )
     p.add_argument("--policies", default="apc,fcfs,proportional_fairness,dfrs",
-                   help="comma-separated registry policy names "
+                   help="comma-separated policy names "
                         "(default: apc,fcfs,proportional_fairness,dfrs)")
     p.add_argument("--workloads", default="experiment1,experiment2",
                    help="comma-separated workload kinds, one scenario each "

@@ -61,14 +61,13 @@ it, and the identity tests pin every decision against it.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro._compat import keyword_only
+from repro._compat import from_mapping, keyword_only
 from repro.cluster import Cluster
 from repro.core.constraints import ConstraintSet
 from repro.core.loadbalance import (
@@ -208,13 +207,7 @@ class APCConfig:
             for k, v in data.items()
             if k not in _RETIRED_KEYS and k not in _RETIRED_CAPS
         }
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown APCConfig keys: {sorted(unknown)}"
-            )
-        return cls(**data)
+        return from_mapping(cls, data)
 
 
 @dataclass

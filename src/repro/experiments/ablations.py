@@ -22,16 +22,18 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.batch.hypothetical import DEFAULT_UTILITY_LEVELS, HypotheticalRPF
-from repro.batch.model import BatchWorkloadModel
-from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import APCConfig
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.experiments.common import PAPER_CONTROL_CYCLE, Scale, scale_from_env
-from repro.policies import APCPolicy
-from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
-from repro.virt.costs import FREE_COST_MODEL, PAPER_COST_MODEL
-from repro.workloads.generators import experiment_one_jobs, experiment_two_jobs
+from repro.sim.metrics import MetricsRecorder
+from repro.sim.simulator import SimulationConfig
+from repro.virt.costs import (
+    FREE_COST_MODEL,
+    PAPER_COST_MODEL,
+    VirtualizationCostModel,
+)
+from repro.workloads.generators import experiment_two_jobs
 
 
 def sampling_levels(resolution: int) -> Tuple[float, ...]:
@@ -81,6 +83,37 @@ def run_sampling_ablation(
     return rows
 
 
+def _run_apc(
+    scale: Scale,
+    *,
+    workload: str,
+    interarrival: float,
+    seed: int,
+    cycle_length: float = PAPER_CONTROL_CYCLE,
+    cost_model: VirtualizationCostModel = PAPER_COST_MODEL,
+    prediction_method: str = "exact",
+) -> MetricsRecorder:
+    """Run the APC on one seeded stream at ``scale``; ``interarrival``
+    is in paper terms."""
+    # Deferred: repro.scenario imports repro.experiments.common, so a
+    # module-level import here would cycle through the package init.
+    from repro.scenario import Scenario, Simulation
+
+    scenario = Scenario(
+        name="ablation",
+        nodes=scale.nodes,
+        workload=workload,
+        job_count=scale.job_count,
+        interarrival=interarrival,
+        seed=seed,
+        queue_window=scale.queue_window,
+        prediction_method=prediction_method,
+        apc=APCConfig(cycle_length=cycle_length),
+        sim=SimulationConfig(cycle_length=cycle_length, cost_model=cost_model),
+    )
+    return Simulation.from_scenario(scenario).run()
+
+
 @dataclass
 class CycleLengthRow:
     cycle_length: float
@@ -98,26 +131,13 @@ def run_cycle_length_ablation(
     scale = scale or scale_from_env()
     rows: List[CycleLengthRow] = []
     for cycle in cycle_lengths:
-        cluster = scale.cluster()
-        queue = JobQueue()
-        batch = BatchWorkloadModel(queue, queue_window=scale.queue_window)
-        controller = ApplicationPlacementController(
-            cluster, APCConfig(cycle_length=cycle)
+        metrics = _run_apc(
+            scale,
+            workload="experiment1",
+            interarrival=260.0,
+            seed=seed,
+            cycle_length=cycle,
         )
-        policy = APCPolicy(controller, [batch])
-        sim = MixedWorkloadSimulator(
-            cluster,
-            policy,
-            queue,
-            arrivals=experiment_one_jobs(
-                count=scale.job_count,
-                mean_interarrival=scale.interarrival(260.0),
-                seed=seed,
-            ),
-            batch_model=batch,
-            config=SimulationConfig(cycle_length=cycle),
-        )
-        metrics = sim.run()
         rows.append(
             CycleLengthRow(
                 cycle_length=cycle,
@@ -146,28 +166,13 @@ def run_cost_model_ablation(
     scale = scale or scale_from_env()
     rows: List[CostModelRow] = []
     for name, costs in (("free", FREE_COST_MODEL), ("paper", PAPER_COST_MODEL)):
-        cluster = scale.cluster()
-        queue = JobQueue()
-        batch = BatchWorkloadModel(queue, queue_window=scale.queue_window)
-        controller = ApplicationPlacementController(
-            cluster, APCConfig(cycle_length=PAPER_CONTROL_CYCLE)
+        metrics = _run_apc(
+            scale,
+            workload="experiment2",
+            interarrival=paper_interarrival,
+            seed=seed,
+            cost_model=costs,
         )
-        policy = APCPolicy(controller, [batch])
-        sim = MixedWorkloadSimulator(
-            cluster,
-            policy,
-            queue,
-            arrivals=experiment_two_jobs(
-                count=scale.job_count,
-                mean_interarrival=scale.interarrival(paper_interarrival),
-                seed=seed,
-            ),
-            batch_model=batch,
-            config=SimulationConfig(
-                cycle_length=PAPER_CONTROL_CYCLE, cost_model=costs
-            ),
-        )
-        metrics = sim.run()
         durations = [
             c.completion_time - c.submit_time for c in metrics.completions
         ]
@@ -200,30 +205,14 @@ def run_prediction_method_ablation(
     scale = scale or scale_from_env()
     rows: List[PredictionMethodRow] = []
     for method in ("exact", "interpolate"):
-        cluster = scale.cluster()
-        queue = JobQueue()
-        batch = BatchWorkloadModel(
-            queue, queue_window=scale.queue_window, prediction_method=method
+        metrics = _run_apc(
+            scale,
+            workload="experiment2",
+            interarrival=paper_interarrival,
+            seed=seed,
+            cost_model=FREE_COST_MODEL,
+            prediction_method=method,
         )
-        controller = ApplicationPlacementController(
-            cluster, APCConfig(cycle_length=PAPER_CONTROL_CYCLE)
-        )
-        policy = APCPolicy(controller, [batch])
-        sim = MixedWorkloadSimulator(
-            cluster,
-            policy,
-            queue,
-            arrivals=experiment_two_jobs(
-                count=scale.job_count,
-                mean_interarrival=scale.interarrival(paper_interarrival),
-                seed=seed,
-            ),
-            batch_model=batch,
-            config=SimulationConfig(
-                cycle_length=PAPER_CONTROL_CYCLE, cost_model=FREE_COST_MODEL
-            ),
-        )
-        metrics = sim.run()
         rows.append(
             PredictionMethodRow(
                 method=method,

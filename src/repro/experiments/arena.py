@@ -1,7 +1,7 @@
 """Policy tournaments: N policies × M scenarios, ranked on SLA outcomes.
 
-The arena crosses every entrant (a registry policy name plus optional
-params) with every scenario, fans the cross product out through
+The arena crosses every entrant (a policy name plus optional params)
+with every scenario, fans the cross product out through
 :func:`~repro.experiments.runner.run_sweep` (inheriting its worker pool,
 checkpointing, and retry machinery), and aggregates each entrant's
 :func:`~repro.sim.metrics.sla_summary` into a deterministic ranking:
@@ -21,10 +21,10 @@ from repro._compat import keyword_only
 from repro.errors import ConfigurationError
 from repro.experiments.common import format_table
 from repro.experiments.runner import RunSpec, SweepResult, run_sweep
-from repro.policies import default_policy_registry
+from repro.policies import check_policy_name
 from repro.scenario import Scenario
 
-#: An entrant: a registry name, or a mapping with ``name`` plus optional
+#: An entrant: a policy name, or a mapping with ``name`` plus optional
 #: ``params`` (policy parameters) and ``label`` (display/ranking key).
 EntrantLike = Union[str, Mapping[str, object]]
 
@@ -41,12 +41,7 @@ class ArenaEntrant:
     label: str = ""
 
     def __post_init__(self) -> None:
-        buildable = default_policy_registry().buildable_names()
-        if self.name not in buildable:
-            raise ConfigurationError(
-                f"unknown policy {self.name!r}; expected one of "
-                f"{list(buildable)}"
-            )
+        check_policy_name(self.name)
         self.params = dict(self.params)
         if not self.label:
             self.label = self.name
@@ -77,7 +72,7 @@ class ArenaResult:
     """A finished tournament: the raw sweep plus the ranked standings.
 
     ``rankings`` is best-first; each row carries the entrant's label and
-    registry name, aggregate SLA figures over its scenarios, and the
+    policy name, aggregate SLA figures over its scenarios, and the
     per-scenario summaries (``runs``) behind them.
     """
 
@@ -151,7 +146,7 @@ def run_arena(
 ) -> ArenaResult:
     """Run every policy against every scenario and rank the standings.
 
-    ``policies`` are registry names or ``{"name", "params", "label"}``
+    ``policies`` are policy names or ``{"name", "params", "label"}``
     mappings (labels must be unique — they key the ranking); each
     scenario is re-run once per entrant with the entrant's policy
     swapped in, so all entrants face identical seeded workloads, faults,

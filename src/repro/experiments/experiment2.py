@@ -23,15 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.batch.model import BatchWorkloadModel
-from repro.batch.queue import JobQueue
-from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.apc import APCConfig
 from repro.experiments.common import PAPER_CONTROL_CYCLE, Scale, scale_from_env
 from repro.sim.metrics import MetricsRecorder
-from repro.policies import APCPolicy, EDFPolicy, FCFSPolicy, LRPFPolicy
-from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
+from repro.sim.simulator import SimulationConfig
 from repro.virt.costs import FREE_COST_MODEL
-from repro.workloads.generators import experiment_two_jobs
 
 #: The paper sweeps 400 s .. 50 s.
 PAPER_INTERARRIVALS = (400.0, 350.0, 300.0, 250.0, 200.0, 150.0, 100.0, 50.0)
@@ -84,25 +80,6 @@ class ExperimentTwoResult:
         return rows
 
 
-def _build_policy(name: str, cluster, queue, batch, cycle_length: float):
-    if name == "FCFS":
-        return FCFSPolicy(cluster, queue)
-    if name == "EDF":
-        return EDFPolicy(cluster, queue)
-    if name == "LRPF":
-        # Not in the paper's comparison: the paper's §1 ordering as a
-        # plain greedy policy, without the APC's utility-vector search —
-        # isolates how much the evaluation machinery adds over the
-        # ordering alone.
-        return LRPFPolicy(cluster, queue)
-    if name == "APC":
-        controller = ApplicationPlacementController(
-            cluster, APCConfig(cycle_length=cycle_length)
-        )
-        return APCPolicy(controller, [batch])
-    raise ValueError(f"unknown policy {name!r}")
-
-
 def run_single(
     policy_name: str,
     paper_interarrival: float,
@@ -110,27 +87,32 @@ def run_single(
     cycle_length: float = PAPER_CONTROL_CYCLE,
     seed: int = 0,
 ) -> PolicyRunResult:
-    """Run one (policy, inter-arrival) cell."""
-    cluster = scale.cluster()
-    jobs = experiment_two_jobs(
-        count=scale.job_count,
-        mean_interarrival=scale.interarrival(paper_interarrival),
+    """Run one (policy, inter-arrival) cell.
+
+    ``policy_name`` is any policy a :class:`~repro.scenario.Scenario`
+    can name, in either case (``"APC"``, ``"dfrs"``); ``"LRPF"``, not in
+    the paper's comparison, applies the paper's §1 ordering as a plain
+    greedy policy, without the APC's utility-vector search.
+    """
+    # Deferred: repro.scenario imports repro.experiments.common, so a
+    # module-level import here would cycle through the package init.
+    from repro.scenario import Scenario, Simulation
+
+    scenario = Scenario(
+        name="experiment2",
+        nodes=scale.nodes,
+        workload="experiment2",
+        job_count=scale.job_count,
+        interarrival=paper_interarrival,
         seed=seed,
-    )
-    queue = JobQueue()
-    batch = BatchWorkloadModel(queue, queue_window=scale.queue_window)
-    policy = _build_policy(policy_name, cluster, queue, batch, cycle_length)
-    sim = MixedWorkloadSimulator(
-        cluster,
-        policy,
-        queue,
-        arrivals=jobs,
-        batch_model=batch,
-        config=SimulationConfig(
+        queue_window=scale.queue_window,
+        policy=policy_name.lower(),
+        apc=APCConfig(cycle_length=cycle_length),
+        sim=SimulationConfig(
             cycle_length=cycle_length, cost_model=FREE_COST_MODEL
         ),
     )
-    metrics = sim.run()
+    metrics = Simulation.from_scenario(scenario).run()
     return PolicyRunResult(
         policy=policy_name,
         paper_interarrival=paper_interarrival,

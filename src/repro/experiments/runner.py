@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro._compat import keyword_only
+from repro._compat import from_mapping, keyword_only
 from repro.errors import CheckpointError, ConfigurationError
 from repro.experiments.common import SCALES, Scale
 from repro.obs.sink import SCHEMA_VERSION
@@ -164,11 +164,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "RunSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown RunSpec keys: {sorted(unknown)}")
-        return cls(**dict(data))
+        return from_mapping(cls, data)
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from collections import deque
 
-from repro._compat import keyword_only
+from repro._compat import from_mapping, keyword_only
 from repro.errors import ConfigurationError
 from repro.units import is_finite_real
 
@@ -144,11 +144,7 @@ class AlertConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "AlertConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown AlertConfig keys: {sorted(unknown)}")
-        return cls(**dict(data))
+        return from_mapping(cls, data)
 
 
 @keyword_only

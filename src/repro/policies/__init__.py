@@ -1,4 +1,4 @@
-"""Placement policies: the protocol, the registry, and every implementation.
+"""Placement policies: the protocol, the name table, and every implementation.
 
 The package gathers the policy surface behind one import root:
 
@@ -8,8 +8,9 @@ The package gathers the policy surface behind one import root:
   §5 baselines (FCFS, EDF, LRPF, partitioned, scripted);
 * :mod:`repro.policies.rivals` — rival schedulers from the literature
   (proportional fairness, DFRS);
-* :mod:`repro.policies.registry` — the string-keyed registry that lets
-  scenarios and sweeps select a policy by name.
+* :mod:`repro.policies.registry` — the table of names that lets
+  scenarios, sweeps and the arena select a policy, and
+  :func:`build_policy`, which builds one.
 
 The APC itself has one objective, the paper's lexicographic maxmin, and
 one admission order, LRPF; a rival ranking rule is a policy of its own
@@ -30,9 +31,10 @@ from repro.policies.builtin import (
     ScriptedPolicy,
 )
 from repro.policies.registry import (
+    POLICY_BUILDERS,
     PolicyContext,
-    PolicyRegistry,
-    default_policy_registry,
+    build_policy,
+    check_policy_name,
 )
 from repro.policies.rivals import (
     DFRSConfig,
@@ -56,6 +58,7 @@ __all__ = [
     "DFRSPolicy",
     "DFRSConfig",
     "PolicyContext",
-    "PolicyRegistry",
-    "default_policy_registry",
+    "POLICY_BUILDERS",
+    "build_policy",
+    "check_policy_name",
 ]

@@ -55,20 +55,16 @@ class ScriptedPolicy:
 class FCFSPolicy:
     """First-Come First-Served, non-preemptive, first-fit (§5.2)."""
 
-    def __init__(self, cluster: Cluster, queue: JobQueue, skip_blocked: bool = False):
+    def __init__(self, cluster: Cluster, queue: JobQueue):
         self.name = "FCFS"
         self._cluster = cluster
         self._queue = queue
-        self._skip_blocked = skip_blocked
 
     def decide(self, current: PlacementState, now: float) -> PlacementState:
         del now
         jobs = self._queue.incomplete()
         assignment = fcfs_assign(
-            jobs,
-            self._cluster,
-            current_assignment(current, self._queue),
-            skip_blocked=self._skip_blocked,
+            jobs, self._cluster, current_assignment(current, self._queue)
         )
         return build_batch_state(self._cluster, self._queue, assignment)
 

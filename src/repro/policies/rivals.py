@@ -31,29 +31,18 @@ queue), telemetry, and audit — exactly like the built-in baselines.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro._compat import keyword_only
+from repro._compat import from_mapping, keyword_only
 from repro.batch.job import Job
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.placement import PlacementState
 from repro.errors import ConfigurationError
 from repro.policies.base import build_batch_state, current_assignment
-from repro.units import EPSILON
-
-
-def _config_from_dict(cls, data: Mapping[str, object]):
-    """Shared strict-keys constructor for the rival configs."""
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {cls.__name__} keys: {sorted(unknown)}"
-        )
-    return cls(**dict(data))
+from repro.units import EPSILON, is_count, is_finite_real
 
 
 @keyword_only
@@ -65,18 +54,20 @@ class ProportionalFairnessConfig:
     Attributes
     ----------
     max_jobs_per_node:
-        Cap on jobs sharing one node (``None`` = memory is the only
-        admission limit).  Bounding the multiprogramming level trades
-        some of PF's work-conservation for less CPU dilution per job.
+        Cap on jobs sharing one node, an integer >= 1 (``None`` = memory
+        is the only admission limit).  Bounding the multiprogramming
+        level trades some of PF's work-conservation for less CPU
+        dilution per job.
     """
 
     max_jobs_per_node: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_jobs_per_node is not None and self.max_jobs_per_node < 1:
+        cap = self.max_jobs_per_node
+        if cap is not None and not (is_count(cap) and cap >= 1):
             raise ConfigurationError(
-                f"max jobs per node must be >= 1 or None, "
-                f"got {self.max_jobs_per_node}"
+                f"max_jobs_per_node must be None or an integer >= 1, "
+                f"got {cap!r}"
             )
 
     def to_dict(self) -> Dict[str, object]:
@@ -88,7 +79,7 @@ class ProportionalFairnessConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "ProportionalFairnessConfig":
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
         keys are rejected to surface config typos."""
-        return _config_from_dict(cls, data)
+        return from_mapping(cls, data)
 
 
 def pf_assign(
@@ -229,16 +220,19 @@ class DFRSConfig:
         Maximum tolerated yield spread (best node's yield minus worst
         node's) before the whole placement is repacked from scratch.
         0 repacks whenever any imbalance exists (maximum migration
-        churn); large values make placement sticky.
+        churn); large values make placement sticky, and ``inf`` never
+        repacks.
     """
 
     rebalance_threshold: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.rebalance_threshold < 0.0:
+        # NaN would compare false against every spread: never repack.
+        value = self.rebalance_threshold
+        if not ((is_finite_real(value) or value == math.inf) and value >= 0):
             raise ConfigurationError(
-                f"rebalance threshold must be >= 0, "
-                f"got {self.rebalance_threshold}"
+                f"rebalance_threshold must be a number >= 0 (inf: never "
+                f"repack), got {value!r}"
             )
 
     def to_dict(self) -> Dict[str, object]:
@@ -250,7 +244,7 @@ class DFRSConfig:
     def from_dict(cls, data: Mapping[str, object]) -> "DFRSConfig":
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
         keys are rejected to surface config typos."""
-        return _config_from_dict(cls, data)
+        return from_mapping(cls, data)
 
 
 def dfrs_assign(

@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro._compat import keyword_only
+from repro._compat import from_mapping, keyword_only
 from repro.batch.hypothetical import MethodLike, PredictionMethod
 from repro.batch.job import Job
 from repro.batch.model import BatchWorkloadModel, check_queue_window
@@ -40,7 +40,8 @@ from repro.policies import (
     APCPolicy,
     PlacementPolicy,
     PolicyContext,
-    default_policy_registry,
+    build_policy,
+    check_policy_name,
 )
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
@@ -83,14 +84,16 @@ class Scenario:
         :class:`~repro.batch.hypothetical.PredictionMethod` (or its
         string value) for the batch model's predictions.
     policy / policy_params:
-        Which placement policy drives the run, by registry name
-        (:func:`~repro.policies.default_policy_registry`), plus its
-        JSON-friendly parameters — e.g. ``policy="proportional_fairness"``
-        or ``policy="fcfs", policy_params={"skip_blocked": True}``.
+        Which placement policy drives the run, by its name in
+        :data:`~repro.policies.POLICY_BUILDERS`, plus its JSON-friendly
+        parameters — e.g. ``policy="dfrs",
+        policy_params={"rebalance_threshold": 0.5}``.
     apc:
-        The controller's :class:`~repro.core.apc.APCConfig`.
+        The controller's :class:`~repro.core.apc.APCConfig` (or its
+        ``to_dict`` mapping).
     sim:
-        The simulator's :class:`~repro.sim.simulator.SimulationConfig`.
+        The simulator's :class:`~repro.sim.simulator.SimulationConfig`
+        (or its ``to_dict`` mapping).
         Its ``cycle_length`` must equal ``apc.cycle_length``: the
         simulator runs a cycle every ``T`` seconds, and the controller
         predicts ``T`` seconds ahead.  Each of its ``failures`` must name
@@ -135,23 +138,28 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown workload {self.workload!r}; expected one of {WORKLOADS}"
             )
-        self.prediction_method = PredictionMethod.coerce(self.prediction_method)
-        buildable = default_policy_registry().buildable_names()
-        if self.policy not in buildable:
-            raise ConfigurationError(
-                f"unknown policy {self.policy!r}; expected one of "
-                f"{list(buildable)}"
+        try:
+            self.prediction_method = PredictionMethod.coerce(
+                self.prediction_method
             )
+        except ValueError as exc:
+            raise ConfigurationError(f"prediction_method: {exc}") from None
+        check_policy_name(self.policy)
         if not isinstance(self.policy_params, Mapping):
             raise ConfigurationError(
                 "policy_params must be a mapping, got "
                 f"{type(self.policy_params).__name__}"
             )
         self.policy_params = dict(self.policy_params)
-        if isinstance(self.apc, Mapping):
-            self.apc = APCConfig.from_dict(self.apc)
-        if isinstance(self.sim, Mapping):
-            self.sim = SimulationConfig.from_dict(self.sim)
+        for name, kind in (("apc", APCConfig), ("sim", SimulationConfig)):
+            value = getattr(self, name)
+            if isinstance(value, Mapping):
+                setattr(self, name, kind.from_dict(value))
+            elif not isinstance(value, kind):
+                raise ConfigurationError(
+                    f"{name} must be a mapping or {kind.__name__}, got "
+                    f"{value!r}"
+                )
         # Every prediction looks one control cycle ahead (§4.2: t + T),
         # so the controller's horizon must be the simulator's period.
         if self.apc.cycle_length != self.sim.cycle_length:
@@ -198,11 +206,7 @@ class Scenario:
     def from_dict(cls, data: Mapping[str, object]) -> "Scenario":
         """Build from a plain dict (inverse of :meth:`to_dict`); unknown
         keys are rejected to surface config typos."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown Scenario keys: {sorted(unknown)}")
-        return cls(**dict(data))
+        return from_mapping(cls, data)
 
     # ------------------------------------------------------------------
     # Builders
@@ -314,7 +318,7 @@ class Simulation:
             audit=audit,
             tracer=tracer,
         )
-        policy = default_policy_registry().create(
+        policy = build_policy(
             scenario.policy, context, **scenario.policy_params
         )
         controller = (

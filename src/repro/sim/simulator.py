@@ -40,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from repro._compat import keyword_only
+from repro._compat import from_mapping, keyword_only
 
 from repro.batch.job import Job, JobStatus
 from repro.batch.model import BatchWorkloadModel
@@ -74,7 +74,7 @@ from repro.txn.application import TransactionalApp
 from repro.units import EPSILON, is_finite_real
 from repro.virt.actions import ActionType, CHANGE_ACTIONS, diff_placements
 from repro.virt.costs import PAPER_COST_MODEL, VirtualizationCostModel
-from repro.virt.faults import ActionFaultModel, RetryPolicy
+from repro.virt.faults import ActionFaultModel, FaultSpec, RetryPolicy
 
 
 @keyword_only
@@ -237,46 +237,32 @@ class SimulationConfig:
                 "SimulationConfig key 'prune_completed' is retired and must "
                 f"be True (the simulator always prunes), got {value!r}"
             )
-        data = {k: v for k, v in data.items() if k != "prune_completed"}
+        kwargs: Dict[str, object] = {
+            k: v for k, v in data.items() if k != "prune_completed"
+        }
         known = {
             f.name for f in dataclasses.fields(cls) if f.name != "decision_clock"
         }
-        unknown = set(data) - known
+        unknown = set(kwargs) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown SimulationConfig keys: {sorted(unknown)}"
             )
-        kwargs: Dict[str, object] = dict(data)
-        if "cost_model" in kwargs and isinstance(kwargs["cost_model"], Mapping):
-            kwargs["cost_model"] = VirtualizationCostModel(**kwargs["cost_model"])
-        if "failures" in kwargs:
+        if isinstance(kwargs.get("cost_model"), Mapping):
+            kwargs["cost_model"] = from_mapping(
+                VirtualizationCostModel, kwargs["cost_model"], "cost_model"
+            )
+        if isinstance(kwargs.get("failures"), (list, tuple)):
             kwargs["failures"] = tuple(
-                NodeFailure(
-                    node=f["node"],
-                    fail_time=f["fail_time"],
-                    duration=(
-                        float("inf") if f.get("duration") is None else f["duration"]
-                    ),
-                    lose_progress=f.get("lose_progress", True),
-                )
-                if isinstance(f, Mapping)
-                else f
-                for f in kwargs["failures"]
+                _node_failure(f, f"failures[{i}]") if isinstance(f, Mapping) else f
+                for i, f in enumerate(kwargs["failures"])
             )
-        fm = kwargs.get("fault_model")
-        if fm is not None and isinstance(fm, Mapping):
-            from repro.virt.faults import FaultSpec
-
-            kwargs["fault_model"] = ActionFaultModel(
-                specs={
-                    ActionType(action): FaultSpec(**spec)
-                    for action, spec in fm.get("specs", {}).items()
-                },
-                node_flakiness=fm.get("node_flakiness", {}),
-                seed=fm.get("seed", 0),
+        if isinstance(kwargs.get("fault_model"), Mapping):
+            kwargs["fault_model"] = _fault_model(kwargs["fault_model"])
+        if isinstance(kwargs.get("retry_policy"), Mapping):
+            kwargs["retry_policy"] = from_mapping(
+                RetryPolicy, kwargs["retry_policy"], "retry_policy"
             )
-        if "retry_policy" in kwargs and isinstance(kwargs["retry_policy"], Mapping):
-            kwargs["retry_policy"] = RetryPolicy(**kwargs["retry_policy"])
         if isinstance(kwargs.get("alerts"), Mapping):
             kwargs["alerts"] = AlertConfig.from_dict(kwargs["alerts"])
         return cls(**kwargs)
@@ -314,6 +300,41 @@ class NodeFailure:
                 f"duration must be positive (inf: down for good), got "
                 f"{self.duration!r}"
             )
+
+
+def _node_failure(data: Mapping[str, object], part: str) -> NodeFailure:
+    """A :class:`NodeFailure` from its ``to_dict`` form, which writes an
+    outage that lasts forever with ``duration`` ``None``."""
+    if "duration" in data and data["duration"] is None:
+        data = {**data, "duration": float("inf")}
+    return from_mapping(NodeFailure, data, part)
+
+
+def _fault_model(data: Mapping[str, object]) -> ActionFaultModel:
+    """An :class:`ActionFaultModel` from its ``to_dict`` form, whose
+    ``specs`` are keyed by action name."""
+    specs = data.get("specs", {})
+    if not isinstance(specs, Mapping):
+        raise ConfigurationError(
+            f"fault_model.specs must be a mapping, got {specs!r}"
+        )
+    converted = {}
+    for key, spec in specs.items():
+        try:
+            action = ActionType(key)
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown action {key!r} in fault_model.specs; expected one "
+                f"of {[a.value for a in ActionType]}"
+            ) from None
+        converted[action] = (
+            from_mapping(FaultSpec, spec, f"fault_model.specs[{key!r}]")
+            if isinstance(spec, Mapping)
+            else spec
+        )
+    return from_mapping(
+        ActionFaultModel, {**data, "specs": converted}, "fault_model"
+    )
 
 
 #: The outcome of every action when no fault model is configured.

@@ -162,8 +162,13 @@ class ActionFaultModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", dict(self.specs))
-        object.__setattr__(self, "node_flakiness", dict(self.node_flakiness))
+        for name in ("specs", "node_flakiness"):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping):
+                raise ConfigurationError(
+                    f"{name} must be a mapping, got {value!r}"
+                )
+            object.__setattr__(self, name, dict(value))
         for action, spec in self.specs.items():
             if not isinstance(action, ActionType):
                 raise ConfigurationError(f"spec key must be an ActionType, got {action!r}")

@@ -11,6 +11,8 @@ import warnings
 import pytest
 
 from repro.api import (
+    FREE_COST_MODEL,
+    ActionFaultModel,
     AlertConfig,
     APCConfig,
     ArenaEntrant,
@@ -18,8 +20,10 @@ from repro.api import (
     ConfigurationError,
     DFRSConfig,
     JobQueue,
+    NodeFailure,
     PredictionMethod,
     ProportionalFairnessConfig,
+    RetryPolicy,
     RunSpec,
     Scenario,
     Simulation,
@@ -50,9 +54,8 @@ def test_facade_covers_the_policy_surface():
 
     required = {
         "PlacementPolicy",
-        "PolicyRegistry",
         "PolicyContext",
-        "default_policy_registry",
+        "build_policy",
         "ProportionalFairnessPolicy",
         "ProportionalFairnessConfig",
         "DFRSPolicy",
@@ -204,7 +207,13 @@ def test_scenario_round_trip():
         policy="dfrs",
         policy_params={"rebalance_threshold": 0.5},
         apc=APCConfig(cycle_length=300.0),
-        sim=SimulationConfig(cycle_length=300.0),
+        sim=SimulationConfig(
+            cycle_length=300.0,
+            cost_model=FREE_COST_MODEL,
+            failures=[NodeFailure("node1", fail_time=900.0)],
+            fault_model=ActionFaultModel.uniform(failure_probability=0.1),
+            retry_policy=RetryPolicy(max_attempts=2),
+        ),
     )
     clone = Scenario.from_dict(_through_json(scenario.to_dict()))
     assert clone.to_dict() == scenario.to_dict()

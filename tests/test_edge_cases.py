@@ -475,6 +475,65 @@ class TestWrongTypedParts:
             NodeFailure(node=node, fail_time=0.0)
 
 
+class TestMalformedNestedParts:
+    """A malformed part of a scenario document is refused with a
+    ConfigurationError that names the part, through ``from_dict``.  Each
+    of these once raised a bare AttributeError, KeyError, TypeError or
+    ValueError, or was silently ignored."""
+
+    @staticmethod
+    def scenario_dict(**parts):
+        data = Scenario(nodes=2, job_count=2).to_dict()
+        data.update(parts)
+        return data
+
+    @staticmethod
+    def sim_dict(**parts):
+        data = SimulationConfig().to_dict()
+        data.update(parts)
+        return data
+
+    @pytest.mark.parametrize(
+        "part, value", [("apc", 5), ("sim", 5), ("apc", None), ("sim", None)]
+    )
+    def test_config_part_that_is_not_a_mapping(self, part, value):
+        with pytest.raises(ConfigurationError, match=part):
+            Scenario.from_dict(self.scenario_dict(**{part: value}))
+
+    def test_prediction_method_names_the_field(self):
+        with pytest.raises(ConfigurationError, match="prediction_method"):
+            Scenario.from_dict(self.scenario_dict(prediction_method="bogus"))
+
+    @pytest.mark.parametrize(
+        "sim, match",
+        [
+            ({"failures": [{"node": "node0"}]}, "fail_time"),
+            ({"failures": [{"node": "node0", "fail_time": 5.0,
+                            "lose": True}]}, "failures"),
+            ({"failures": 5}, "failures"),
+            ({"cost_model": {"suspend_rate": 0.0, "boot": 1.0}}, "cost_model"),
+            ({"retry_policy": {"tries": 3}}, "retry_policy"),
+            ({"fault_model": {"specs": {"boot": {"failure": 0.5}}}}, "specs"),
+            ({"fault_model": {"specs": {"reboot": {}}}}, "reboot"),
+            ({"fault_model": {"specs": [1]}}, "specs"),
+            ({"fault_model": {"specz": {}}}, "specz"),
+            ({"fault_model": {"node_flakiness": 5}}, "node_flakiness"),
+        ],
+        ids=[
+            "failure-without-fail-time", "failure-unknown-key",
+            "failures-not-a-list", "cost-model-unknown-key",
+            "retry-policy-unknown-key", "fault-spec-unknown-key",
+            "unknown-action", "specs-not-a-mapping", "fault-model-unknown-key",
+            "flakiness-not-a-mapping",
+        ],
+    )
+    def test_simulation_part_names_the_part(self, sim, match):
+        with pytest.raises(ConfigurationError, match=match):
+            SimulationConfig.from_dict(self.sim_dict(**sim))
+        with pytest.raises(ConfigurationError, match=match):
+            Scenario.from_dict(self.scenario_dict(sim=self.sim_dict(**sim)))
+
+
 class TestRouterEdges:
     def test_single_instance_gets_everything(self):
         decision = RequestRouter(max_utilization=1.0).route(

@@ -99,8 +99,14 @@ class TestExperimentTwoHarness:
         assert cell.distances  # grouped by goal factor
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="'lifo'"):
             run_single("LIFO", 400.0, TINY)
+
+    def test_runs_a_rival_by_its_table_name(self):
+        cell = run_single("dfrs", 400.0, TINY, seed=2)
+        assert cell.policy == "dfrs"
+        assert len(cell.metrics.completions) == TINY.job_count
+        assert 0.0 <= cell.deadline_satisfaction <= 1.0
 
 
 class TestExperimentThreeHarness:

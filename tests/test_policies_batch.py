@@ -43,21 +43,6 @@ class TestFCFS:
         assert "big" not in assignment
         assert "small" not in assignment
 
-    def test_skip_blocked_variant_backfills(self, two_slot_cluster):
-        big = make_job("big", memory=1500, max_speed=500, submit=0)
-        small = make_job("small", memory=100, max_speed=100, submit=1)
-        fillers = [make_job(f"f{i}", memory=750, max_speed=100, submit=0) for i in range(2)]
-        for f in fillers:
-            f.status = JobStatus.RUNNING
-        assignment = fcfs_assign(
-            fillers + [big, small],
-            two_slot_cluster,
-            current={"f0": "node0", "f1": "node1"},
-            skip_blocked=True,
-        )
-        assert "big" not in assignment
-        assert "small" in assignment
-
     def test_never_moves_running_jobs(self, two_slot_cluster):
         running = make_job("r", memory=750, max_speed=500)
         running.status = JobStatus.RUNNING

@@ -8,6 +8,7 @@ no wall-clock field involved.
 """
 
 import json
+import math
 
 import pytest
 
@@ -135,6 +136,19 @@ class TestProportionalFairnessPrimitives:
         with pytest.raises(ConfigurationError):
             ProportionalFairnessConfig.from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("cap", [2.5, True, "3", 0, -1, math.nan])
+    def test_cap_must_be_a_count(self, cap):
+        """A cap of ``True`` once read as one job per node, 2.5 as three,
+        and ``"3"`` raised TypeError mid-cycle."""
+        with pytest.raises(ConfigurationError, match="max_jobs_per_node"):
+            ProportionalFairnessConfig(max_jobs_per_node=cap)
+        scenario = Scenario(
+            nodes=2, job_count=2, policy="proportional_fairness",
+            policy_params={"max_jobs_per_node": cap},
+        )
+        with pytest.raises(ConfigurationError, match="max_jobs_per_node"):
+            Simulation.from_scenario(scenario)
+
 
 class TestDFRSPrimitives:
     def test_lpt_balances_committed_speed(self):
@@ -168,6 +182,27 @@ class TestDFRSPrimitives:
         assert DFRSConfig.from_dict(config.to_dict()) == config
         with pytest.raises(ConfigurationError):
             DFRSConfig(rebalance_threshold=-0.1)
+
+    @pytest.mark.parametrize(
+        "threshold", [math.nan, True, "x", None, -math.inf]
+    )
+    def test_threshold_must_be_a_number(self, threshold):
+        """NaN once built a policy that never repacks (``spread > nan``
+        is always false), and ``"x"`` raised TypeError mid-cycle."""
+        with pytest.raises(ConfigurationError, match="rebalance_threshold"):
+            DFRSConfig(rebalance_threshold=threshold)
+        scenario = Scenario(
+            nodes=2, job_count=2, policy="dfrs",
+            policy_params={"rebalance_threshold": threshold},
+        )
+        with pytest.raises(ConfigurationError, match="rebalance_threshold"):
+            Simulation.from_scenario(scenario)
+
+    def test_infinite_threshold_never_repacks(self):
+        assert DFRSConfig(rebalance_threshold=math.inf).rebalance_threshold == (
+            math.inf
+        )
+        assert DFRSConfig(rebalance_threshold=0).rebalance_threshold == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,29 +1,31 @@
-"""The string-keyed placement-policy registry.
+"""The table of policies a scenario can name.
 
-Covers :class:`~repro.policies.PolicyRegistry`: the default names, the
-builders a scenario can reach, and the refusal of unknown names, params
-and duplicate registrations.
+Covers :data:`~repro.policies.POLICY_BUILDERS` and
+:func:`~repro.policies.build_policy`: the six names, the builders a
+scenario reaches, and the refusal of unknown names and params at every
+boundary that takes a policy name.
 """
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.arena import ArenaEntrant
 from repro.policies import (
+    POLICY_BUILDERS,
     APCPolicy,
     DFRSPolicy,
+    EDFPolicy,
     FCFSPolicy,
-    PartitionedPolicy,
+    LRPFPolicy,
     PolicyContext,
-    PolicyRegistry,
     ProportionalFairnessPolicy,
-    default_policy_registry,
+    build_policy,
 )
 from repro.scenario import Scenario, Simulation
 
+NAMES = ["apc", "dfrs", "edf", "fcfs", "lrpf", "proportional_fairness"]
 
-# ----------------------------------------------------------------------
-# The policy registry
-# ----------------------------------------------------------------------
+
 def make_context(scenario: Scenario) -> PolicyContext:
     sim = Simulation.from_scenario(scenario)
     return PolicyContext(
@@ -36,69 +38,67 @@ def make_context(scenario: Scenario) -> PolicyContext:
 
 class TestPolicyRegistry:
     def test_default_names(self):
-        registry = default_policy_registry()
-        assert set(registry.names()) >= {
-            "apc",
-            "fcfs",
-            "edf",
-            "lrpf",
-            "partitioned",
-            "scripted",
-            "proportional_fairness",
-            "dfrs",
-        }
-        buildable = set(registry.buildable_names())
-        assert "partitioned" not in buildable
-        assert "scripted" not in buildable
-        assert {"apc", "proportional_fairness", "dfrs"} <= buildable
-
-    def test_dunder_protocol(self):
-        registry = default_policy_registry()
-        assert "apc" in registry
-        assert "nope" not in registry
-        assert len(registry) >= 8
-        assert list(registry) == sorted(registry.names())
-
-    def test_get_and_create_unknown_rejected(self):
-        registry = default_policy_registry()
-        with pytest.raises(ConfigurationError):
-            registry.get("nope")
-        with pytest.raises(ConfigurationError):
-            registry.create("nope", make_context(Scenario(nodes=2)))
-
-    def test_builderless_policies_cannot_be_created(self):
-        registry = default_policy_registry()
-        assert registry.get("partitioned") is PartitionedPolicy
-        with pytest.raises(ConfigurationError):
-            registry.create("partitioned", make_context(Scenario(nodes=2)))
-
-    def test_duplicate_registration_rejected(self):
-        registry = PolicyRegistry()
-        registry.register("x", FCFSPolicy)
-        with pytest.raises(ConfigurationError):
-            registry.register("x", FCFSPolicy)
-        registry.register("x", DFRSPolicy, replace=True)
-        assert registry.get("x") is DFRSPolicy
+        """The table holds exactly the policies a scenario can name."""
+        assert sorted(POLICY_BUILDERS) == NAMES
 
     def test_create_builds_each_buildable_policy(self):
-        registry = default_policy_registry()
         context = make_context(Scenario(nodes=2, job_count=2))
         expected = {
             "apc": APCPolicy,
             "fcfs": FCFSPolicy,
+            "edf": EDFPolicy,
+            "lrpf": LRPFPolicy,
             "proportional_fairness": ProportionalFairnessPolicy,
             "dfrs": DFRSPolicy,
         }
+        assert sorted(expected) == NAMES
         for name, cls in expected.items():
-            assert isinstance(registry.create(name, context), cls)
+            assert isinstance(build_policy(name, context), cls)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_name_runs_a_two_node_scenario(self, name):
+        scenario = Scenario(
+            nodes=2, workload="experiment2", job_count=6, interarrival=400.0,
+            seed=1, policy=name,
+        )
+        metrics = Simulation.from_scenario(scenario).run()
+        assert len(metrics.completions) == 6
+
+    @pytest.mark.parametrize(
+        "boundary", ["scenario", "arena_entrant", "build_policy"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["nope", "APC", "partitioned", "scripted", None, ["apc"]]
+    )
+    def test_unknown_names_refused_with_the_list(self, boundary, name):
+        build = {
+            "scenario": lambda: Scenario(policy=name),
+            "arena_entrant": lambda: ArenaEntrant(name=name),
+            "build_policy": lambda: build_policy(
+                name, make_context(Scenario(nodes=2, job_count=2))
+            ),
+        }[boundary]
+        with pytest.raises(ConfigurationError) as excinfo:
+            build()
+        assert str(NAMES) in str(excinfo.value)
 
     def test_unknown_params_rejected(self):
-        registry = default_policy_registry()
         context = make_context(Scenario(nodes=2, job_count=2))
-        for name in ("apc", "fcfs", "edf", "lrpf", "proportional_fairness",
-                     "dfrs"):
-            with pytest.raises(ConfigurationError):
-                registry.create(name, context, bogus=1)
+        for name in NAMES:
+            with pytest.raises(ConfigurationError, match="bogus"):
+                build_policy(name, context, bogus=1)
+
+    @pytest.mark.parametrize("value", [True, False, "false"])
+    def test_fcfs_refuses_the_retired_skip_blocked(self, value):
+        """FCFS is §5.2's head-of-line-blocking baseline; the backfilling
+        variant is gone, so its switch is an unknown param that names
+        the key, whatever it holds."""
+        scenario = Scenario(
+            nodes=2, job_count=2, policy="fcfs",
+            policy_params={"skip_blocked": value},
+        )
+        with pytest.raises(ConfigurationError, match="skip_blocked"):
+            Simulation.from_scenario(scenario)
 
     @pytest.mark.parametrize(
         "params",
@@ -116,6 +116,6 @@ class TestPolicyRegistry:
         with pytest.raises(ConfigurationError, match=key):
             Simulation.from_scenario(scenario)
         with pytest.raises(ConfigurationError, match=key):
-            default_policy_registry().create(
+            build_policy(
                 "apc", make_context(Scenario(nodes=2, job_count=2)), **params
             )
