@@ -36,6 +36,13 @@ def keyword_only(cls: Type[T]) -> Type[T]:
     return cls
 
 
+def require_mapping(data: object, part: str) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` naming ``part``
+    unless ``data`` is a mapping."""
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{part} must be a mapping, got {data!r}")
+
+
 def from_mapping(cls: Type[T], data: object, part: Optional[str] = None) -> T:
     """Build the dataclass ``cls`` from the plain mapping ``data``.
 
@@ -45,8 +52,7 @@ def from_mapping(cls: Type[T], data: object, part: Optional[str] = None) -> T:
     that has no default; the constructor checks the values.
     """
     part = part or cls.__name__
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{part} must be a mapping, got {data!r}")
+    require_mapping(data, part)
     fields = dataclasses.fields(cls)
     unknown = set(data) - {f.name for f in fields}
     if unknown:

@@ -52,7 +52,11 @@ distribution, one prediction per model and one objective score: its load
 is written into its state only on adoption (nothing reads a trial's load
 before), and its churn is its base's plus its change on its one node.
 Its distribution is handed its base's result and that node, so off the
-node it can reuse the base's entries, and the fill pass's LRPF order is
+node it can reuse the base's entries or prepared rows, and every trial
+after the node's first is handed the level its previous sibling
+returned, which the distributor's level search checks first (siblings
+differ from the same base on the same node, and on the §5.3 sharing
+workload most return the same level).  The fill pass's LRPF order is
 built once per node and base rather than once per trial.
 ``tests/reference_apc.py`` keeps the paper-literal solver without any of
 it, and the identity tests pin every decision against it.
@@ -67,7 +71,7 @@ from typing import (
     Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro._compat import from_mapping, keyword_only
+from repro._compat import from_mapping, keyword_only, require_mapping
 from repro.cluster import Cluster
 from repro.core.constraints import ConstraintSet
 from repro.core.loadbalance import (
@@ -195,6 +199,7 @@ class APCConfig:
         scenario JSON, snapshots and sweep manifests that carry them
         still load.  Any other value is refused: it asked for a
         controller that no longer runs."""
+        require_mapping(data, cls.__name__)
         for key, (kept, meaning) in _RETIRED_CAPS.items():
             value = data.get(key, kept)
             if type(value) is not type(kept) or value != kept:
@@ -386,18 +391,20 @@ class ApplicationPlacementController:
             tolerance: float = IMPROVEMENT_EPSILON,
             base: Optional[LoadDistributionResult] = None,
             node: Optional[str] = None,
+            guess: Optional[float] = None,
         ) -> _Scored:
             """Score ``trial``; its load is written only on adoption.  A
             search trial names the load of the placement it was copied
             from and the one node where it differs (``distribute_load``'s
-            ``base`` and ``node``)."""
+            ``base`` and ``node``), and after the node's first trial the
+            level its previous sibling returned (``guess``)."""
             nonlocal evaluations
             evaluations += 1
             with self._span("apc.evaluate"):
                 with self._span("apc.loadbalance"):
                     load = distribute_load(
                         trial, specs, write_load_matrix=False, base=base,
-                        node=node,
+                        node=node, guess=guess,
                     )
                 utilities: Dict[str, float] = {}
                 with self._span("apc.predict"):
@@ -910,6 +917,10 @@ class ApplicationPlacementController:
                     audit.shortcircuit("node_noop", node=node)
                 first = 1
 
+            # The level the node's previous trial returned: siblings
+            # differ from the same base on the same node, and most
+            # return the same level.
+            guess: Optional[float] = None
             for removals in range(first, len(removable) + 1):
                 trial = node_base.copy()
                 removed = set(removable[:removals])
@@ -936,8 +947,9 @@ class ApplicationPlacementController:
                 )
                 scored = evaluate(
                     trial, churn, tolerance=tolerance, base=base.load,
-                    node=node,
+                    node=node, guess=guess,
                 )
+                guess = scored.load.common_level
                 adopted = self._objective.better(scored.score, best.score)
                 if audit is not None:
                     audit.candidate(

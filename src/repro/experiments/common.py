@@ -22,8 +22,10 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
+from repro.batch.model import check_queue_window
 from repro.cluster import Cluster
 from repro.errors import ConfigurationError
+from repro.units import is_count
 
 #: Paper constants (§5.1).
 PAPER_NODES = 25
@@ -47,8 +49,13 @@ class Scale:
     queue_window: int = 48
 
     def __post_init__(self) -> None:
-        if self.nodes < 1 or self.job_count < 1:
-            raise ConfigurationError("scale needs >= 1 node and >= 1 job")
+        for name in ("nodes", "job_count"):
+            value = getattr(self, name)
+            if not is_count(value) or value < 1:
+                raise ConfigurationError(
+                    f"Scale {name} must be an integer >= 1, got {value!r}"
+                )
+        check_queue_window(self.queue_window)
 
     @property
     def interarrival_multiplier(self) -> float:

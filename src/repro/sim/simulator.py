@@ -40,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from repro._compat import from_mapping, keyword_only
+from repro._compat import from_mapping, keyword_only, require_mapping
 
 from repro.batch.job import Job, JobStatus
 from repro.batch.model import BatchWorkloadModel
@@ -231,6 +231,7 @@ class SimulationConfig:
         documents recorded, so scenario JSON, snapshots and sweep
         manifests that carry it still load; ``False`` asked for a
         simulator that keeps completed jobs queued, so it is refused."""
+        require_mapping(data, cls.__name__)
         value = data.get("prune_completed", True)
         if value is not True:
             raise ConfigurationError(

@@ -500,6 +500,14 @@ class TestMalformedNestedParts:
         with pytest.raises(ConfigurationError, match=part):
             Scenario.from_dict(self.scenario_dict(**{part: value}))
 
+    @pytest.mark.parametrize("config", [APCConfig, SimulationConfig])
+    @pytest.mark.parametrize("value", [5, None, [1]])
+    def test_from_dict_refuses_a_non_mapping(self, config, value):
+        """Called directly, each config's ``from_dict`` names its class;
+        it once raised AttributeError reading a retired key."""
+        with pytest.raises(ConfigurationError, match=config.__name__):
+            config.from_dict(value)
+
     def test_prediction_method_names_the_field(self):
         with pytest.raises(ConfigurationError, match="prediction_method"):
             Scenario.from_dict(self.scenario_dict(prediction_method="bogus"))

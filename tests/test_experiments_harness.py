@@ -43,6 +43,34 @@ class TestScale:
         with pytest.raises(ConfigurationError):
             Scale("bad", nodes=0, job_count=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nodes", 2.5),
+            ("nodes", True),
+            ("nodes", "4"),
+            ("job_count", 10.0),
+            ("job_count", False),
+            ("job_count", 0),
+            ("queue_window", -4),
+            ("queue_window", 2.5),
+            ("queue_window", True),
+        ],
+    )
+    def test_scale_refuses_what_it_cannot_mean(self, field, value):
+        """A node or job count must be an integer >= 1 and the window
+        what the batch model takes, refused when the scale is built and
+        naming the field: Experiment Three and the illustrative example
+        build a cluster and a job stream from a scale unchecked."""
+        kwargs = {"nodes": 4, "job_count": 10, "queue_window": 8}
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            Scale("bad", **kwargs)
+
+    def test_scale_keeps_valid_windows(self):
+        assert Scale("open", nodes=1, job_count=1, queue_window=None).queue_window is None
+        assert Scale("closed", nodes=1, job_count=1, queue_window=0).queue_window == 0
+
 
 class TestFormatting:
     def test_format_table_aligns(self):

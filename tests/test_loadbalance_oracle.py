@@ -17,8 +17,12 @@ its base's result (``base`` and ``node``) must get the same result as
 the call without them.  Problems shaped like perfbench's ``share``
 (links beside one piecewise-linear divisible row whose deficit lands
 within a few ulps of ``EPSILON``) drive the certified level search,
-from the endpoints and from a base's level; mixes it cannot certify
-must make the bisection's 50 probes.
+from the endpoints, from a base's level, from a sibling trial's level
+(with the base's rows reused off the node) and from any guess; mixes
+it cannot certify must make the bisection's 50 probes.  Under the
+``share`` wiring itself, a distribution's level probes, rows prepared
+and refinement calls are bounded, and refinement never raises an app
+none of whose nodes has CPU left.
 """
 
 import dataclasses
@@ -627,8 +631,10 @@ def _counting_probes(state, apps, **kwargs):
 def test_certified_search_matches_probe_loop_oracle(problem, data):
     """The certified level search, on the mix it certifies and with the
     divisible row's deficit near ``EPSILON``: from the endpoints, from a
-    base's level (the placement with one link fewer on a node) and from
-    any level given as a base's, it returns the probe loop's result."""
+    base's level (the placement with one link fewer on a node), for a
+    sibling trial steered by the first trial's level, and from any level
+    given as a base's or as a guess, it returns the probe loop's
+    result."""
     state, apps = problem
     ref_state = state.copy()
     expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
@@ -637,6 +643,7 @@ def test_certified_search_matches_probe_loop_oracle(problem, data):
     assert _exact(got, got_state) == expected
     assert probes and all(probes)
 
+    level = got.common_level
     jobs = [a for a in apps if a != "txn"]
     if jobs:
         # A search trial: its base lacks one of its links.
@@ -648,16 +655,43 @@ def test_certified_search_matches_probe_loop_oracle(problem, data):
         got_state = state.copy()
         got = distribute_load(got_state, apps, base=base, node=node)
         assert _exact(got, got_state) == expected
+        # Its sibling: copied from the same base and changed on the same
+        # node (some of the node's apps removed, the divisible row
+        # perhaps added), steered by the first trial's level.  It takes
+        # the base's rows for every app off the node.
+        sibling = base_state.copy()
+        for other in sibling.apps_on(node):
+            if data.draw(st.booleans()):
+                sibling.remove(other, node, sibling.instances_on(other, node))
+        if "txn" not in sibling.hosted_on(node) and data.draw(st.booleans()):
+            sibling.place("txn", node, 1.0)
+        ref_state = sibling.copy()
+        oracle = _exact(reference_distribute_load(ref_state, apps), ref_state)
+        got_state = sibling.copy()
+        got = distribute_load(
+            got_state, apps, base=base, node=node, guess=got.common_level,
+        )
+        assert _exact(got, got_state) == oracle
 
-    # Any start only steers the search.
+    # Any start and any guess only steer the search.
     start = data.draw(st.one_of(
-        st.sampled_from([got.common_level, NEGATIVE_INFINITY_UTILITY, 1.0]),
+        st.sampled_from([level, NEGATIVE_INFINITY_UTILITY, 1.0]),
+        st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
+    ))
+    guess = data.draw(st.one_of(
+        st.sampled_from([
+            level, NEGATIVE_INFINITY_UTILITY, 1.0, math.nan, math.inf,
+            -math.inf,
+        ]),
         st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
     ))
     got_state = state.copy()
+    got = distribute_load(got_state, apps, guess=guess)
+    assert _exact(got, got_state) == expected
+    got_state = state.copy()
     got = distribute_load(
         got_state, apps, base=LoadDistributionResult(common_level=start),
-        node=next(iter(state.cluster.node_names)),
+        node=next(iter(state.cluster.node_names)), guess=guess,
     )
     assert _exact(got, got_state) == expected
 
@@ -969,36 +1003,119 @@ def test_share_wiring_prepares_every_job_row_as_a_link(monkeypatch):
     assert txn and not any(isinstance(row, _Link) for row in txn)
 
 
-def test_share_wiring_bisects_in_about_ten_probes(monkeypatch):
-    """Under the ``share`` wiring, with perfbench's 150 jobs so that a
-    backlog forms and the search runs, a distribution whose level lies
-    strictly between the floor and the top makes at most 12 level
-    probes on average (the plain bisection makes 50): its one divisible
-    row is piecewise linear, so the search certifies its probes, and a
-    search trial starts from its base's level."""
+@pytest.fixture(scope="module")
+def share_wiring_counts():
+    """Per distribution, under the ``share`` wiring with perfbench's 150
+    jobs so that a backlog forms and the search runs (40 cycles): its
+    level, its level probes (:func:`_fill` calls without ``per_node``),
+    its rows prepared and its :func:`_raise_app` calls; and every
+    ``_raise_app`` call made for an app none of whose nodes had more
+    than ``EPSILON`` free."""
     simulator, _ = _share_simulation(job_count=150)
     fill = loadbalance._fill
+    prepare_row = loadbalance._prepare_row
+    raise_app = loadbalance._raise_app
     distribute = apc_module.distribute_load
-    probes = []
-    per_call = []
+    counts = {"probes": 0, "rows": 0, "raises": 0}
+    calls = []
+    idle_raises = []
 
     def counting_fill(rows, level, capacity, per_node=None, certify=False):
         if per_node is None:
-            probes.append(level)
+            counts["probes"] += 1
         return fill(rows, level, capacity, per_node, certify)
 
+    def counting_prepare_row(*args):
+        counts["rows"] += 1
+        return prepare_row(*args)
+
+    def counting_raise_app(app, state, assignment, current_total, residual):
+        counts["raises"] += 1
+        if all(residual[n] <= EPSILON for n in state.nodes_of(app.app_id)):
+            idle_raises.append(app.app_id)
+        return raise_app(app, state, assignment, current_total, residual)
+
     def counting_distribute(*args, **kwargs):
-        before = len(probes)
+        before = dict(counts)
         result = distribute(*args, **kwargs)
-        if NEGATIVE_INFINITY_UTILITY < result.common_level < 1.0:
-            per_call.append(len(probes) - before)
+        calls.append({
+            "level": result.common_level,
+            **{key: counts[key] - before[key] for key in counts},
+        })
         return result
 
-    monkeypatch.setattr(loadbalance, "_fill", counting_fill)
-    monkeypatch.setattr(apc_module, "distribute_load", counting_distribute)
-    simulator.run(until=40 * 600.0)
-    assert len(per_call) > 200
-    assert sum(per_call) / len(per_call) <= 12
+    with mock.patch.object(loadbalance, "_fill", counting_fill), \
+            mock.patch.object(loadbalance, "_prepare_row", counting_prepare_row), \
+            mock.patch.object(loadbalance, "_raise_app", counting_raise_app), \
+            mock.patch.object(apc_module, "distribute_load", counting_distribute):
+        simulator.run(until=40 * 600.0)
+    return calls, idle_raises
+
+
+def _mean(calls, key):
+    return sum(call[key] for call in calls) / len(calls)
+
+
+def test_share_wiring_searches_in_at_most_seven_probes(share_wiring_counts):
+    """A distribution whose level lies strictly between the floor and the
+    top makes at most 7 level probes on average (the plain bisection
+    makes 50): its one divisible row is piecewise linear, so the search
+    certifies its probes; a search trial starts from its base's level,
+    and a later trial on the same node first probes the final pair its
+    previous sibling's level predicts."""
+    calls, _ = share_wiring_counts
+    interior = [
+        call for call in calls
+        if NEGATIVE_INFINITY_UTILITY < call["level"] < 1.0
+    ]
+    assert len(interior) > 200
+    assert _mean(interior, "probes") <= 7
+
+
+def test_share_wiring_prepares_at_most_six_rows(share_wiring_counts):
+    """A search trial takes its base's row for every app off its node,
+    so a distribution prepares at most 6 rows on average of the about 13
+    it places."""
+    calls, _ = share_wiring_counts
+    assert len(calls) > 200
+    assert _mean(calls, "rows") <= 6
+
+
+def test_share_wiring_raises_at_most_two_apps(share_wiring_counts):
+    """Refinement calls :func:`_raise_app` at most twice per distribution
+    on average: only for a row with headroom and a node with CPU left."""
+    calls, _ = share_wiring_counts
+    assert len(calls) > 200
+    assert _mean(calls, "raises") <= 2
+
+
+def test_share_wiring_raises_no_app_without_free_cpu(share_wiring_counts):
+    """No :func:`_raise_app` call for an app none of whose nodes has more
+    than ``EPSILON`` free: it could take nothing there."""
+    calls, idle_raises = share_wiring_counts
+    assert sum(call["raises"] for call in calls) > 0
+    assert idle_raises == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(problems(), share_problems()))
+def test_refinement_raises_only_apps_with_free_cpu(problem):
+    """On any mix, refinement calls :func:`_raise_app` only for an app
+    with a node that has more than ``EPSILON`` free, and the result is
+    the probe loop's."""
+    state, apps = problem
+    ref_state = state.copy()
+    expected = _exact(reference_distribute_load(ref_state, apps), ref_state)
+    raise_app = loadbalance._raise_app
+
+    def spy(app, state, assignment, current_total, residual):
+        assert any(residual[n] > EPSILON for n in state.nodes_of(app.app_id))
+        return raise_app(app, state, assignment, current_total, residual)
+
+    got_state = state.copy()
+    with mock.patch.object(loadbalance, "_raise_app", spy):
+        got = distribute_load(got_state, apps)
+    assert _exact(got, got_state) == expected
 
 
 def test_links_that_fit_at_the_top_cost_one_probe():

@@ -15,6 +15,7 @@ Also pinned here:
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
+from repro.core import loadbalance
 from repro.core.apc import (
     SPAN_PHASES,
     APCConfig,
@@ -199,10 +201,31 @@ def test_sharing_run_is_identical_on_every_solver_path():
     """The small-cluster path the §5.3 sharing benchmark measures — the
     load distributor's links beside the transactional row, the array
     admission, the batch model's table kernels — decides exactly as the
-    reference."""
-    production, profiler = run_sharing(reference=False)
+    reference.  The production run also certifies a search trial's level
+    from its previous sibling's in two probes, so that path is pinned
+    too."""
+    searches = []
+    search = loadbalance._highest_feasible_level
+
+    def spy(probe, start=None, guess=None):
+        probes = []
+
+        def counted(level):
+            probes.append(level)
+            return probe(level)
+
+        level = search(counted, start, guess)
+        searches.append((guess, level, len(probes)))
+        return level
+
+    with mock.patch.object(loadbalance, "_highest_feasible_level", spy):
+        production, profiler = run_sharing(reference=False)
     assert len(production.metrics.completions) == SHARING_SCALE.job_count
     assert any(r.name == "apc.search" for r in profiler.records)
+    assert any(
+        guess is not None and level == guess and probes == 2
+        for guess, level, probes in searches
+    )
     reference, _ = run_sharing(reference=True)
     assert json.dumps(metrics_and_trace(production), sort_keys=True) == (
         json.dumps(metrics_and_trace(reference), sort_keys=True)
